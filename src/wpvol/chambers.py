@@ -255,11 +255,16 @@ class Chamber:
 
 
 def chamber_from_json_dict(data: Mapping, g: Optional[int] = None, n: Optional[int] = None) -> Chamber:
+    light = data.get("light_max") if isinstance(data, Mapping) else None
+    if not isinstance(light, list) or not all(
+        isinstance(s, list) and all(isinstance(j, int) for j in s) for s in light
+    ):
+        raise ValueError('chamber JSON must be an object whose "light_max" is a list of label lists')
     g = data.get("g", g)
     n = data.get("n", n)
-    if g is None or n is None:
-        raise ValueError("chamber JSON needs g and n (inline or from flags)")
-    return Chamber(StabilitySpace(int(g), int(n)), tuple(tuple(s) for s in data["light_max"]))
+    if not isinstance(g, int) or not isinstance(n, int):
+        raise ValueError("chamber JSON needs integer g and n (inline or from flags)")
+    return Chamber(StabilitySpace(g, n), tuple(tuple(s) for s in light))
 
 
 def main_chamber(space: StabilitySpace) -> Chamber:

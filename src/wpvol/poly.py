@@ -233,15 +233,16 @@ class Poly:
         if value.ring != self.ring:
             raise RingMismatchError("substitution value lives in a different ring")
         powers: list[Poly] = [self.ring.one()]
-        result = self.ring.zero()
-        for e, c in sorted(self.terms.items()):
+        out: dict[tuple[int, ...], Fraction] = {}
+        for e, c in self.terms.items():
             k = e[v]
             while len(powers) <= k:
                 powers.append(powers[-1] * value)
-            e2 = list(e)
-            e2[v] = 0
-            result = result + powers[k] * Poly(self.ring, {tuple(e2): c})
-        return result
+            rest = e[:v] + (0,) + e[v + 1 :]
+            for pe, pc in powers[k].terms.items():
+                t = tuple(a + b for a, b in zip(rest, pe))
+                out[t] = out.get(t, 0) + c * pc
+        return Poly(self.ring, out)
 
     def integrate_upper(self, t: int, upper: Union["Poly", Scalar]) -> "Poly":
         """Exact integral from 0 to ``upper`` in variable t.
@@ -283,12 +284,6 @@ class Poly:
 
     def is_homogeneous(self, d: int) -> bool:
         return all(sum(e) == d for e in self.terms)
-
-    def coefficient_of(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.ring.nvars, Fraction(0))
 
     # -- ring moves -------------------------------------------------------------
 

@@ -19,7 +19,10 @@ def rat(value: int | str | Fraction) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    return Fraction(str(value).strip())
+    try:
+        return Fraction(str(value).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def format_rat(q: Fraction) -> str:

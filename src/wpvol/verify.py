@@ -32,6 +32,7 @@ from .intersection import psi_intersection
 from .numeric import evaluate_pi_poly
 from .poly import PolyRing, angle_ring
 from .volumes import (
+    _integrate_crossing,
     chamber_volume,
     cp1n_chamber,
     cp1n_volume,
@@ -432,13 +433,16 @@ def check_path_independence(rep: Reporter, spaces: Iterable[StabilitySpace]) -> 
 
 
 def check_quotient_crossing_equality(rep: Reporter, space: StabilitySpace) -> None:
-    """Chambers with equal quotients C/S have identical wc_{.,S} (corollary)."""
+    """Chambers with equal quotients C/S have identical wc_{.,S} (corollary).
+
+    Each crossing is integrated afresh: the wall-crossing memo is keyed by
+    (C/S, S), so reading it here would compare it with itself.
+    """
     groups: dict[tuple, list] = {}
     for c in enumerate_chambers(space):
         for S in _incident_walls(c):
-            wcp = wall_crossing_poly(c, S)
             key = (tuple(sorted(S)), c.quotient(S))
-            groups.setdefault(key, []).append(wcp.poly)
+            groups.setdefault(key, []).append(_integrate_crossing(c, S))
     bad = sum(
         1 for polys in groups.values() if any(p != polys[0] for p in polys[1:])
     )

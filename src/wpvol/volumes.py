@@ -142,17 +142,37 @@ def _wc_integral(
     return wc.drop_last_var()
 
 
+def _integrate_crossing(
+    c: Chamber, S: frozenset[int], max_genus: int = DEFAULT_MAX_GENUS
+) -> Poly:
+    """wc_{C,S} integrated afresh from the quotient volume, bypassing the memo.
+
+    The identity checks (path independence, equal quotients give equal
+    crossings) compute through this, so they never compare the memo with
+    itself.  ``c`` must be incident to and above W_S.
+    """
+    vq = chamber_volume(c.quotient(S), max_genus=max_genus).poly
+    comp = sorted(set(c.space.labels) - S)
+    return _wc_integral(vq, sorted(S), comp, angle_ring(c.space.n))
+
+
+# wc_{C,S} depends on C only through the quotient C/S (the paper's corollary),
+# so one integral serves every chamber above W_S with the same quotient.
+_crossing_cache: dict[tuple[Chamber, frozenset[int], int], Poly] = {}
+
+
 def wall_crossing_poly(c: Chamber, S: Iterable[int], max_genus: int = DEFAULT_MAX_GENUS) -> WallCrossingPoly:
-    """wc_{C,S} for a chamber incident to and above W_S."""
+    """wc_{C,S} for a chamber incident to and above W_S.
+
+    Memoized under (C/S, S, max_genus).
+    """
     S = frozenset(S)
     c.cross(S)  # validates incidence and realizability below
-    quotient = c.quotient(S)
-    vq = chamber_volume(quotient, max_genus=max_genus).poly
-    ring = angle_ring(c.space.n)
-    s_sorted = sorted(S)
-    comp = sorted(set(c.space.labels) - S)
-    poly = _wc_integral(vq, s_sorted, comp, ring)
-    return WallCrossingPoly(c, S, poly, phi_form(ring, S))
+    key = (c.quotient(S), S, max_genus)
+    poly = _crossing_cache.get(key)
+    if poly is None:
+        poly = _crossing_cache[key] = _integrate_crossing(c, S, max_genus)
+    return WallCrossingPoly(c, S, poly, phi_form(angle_ring(c.space.n), S))
 
 
 _volume_cache: dict[tuple[Chamber, int], VolumeResult] = {}
@@ -161,8 +181,10 @@ _volume_cache: dict[tuple[Chamber, int], VolumeResult] = {}
 def chamber_volume(c: Chamber, max_genus: int = DEFAULT_MAX_GENUS) -> VolumeResult:
     """V_{g,C}: main-chamber intersection theory plus crossings along a path.
 
-    Results are memoized per chamber; by path independence the polynomial does
-    not depend on the particular path the search returns (covered by tests).
+    A non-main chamber is the volume of the chamber above the last wall of
+    its segment path plus that one crossing.  Results are memoized per
+    chamber; by path independence the polynomial does not depend on the
+    particular path the search returns (covered by tests).
     """
     key = (c, max_genus)
     got = _volume_cache.get(key)
@@ -174,9 +196,11 @@ def chamber_volume(c: Chamber, max_genus: int = DEFAULT_MAX_GENUS) -> VolumeResu
         result = mirzakhani_volume(c.space.g, c.space.n, max_genus=max_genus)
     else:
         path = crossing_path(main_chamber(c.space), c)
-        poly = mirzakhani_volume(c.space.g, c.space.n, max_genus=max_genus).poly
-        for above, wall in path.steps:
-            poly = poly + wall_crossing_poly(above, wall, max_genus=max_genus).poly
+        above, wall = path.steps[-1]
+        poly = (
+            chamber_volume(above, max_genus=max_genus).poly
+            + wall_crossing_poly(above, wall, max_genus=max_genus).poly
+        )
         result = VolumeResult(c, poly, PROV_PATH, path)
     _volume_cache[key] = result
     return result
@@ -187,14 +211,17 @@ def volume_along_order(
 ) -> Poly:
     """V_{g,C} summed along an explicit crossing order from the main chamber.
 
-    Used to check path independence; raises if the order is not a valid
-    sequence of simple crossings ending at ``c``.
+    Used to check path independence, so every crossing is integrated afresh;
+    raises if the order is not a valid sequence of simple crossings ending
+    at ``c``.
     """
     cur = main_chamber(c.space)
     poly = mirzakhani_volume(c.space.g, c.space.n, max_genus=max_genus).poly
     for wall in order:
-        poly = poly + wall_crossing_poly(cur, wall, max_genus=max_genus).poly
-        cur = cur.cross(wall)
+        wall = frozenset(wall)
+        below = cur.cross(wall)
+        poly = poly + _integrate_crossing(cur, wall, max_genus)
+        cur = below
     if cur != c:
         raise WpvolError("crossing order does not end at the requested chamber")
     return poly
@@ -302,50 +329,6 @@ def cp1n_volume(n: int) -> Poly:
     for k in range(n + 1, n + 4):
         bracket = bracket + ring.var(k)
     return poly * bracket**n
-
-
-def weights_to_theta_images(src: PolyRing, dst: PolyRing, assignment: Sequence[Poly | int]) -> list[Poly]:
-    """Images sending theta_j of ``src`` to 2 pi (1 - w) for weight polys w.
-
-    ``assignment`` holds, per angle variable of src, either a weight-variable
-    Poly of dst or the literal 0 meaning theta = 0 (weight 1).
-    """
-    images: list[Poly] = [dst.pi()]
-    for w in assignment:
-        if isinstance(w, int) and w == 0:
-            images.append(dst.zero())
-        else:
-            images.append(dst.two_pi() - 2 * dst.pi() * w)
-    return images
-
-
-def weight_form(poly: Poly) -> Poly:
-    """Output-layer conversion to weight variables: theta_j -> 2 pi (1 - a_j).
-
-    Returns the polynomial over the ring (pi, a1..an); exact, invertible.
-    """
-    n = poly.ring.nvars - 1
-    dst = PolyRing(("pi",) + tuple(f"a{i}" for i in range(1, n + 1)))
-    images = [dst.pi()] + [dst.two_pi() - 2 * dst.pi() * dst.var(j) for j in range(1, n + 1)]
-    return poly.compose(dst, images)
-
-
-def boundary_length_latex(poly: Poly) -> str:
-    """Output-layer L-form printer: V(i theta) rewritten in L_j = i theta_j.
-
-    Only defined when every angle appears with even powers (main-chamber
-    volumes); theta_j^(2k) becomes (-1)^k L_j^(2k).
-    """
-    n = poly.ring.nvars - 1
-    dst = PolyRing(("pi",) + tuple(f"L{i}" for i in range(1, n + 1)))
-    terms = {}
-    for e, c in poly.terms.items():
-        odd = [k for k in e[1:] if k % 2]
-        if odd:
-            raise WpvolError("L-form needs even powers of every angle variable")
-        sign = (-1) ** (sum(e[1:]) // 2)
-        terms[e] = c * sign
-    return Poly(dst, terms).to_latex()
 
 
 # -- limits and derivative identities ------------------------------------------------
@@ -541,3 +524,4 @@ def general_dilaton_check(
 
 def clear_volume_cache() -> None:
     _volume_cache.clear()
+    _crossing_cache.clear()

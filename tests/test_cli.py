@@ -5,6 +5,7 @@ import json
 import pytest
 
 from wpvol.cli import main
+from wpvol.volumes import clear_volume_cache
 
 
 def run_cli(capsys, *argv):
@@ -139,7 +140,31 @@ def test_cache_file_flag(tmp_path, capsys):
     assert code == 0
 
 
-def test_verify_mutation_smoke(monkeypatch):
+def test_zero_denominator_weight_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "chamber", "classify", "--g", "0", "--weights", "1/0,1,1")
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "chamber", ["[]", '{"light_max":[[1,"a"]]}', '{"light_max":[],"g":[1]}']
+)
+def test_malformed_chamber_json_is_usage_error(capsys, chamber):
+    code, _, err = run_cli(capsys, "volume", "--g", "0", "--n", "4", "--chamber", chamber)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.fixture
+def fresh_volume_caches():
+    """Empty the volume and wall-crossing memos before and after the test, so
+    it neither reads values computed earlier nor leaves broken ones behind."""
+    clear_volume_cache()
+    yield
+    clear_volume_cache()
+
+
+def test_verify_mutation_smoke(monkeypatch, fresh_volume_caches):
     """An injected off-by-one in phi breaks the continuity check visibly."""
     from wpvol import volumes
     from wpvol.chambers import StabilitySpace
@@ -154,6 +179,7 @@ def test_verify_mutation_smoke(monkeypatch):
     check_continuity(rep, [StabilitySpace(1, 2)])
     assert any(not r.passed for r in rep.results)
     monkeypatch.undo()
+    clear_volume_cache()  # drop the crossings memoized with the broken phi
     rep = Reporter()
     check_continuity(rep, [StabilitySpace(1, 2)])
     assert all(r.passed for r in rep.results)

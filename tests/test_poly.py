@@ -241,3 +241,24 @@ def test_substitution_commutes_with_arithmetic(p, q, c):
 def test_serialization_round_trip_property(p):
     assert poly_from_json_dict(p.to_json_dict()) == p
     assert poly_from_text(p.ring, str(p)) == p
+
+
+def subs_per_term(p, v, value):
+    """Reference: the former Poly.subs, which rebuilt the sum once per term."""
+    ring = p.ring
+    powers = [ring.one()]
+    result = ring.zero()
+    for e, c in sorted(p.terms.items()):
+        k = e[v]
+        while len(powers) <= k:
+            powers.append(powers[-1] * value)
+        e2 = list(e)
+        e2[v] = 0
+        result = result + powers[k] * ring.monomial(c, e2)
+    return result
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys(), small_polys(), st.integers(0, 2))
+def test_subs_matches_per_term_formula(p, value, v):
+    assert p.subs(v, value) == subs_per_term(p, v, value)

@@ -9,15 +9,18 @@ from wpvol.chambers import (
     StabilitySpace,
     WeightVector,
     classify,
+    crossing_path,
     enumerate_chambers,
     light_chamber,
     main_chamber,
 )
 from wpvol.errors import BoundExceededError, UnstableError
 from wpvol.poly import PI_RING, angle_ring
-from wpvol.verify import two_crossing_orders
+from wpvol.verify import _incident_walls, two_crossing_orders
 from wpvol.volumes import (
+    _integrate_crossing,
     chamber_volume,
+    clear_volume_cache,
     eval_at_2pi,
     mirzakhani_volume,
     piecewise_volume,
@@ -118,6 +121,28 @@ def test_chamber_volume_path_independence_04():
         if len(orders) == 2:
             assert volume_along_order(c, orders[0]) == volume_along_order(c, orders[1])
             assert volume_along_order(c, orders[0]) == chamber_volume(c).poly
+
+
+def test_chamber_volume_matches_uncached_path_sum():
+    """Each volume, built from its predecessor with memoized crossings, equals
+    Mirzakhani's polynomial plus every crossing of its path integrated afresh."""
+    clear_volume_cache()
+    for space in (S04, S12, StabilitySpace(1, 3), StabilitySpace(1, 4)):
+        for c in enumerate_chambers(space):
+            order = crossing_path(main_chamber(space), c).walls()
+            assert chamber_volume(c).poly == volume_along_order(c, order), c
+
+
+def test_wall_crossing_memo_matches_uncached_integral():
+    """A memo hit, integrated for another chamber with the same quotient,
+    equals the integral for this chamber."""
+    clear_volume_cache()
+    for c in enumerate_chambers(StabilitySpace(1, 4)):
+        for S in _incident_walls(c):
+            assert wall_crossing_poly(c, S).poly == _integrate_crossing(c, S), (c, S)
+    # the bound is part of the key: a warm memo does not bypass it
+    with pytest.raises(BoundExceededError):
+        wall_crossing_poly(main_chamber(S12), {1, 2}, max_genus=0)
 
 
 def test_volume_symmetry_under_stabilizer():
