@@ -43,7 +43,7 @@ from .intersection import (
 )
 from .numeric import evaluate_pi_poly, pi_decimal
 from .poly import PI_RING, Poly, PolyRing, angle_ring, phi_form, poly_from_json_dict
-from .rationals import Rat, format_rat, parse_weights, rat
+from .rationals import format_rat, parse_weights, rat
 from .volumes import (
     VolumeResult,
     WallCrossingPoly,

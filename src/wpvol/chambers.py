@@ -35,6 +35,7 @@ from .lp import simplex_max
 from .poly import Poly, PolyRing
 
 ENUMERATION_BOUND = 6
+_SEGMENT_PERTURBATIONS = 120
 
 
 @dataclass(frozen=True)
@@ -254,15 +255,20 @@ class Chamber:
         return realize(self) is not None
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; JSON booleans parse to bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def chamber_from_json_dict(data: Mapping, g: Optional[int] = None, n: Optional[int] = None) -> Chamber:
     light = data.get("light_max") if isinstance(data, Mapping) else None
     if not isinstance(light, list) or not all(
-        isinstance(s, list) and all(isinstance(j, int) for j in s) for s in light
+        isinstance(s, list) and all(_is_int(j) for j in s) for s in light
     ):
         raise ValueError('chamber JSON must be an object whose "light_max" is a list of label lists')
     g = data.get("g", g)
     n = data.get("n", n)
-    if not isinstance(g, int) or not isinstance(n, int):
+    if not _is_int(g) or not _is_int(n):
         raise ValueError("chamber JSON needs integer g and n (inline or from flags)")
     return Chamber(StabilitySpace(g, n), tuple(tuple(s) for s in light))
 
@@ -390,13 +396,14 @@ class CrossingPath:
         return [w for _, w in self.steps]
 
 
-def crossing_path(src: Chamber, dst: Chamber, max_retries: int = 120) -> CrossingPath:
+def crossing_path(src: Chamber, dst: Chamber) -> CrossingPath:
     """Segment-method path of simple crossings from ``src`` down to ``dst``.
 
     Interior witnesses of both chambers are joined by a straight segment; each
     wall where the chambers differ is linear in the segment parameter, so it is
     crossed exactly once and downward.  The destination witness is perturbed by
-    exact rational offsets until all crossing times are distinct.
+    exact rational offsets, at most 120 times, until all crossing times are
+    distinct.
     """
     if src.space != dst.space:
         raise NotComparableError("chambers live in different spaces")
@@ -417,7 +424,7 @@ def crossing_path(src: Chamber, dst: Chamber, max_retries: int = 120) -> Crossin
         raise NotRealizableError("both endpoints must be realizable")
     p1, s1 = got
     n = src.space.n
-    for attempt in range(2, max_retries + 2):
+    for attempt in range(2, _SEGMENT_PERTURBATIONS + 2):
         eps = [s1 / (2 * Fraction(attempt) ** j) for j in range(1, n + 1)]
         q1 = [p1[j] - eps[j] for j in range(n)]
         times = {}
@@ -436,7 +443,7 @@ def crossing_path(src: Chamber, dst: Chamber, max_retries: int = 120) -> Crossin
                 raise DegenerateSegmentError("path replay did not reach destination")
             return CrossingPath(tuple(steps), dst)
     raise DegenerateSegmentError(
-        f"could not separate crossing times after {max_retries} perturbations"
+        f"could not separate crossing times after {_SEGMENT_PERTURBATIONS} perturbations"
     )
 
 
@@ -445,17 +452,16 @@ def crossing_path(src: Chamber, dst: Chamber, max_retries: int = 120) -> Crossin
 _enum_cache: dict[StabilitySpace, tuple[Chamber, ...]] = {}
 
 
-def enumerate_chambers(
-    space: StabilitySpace, up_to_symmetry: bool = False, bound: int = ENUMERATION_BOUND
-) -> list[Chamber]:
+def enumerate_chambers(space: StabilitySpace, up_to_symmetry: bool = False) -> list[Chamber]:
     """All realizable chambers of D_{g,n}, in deterministic order.
 
     Every chamber lies below the main chamber and is reached from it by a
     downward segment path, so breadth-first search over simple wall-crossings
-    starting at C^M enumerates the chamber decomposition exactly.
+    starting at C^M enumerates the chamber decomposition exactly.  Spaces with
+    more than ENUMERATION_BOUND points raise BoundExceededError.
     """
-    if space.n > bound:
-        raise BoundExceededError(f"n={space.n} exceeds enumeration bound {bound}")
+    if space.n > ENUMERATION_BOUND:
+        raise BoundExceededError(f"n={space.n} exceeds enumeration bound {ENUMERATION_BOUND}")
     all_chambers = _enum_cache.get(space)
     if all_chambers is None:
         start = main_chamber(space)

@@ -5,19 +5,18 @@ verify.  All rationals in CLI I/O are strings "p/q"; pi stays formal except
 under --numeric, which prints a decimal at --precision digits.
 
 Exit codes: 0 success, 1 domain error (on a wall, not realizable, ...),
-2 usage error.  The intersection cache persists to the file named by the
-WPVOL_CACHE environment variable (or --cache) when set.
+2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
 from .chambers import (
+    Chamber,
     StabilitySpace,
     WeightVector,
     chamber_from_json_dict,
@@ -25,7 +24,6 @@ from .chambers import (
     enumerate_chambers,
 )
 from .errors import WpvolError
-from .intersection import CACHE_ENV_VAR, default_cache
 from .poly import Poly
 from .rationals import parse_weights
 from .verify import run as run_verify
@@ -53,33 +51,14 @@ def _emit(data: dict, poly: Optional[Poly], fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _parse_chamber(args) -> "Chamber":
-    from .chambers import Chamber  # local alias for type clarity
-
-    if getattr(args, "weights", None):
+def _parse_chamber(args) -> Chamber:
+    """The chamber named by exactly one of --weights and --chamber."""
+    if args.weights is not None:
         a = parse_weights(args.weights)
         space = StabilitySpace(args.g, len(a))
         return classify(WeightVector(space, a))
-    if getattr(args, "chamber", None):
-        data = json.loads(args.chamber)
-        return chamber_from_json_dict(data, g=args.g, n=args.n)
-    raise WpvolError("provide either --weights or --chamber")
-
-
-def _cache_path(args) -> Optional[str]:
-    return getattr(args, "cache", None) or os.environ.get(CACHE_ENV_VAR)
-
-
-def _load_cache(args) -> None:
-    path = _cache_path(args)
-    if path and os.path.exists(path):
-        default_cache().load(path)
-
-
-def _save_cache(args) -> None:
-    path = _cache_path(args)
-    if path:
-        default_cache().save(path)
+    data = json.loads(args.chamber)
+    return chamber_from_json_dict(data, g=args.g, n=args.n)
 
 
 def cmd_chamber_classify(args) -> int:
@@ -109,51 +88,40 @@ def cmd_chamber_enumerate(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    _load_cache(args)
     c = _parse_chamber(args)
-    vr = chamber_volume(c, max_genus=args.max_genus)
-    _save_cache(args)
+    vr = chamber_volume(c)
     print(_emit(vr.to_json_dict(), vr.poly, args.format))
     return EXIT_OK
 
 
 def cmd_wallcross(args) -> int:
-    _load_cache(args)
     c = _parse_chamber(args)
     wall = {int(x) for x in args.wall.split(",")}
-    wcp = wall_crossing_poly(c, wall, max_genus=args.max_genus)
-    _save_cache(args)
+    wcp = wall_crossing_poly(c, wall)
     print(_emit(wcp.to_json_dict(), wcp.poly, args.format))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    _load_cache(args)
     a = parse_weights(args.weights)
     space = StabilitySpace(args.g, len(a))
     w = WeightVector(space, a)
     if args.numeric:
-        c, vr, value = piecewise_volume(
-            w, numeric=True, digits=args.precision, max_genus=args.max_genus
-        )
+        c, vr, value = piecewise_volume(w, numeric=True, digits=args.precision)
         data = {"chamber": c.to_json_dict(), "value_numeric": str(value)}
-        _save_cache(args)
         if args.format == "json":
             print(json.dumps(data, separators=(",", ":"), sort_keys=True))
         else:
             print(value)
         return EXIT_OK
-    c, vr, value = piecewise_volume(w, max_genus=args.max_genus)
-    _save_cache(args)
+    c, vr, value = piecewise_volume(w)
     data = {"chamber": c.to_json_dict(), "value_poly": value.to_json_dict()}
     print(_emit(data, value, args.format))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    _load_cache(args)
     results = run_verify(args.suite)
-    _save_cache(args)
     failures = [r for r in results if not r.passed]
     if args.format == "json":
         print(
@@ -186,14 +154,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_n=False):
+    def common(p):
         p.add_argument("--g", type=int, required=True, help="genus")
-        if needs_n:
-            p.add_argument("--n", type=int, help="number of marked points")
         p.add_argument("--format", choices=["text", "json", "latex"], default="text")
         p.add_argument("--precision", type=int, default=50, help="digits for numeric mode")
-        p.add_argument("--max-genus", type=int, default=3, help="intersection backend bound")
-        p.add_argument("--cache", help=f"intersection cache file (default ${CACHE_ENV_VAR})")
+
+    def chamber_source(p):
+        p.add_argument("--n", type=int, help="number of marked points (for --chamber)")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--weights", help="classify these weights first")
+        source.add_argument("--chamber", help='inline chamber JSON {"light_max":[[3,4]]}')
 
     p = sub.add_parser("chamber", help="chamber operations")
     chamber_sub = p.add_subparsers(dest="chamber_command", required=True)
@@ -202,20 +172,19 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--weights", required=True, help='comma-separated rationals "1/2,1/2,3/4"')
     pc.set_defaults(func=cmd_chamber_classify)
     pe = chamber_sub.add_parser("enumerate", help="enumerate all realizable chambers")
-    common(pe, needs_n=True)
+    common(pe)
+    pe.add_argument("--n", type=int, required=True, help="number of marked points")
     pe.add_argument("--up-to-symmetry", action="store_true")
     pe.set_defaults(func=cmd_chamber_enumerate)
 
     p = sub.add_parser("volume", help="chamber volume polynomial")
-    common(p, needs_n=True)
-    p.add_argument("--weights", help="classify these weights first")
-    p.add_argument("--chamber", help='inline chamber JSON {"light_max":[[3,4]]}')
+    common(p)
+    chamber_source(p)
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("wallcross", help="wall-crossing polynomial")
-    common(p, needs_n=True)
-    p.add_argument("--weights", help="classify these weights first")
-    p.add_argument("--chamber", help="inline chamber JSON")
+    common(p)
+    chamber_source(p)
     p.add_argument("--wall", required=True, help='wall set "1,2"')
     p.set_defaults(func=cmd_wallcross)
 
@@ -228,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--suite", choices=["paper", "invariants", "all"], default="all")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--cache", help=f"intersection cache file (default ${CACHE_ENV_VAR})")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -52,4 +52,4 @@ class UnstableError(WpvolError):
 
 
 class BoundExceededError(WpvolError):
-    """A configurable backend bound was exceeded."""
+    """The space has more points than chambers.ENUMERATION_BOUND allows."""

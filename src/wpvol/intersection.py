@@ -22,25 +22,19 @@ mixed kappa_1 correlators reduce to pure psi ones one kappa at a time:
     <k1^m prod tau_d>_{g,n}
         = sum_{j=0}^{m-1} C(m-1,j) (-1)^j <k1^{m-1-j} tau_{j+2} prod tau_d>_{g,n+1}
 
-All computations are cached; the cache can persist to a line-oriented text
-file (one record ``g;m;d1,...,dn;num/den`` per line, sorted, LF endings) so
-expensive genus 2 and 3 tables survive between runs.  Insertions are
-idempotent -- the same key always maps to the same value -- so concurrent
-writers are harmless and single-threaded use pays no synchronization cost.
+All computations are cached in memory.  Insertions are idempotent -- the
+same key always maps to the same value -- so concurrent writers are harmless
+and single-threaded use pays no synchronization cost.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Optional
 
 from .errors import DimensionMismatchError, UnstableError
-from .rationals import format_rat, rat
-
-CACHE_ENV_VAR = "WPVOL_CACHE"
 
 
 def _odd_double_factorial(m: int) -> int:
@@ -103,7 +97,7 @@ class KappaTauIndex:
 
 @dataclass
 class IntersectionCache:
-    """Memo table from (g, m, sorted d) to Fraction, optionally file backed."""
+    """In-memory memo table from (g, m, sorted d) to Fraction."""
 
     table: dict[tuple[int, int, tuple[int, ...]], Fraction] = field(default_factory=dict)
 
@@ -122,56 +116,12 @@ class IntersectionCache:
     def __len__(self) -> int:
         return len(self.table)
 
-    def clear(self) -> None:
-        self.table.clear()
-
-    # -- persistence --------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        lines = []
-        for (g, m, d), v in self.table.items():
-            ds = ",".join(str(x) for x in d)
-            lines.append(f"{g};{m};{ds};{format_rat(v)}\n")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(sorted(lines))
-
-    def load(self, path: str) -> int:
-        count = 0
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                gs, ms, ds, vs = line.split(";")
-                d = tuple(int(x) for x in ds.split(",")) if ds else ()
-                self.put((int(gs), int(ms), d), rat(vs))
-                count += 1
-        return count
-
 
 _default_cache = IntersectionCache()
 
 
 def default_cache() -> IntersectionCache:
     return _default_cache
-
-
-def load_cache_from_env(cache: Optional[IntersectionCache] = None) -> int:
-    """Load the file named by WPVOL_CACHE into the cache, if set and present."""
-    cache = cache if cache is not None else _default_cache
-    path = os.environ.get(CACHE_ENV_VAR)
-    if path and os.path.exists(path):
-        return cache.load(path)
-    return 0
-
-
-def save_cache_to_env(cache: Optional[IntersectionCache] = None) -> bool:
-    cache = cache if cache is not None else _default_cache
-    path = os.environ.get(CACHE_ENV_VAR)
-    if path:
-        cache.save(path)
-        return True
-    return False
 
 
 # -- pure psi correlators ------------------------------------------------------

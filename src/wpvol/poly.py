@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import RingMismatchError, VariableRangeError
 from .rationals import format_rat, rat
@@ -349,41 +349,46 @@ class Poly:
         """Terms sorted lexicographically by exponent vector (canonical order)."""
         return sorted(self.terms.items())
 
-    def __str__(self) -> str:
+    def _render(
+        self,
+        factor: Callable[[str, int], str],
+        coeff: Callable[[Fraction], str],
+        sep: str,
+    ) -> str:
+        """Terms by descending degree, joined by their signs.
+
+        ``factor(name, k)`` prints one variable power, ``coeff`` a positive
+        coefficient; ``sep`` joins the coefficient and the factors.  A unit
+        coefficient is omitted unless the term is constant.
+        """
         if not self.terms:
             return "0"
-        chunks = []
+        out = ""
         for e, c in sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-x for x in t[0]))):
-            factors = []
-            for name, k in zip(self.ring.names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            coeff = str(c) if c.denominator != 1 else str(c.numerator)
-            if factors:
-                body = "*".join(factors)
-                if c == 1:
-                    chunk = body
-                elif c == -1:
-                    chunk = f"-{body}"
-                else:
-                    chunk = f"{coeff}*{body}"
+            body = sep.join(factor(name, k) for name, k in zip(self.ring.names, e) if k)
+            mag = abs(c)
+            if not body:
+                term = coeff(mag)
+            elif mag == 1:
+                term = body
             else:
-                chunk = coeff
-            chunks.append(chunk)
-        out = chunks[0]
-        for chunk in chunks[1:]:
-            out += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
+                term = coeff(mag) + sep + body
+            if out:
+                out += (" - " if c < 0 else " + ") + term
+            else:
+                out = "-" + term if c < 0 else term
         return out
+
+    def __str__(self) -> str:
+        return self._render(
+            lambda name, k: name if k == 1 else f"{name}^{k}", str, "*"
+        )
 
     def __repr__(self) -> str:
         return f"Poly({self})"
 
     def to_latex(self) -> str:
         """LaTeX with explicit powers of pi, in the display style of the fixtures."""
-        if not self.terms:
-            return "0"
         def texname(name: str) -> str:
             if name == "pi":
                 return "\\pi"
@@ -392,32 +397,16 @@ class Poly:
             head = name.rstrip("0123456789")
             tail = name[len(head):]
             return f"{head}_{{{tail}}}" if head and tail else name
-        chunks = []
-        for e, c in sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-x for x in t[0]))):
-            factors = []
-            for name, k in zip(self.ring.names, e):
-                if k == 1:
-                    factors.append(texname(name))
-                elif k > 1:
-                    factors.append(f"{texname(name)}^{{{k}}}")
-            mag = abs(c)
-            if mag.denominator == 1:
-                coeff = str(mag.numerator)
-            else:
-                coeff = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-            body = "".join(factors)
-            if body and mag == 1:
-                term = body
-            elif body:
-                term = coeff + body
-            else:
-                term = coeff
-            chunks.append(("-" if c < 0 else "+", term))
-        sign, term = chunks[0]
-        out = ("-" if sign == "-" else "") + term
-        for sign, term in chunks[1:]:
-            out += f" {sign} {term}"
-        return out
+
+        def factor(name: str, k: int) -> str:
+            return texname(name) if k == 1 else f"{texname(name)}^{{{k}}}"
+
+        def coeff(q: Fraction) -> str:
+            if q.denominator == 1:
+                return str(q.numerator)
+            return f"\\frac{{{q.numerator}}}{{{q.denominator}}}"
+
+        return self._render(factor, coeff, "")
 
     # -- serialization -----------------------------------------------------------
 

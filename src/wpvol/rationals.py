@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rat = Fraction
-
 
 def rat(value: int | str | Fraction) -> Fraction:
     """Coerce ints, Fractions and "p/q" strings to Fraction."""

@@ -40,11 +40,9 @@ from .chambers import (
     crossing_path,
     main_chamber,
 )
-from .errors import BoundExceededError, NotRealizableError, UnstableError, WpvolError
+from .errors import NotRealizableError, UnstableError, WpvolError
 from .intersection import kappa_psi_intersection
 from .poly import Poly, PolyRing, angle_ring, phi_form
-
-DEFAULT_MAX_GENUS = 3
 
 PROV_MAIN = "main-chamber-intersection"
 PROV_PATH = "wall-crossing-path"
@@ -95,11 +93,9 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def mirzakhani_volume(g: int, n: int, max_genus: int = DEFAULT_MAX_GENUS) -> VolumeResult:
+def mirzakhani_volume(g: int, n: int) -> VolumeResult:
     """The main-chamber (Mirzakhani) volume polynomial V_{g,n}(i theta)."""
     space = StabilitySpace(g, n)  # validates stability
-    if g > max_genus:
-        raise BoundExceededError(f"genus {g} exceeds the backend bound {max_genus}")
     ring = angle_ring(n)
     d = 3 * g - 3 + n
     total = ring.zero()
@@ -142,43 +138,41 @@ def _wc_integral(
     return wc.drop_last_var()
 
 
-def _integrate_crossing(
-    c: Chamber, S: frozenset[int], max_genus: int = DEFAULT_MAX_GENUS
-) -> Poly:
+def _integrate_crossing(c: Chamber, S: frozenset[int]) -> Poly:
     """wc_{C,S} integrated afresh from the quotient volume, bypassing the memo.
 
     The identity checks (path independence, equal quotients give equal
     crossings) compute through this, so they never compare the memo with
     itself.  ``c`` must be incident to and above W_S.
     """
-    vq = chamber_volume(c.quotient(S), max_genus=max_genus).poly
+    vq = chamber_volume(c.quotient(S)).poly
     comp = sorted(set(c.space.labels) - S)
     return _wc_integral(vq, sorted(S), comp, angle_ring(c.space.n))
 
 
 # wc_{C,S} depends on C only through the quotient C/S (the paper's corollary),
 # so one integral serves every chamber above W_S with the same quotient.
-_crossing_cache: dict[tuple[Chamber, frozenset[int], int], Poly] = {}
+_crossing_cache: dict[tuple[Chamber, frozenset[int]], Poly] = {}
 
 
-def wall_crossing_poly(c: Chamber, S: Iterable[int], max_genus: int = DEFAULT_MAX_GENUS) -> WallCrossingPoly:
+def wall_crossing_poly(c: Chamber, S: Iterable[int]) -> WallCrossingPoly:
     """wc_{C,S} for a chamber incident to and above W_S.
 
-    Memoized under (C/S, S, max_genus).
+    Memoized under (C/S, S).
     """
     S = frozenset(S)
     c.cross(S)  # validates incidence and realizability below
-    key = (c.quotient(S), S, max_genus)
+    key = (c.quotient(S), S)
     poly = _crossing_cache.get(key)
     if poly is None:
-        poly = _crossing_cache[key] = _integrate_crossing(c, S, max_genus)
+        poly = _crossing_cache[key] = _integrate_crossing(c, S)
     return WallCrossingPoly(c, S, poly, phi_form(angle_ring(c.space.n), S))
 
 
-_volume_cache: dict[tuple[Chamber, int], VolumeResult] = {}
+_volume_cache: dict[Chamber, VolumeResult] = {}
 
 
-def chamber_volume(c: Chamber, max_genus: int = DEFAULT_MAX_GENUS) -> VolumeResult:
+def chamber_volume(c: Chamber) -> VolumeResult:
     """V_{g,C}: main-chamber intersection theory plus crossings along a path.
 
     A non-main chamber is the volume of the chamber above the last wall of
@@ -186,29 +180,23 @@ def chamber_volume(c: Chamber, max_genus: int = DEFAULT_MAX_GENUS) -> VolumeResu
     chamber; by path independence the polynomial does not depend on the
     particular path the search returns (covered by tests).
     """
-    key = (c, max_genus)
-    got = _volume_cache.get(key)
+    got = _volume_cache.get(c)
     if got is not None:
         return got
     if not c.is_realizable():
         raise NotRealizableError(f"{c} is not realizable")
     if not c.light_max:
-        result = mirzakhani_volume(c.space.g, c.space.n, max_genus=max_genus)
+        result = mirzakhani_volume(c.space.g, c.space.n)
     else:
         path = crossing_path(main_chamber(c.space), c)
         above, wall = path.steps[-1]
-        poly = (
-            chamber_volume(above, max_genus=max_genus).poly
-            + wall_crossing_poly(above, wall, max_genus=max_genus).poly
-        )
+        poly = chamber_volume(above).poly + wall_crossing_poly(above, wall).poly
         result = VolumeResult(c, poly, PROV_PATH, path)
-    _volume_cache[key] = result
+    _volume_cache[c] = result
     return result
 
 
-def volume_along_order(
-    c: Chamber, order: Sequence[Iterable[int]], max_genus: int = DEFAULT_MAX_GENUS
-) -> Poly:
+def volume_along_order(c: Chamber, order: Sequence[Iterable[int]]) -> Poly:
     """V_{g,C} summed along an explicit crossing order from the main chamber.
 
     Used to check path independence, so every crossing is integrated afresh;
@@ -216,30 +204,25 @@ def volume_along_order(
     at ``c``.
     """
     cur = main_chamber(c.space)
-    poly = mirzakhani_volume(c.space.g, c.space.n, max_genus=max_genus).poly
+    poly = mirzakhani_volume(c.space.g, c.space.n).poly
     for wall in order:
         wall = frozenset(wall)
         below = cur.cross(wall)
-        poly = poly + _integrate_crossing(cur, wall, max_genus)
+        poly = poly + _integrate_crossing(cur, wall)
         cur = below
     if cur != c:
         raise WpvolError("crossing order does not end at the requested chamber")
     return poly
 
 
-def piecewise_volume(
-    w: WeightVector,
-    numeric: bool = False,
-    digits: int = 50,
-    max_genus: int = DEFAULT_MAX_GENUS,
-):
+def piecewise_volume(w: WeightVector, numeric: bool = False, digits: int = 50):
     """Classify, compute the chamber volume, and evaluate at theta(w).
 
     Returns (chamber, VolumeResult, value) where value is a univariate-in-pi
     Poly, or a Decimal in numeric mode.
     """
     c = classify(w)
-    vr = chamber_volume(c, max_genus=max_genus)
+    vr = chamber_volume(c)
     values = w.theta_values(vr.poly.ring)
     formal = vr.poly.evaluate_angles(values)
     if not numeric:
@@ -342,14 +325,14 @@ def eval_at_2pi(vr: VolumeResult, i: int) -> Poly:
     return vr.poly.subs(i, ring.two_pi())
 
 
-def _restricted_volume_in(ring: PolyRing, c: Chamber, keep: Sequence[int], max_genus: int) -> Poly:
+def _restricted_volume_in(ring: PolyRing, c: Chamber, keep: Sequence[int]) -> Poly:
     """Volume of c.restrict(keep), re-expressed in the big ring's variables."""
-    sub = chamber_volume(c.restrict(keep), max_genus=max_genus).poly
+    sub = chamber_volume(c.restrict(keep)).poly
     images = [ring.pi()] + [ring.var(j) for j in sorted(keep)]
     return sub.compose(ring, images)
 
 
-def dilaton_rhs(c: Chamber, i: int, max_genus: int = DEFAULT_MAX_GENUS) -> Poly:
+def dilaton_rhs(c: Chamber, i: int) -> Poly:
     """-2 pi (2g-2+|q|+sum_{j not in q} a(theta_j)) V_{g,C|} as one polynomial.
 
     Expanding a(theta) = 1 - theta/(2 pi) gives the polynomial coefficient
@@ -363,10 +346,10 @@ def dilaton_rhs(c: Chamber, i: int, max_genus: int = DEFAULT_MAX_GENUS) -> Poly:
     for j in keep:
         if j not in q:
             coeff = coeff + ring.var(j)
-    return coeff * _restricted_volume_in(ring, c, keep, max_genus)
+    return coeff * _restricted_volume_in(ring, c, keep)
 
 
-def dilaton_check(c: Chamber, i: int, max_genus: int = DEFAULT_MAX_GENUS) -> tuple[Poly, Poly]:
+def dilaton_check(c: Chamber, i: int) -> tuple[Poly, Poly]:
     """Both sides of the derivative identity at a flat coordinate.
 
     lhs = d V_{g,C} / d theta_i at theta_i = 2 pi;
@@ -374,14 +357,12 @@ def dilaton_check(c: Chamber, i: int, max_genus: int = DEFAULT_MAX_GENUS) -> tup
     """
     if not c.is_flat(i):
         raise WpvolError(f"chamber is not flat in coordinate {i}")
-    v = chamber_volume(c, max_genus=max_genus).poly
+    v = chamber_volume(c).poly
     lhs = v.diff(i).subs(i, v.ring.two_pi())
-    return lhs, dilaton_rhs(c, i, max_genus=max_genus)
+    return lhs, dilaton_rhs(c, i)
 
 
-def wc_derivative_check(
-    c: Chamber, S: Iterable[int], j: int, max_genus: int = DEFAULT_MAX_GENUS
-) -> tuple[Poly, Poly]:
+def wc_derivative_check(c: Chamber, S: Iterable[int], j: int) -> tuple[Poly, Poly]:
     """Both sides of the wall-crossing derivative identity for j in S.
 
     lhs = d wc_{C,S} / d theta_j at theta_j = 2 pi.  For |S| = 2 the rhs is
@@ -392,11 +373,11 @@ def wc_derivative_check(
     S = frozenset(S)
     if j not in S:
         raise ValueError(f"{j} is not in the wall set {sorted(S)}")
-    wcp = wall_crossing_poly(c, S, max_genus=max_genus)
+    wcp = wall_crossing_poly(c, S)
     ring = wcp.poly.ring
     lhs = wcp.poly.diff(j).subs(j, ring.two_pi())
     quotient = c.quotient(S)
-    vq = chamber_volume(quotient, max_genus=max_genus).poly
+    vq = chamber_volume(quotient).poly
     comp = sorted(set(c.space.labels) - S)
     if len(S) == 2:
         (k,) = sorted(S - {j})
@@ -445,9 +426,7 @@ def light_hull(c: Chamber, i: int) -> Chamber:
     return hull
 
 
-def incident_zero_check(
-    c: Chamber, i: int, max_genus: int = DEFAULT_MAX_GENUS
-) -> tuple[Poly, Poly, CrossingPath]:
+def incident_zero_check(c: Chamber, i: int) -> tuple[Poly, Poly, CrossingPath]:
     """V_{g,C}(.., theta_i=2 pi) against minus the wall-crossing sum.
 
     Crossing from C down to the chamber light in i (walls all contain i) and
@@ -460,8 +439,8 @@ def incident_zero_check(
     two_pi = ring.two_pi()
     rhs = ring.zero()
     for above, wall in path.steps:
-        rhs = rhs - wall_crossing_poly(above, wall, max_genus=max_genus).poly.subs(i, two_pi)
-    lhs = eval_at_2pi(chamber_volume(c, max_genus=max_genus), i)
+        rhs = rhs - wall_crossing_poly(above, wall).poly.subs(i, two_pi)
+    lhs = eval_at_2pi(chamber_volume(c), i)
     return lhs, rhs, path
 
 
@@ -469,7 +448,6 @@ def general_dilaton_check(
     c: Chamber,
     i: int,
     up_walls: Optional[Sequence[Iterable[int]]] = None,
-    max_genus: int = DEFAULT_MAX_GENUS,
 ) -> tuple[Poly, Poly]:
     """Derivative identity for chambers that need not be flat in i.
 
@@ -484,15 +462,15 @@ def general_dilaton_check(
     """
     ring = angle_ring(c.space.n)
     two_pi = ring.two_pi()
-    v = chamber_volume(c, max_genus=max_genus).poly
+    v = chamber_volume(c).poly
     lhs = v.diff(i).subs(i, two_pi)
 
     if up_walls is None:
         hull = flat_hull(c, i)
         path = crossing_path(c, hull)
-        rhs = dilaton_rhs(hull, i, max_genus=max_genus)
+        rhs = dilaton_rhs(hull, i)
         for above, wall in path.steps:
-            dwc = wall_crossing_poly(above, wall, max_genus=max_genus).poly.diff(i)
+            dwc = wall_crossing_poly(above, wall).poly.diff(i)
             rhs = rhs - dwc.subs(i, two_pi)
         return lhs, rhs
 
@@ -513,11 +491,11 @@ def general_dilaton_check(
     flat_top = chain[-1]
     if not flat_top.is_flat(i):
         raise WpvolError("the chamber above the given walls is not flat in i")
-    rhs = dilaton_rhs(flat_top, i, max_genus=max_genus)
+    rhs = dilaton_rhs(flat_top, i)
     walls_down = [frozenset(w) for w in up_walls]
     above_chain = list(reversed(chain))[:-1]  # chambers crossed downward, in order
     for above, wall in zip(above_chain, walls_down):
-        dwc = wall_crossing_poly(above, wall, max_genus=max_genus).poly.diff(i)
+        dwc = wall_crossing_poly(above, wall).poly.diff(i)
         rhs = rhs + dwc.subs(i, two_pi)
     return lhs, rhs
 

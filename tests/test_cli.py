@@ -1,8 +1,12 @@
 """CLI surface: formats, exit codes, determinism, verification plumbing."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpvol.cli import main
 from wpvol.volumes import clear_volume_cache
@@ -12,6 +16,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def call_main(argv):
+    """(code, stdout, stderr, parsed) of main(argv); an argparse exit counts
+    as its code, with parsed False."""
+    out, err = io.StringIO(), io.StringIO()
+    parsed = True
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code, parsed = exc.code, False
+    return code, out.getvalue(), err.getvalue(), parsed
 
 
 def test_chamber_classify_text(capsys):
@@ -122,24 +139,6 @@ def test_json_outputs_are_deterministic(capsys):
     assert poly_from_json_dict(data["poly"]) == chamber_volumes_04()["B1"]
 
 
-def test_cache_file_flag(tmp_path, capsys):
-    path = tmp_path / "cache.txt"
-    code, _, _ = run_cli(
-        capsys, "volume", "--g", "1", "--n", "2", "--chamber", '{"light_max":[]}',
-        "--cache", str(path),
-    )
-    assert code == 0
-    assert path.exists()
-    text = path.read_text()
-    assert "1;0;1;1/24" in text  # <tau_1>_1 = 1/24 got cached
-    # loading the cache back works
-    code, _, _ = run_cli(
-        capsys, "volume", "--g", "1", "--n", "2", "--chamber", '{"light_max":[]}',
-        "--cache", str(path),
-    )
-    assert code == 0
-
-
 def test_zero_denominator_weight_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "chamber", "classify", "--g", "0", "--weights", "1/0,1,1")
     assert code == 2
@@ -147,7 +146,16 @@ def test_zero_denominator_weight_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "chamber", ["[]", '{"light_max":[[1,"a"]]}', '{"light_max":[],"g":[1]}']
+    "chamber",
+    [
+        "[]",
+        '{"light_max":[[1,"a"]]}',
+        '{"light_max":[],"g":[1]}',
+        # JSON booleans are not labels, genera or point counts
+        '{"light_max":[[true,2]]}',
+        '{"light_max":[],"g":false}',
+        '{"light_max":[],"n":true}',
+    ],
 )
 def test_malformed_chamber_json_is_usage_error(capsys, chamber):
     code, _, err = run_cli(capsys, "volume", "--g", "0", "--n", "4", "--chamber", chamber)
@@ -183,3 +191,94 @@ def test_verify_mutation_smoke(monkeypatch, fresh_volume_caches):
     rep = Reporter()
     check_continuity(rep, [StabilitySpace(1, 2)])
     assert all(r.passed for r in rep.results)
+
+
+def test_enumerate_without_n_is_usage_error():
+    code, _, err, parsed = call_main(["chamber", "enumerate", "--g", "0"])
+    assert (code, parsed) == (2, False)
+    assert "--n" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["volume"], ["wallcross", "--wall", "1,2"]])
+@pytest.mark.parametrize(
+    "source",
+    [[], ["--weights", "9/10,9/10,9/10,9/10", "--chamber", '{"light_max":[[3,4]]}']],
+)
+def test_exactly_one_chamber_source(command, source):
+    """Neither or both of --weights and --chamber is a usage error."""
+    code, out, _, parsed = call_main(command + ["--g", "0", "--n", "4"] + source)
+    assert (code, parsed, out) == (2, False, "")
+
+
+@pytest.mark.parametrize("flag", [["--cache", "cache.txt"], ["--max-genus", "3"]])
+def test_removed_flags_are_usage_errors(flag):
+    code, out, _, parsed = call_main(
+        ["volume", "--g", "1", "--n", "2", "--chamber", '{"light_max":[]}'] + flag
+    )
+    assert (code, parsed, out) == (2, False, "")
+
+
+# -- fuzzing ---------------------------------------------------------------------
+
+_number = st.integers(-3, 12).map(str)
+_rational = st.one_of(_number, st.tuples(_number, _number).map("/".join))
+_unit = st.fractions(0, 1, max_denominator=10).filter(bool).map(str)  # valid weights
+# no commas, so at most 4 weights; 6 characters keep "1e..." exponents small
+_junk = st.text(alphabet="0123456789/-.+ e_x", max_size=6)
+_weights = st.one_of(
+    st.lists(_unit, min_size=1, max_size=4),
+    st.lists(st.one_of(_unit, _rational, _junk), min_size=1, max_size=4),
+).map(",".join)
+_json_label = st.one_of(st.integers(-1, 5), st.booleans(), st.just("1"), st.none())
+_chamber_obj = st.fixed_dictionaries(
+    {"light_max": st.lists(st.lists(_json_label, max_size=4), max_size=3)},
+    optional={
+        "g": st.one_of(st.integers(-1, 1), st.booleans(), st.just(0.0)),
+        "n": st.one_of(st.integers(0, 4), st.booleans(), st.just("4")),
+    },
+)
+_chamber = st.one_of(
+    _chamber_obj.map(json.dumps),
+    st.one_of(st.lists(st.integers()), st.integers(), st.none()).map(json.dumps),
+    st.text(alphabet='{}[]":,0123456789 light_max', max_size=24),
+)
+_wall = st.one_of(
+    st.sets(st.integers(1, 4), min_size=2).map(lambda js: ",".join(map(str, js))),
+    st.lists(st.integers(-1, 5), max_size=4).map(lambda js: ",".join(map(str, js))),
+    st.text(alphabet="0123456789,- a", max_size=6),
+)
+_format = st.sampled_from(["text", "json", "latex"])
+
+
+@st.composite
+def cli_argv(draw):
+    g = ["--g", str(draw(st.integers(-1, 1)))]
+    fmt = ["--format", draw(_format)]
+    command = draw(st.sampled_from(["classify", "volume", "wallcross", "eval"]))
+    if command == "classify":
+        return ["chamber", "classify"] + g + fmt + ["--weights", draw(_weights)]
+    if command == "eval":
+        numeric = ["--numeric", "--precision", str(draw(st.integers(-1, 40)))]
+        return ["eval"] + g + ["--weights", draw(_weights)] + draw(st.sampled_from([[], numeric]))
+    n = draw(st.sampled_from([[], ["--n", str(draw(st.integers(0, 4)))]]))
+    source = draw(st.sampled_from(["weights", "chamber", "both", "neither"]))
+    argv = [command] + g + fmt + n
+    if source in ("weights", "both"):
+        argv += ["--weights", draw(_weights)]
+    if source in ("chamber", "both"):
+        argv += ["--chamber", draw(_chamber)]
+    if command == "wallcross":
+        argv += ["--wall", draw(_wall)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_cli_fuzz_exit_codes(argv):
+    """Any argument list gives exit 0, 1 or 2 and never a traceback; a usage
+    error reported by main itself is one line."""
+    code, _, err, parsed = call_main(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2 and parsed:
+        assert len(err.strip().splitlines()) == 1, (argv, err)

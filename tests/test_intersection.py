@@ -160,41 +160,3 @@ def test_cache_insert_idempotent_and_guarded():
     cache.put((0, 0, (0, 0, 0)), F(1))
     with pytest.raises(ValueError):
         cache.put((0, 0, (0, 0, 0)), F(2))
-
-
-def test_cache_file_round_trip(tmp_path):
-    cache = IntersectionCache()
-    psi_intersection(2, (4,), cache=cache)
-    kappa_psi_intersection(1, 2, (0, 0), cache=cache)
-    path = tmp_path / "cache.txt"
-    cache.save(str(path))
-    text = path.read_bytes()
-    assert text.endswith(b"\n") and b"\r" not in text
-    lines = text.decode().splitlines()
-    assert lines == sorted(lines)
-    for line in lines:
-        g, m, d, v = line.split(";")
-        int(g), int(m)
-        assert all(x.isdigit() for x in d.split(","))
-        num, den = v.split("/")
-        int(num), int(den)
-    other = IntersectionCache()
-    assert other.load(str(path)) == len(cache.table)
-    assert other.table == cache.table
-    # a second save is byte-identical
-    path2 = tmp_path / "cache2.txt"
-    other.save(str(path2))
-    assert path2.read_bytes() == text
-
-
-def test_env_cache_roundtrip(tmp_path, monkeypatch):
-    from wpvol.intersection import load_cache_from_env, save_cache_to_env
-
-    path = tmp_path / "envcache.txt"
-    monkeypatch.setenv("WPVOL_CACHE", str(path))
-    cache = IntersectionCache()
-    psi_intersection(1, (1,), cache=cache)
-    assert save_cache_to_env(cache)
-    fresh = IntersectionCache()
-    assert load_cache_from_env(fresh) == len(cache.table)
-    assert fresh.table == cache.table

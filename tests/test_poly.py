@@ -1,6 +1,8 @@
 """Exact polynomial algebra: arithmetic, calculus, serialization."""
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -262,3 +264,34 @@ def subs_per_term(p, v, value):
 @given(small_polys(), small_polys(), st.integers(0, 2))
 def test_subs_matches_per_term_formula(p, value, v):
     assert p.subs(v, value) == subs_per_term(p, v, value)
+
+
+def printed_polys():
+    """Every wpvol.reference polynomial, V_{1,2}, and rings with other names."""
+    from wpvol import reference as ref
+    from wpvol.volumes import cp1n_volume, losev_manin_volume, mirzakhani_volume
+
+    for name in ["v_main_03", "v_main_04", "v_main_11", "v_main_12", "v_main_21",
+                 "wall_crossing_12", "v_light_12", "wall_crossing_05_s3"]:
+        yield name, getattr(ref, name)()
+    for k, p in ref.chamber_volumes_04().items():
+        yield f"chamber_volumes_04[{k}]", p
+    for (k, w), p in ref.wall_crossings_04().items():
+        yield f"wall_crossings_04[{k},{w[0]},{w[1]}]", p
+    for k, p in ref.wall_crossing_05_cases().items():
+        yield f"wall_crossing_05_cases[{k}]", p
+    yield "mirzakhani_volume(1,2)", mirzakhani_volume(1, 2).poly
+    yield "losev_manin_volume(3)", losev_manin_volume(3)
+    yield "cp1n_volume(1)", cp1n_volume(1)
+    r = angle_ring(2, extra="u")
+    yield "zero", r.zero()
+    yield "minus_one", r.const(-1)
+    yield "signs", -(r.var(3) - r.var(1)) ** 3 + F(-7, 3) * r.pi() * r.var(2) - r.var(1) + 5
+
+
+def test_printing_is_pinned():
+    """str() and to_latex() match, byte for byte, the strings recorded in
+    poly_printing.json before the two methods shared one renderer."""
+    pinned = json.loads((Path(__file__).parent / "poly_printing.json").read_text())
+    got = {name: [str(p), p.to_latex()] for name, p in printed_polys()}
+    assert got == pinned
