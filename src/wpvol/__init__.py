@@ -23,7 +23,6 @@ from .chambers import (
 )
 from .errors import (
     BoundExceededError,
-    DegenerateSegmentError,
     DimensionMismatchError,
     NotComparableError,
     NotIncidentError,

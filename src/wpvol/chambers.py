@@ -24,7 +24,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     BoundExceededError,
-    DegenerateSegmentError,
     NotComparableError,
     NotIncidentError,
     NotRealizableError,
@@ -35,7 +34,6 @@ from .lp import simplex_max
 from .poly import Poly, PolyRing
 
 ENUMERATION_BOUND = 6
-_SEGMENT_PERTURBATIONS = 120
 
 
 @dataclass(frozen=True)
@@ -134,14 +132,6 @@ class Chamber:
             return 0
         return 0 if any(J <= frozenset(s) for s in self.light_max) else 1
 
-    def light_sets(self) -> list[frozenset[int]]:
-        """All light J with |J| >= 2, smallest first."""
-        out = set()
-        for s in self.light_max:
-            for r in range(2, len(s) + 1):
-                out.update(frozenset(c) for c in itertools.combinations(s, r))
-        return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
-
     def heavy_min(self) -> list[frozenset[int]]:
         """Minimal heavy sets: heavy J whose proper subsets are all light."""
         out = []
@@ -174,6 +164,17 @@ class Chamber:
                 f"no weight vector below W_{sorted(S)} from {self}"
             )
         return below
+
+    def uncross(self, S: Iterable[int]) -> "Chamber":
+        """Inverse of ``cross``: the chamber above W_S, for S a maximal light set."""
+        S = tuple(sorted(set(S)))
+        if S not in self.light_max:
+            raise NotIncidentError(f"{list(S)} is not a maximal light set of {self}")
+        subwalls = tuple(itertools.combinations(S, len(S) - 1)) if len(S) > 2 else ()
+        above = Chamber(self.space, tuple(s for s in self.light_max if s != S) + subwalls)
+        if not above.is_realizable():
+            raise NotRealizableError(f"no weight vector above W_{list(S)} from {self}")
+        return above
 
     def quotient(self, S: Iterable[int]) -> "Chamber":
         """Merge the points of S into one point, placed last."""
@@ -396,55 +397,48 @@ class CrossingPath:
         return [w for _, w in self.steps]
 
 
-def crossing_path(src: Chamber, dst: Chamber) -> CrossingPath:
-    """Segment-method path of simple crossings from ``src`` down to ``dst``.
+def last_crossing(src: Chamber, dst: Chamber) -> tuple[Chamber, frozenset[int]]:
+    """The last simple crossing of a path from ``src`` down to ``dst``.
 
-    Interior witnesses of both chambers are joined by a straight segment; each
-    wall where the chambers differ is linear in the segment parameter, so it is
-    crossed exactly once and downward.  The destination witness is perturbed by
-    exact rational offsets, at most 120 times, until all crossing times are
-    distinct.
+    Returns (above, S) with ``above.cross(S) == dst`` and ``above`` still
+    below ``src``: S is the first maximal light set of ``dst``, heavy in
+    ``src``, whose uncrossing is realizable.  One exists whenever ``src`` lies
+    strictly above ``dst``: the last wall a generic segment from ``src`` to
+    ``dst`` crosses is such a set.
+    """
+    for S in dst.light_max:
+        if src.value(S) == 1:
+            try:
+                return dst.uncross(S), frozenset(S)
+            except NotRealizableError:
+                continue
+    raise NotComparableError(f"{src} does not lie strictly above {dst}")
+
+
+def crossing_path(src: Chamber, dst: Chamber) -> CrossingPath:
+    """A path of simple crossings from ``src`` down to ``dst``.
+
+    Built from ``dst`` upward by ``last_crossing`` until ``src`` is reached,
+    then reversed; each wall where the chambers differ is crossed exactly once
+    and downward, and every intermediate chamber is realizable.
     """
     if src.space != dst.space:
         raise NotComparableError("chambers live in different spaces")
     if src == dst:
         return CrossingPath((), dst)
-    diff = []
     for J in src.space.subsets():
-        lo, hi = dst.value(J), src.value(J)
-        if lo > hi:
+        if dst.value(J) > src.value(J):
             raise NotComparableError(
                 f"{sorted(J)} is light above but heavy below; chambers incomparable"
             )
-        if hi > lo:
-            diff.append(J)
-    p0, _ = realize(src) or (None, None)
-    got = realize(dst)
-    if p0 is None or got is None:
+    if not (src.is_realizable() and dst.is_realizable()):
         raise NotRealizableError("both endpoints must be realizable")
-    p1, s1 = got
-    n = src.space.n
-    for attempt in range(2, _SEGMENT_PERTURBATIONS + 2):
-        eps = [s1 / (2 * Fraction(attempt) ** j) for j in range(1, n + 1)]
-        q1 = [p1[j] - eps[j] for j in range(n)]
-        times = {}
-        for J in diff:
-            a0 = sum(p0[j - 1] for j in J)
-            a1 = sum(q1[j - 1] for j in J)
-            times[J] = (1 - a0) / (a1 - a0)
-        if len(set(times.values())) == len(diff):
-            order = sorted(diff, key=lambda J: times[J])
-            steps = []
-            cur = src
-            for J in order:
-                steps.append((cur, J))
-                cur = cur.cross(J)
-            if cur != dst:
-                raise DegenerateSegmentError("path replay did not reach destination")
-            return CrossingPath(tuple(steps), dst)
-    raise DegenerateSegmentError(
-        f"could not separate crossing times after {_SEGMENT_PERTURBATIONS} perturbations"
-    )
+    steps = []
+    cur = dst
+    while cur != src:
+        cur, S = last_crossing(src, cur)
+        steps.append((cur, S))
+    return CrossingPath(tuple(reversed(steps)), dst)
 
 
 # -- enumeration ---------------------------------------------------------------------
@@ -456,9 +450,10 @@ def enumerate_chambers(space: StabilitySpace, up_to_symmetry: bool = False) -> l
     """All realizable chambers of D_{g,n}, in deterministic order.
 
     Every chamber lies below the main chamber and is reached from it by a
-    downward segment path, so breadth-first search over simple wall-crossings
-    starting at C^M enumerates the chamber decomposition exactly.  Spaces with
-    more than ENUMERATION_BOUND points raise BoundExceededError.
+    downward path of simple crossings (``crossing_path``), so breadth-first
+    search over simple wall-crossings starting at C^M enumerates the chamber
+    decomposition exactly.  Spaces with more than ENUMERATION_BOUND points
+    raise BoundExceededError.
     """
     if space.n > ENUMERATION_BOUND:
         raise BoundExceededError(f"n={space.n} exceeds enumeration bound {ENUMERATION_BOUND}")

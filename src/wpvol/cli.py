@@ -34,11 +34,15 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _emit(data: dict, poly: Optional[Poly], fmt: str) -> str:
+def _json(data: dict) -> str:
+    return json.dumps(data, separators=(",", ":"), sort_keys=True)
+
+
+def _emit(data: dict, poly: Poly, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(data, separators=(",", ":"), sort_keys=True)
+        return _json(data)
     if fmt == "latex":
-        return poly.to_latex() if poly is not None else json.dumps(data)
+        return poly.to_latex()
     lines = []
     for k, v in data.items():
         if isinstance(v, dict):
@@ -46,8 +50,7 @@ def _emit(data: dict, poly: Optional[Poly], fmt: str) -> str:
                 lines.append(f"chamber: {json.dumps(v, separators=(',', ':'))}")
             continue
         lines.append(f"{k}: {v}")
-    if poly is not None:
-        lines.append(str(poly))
+    lines.append(str(poly))
     return "\n".join(lines)
 
 
@@ -65,7 +68,7 @@ def cmd_chamber_classify(args) -> int:
     a = parse_weights(args.weights)
     space = StabilitySpace(args.g, len(a))
     c = classify(WeightVector(space, a))
-    print(_emit(c.to_json_dict(), None, args.format) if args.format == "json" else str(c))
+    print(_json(c.to_json_dict()) if args.format == "json" else str(c))
     return EXIT_OK
 
 
@@ -73,13 +76,7 @@ def cmd_chamber_enumerate(args) -> int:
     space = StabilitySpace(args.g, args.n)
     chambers = enumerate_chambers(space, up_to_symmetry=args.up_to_symmetry)
     if args.format == "json":
-        print(
-            json.dumps(
-                {"count": len(chambers), "chambers": [c.to_json_dict() for c in chambers]},
-                separators=(",", ":"),
-                sort_keys=True,
-            )
-        )
+        print(_json({"count": len(chambers), "chambers": [c.to_json_dict() for c in chambers]}))
     else:
         print(f"{len(chambers)} chambers")
         for c in chambers:
@@ -110,7 +107,7 @@ def cmd_eval(args) -> int:
         c, vr, value = piecewise_volume(w, numeric=True, digits=args.precision)
         data = {"chamber": c.to_json_dict(), "value_numeric": str(value)}
         if args.format == "json":
-            print(json.dumps(data, separators=(",", ":"), sort_keys=True))
+            print(_json(data))
         else:
             print(value)
         return EXIT_OK
@@ -125,15 +122,13 @@ def cmd_verify(args) -> int:
     failures = [r for r in results if not r.passed]
     if args.format == "json":
         print(
-            json.dumps(
+            _json(
                 {
                     "suite": args.suite,
                     "passed": len(results) - len(failures),
                     "failed": len(failures),
                     "results": [r.to_json_dict() for r in results],
-                },
-                separators=(",", ":"),
-                sort_keys=True,
+                }
             )
         )
     else:
@@ -154,10 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=("text", "json", "latex")):
         p.add_argument("--g", type=int, required=True, help="genus")
-        p.add_argument("--format", choices=["text", "json", "latex"], default="text")
-        p.add_argument("--precision", type=int, default=50, help="digits for numeric mode")
+        p.add_argument("--format", choices=formats, default="text")
 
     def chamber_source(p):
         p.add_argument("--n", type=int, help="number of marked points (for --chamber)")
@@ -168,11 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chamber", help="chamber operations")
     chamber_sub = p.add_subparsers(dest="chamber_command", required=True)
     pc = chamber_sub.add_parser("classify", help="classify a weight vector")
-    common(pc)
+    common(pc, ("text", "json"))
     pc.add_argument("--weights", required=True, help='comma-separated rationals "1/2,1/2,3/4"')
     pc.set_defaults(func=cmd_chamber_classify)
     pe = chamber_sub.add_parser("enumerate", help="enumerate all realizable chambers")
-    common(pe)
+    common(pe, ("text", "json"))
     pe.add_argument("--n", type=int, required=True, help="number of marked points")
     pe.add_argument("--up-to-symmetry", action="store_true")
     pe.set_defaults(func=cmd_chamber_enumerate)
@@ -192,6 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--weights", required=True)
     p.add_argument("--numeric", action="store_true", help="numeric output (quarantined)")
+    p.add_argument("--precision", type=int, default=50, help="digits for --numeric")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run the verification suites")

@@ -39,10 +39,6 @@ class NotComparableError(WpvolError):
     """The two chambers are not comparable in the wall-crossing partial order."""
 
 
-class DegenerateSegmentError(WpvolError):
-    """Segment-method path search failed to separate crossing times."""
-
-
 class DimensionMismatchError(WpvolError):
     """Intersection-number index violates the dimension constraint."""
 

@@ -12,13 +12,20 @@ from fractions import Fraction
 
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce ints, Fractions and "p/q" strings to Fraction."""
+    """Coerce ints, Fractions and "p/q" strings to Fraction.
+
+    Exponent notation is rejected: ``Fraction`` would expand "1e999999999"
+    digit by digit.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
+    text = str(value).strip()
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation in {value!r}; write rationals as p/q")
     try:
-        return Fraction(str(value).strip())
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
 

@@ -383,12 +383,13 @@ def check_continuity(rep: Reporter, spaces: Iterable[StabilitySpace]) -> None:
 
 
 def two_crossing_orders(c: Chamber):
-    """A geometric crossing order plus a distinct valid reordering, if any.
+    """A crossing order plus a distinct valid reordering, if any.
 
-    The segment path's order is a linear extension of the light family by
-    inclusion (a wall is crossed only after all its subwalls); swapping two
-    adjacent incomparable walls gives another linear extension, which is kept
-    if every intermediate chamber stays realizable.
+    The walls of ``crossing_path`` from the main chamber, in order, form a
+    linear extension of the light family by inclusion (a wall is crossed only
+    after all its subwalls); swapping two adjacent incomparable walls gives
+    another linear extension, which is kept if every intermediate chamber
+    stays realizable.
     """
     from .chambers import crossing_path, main_chamber as _main
 

@@ -38,6 +38,7 @@ from .chambers import (
     WeightVector,
     classify,
     crossing_path,
+    last_crossing,
     main_chamber,
 )
 from .errors import NotRealizableError, UnstableError, WpvolError
@@ -55,7 +56,6 @@ class VolumeResult:
     chamber: Chamber
     poly: Poly
     provenance: str
-    path: Optional[CrossingPath] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -175,10 +175,10 @@ _volume_cache: dict[Chamber, VolumeResult] = {}
 def chamber_volume(c: Chamber) -> VolumeResult:
     """V_{g,C}: main-chamber intersection theory plus crossings along a path.
 
-    A non-main chamber is the volume of the chamber above the last wall of
-    its segment path plus that one crossing.  Results are memoized per
-    chamber; by path independence the polynomial does not depend on the
-    particular path the search returns (covered by tests).
+    A non-main chamber is the volume of the chamber above one of its maximal
+    light sets S (``last_crossing``) plus the crossing of W_S.  Results are
+    memoized per chamber; by path independence the polynomial does not depend
+    on which S is uncrossed (covered by tests).
     """
     got = _volume_cache.get(c)
     if got is not None:
@@ -188,10 +188,9 @@ def chamber_volume(c: Chamber) -> VolumeResult:
     if not c.light_max:
         result = mirzakhani_volume(c.space.g, c.space.n)
     else:
-        path = crossing_path(main_chamber(c.space), c)
-        above, wall = path.steps[-1]
+        above, wall = last_crossing(main_chamber(c.space), c)
         poly = chamber_volume(above).poly + wall_crossing_poly(above, wall).poly
-        result = VolumeResult(c, poly, PROV_PATH, path)
+        result = VolumeResult(c, poly, PROV_PATH)
     _volume_cache[c] = result
     return result
 
@@ -474,27 +473,16 @@ def general_dilaton_check(
             rhs = rhs - dwc.subs(i, two_pi)
         return lhs, rhs
 
+    walls = [frozenset(w) for w in up_walls]
     chain = [c]
-    cur = c
-    for wall in reversed([frozenset(w) for w in up_walls]):
-        if cur.value(wall) != 0:
-            raise WpvolError(f"cannot uncross {sorted(wall)}: not light")
-        fam = [tuple(sorted(T)) for T in cur.light_sets() if T != wall]
-        up = Chamber(cur.space, tuple(fam))
-        if up.value(wall) != 1:
-            raise WpvolError(
-                f"cannot uncross {sorted(wall)}: a light superset keeps it light"
-            )
-        up.cross(wall)  # validates incidence and realizability
-        chain.append(up)
-        cur = up
+    for wall in reversed(walls):
+        chain.append(chain[-1].uncross(wall))
     flat_top = chain[-1]
     if not flat_top.is_flat(i):
         raise WpvolError("the chamber above the given walls is not flat in i")
     rhs = dilaton_rhs(flat_top, i)
-    walls_down = [frozenset(w) for w in up_walls]
-    above_chain = list(reversed(chain))[:-1]  # chambers crossed downward, in order
-    for above, wall in zip(above_chain, walls_down):
+    # chain[1:] reversed lists the chambers crossed downward, in order
+    for above, wall in zip(reversed(chain[1:]), walls):
         dwc = wall_crossing_poly(above, wall).poly.diff(i)
         rhs = rhs + dwc.subs(i, two_pi)
     return lhs, rhs

@@ -247,14 +247,43 @@ def test_crossing_path_not_comparable():
 
 
 def test_crossing_path_replays_and_intermediates_realizable():
-    for c in enumerate_chambers(S05)[::53]:
-        path = crossing_path(main_chamber(S05), c)
-        cur = main_chamber(S05)
-        for above, wall in path.steps:
-            assert above == cur
-            assert above.is_realizable()
-            cur = above.cross(wall)
-        assert cur == c
+    for space in (S05, StabilitySpace(1, 4)):
+        for c in enumerate_chambers(space):
+            path = crossing_path(main_chamber(space), c)
+            cur = main_chamber(space)
+            for above, wall in path.steps:
+                assert above == cur
+                assert above.is_realizable()
+                cur = above.cross(wall)
+            assert cur == c
+
+
+def test_uncross_inverts_cross():
+    for space in (S05, StabilitySpace(1, 4)):
+        for c in enumerate_chambers(space):
+            for S in space.subsets():
+                try:
+                    below = c.cross(S)
+                except (NotIncidentError, NotRealizableError):
+                    continue
+                assert below.uncross(S) == c, (c, S)
+    b0, b1, b2, b3, b4 = chambers_04()
+    assert b2.uncross((3, 4)) == b0.cross({2, 4})
+    with pytest.raises(NotIncidentError):
+        b1.uncross({1, 2})  # heavy
+    with pytest.raises(NotIncidentError):
+        Chamber(S05, ((1, 2, 3),)).uncross({1, 2})  # light, not maximal
+    # above: {1,4}, {2,3} light force a1+a2+a3+a4 < 2, so {1,2}, {3,4} not both heavy
+    with pytest.raises(NotRealizableError):
+        Chamber(S05, ((1, 2), (1, 3), (1, 4), (2, 3))).uncross({1, 2})
+    unrealizable = 0  # (chamber, maximal light set) pairs of D_{0,5} with no chamber above
+    for c in enumerate_chambers(S05):
+        for S in c.light_max:
+            try:
+                c.uncross(S)
+            except NotRealizableError:
+                unrealizable += 1
+    assert unrealizable == 940
 
 
 def test_enumeration_counts():

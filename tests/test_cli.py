@@ -145,6 +145,12 @@ def test_zero_denominator_weight_is_usage_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_exponent_weight_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "chamber", "classify", "--g", "0", "--weights", "1e800000,1,1")
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "exponent" in err
+
+
 @pytest.mark.parametrize(
     "chamber",
     [
@@ -210,11 +216,33 @@ def test_exactly_one_chamber_source(command, source):
     assert (code, parsed, out) == (2, False, "")
 
 
-@pytest.mark.parametrize("flag", [["--cache", "cache.txt"], ["--max-genus", "3"]])
+@pytest.mark.parametrize(
+    "flag", [["--cache", "cache.txt"], ["--max-genus", "3"], ["--precision", "7"]]
+)
 def test_removed_flags_are_usage_errors(flag):
     code, out, _, parsed = call_main(
         ["volume", "--g", "1", "--n", "2", "--chamber", '{"light_max":[]}'] + flag
     )
+    assert (code, parsed, out) == (2, False, "")
+
+
+_CLASSIFY = ["chamber", "classify", "--g", "0", "--weights", "1,2/5,2/5,2/5"]
+_ENUMERATE = ["chamber", "enumerate", "--g", "0", "--n", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wallcross", "--g", "1", "--weights", "9/10,9/10", "--wall", "1,2", "--precision", "7"],
+        _CLASSIFY + ["--precision", "7"],
+        _ENUMERATE + ["--precision", "7"],
+        _CLASSIFY + ["--format", "latex"],
+        _ENUMERATE + ["--format", "latex"],
+    ],
+)
+def test_unread_flags_are_usage_errors(argv):
+    """--precision belongs to eval alone; chamber output has no latex form."""
+    code, out, _, parsed = call_main(argv)
     assert (code, parsed, out) == (2, False, "")
 
 

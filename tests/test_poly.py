@@ -167,6 +167,16 @@ def test_json_round_trip_bit_exact():
     assert poly_from_json_dict(p.to_json_dict()).to_json_dict() == data
 
 
+def test_rat_rejects_exponent_notation():
+    """Fraction would expand "1e1000000" into a million digits; rat refuses it."""
+    from wpvol.rationals import rat
+
+    for text in ("1e1000000", "2E3", "1/2e5", " 1e-9 "):
+        with pytest.raises(ValueError):
+            rat(text)
+    assert rat(" 3/4 ") == F(3, 4) and rat("0.25") == F(1, 4)
+
+
 def test_text_round_trip():
     candidates = [
         R2.zero(),
