@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .errors import (
     BoundExceededError,
@@ -33,7 +33,7 @@ from .errors import (
 from .lp import simplex_max
 from .poly import Poly, PolyRing
 
-ENUMERATION_BOUND = 6
+ENUMERATION_BOUND = 5  # the D_{0,6} search had not ended after 10 min and 80 k chambers
 
 
 @dataclass(frozen=True)
@@ -310,42 +310,40 @@ _realize_cache: dict[Chamber, Optional[tuple[tuple[Fraction, ...], Fraction]]] =
 
 
 def realize(c: Chamber) -> Optional[tuple[tuple[Fraction, ...], Fraction]]:
-    """Interior witness of maximal margin, or None.
+    """(a, s): an interior witness a of maximal margin s > 0, or None.
 
     Maximizes s subject to s <= a_j, a_j <= 1, sum_J a <= 1-s on maximal light
     sets, sum_J a >= 1+s on minimal heavy sets and sum a >= 2-2g+s, using the
     shifted variable sigma = s+3 >= 0 so the all-slack simplex basis is
-    feasible.  The chamber is realizable iff the optimum has s > 0.
+    feasible.  The chamber is realizable iff the optimum has s > 0.  Every
+    coefficient is 0 or +-1 and every right-hand side an integer, so the rows
+    are plain ints and the LP clears no denominators.
     """
     got = _realize_cache.get(c, "miss")
     if got != "miss":
         return got
     n = c.space.n
     g = c.space.g
-    zero = Fraction(0)
-    one = Fraction(1)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
 
-    def row(avec: Sequence[Fraction], sigma: Fraction, b) -> None:
-        rows.append(list(avec) + [sigma])
-        rhs.append(Fraction(b))
+    def row(avec: list[int], sigma: int, b: int) -> None:
+        rows.append(avec + [sigma])
+        rhs.append(b)
 
     for j in range(n):
-        e = [zero] * n
-        e[j] = one
-        row(e, zero, 1)  # a_j <= 1
-        e = [zero] * n
-        e[j] = -one
-        row(e, one, 3)  # a_j >= s
+        e = [0] * n
+        e[j] = 1
+        row(e, 0, 1)  # a_j <= 1
+        e = [0] * n
+        e[j] = -1
+        row(e, 1, 3)  # a_j >= s
     for J in c.light_max:
-        e = [one if j + 1 in J else zero for j in range(n)]
-        row(e, one, 4)  # sum_J a <= 1 - s
+        row([1 if j + 1 in J else 0 for j in range(n)], 1, 4)  # sum_J a <= 1 - s
     for J in c.heavy_min():
-        e = [-one if j + 1 in J else zero for j in range(n)]
-        row(e, one, 2)  # sum_J a >= 1 + s
-    row([-one] * n, one, 1 + 2 * g)  # sum a >= 2 - 2g + s
-    objective = [zero] * n + [one]
+        row([-1 if j + 1 in J else 0 for j in range(n)], 1, 2)  # sum_J a >= 1 + s
+    row([-1] * n, 1, 1 + 2 * g)  # sum a >= 2 - 2g + s
+    objective = [0] * n + [1]
     value, x = simplex_max(objective, rows, rhs)
     slack = value - 3
     result = (tuple(x[:n]), slack) if slack > 0 else None
@@ -454,6 +452,12 @@ def enumerate_chambers(space: StabilitySpace, up_to_symmetry: bool = False) -> l
     search over simple wall-crossings starting at C^M enumerates the chamber
     decomposition exactly.  Spaces with more than ENUMERATION_BOUND points
     raise BoundExceededError.
+
+    With ``up_to_symmetry``, returns one chamber per S_n orbit: the first of
+    the orbit in the order above.  Orbits are told apart by the smallest
+    sorted tuple of relabeled light-set bitmasks, read from one 2^n relabel
+    table per permutation, and listed in the order of their smallest relabeled
+    light antichain.
     """
     if space.n > ENUMERATION_BOUND:
         raise BoundExceededError(f"n={space.n} exceeds enumeration bound {ENUMERATION_BOUND}")
@@ -480,11 +484,22 @@ def enumerate_chambers(space: StabilitySpace, up_to_symmetry: bool = False) -> l
         _enum_cache[space] = all_chambers
     if not up_to_symmetry:
         return list(all_chambers)
+    n = space.n
+    tables = [
+        [sum(1 << p[j] for j in range(n) if mask >> j & 1) for mask in range(1 << n)]
+        for p in itertools.permutations(range(n))
+    ]
     reps = {}
     for c in all_chambers:
-        key = min(
-            tuple(sorted(tuple(sorted(p[j - 1] for j in s)) for s in c.light_max))
-            for p in itertools.permutations(space.labels)
-        )
+        masks = [sum(1 << (j - 1) for j in s) for s in c.light_max]
+        key = min(tuple(sorted(t[m] for m in masks)) for t in tables)
         reps.setdefault(key, c)
-    return [reps[k] for k in sorted(reps)]
+    return sorted(reps.values(), key=_orbit_key)
+
+
+def _orbit_key(c: Chamber) -> tuple[tuple[int, ...], ...]:
+    """The smallest relabeled light antichain of c: the output order of orbits."""
+    return min(
+        tuple(sorted(tuple(sorted(p[j - 1] for j in s)) for s in c.light_max))
+        for p in itertools.permutations(c.space.labels)
+    )

@@ -5,12 +5,29 @@ exactly, for the small feasibility systems that decide chamber realizability.
 The callers arrange b >= 0, so the all-slack basis is feasible and no phase-1
 is needed.
 
-Rows are cleared to integers up front and pivoting uses the fraction-free
-update M'[i] = (piv*M[i] - M[i][c]*M[r]) / d, where d is the previous pivot.
-The divisions are exact (Bareiss: every entry stays a minor of the original
-integer matrix) and the running tableau is d times the usual rational one,
-with d > 0, so sign tests and cross-multiplied ratio tests are unchanged.
-Bland's smallest-index rule guarantees termination.
+Inputs may be ints or Fractions.  Each row is cleared to integers up front by
+the lcm of its denominators, with no Fraction built.
+
+The tableau is condensed (Tucker form): it stores the m basic rows and the
+objective row, each with one entry per nonbasic variable and the rhs, so a row
+has n+1 entries instead of the n+m+1 of the full tableau.  Variables are
+labelled 0..n-1 (the x_j) and n..n+m-1 (the slacks); ``cols`` holds the labels
+of the nonbasic columns and ``basis`` those of the rows.  Pivoting uses the
+fraction-free update x' = (piv*x - f*y) / d, where piv is the pivot, f the
+row's entry in the pivot column, y the pivot row's entry and d the previous
+pivot.  The divisions are exact (Bareiss: every entry stays a minor of the
+original integer matrix) and the running tableau is d times the usual rational
+one, with d > 0, so sign tests and cross-multiplied ratio tests are unchanged.
+The pivot row itself is left as it is.  The pivot column then stands for the
+leaving variable, whose full-tableau column after the pivot is d in the pivot
+row and -f in every other row, the objective included; the two labels swap.
+
+Every condensed entry equals an entry of the full tableau, whose basic columns
+are unit columns with objective 0.  So Bland's rule reads the same on labels:
+enter at the nonbasic label with the smallest index and a negative reduced
+cost, break ratio ties on the smallest basic label.  The condensed tableau
+visits exactly the bases of the full one, and Bland's rule guarantees
+termination.
 """
 
 from __future__ import annotations
@@ -20,17 +37,10 @@ from math import lcm
 from typing import Sequence
 
 
-def _int_rows(c, A, b):
-    n = len(c)
-    scale_obj = lcm(*(Fraction(x).denominator for x in c)) if n else 1
-    obj = [-int(Fraction(x) * scale_obj) for x in c]
-    rows = []
-    rhs = []
-    for ai, bi in zip(A, b):
-        scale = lcm(*(Fraction(x).denominator for x in list(ai) + [bi]))
-        rows.append([int(Fraction(x) * scale) for x in ai])
-        rhs.append(int(Fraction(bi) * scale))
-    return obj, scale_obj, rows, rhs
+def _int_row(xs) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm."""
+    scale = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (scale // x.denominator) for x in xs], scale
 
 
 def simplex_max(
@@ -42,30 +52,24 @@ def simplex_max(
 
     Requires b >= 0 and a bounded objective; raises ValueError otherwise.
     """
-    if any(Fraction(bi) < 0 for bi in b):
+    if any(bi < 0 for bi in b):
         raise ValueError("simplex_max requires b >= 0")
-    obj_core, scale_obj, A_int, b_int = _int_rows(c, A, b)
-    m = len(A_int)
-    n = len(obj_core)
-    ncols = n + m
-
-    # M[i] = [vars | slacks | rhs]; the slack of a scaled row is a scaled
-    # slack variable, which leaves the x-solution set unchanged.
-    M: list[list[int]] = []
-    for i in range(m):
-        row = A_int[i] + [0] * m + [b_int[i]]
-        row[n + i] = 1
-        M.append(row)
-    obj = obj_core + [0] * m + [0]
+    n = len(c)
+    m = len(A)
+    # The slack of a scaled row is a scaled slack variable, which leaves the
+    # x-solution set unchanged.
+    M = [_int_row([*ai, bi])[0] for ai, bi in zip(A, b)]
+    obj, scale_obj = _int_row(c)
+    obj = [-x for x in obj] + [0]
+    cols = list(range(n))
     basis = list(range(n, n + m))
     d = 1  # common positive scale of the tableau
 
     while True:
         enter = -1
-        for j in range(ncols):
-            if obj[j] < 0:
-                enter = j
-                break
+        for k, label in enumerate(cols):
+            if obj[k] < 0 and (enter < 0 or label < cols[enter]):
+                enter = k
         if enter < 0:
             break
         leave = -1
@@ -91,12 +95,12 @@ def simplex_max(
                     M[i] = [(piv * x - f * y) // d for x, y in zip(row, pivrow)]
                 else:
                     M[i] = [(piv * x) // d for x in row]
+                M[i][enter] = -f
         f = obj[enter]
-        if f:
-            obj = [(piv * x - f * y) // d for x, y in zip(obj, pivrow)]
-        else:
-            obj = [(piv * x) // d for x in obj]
-        basis[leave] = enter
+        obj = [(piv * x - f * y) // d for x, y in zip(obj, pivrow)]
+        obj[enter] = -f
+        pivrow[enter] = d
+        cols[enter], basis[leave] = basis[leave], cols[enter]
         d = piv
 
     x = [Fraction(0)] * n

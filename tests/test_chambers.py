@@ -296,6 +296,36 @@ def test_enumeration_counts():
     assert len(enumerate_chambers(S05, up_to_symmetry=True)) == 36
 
 
+def _reference_up_to_symmetry(space):
+    """One chamber per S_n orbit, keyed by its smallest relabeled antichain
+    over all n! permutations; the first chamber of each orbit, orbits in key
+    order."""
+    reps = {}
+    for c in enumerate_chambers(space):
+        key = min(
+            tuple(sorted(tuple(sorted(p[j - 1] for j in s)) for s in c.light_max))
+            for p in itertools.permutations(space.labels)
+        )
+        reps.setdefault(key, c)
+    return [reps[k] for k in sorted(reps)]
+
+
+@pytest.mark.parametrize(
+    "space,total",
+    [(S04, 27), (StabilitySpace(1, 4), 96), (S05, 1087), (StabilitySpace(1, 5), 2690)],
+    ids=["D04", "D14", "D05", "D15"],
+)
+def test_up_to_symmetry_matches_permutation_key(space, total):
+    reps = enumerate_chambers(space, up_to_symmetry=True)
+    assert reps == _reference_up_to_symmetry(space)
+    # orbit-stabiliser: the orbits of the representatives cover every chamber
+    orbit_sizes = [
+        len({c.permuted(dict(zip(space.labels, p))) for p in itertools.permutations(space.labels)})
+        for c in reps
+    ]
+    assert sum(orbit_sizes) == total
+
+
 def test_enumeration_deterministic_order():
     first = enumerate_chambers(S04)
     second = enumerate_chambers(S04)
@@ -308,8 +338,9 @@ def test_enumeration_deterministic_order():
 def test_enumeration_bound():
     from wpvol.errors import BoundExceededError
 
-    with pytest.raises(BoundExceededError):
-        enumerate_chambers(StabilitySpace(0, 7))
+    for n in (6, 7):
+        with pytest.raises(BoundExceededError):
+            enumerate_chambers(StabilitySpace(0, n))
 
 
 def _monotone_candidates(space):

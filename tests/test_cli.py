@@ -199,6 +199,14 @@ def test_verify_mutation_smoke(monkeypatch, fresh_volume_caches):
     assert all(r.passed for r in rep.results)
 
 
+def test_enumerate_over_bound_is_domain_error():
+    """n = 6 is over the enumeration bound: exit 1 at once, not a search
+    that does not end."""
+    code, out, err, parsed = call_main(["chamber", "enumerate", "--g", "0", "--n", "6"])
+    assert (code, parsed, out) == (1, True, "")
+    assert len(err.strip().splitlines()) == 1 and "bound" in err and "Traceback" not in err
+
+
 def test_enumerate_without_n_is_usage_error():
     code, _, err, parsed = call_main(["chamber", "enumerate", "--g", "0"])
     assert (code, parsed) == (2, False)

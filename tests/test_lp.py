@@ -1,11 +1,15 @@
-"""Exact simplex: cross-validated against brute-force vertex enumeration."""
+"""Exact simplex: cross-validated against brute-force vertex enumeration and
+against the full-tableau simplex it replaced."""
 
 import itertools
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
+import wpvol.chambers as chambers
+from wpvol.chambers import StabilitySpace, enumerate_chambers
 from wpvol.lp import simplex_max
 
 
@@ -59,8 +63,8 @@ def test_negative_rhs_rejected():
         simplex_max([F(1)], [[F(1)]], [F(-1)])
 
 
-def test_degenerate_does_not_cycle():
-    # A classic degenerate instance; Bland's rule must terminate.
+def degenerate_instance():
+    """A classic instance on which the textbook rule cycles."""
     c = [F(3, 4), F(-150), F(1, 50), F(-6)]
     A = [
         [F(1, 4), F(-60), F(-1, 25), F(9)],
@@ -68,7 +72,12 @@ def test_degenerate_does_not_cycle():
         [F(0), F(0), F(1), F(0)],
     ]
     b = [F(0), F(0), F(1)]
-    value, _ = simplex_max(c, A, b)
+    return c, A, b
+
+
+def test_degenerate_does_not_cycle():
+    # Bland's rule must terminate.
+    value, _ = simplex_max(*degenerate_instance())
     assert value == F(1, 20)
 
 
@@ -91,3 +100,100 @@ def test_random_against_brute_force():
         assert all(xj >= 0 for xj in x)
         assert all(sum(ai * xi for ai, xi in zip(row, x)) <= bi for row, bi in zip(A, b))
         assert sum(ci * xi for ci, xi in zip(c, x)) == got
+
+
+def full_tableau_simplex_max(c, A, b):
+    """Reference: the full-tableau all-integer simplex (slack columns kept).
+
+    Rows are cleared to integers through Fraction; Bareiss update and Bland's
+    rule on column indices, as in ``simplex_max``.
+    """
+    if any(F(bi) < 0 for bi in b):
+        raise ValueError("simplex_max requires b >= 0")
+    n = len(c)
+    scale_obj = lcm(*(F(x).denominator for x in c)) if n else 1
+    obj = [-int(F(x) * scale_obj) for x in c]
+    M = []
+    for i, (ai, bi) in enumerate(zip(A, b)):
+        scale = lcm(*(F(x).denominator for x in list(ai) + [bi]))
+        M.append([int(F(x) * scale) for x in ai] + [0] * len(A) + [int(F(bi) * scale)])
+        M[-1][n + i] = 1
+    m = len(M)
+    obj = obj + [0] * m + [0]
+    basis = list(range(n, n + m))
+    d = 1
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] < 0), -1)
+        if enter < 0:
+            break
+        leave = -1
+        bn = bd = 0
+        for i in range(m):
+            a = M[i][enter]
+            if a > 0:
+                ri = M[i][-1]
+                if leave < 0 or ri * bd < bn * a or (ri * bd == bn * a and basis[i] < basis[leave]):
+                    bn, bd, leave = ri, a, i
+        if leave < 0:
+            raise ValueError("objective is unbounded")
+        pivrow = M[leave]
+        piv = pivrow[enter]
+        for i in range(m):
+            if i != leave:
+                f = M[i][enter]
+                M[i] = [(piv * x - f * y) // d for x, y in zip(M[i], pivrow)]
+        f = obj[enter]
+        obj = [(piv * x - f * y) // d for x, y in zip(obj, pivrow)]
+        basis[leave] = enter
+        d = piv
+    x = [F(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = F(M[i][-1], d)
+    return F(obj[-1], d * scale_obj), x
+
+
+def outcome(solver, c, A, b):
+    try:
+        return solver(c, A, b)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_matches_full_tableau_on_random_lps():
+    """Same (value, x), or the same error, on random rational LPs; b is mostly
+    0 and the coefficients small, so most instances are degenerate."""
+    rng = random.Random(20261018)
+    instances = [degenerate_instance()]
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        m = rng.randint(1, 6)
+        c = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        A = [[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)] for _ in range(m)]
+        b = [F(rng.choice([0, 0, 0, 1, 2]), rng.randint(1, 3)) for _ in range(m)]
+        instances.append((c, A, b))
+    solved = 0
+    for c, A, b in instances:
+        want = outcome(full_tableau_simplex_max, c, A, b)
+        assert outcome(simplex_max, c, A, b) == want
+        solved += not isinstance(want, str)
+    assert solved > 800
+
+
+def test_matches_full_tableau_on_realizability_lps(monkeypatch):
+    """Every LP that realize solves while D_{0,4}, D_{1,4} and D_{0,5} are
+    enumerated from empty memo tables gives the reference's (value, x)."""
+    monkeypatch.setattr(chambers, "_realize_cache", {})
+    monkeypatch.setattr(chambers, "_enum_cache", {})
+    recorded = []
+
+    def recording(c, A, b):
+        recorded.append((c, A, b))
+        return simplex_max(c, A, b)
+
+    monkeypatch.setattr(chambers, "simplex_max", recording)
+    for g, n in [(0, 4), (1, 4), (0, 5)]:
+        enumerate_chambers(StabilitySpace(g, n))
+    assert len(recorded) > 2500
+    for c, A, b in recorded:
+        assert simplex_max(c, A, b) == full_tableau_simplex_max(c, A, b)
