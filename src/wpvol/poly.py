@@ -6,21 +6,42 @@ and is never treated numerically here; numeric evaluation lives in
 :mod:`wpvol.numeric`.
 
 A :class:`Poly` is a map from exponent vectors to nonzero Fraction
-coefficients.  Polys are immutable values: every operation returns a new Poly
-in canonical form (no stored zeros), so equality is plain term-map equality
-and instances can be shared freely between threads.
+coefficients.  Polys are immutable values in canonical form (no stored zeros,
+exponent tuples of ring length), so equality is plain term-map equality and
+instances can be shared freely; ``Poly.terms`` is a read-only view.
+
+Coefficients are merged in one place, :func:`accumulate`, and every operation
+makes one pass into one dict.  ``Poly(ring, terms)`` is ``accumulate`` over
+``terms``; the trusted constructor :meth:`Poly.from_canonical` adopts a
+canonical dict without copying or filtering it.  ``evaluate_angles`` takes
+each angle as q * pi^m (a rational, zero, or a one-term Poly in pi alone).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import RingMismatchError, VariableRangeError
 from .rationals import format_rat, rat
 
 Scalar = Union[int, Fraction]
+Terms = dict[tuple[int, ...], Fraction]
+
+
+def accumulate(out: Terms, pairs: Iterable[tuple[tuple[int, ...], Fraction]]) -> Terms:
+    """Add each (exponents, coefficient) pair into ``out``, dropping cancelled sums."""
+    get, pop = out.get, out.pop
+    for e, c in pairs:
+        s = get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            pop(e, None)
+    return out
 
 
 @dataclass(frozen=True)
@@ -45,13 +66,13 @@ class PolyRing:
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return Poly.from_canonical(self, {})
 
     def const(self, c: Scalar) -> "Poly":
         c = rat(c)
         if c == 0:
             return self.zero()
-        return Poly(self, {(0,) * self.nvars: c})
+        return Poly.from_canonical(self, {(0,) * self.nvars: c})
 
     def one(self) -> "Poly":
         return self.const(1)
@@ -61,7 +82,7 @@ class PolyRing:
             raise VariableRangeError(f"variable index {i} out of range")
         e = [0] * self.nvars
         e[i] = 1
-        return Poly(self, {tuple(e): Fraction(1)})
+        return Poly.from_canonical(self, {tuple(e): Fraction(1)})
 
     def pi(self) -> "Poly":
         return self.var(0)
@@ -72,10 +93,12 @@ class PolyRing:
     def monomial(self, c: Scalar, exps: Sequence[int]) -> "Poly":
         if len(exps) != self.nvars:
             raise VariableRangeError("exponent vector has wrong length")
+        if min(exps) < 0:
+            raise ValueError(f"negative exponent in {tuple(exps)}")
         c = rat(c)
         if c == 0:
             return self.zero()
-        return Poly(self, {tuple(int(e) for e in exps): c})
+        return Poly.from_canonical(self, {tuple(int(e) for e in exps): c})
 
 
 def angle_ring(n: int, extra: str | None = None) -> PolyRing:
@@ -94,10 +117,18 @@ class Poly:
 
     __slots__ = ("ring", "terms", "_hash")
 
-    def __init__(self, ring: PolyRing, terms: Mapping[tuple[int, ...], Fraction]):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c != 0})
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, ring: PolyRing, terms: Mapping[tuple[int, ...], Fraction]):
+        return cls.from_canonical(ring, accumulate({}, terms.items()))
+
+    @classmethod
+    def from_canonical(cls, ring: PolyRing, terms: Terms) -> "Poly":
+        """Trusted constructor: adopt ``terms`` (nonzero coefficients, exponent
+        tuples of ring length) without copying or filtering it."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "terms", MappingProxyType(terms))
+        object.__setattr__(p, "_hash", None)
+        return p
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -141,19 +172,12 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return Poly(self.ring, terms)
+        return Poly.from_canonical(self.ring, accumulate(self.terms.copy(), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly.from_canonical(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -169,20 +193,15 @@ class Poly:
             q = rat(other)
             if q == 0:
                 return self.ring.zero()
-            return Poly(self.ring, {e: c * q for e, c in self.terms.items()})
+            return Poly.from_canonical(self.ring, {e: c * q for e, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(self.ring, out)
+        right = other.terms.items()
+        pairs = (
+            (tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in right
+        )
+        return Poly.from_canonical(self.ring, accumulate({}, pairs))
 
     __rmul__ = __mul__
 
@@ -195,12 +214,8 @@ class Poly:
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
+        for _ in range(k):
+            result = self * result
         return result
 
     # -- calculus ------------------------------------------------------------
@@ -209,20 +224,10 @@ class Poly:
         """Formal partial derivative with respect to variable v (not pi)."""
         if not 1 <= v < self.ring.nvars:
             raise VariableRangeError(f"cannot differentiate in variable index {v}")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            k = e[v]
-            if k == 0:
-                continue
-            e2 = list(e)
-            e2[v] = k - 1
-            t = tuple(e2)
-            s = out.get(t, 0) + c * k
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-        return Poly(self.ring, out)
+        terms = self.terms.items()
+        return Poly.from_canonical(
+            self.ring, {e[:v] + (e[v] - 1,) + e[v + 1 :]: c * e[v] for e, c in terms if e[v]}
+        )
 
     def subs(self, v: int, value: Union["Poly", Scalar]) -> "Poly":
         """Substitute variable v by a Poly or rational; exact composition."""
@@ -233,16 +238,17 @@ class Poly:
         if value.ring != self.ring:
             raise RingMismatchError("substitution value lives in a different ring")
         powers: list[Poly] = [self.ring.one()]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            k = e[v]
-            while len(powers) <= k:
-                powers.append(powers[-1] * value)
-            rest = e[:v] + (0,) + e[v + 1 :]
-            for pe, pc in powers[k].terms.items():
-                t = tuple(a + b for a, b in zip(rest, pe))
-                out[t] = out.get(t, 0) + c * pc
-        return Poly(self.ring, out)
+
+        def pairs():
+            for e, c in self.terms.items():
+                k = e[v]
+                while len(powers) <= k:
+                    powers.append(powers[-1] * value)
+                rest = e[:v] + (0,) + e[v + 1 :]
+                for pe, pc in powers[k].terms.items():
+                    yield tuple(map(add, rest, pe)), c * pc
+
+        return Poly.from_canonical(self.ring, accumulate({}, pairs()))
 
     def integrate_upper(self, t: int, upper: Union["Poly", Scalar]) -> "Poly":
         """Exact integral from 0 to ``upper`` in variable t.
@@ -257,12 +263,10 @@ class Poly:
             upper = self.ring.const(upper)
         if upper.ring != self.ring:
             raise RingMismatchError("upper bound lives in a different ring")
-        anti: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[t] = e[t] + 1
-            anti[tuple(e2)] = c / (e[t] + 1)
-        antiderivative = Poly(self.ring, anti)
+        terms = self.terms.items()
+        antiderivative = Poly.from_canonical(
+            self.ring, {e[:t] + (e[t] + 1,) + e[t + 1 :]: c / (e[t] + 1) for e, c in terms}
+        )
         if upper == self.ring.var(t):
             return antiderivative
         if any(e[t] for e in upper.terms):
@@ -300,48 +304,51 @@ class Poly:
                 raise RingMismatchError("image polynomial in wrong ring")
         if images[0] != target.pi():
             raise ValueError("pi must map to pi")
-        result = target.zero()
-        cache: dict[tuple[int, int], Poly] = {}
+        powers = [[target.one(), im] for im in images]
 
-        def power(i: int, k: int) -> Poly:
-            if k == 0:
-                return target.one()
-            got = cache.get((i, k))
-            if got is None:
-                got = power(i, k - 1) * images[i]
-                cache[(i, k)] = got
-            return got
+        def pairs():
+            for e, c in self.terms.items():
+                m = target.const(c)
+                for i, k in enumerate(e):
+                    if k:
+                        p = powers[i]
+                        while len(p) <= k:
+                            p.append(p[-1] * images[i])
+                        m = m * p[k]
+                yield from m.terms.items()
 
-        for e, c in sorted(self.terms.items()):
-            m = target.const(c)
-            for i, k in enumerate(e):
-                if k:
-                    m = m * power(i, k)
-            result = result + m
-        return result
+        return Poly.from_canonical(target, accumulate({}, pairs()))
 
     def drop_last_var(self) -> "Poly":
         """Project into the ring without the trailing variable (must be unused)."""
         if self.degree_in(self.ring.nvars - 1) > 0:
             raise VariableRangeError("polynomial still involves the last variable")
         ring = PolyRing(self.ring.names[:-1])
-        return Poly(ring, {e[:-1]: c for e, c in self.terms.items()})
+        return Poly.from_canonical(ring, {e[:-1]: c for e, c in self.terms.items()})
 
     def evaluate_angles(self, values: Sequence[Union["Poly", Scalar]]) -> "Poly":
         """Substitute every angle variable; result is univariate in pi.
 
-        ``values`` holds one entry per angle variable (indices 1..n); each may
-        be a Fraction or a Poly of this ring (typically a rational multiple of
-        pi).  This is the formal evaluation mode.
+        ``values`` holds one entry per angle variable (indices 1..n), each
+        theta_j = q_j * pi^m_j: a rational, zero, or a one-term Poly of this
+        ring in pi alone; anything else raises VariableRangeError.  Each term
+        c * pi^e0 * prod theta_j^k_j gives c * prod q_j^k_j * pi^(e0 + sum m_j k_j).
         """
         if len(values) != self.ring.nvars - 1:
             raise VariableRangeError(
                 f"need {self.ring.nvars - 1} values, got {len(values)}"
             )
-        p = self
-        for i, val in enumerate(values, start=1):
-            p = p.subs(i, val)
-        return Poly(PI_RING, {(e[0],): c for e, c in p.terms.items()})
+        angles = [_pi_multiple(self.ring, x) for x in values]
+
+        def pairs():
+            for e, c in self.terms.items():
+                num, den, m = c.numerator, c.denominator, e[0]
+                for (a, b, mj), k in zip(angles, e[1:]):
+                    if k:
+                        num, den, m = num * a**k, den * b**k, m + mj * k
+                yield (m,), Fraction(num, den)
+
+        return Poly.from_canonical(PI_RING, accumulate({}, pairs()))
 
     # -- printing ---------------------------------------------------------------
 
@@ -425,43 +432,56 @@ def poly_from_text(ring: PolyRing, text: str) -> Poly:
     text = text.strip()
     if text == "0":
         return ring.zero()
-    total = ring.zero()
-    for chunk in text.replace(" - ", " + -").split(" + "):
-        chunk = chunk.strip()
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:]
-        coeff = Fraction(sign)
-        exps = [0] * ring.nvars
-        for piece in chunk.split("*"):
-            piece = piece.strip()
-            if "^" in piece:
-                name, _, k = piece.partition("^")
-                exps[ring.index(name)] += int(k)
-            elif piece in ring.names:
-                exps[ring.index(piece)] += 1
-            else:
-                coeff *= Fraction(piece)
-        total = total + ring.monomial(coeff, exps)
-    return total
+
+    def pairs():
+        for chunk in text.replace(" - ", " + -").split(" + "):
+            chunk = chunk.strip()
+            coeff = Fraction(-1 if chunk.startswith("-") else 1)
+            exps = [0] * ring.nvars
+            for piece in chunk.removeprefix("-").split("*"):
+                piece = piece.strip()
+                if "^" in piece:
+                    name, _, k = piece.partition("^")
+                    exps[ring.index(name)] += int(k)
+                elif piece in ring.names:
+                    exps[ring.index(piece)] += 1
+                else:
+                    coeff *= Fraction(piece)
+            if min(exps) < 0:
+                raise ValueError(f"negative exponent in {chunk!r}")
+            yield tuple(exps), coeff
+
+    return Poly.from_canonical(ring, accumulate({}, pairs()))
 
 
 def poly_from_json_dict(data: Mapping) -> Poly:
+    """Inverse of ``Poly.to_json_dict``; rejects repeated and negative exponents."""
     ring = PolyRing(tuple(data["vars"]))
     terms: dict[tuple[int, ...], Fraction] = {}
     for item in data["terms"]:
         e = tuple(int(x) for x in item["e"])
-        if len(e) != ring.nvars:
-            raise ValueError("exponent vector length does not match vars")
+        if len(e) != ring.nvars or min(e) < 0:
+            raise ValueError(f"exponent vector {e} does not fit vars {ring.names}")
+        if e in terms:
+            raise ValueError(f"exponent vector {e} appears twice")
         terms[e] = rat(item["c"])
     return Poly(ring, terms)
+
+
+def _pi_multiple(ring: PolyRing, x: Union[Poly, Scalar]) -> tuple[int, int, int]:
+    """(a, b, m) with x = a/b * pi^m, for x a rational or a Poly of ``ring``
+    with at most one term, in pi alone; anything else raises VariableRangeError."""
+    if isinstance(x, (int, Fraction)):
+        x = ring.const(x)
+    if isinstance(x, Poly) and x.ring == ring and len(x.terms) <= 1:
+        # the zero Poly is 0 * pi^0
+        ((e, q),) = x.terms.items() or (((0,) * ring.nvars, Fraction(0)),)
+        if not any(e[1:]):
+            return q.numerator, q.denominator, e[0]
+    raise VariableRangeError(f"angle value {x} is not a rational multiple of a power of pi")
 
 
 def phi_form(ring: PolyRing, wall: Iterable[int]) -> Poly:
     """The linear form phi_S = sum_{j in S} theta_j - 2*pi*(|S|-1)."""
     wall = sorted(wall)
-    p = ring.zero()
-    for j in wall:
-        p = p + ring.var(j)
-    return p - (len(wall) - 1) * ring.two_pi()
+    return sum((ring.var(j) for j in wall), ring.zero()) - (len(wall) - 1) * ring.two_pi()

@@ -30,7 +30,7 @@ from .chambers import (
 from .errors import WpvolError
 from .intersection import psi_intersection
 from .numeric import evaluate_pi_poly
-from .poly import PolyRing, angle_ring
+from .poly import PolyRing, angle_ring, phi_form
 from .volumes import (
     _integrate_crossing,
     chamber_volume,
@@ -244,10 +244,8 @@ def check_cayley(rep: Reporter) -> None:
 
     for n in range(3, 7):
         lhs = v(n)
-        rhs = ring.zero()
-        for i in range(1, n):
-            rhs = rhs + Fraction(i * (n - i), n - 1) * comb(n, i) * v(i) * v(n - i)
-        rhs = rhs * (2 * ring.pi() * ring.var(1)) ** 2 / 2
+        terms = (Fraction(i * (n - i), n - 1) * comb(n, i) * v(i) * v(n - i) for i in range(1, n))
+        rhs = sum(terms, ring.zero()) * (2 * ring.pi() * ring.var(1)) ** 2 / 2
         rep.record(f"P11.n{n}", f"Cayley tree recursion for equal-weight LM volumes n={n}", lhs, rhs)
 
 
@@ -364,10 +362,7 @@ def check_continuity(rep: Reporter, spaces: Iterable[StabilitySpace]) -> None:
                 wcp = wall_crossing_poly(c, S)
                 k = min(S)
                 # wall relation: theta_k = 2 pi (|S|-1) - sum_{j in S, j != k}
-                rel = (len(S) - 1) * ring.two_pi()
-                for j in S:
-                    if j != k:
-                        rel = rel - ring.var(j)
+                rel = ring.two_pi() - phi_form(ring, S - {k})
                 total += 1
                 if not wcp.poly.subs(k, rel).is_zero():
                     bad += 1
@@ -493,10 +488,7 @@ def check_evenness(rep: Reporter, spaces: Iterable[StabilitySpace]) -> None:
                 k = min(S)
                 # substitute theta_k = u + 2 pi(|S|-1) - sum_{j in S-k} theta_j,
                 # turning phi_S into the variable u
-                rel = ext.var(u) + (len(S) - 1) * ext.two_pi()
-                for j in S:
-                    if j != k:
-                        rel = rel - ext.var(j)
+                rel = ext.var(u) + ext.two_pi() - phi_form(ext, S - {k})
                 lifted = wcp.poly.compose(
                     ext,
                     [ext.pi()]

@@ -98,7 +98,7 @@ def mirzakhani_volume(g: int, n: int) -> VolumeResult:
     space = StabilitySpace(g, n)  # validates stability
     ring = angle_ring(n)
     d = 3 * g - 3 + n
-    total = ring.zero()
+    terms = {}  # (m, alpha) -> (2m, 2 alpha) is injective, so no merging
     for m in range(d + 1):
         pref = Fraction(2**m, factorial(m))
         for alpha in _compositions(d - m, n):
@@ -106,11 +106,10 @@ def mirzakhani_volume(g: int, n: int) -> VolumeResult:
             if num == 0:
                 continue
             coeff = pref * num
-            exps = [2 * m] + [2 * a for a in alpha]
             for a in alpha:
                 coeff *= Fraction((-1) ** a, 2**a * factorial(a))
-            total = total + ring.monomial(coeff, exps)
-    return VolumeResult(main_chamber(space), total, PROV_MAIN)
+            terms[(2 * m,) + tuple(2 * a for a in alpha)] = coeff
+    return VolumeResult(main_chamber(space), Poly.from_canonical(ring, terms), PROV_MAIN)
 
 
 # -- wall crossing -----------------------------------------------------------------
@@ -247,9 +246,7 @@ def minimal_chamber_volume_closed(n: int, j: int = 1) -> VolumeResult:
     space = StabilitySpace(0, n)
     ring = angle_ring(n)
     two_pi = ring.two_pi()
-    sum_all = ring.zero()
-    for k in range(1, n + 1):
-        sum_all = sum_all + ring.var(k)
+    sum_all = sum((ring.var(k) for k in range(1, n + 1)), ring.zero())
     f1 = (n - 2) * two_pi - sum_all
     f2 = (n - 2) * two_pi + 2 * ring.var(j) - sum_all
     poly = f1 ** (n - 3) * f2 ** (n - 3) / Fraction(2 ** (n - 3) * factorial(n - 3))
@@ -278,11 +275,9 @@ def losev_manin_volume(n: int) -> Poly:
         raise UnstableError("the closed form needs n >= 2")
     ring = PolyRing(("pi",) + tuple(f"e{i}" for i in range(1, n + 1)))
     poly = ring.const(Fraction(4) ** (n - 1)) * ring.pi() ** (2 * (n - 1))
-    total = ring.zero()
     for k in range(1, n + 1):
         poly = poly * ring.var(k)
-        total = total + ring.var(k)
-    return poly * total ** (n - 2)
+    return poly * sum((ring.var(k) for k in range(1, n + 1)), ring.zero()) ** (n - 2)
 
 
 def cp1n_chamber(n: int) -> Chamber:
@@ -304,13 +299,9 @@ def cp1n_volume(n: int) -> Poly:
     names = ("pi",) + tuple(f"e{i}" for i in range(1, n + 1)) + ("b1", "b2", "b3")
     ring = PolyRing(names)
     poly = ring.const(Fraction(4) ** n) * ring.pi() ** (2 * n)
-    bracket = ring.const(-2)
     for k in range(1, n + 1):
         poly = poly * ring.var(k)
-        bracket = bracket + ring.var(k)
-    for k in range(n + 1, n + 4):
-        bracket = bracket + ring.var(k)
-    return poly * bracket**n
+    return poly * sum((ring.var(k) for k in range(1, n + 4)), ring.const(-2)) ** n
 
 
 # -- limits and derivative identities ------------------------------------------------
@@ -342,9 +333,7 @@ def dilaton_rhs(c: Chamber, i: int) -> Poly:
     keep = [j for j in space.labels if j != i]
     q = c.q_set(i)
     coeff = ring.const(-(2 * space.g - 2 + len(keep))) * ring.two_pi()
-    for j in keep:
-        if j not in q:
-            coeff = coeff + ring.var(j)
+    coeff = sum((ring.var(j) for j in keep if j not in q), coeff)
     return coeff * _restricted_volume_in(ring, c, keep)
 
 
@@ -435,10 +424,8 @@ def incident_zero_check(c: Chamber, i: int) -> tuple[Poly, Poly, CrossingPath]:
     hull = light_hull(c, i)
     path = crossing_path(c, hull)
     ring = angle_ring(c.space.n)
-    two_pi = ring.two_pi()
-    rhs = ring.zero()
-    for above, wall in path.steps:
-        rhs = rhs - wall_crossing_poly(above, wall).poly.subs(i, two_pi)
+    crossings = (wall_crossing_poly(above, wall).poly for above, wall in path.steps)
+    rhs = -sum((wc.subs(i, ring.two_pi()) for wc in crossings), ring.zero())
     lhs = eval_at_2pi(chamber_volume(c), i)
     return lhs, rhs, path
 
@@ -464,14 +451,14 @@ def general_dilaton_check(
     v = chamber_volume(c).poly
     lhs = v.diff(i).subs(i, two_pi)
 
+    def dwc_sum(steps) -> Poly:
+        """The sum of d wc/d theta_i at theta_i = 2 pi over (chamber above, wall) steps."""
+        dwcs = (wall_crossing_poly(above, wall).poly.diff(i) for above, wall in steps)
+        return sum((dwc.subs(i, two_pi) for dwc in dwcs), ring.zero())
+
     if up_walls is None:
         hull = flat_hull(c, i)
-        path = crossing_path(c, hull)
-        rhs = dilaton_rhs(hull, i)
-        for above, wall in path.steps:
-            dwc = wall_crossing_poly(above, wall).poly.diff(i)
-            rhs = rhs - dwc.subs(i, two_pi)
-        return lhs, rhs
+        return lhs, dilaton_rhs(hull, i) - dwc_sum(crossing_path(c, hull).steps)
 
     walls = [frozenset(w) for w in up_walls]
     chain = [c]
@@ -480,12 +467,8 @@ def general_dilaton_check(
     flat_top = chain[-1]
     if not flat_top.is_flat(i):
         raise WpvolError("the chamber above the given walls is not flat in i")
-    rhs = dilaton_rhs(flat_top, i)
     # chain[1:] reversed lists the chambers crossed downward, in order
-    for above, wall in zip(reversed(chain[1:]), walls):
-        dwc = wall_crossing_poly(above, wall).poly.diff(i)
-        rhs = rhs + dwc.subs(i, two_pi)
-    return lhs, rhs
+    return lhs, dilaton_rhs(flat_top, i) + dwc_sum(zip(reversed(chain[1:]), walls))
 
 
 def clear_volume_cache() -> None:

@@ -1,23 +1,31 @@
 """Exact polynomial algebra: arithmetic, calculus, serialization."""
 
 import json
+import time
 from fractions import Fraction as F
+from math import factorial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wpvol
+from wpvol import reference as ref
+from wpvol.chambers import StabilitySpace, light_chamber, main_chamber
 from wpvol.errors import RingMismatchError, VariableRangeError
+from wpvol.intersection import kappa_psi_intersection
 from wpvol.numeric import evaluate_pi_poly, pi_decimal
 from wpvol.poly import (
     PI_RING,
+    Poly,
     PolyRing,
     angle_ring,
     phi_form,
     poly_from_json_dict,
     poly_from_text,
 )
+from wpvol.volumes import _compositions, chamber_volume, dilaton_check, mirzakhani_volume
 
 R2 = angle_ring(2)
 R4 = angle_ring(4)
@@ -217,13 +225,13 @@ def test_numeric_evaluation():
 # -- property tests --------------------------------------------------------------
 
 
-def small_polys(nvars=3, max_exp=3):
+def small_polys(nvars=3, max_exp=3, max_size=5):
     exps = st.tuples(*[st.integers(0, max_exp) for _ in range(nvars)])
     coeffs = st.fractions(
         min_value=-4, max_value=4, max_denominator=6
     )
     ring = PolyRing(("pi", "t1", "t2"))
-    return st.lists(st.tuples(exps, coeffs), max_size=5).map(
+    return st.lists(st.tuples(exps, coeffs), max_size=max_size).map(
         lambda items: sum((ring.monomial(c, e) for e, c in items), ring.zero())
     )
 
@@ -305,3 +313,247 @@ def test_printing_is_pinned():
     pinned = json.loads((Path(__file__).parent / "poly_printing.json").read_text())
     got = {name: [str(p), p.to_latex()] for name, p in printed_polys()}
     assert got == pinned
+
+
+# -- differential tests against the former kernel loops ------------------------------
+#
+# Each reference below is the loop the kernel ran before every operation merged
+# coefficients through one primitive, rewritten on plain term dicts so that it
+# shares no code with wpvol.poly.
+
+
+def ref_add(a, b):
+    terms = dict(a)
+    for e, c in b.items():
+        s = terms.get(e, 0) + c
+        if s:
+            terms[e] = s
+        else:
+            terms.pop(e, None)
+    return terms
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def ref_diff(a, v):
+    out = {}
+    for e, c in a.items():
+        k = e[v]
+        if k == 0:
+            continue
+        e2 = list(e)
+        e2[v] = k - 1
+        t = tuple(e2)
+        s = out.get(t, 0) + c * k
+        if s:
+            out[t] = s
+        else:
+            out.pop(t, None)
+    return out
+
+
+def ref_subs(a, v, value, nvars):
+    powers = [{(0,) * nvars: F(1)}]
+    out = {}
+    for e, c in a.items():
+        k = e[v]
+        while len(powers) <= k:
+            powers.append(ref_mul(powers[-1], value))
+        rest = e[:v] + (0,) + e[v + 1 :]
+        for pe, pc in powers[k].items():
+            t = tuple(x + y for x, y in zip(rest, pe))
+            out[t] = out.get(t, 0) + c * pc
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def ref_compose(a, images, nvars):
+    """The former compose: the whole result rebuilt once per source term."""
+    result = {}
+    for e, c in sorted(a.items()):
+        m = {(0,) * nvars: c}
+        for i, k in enumerate(e):
+            for _ in range(k):
+                m = ref_mul(m, images[i])
+        result = ref_add(result, m)
+    return result
+
+
+def ref_integrate_upper(a, t, upper, nvars):
+    anti = {}
+    for e, c in a.items():
+        e2 = list(e)
+        e2[t] = e[t] + 1
+        anti[tuple(e2)] = c / (e[t] + 1)
+    return ref_subs(anti, t, upper, nvars)
+
+
+def ref_evaluate_angles(a, values, nvars):
+    """The former evaluate_angles: one substitution pass per angle."""
+    for i, value in enumerate(values, start=1):
+        a = ref_subs(a, i, value, nvars)
+    return {(e[0],): c for e, c in a.items()}
+
+
+def terms_of(p):
+    """The term dict of ``p``, after asserting that it is canonical."""
+    assert all(c != 0 for c in p.terms.values()), p.terms
+    assert all(len(e) == p.ring.nvars and min(e) >= 0 for e in p.terms), p.terms
+    return dict(p.terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys(), small_polys(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_arithmetic_matches_reference(p, q, c):
+    a, b = terms_of(p), terms_of(q)
+    assert terms_of(p + q) == ref_add(a, b)
+    assert terms_of(p - q) == ref_add(a, {e: -x for e, x in b.items()})
+    assert terms_of(-p) == {e: -x for e, x in a.items()}
+    assert terms_of(p * q) == ref_mul(a, b)
+    assert terms_of(q**3) == ref_mul(ref_mul(b, b), b)
+    assert terms_of(p * c) == ref_mul(a, {(0, 0, 0): c} if c else {})
+    assert terms_of(p.diff(1)) == ref_diff(a, 1)
+    assert terms_of(q.diff(2)) == ref_diff(b, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys(), small_polys(), st.integers(0, 2))
+def test_subs_matches_reference(p, value, v):
+    assert terms_of(p.subs(v, value)) == ref_subs(terms_of(p), v, terms_of(value), 3)
+    assert terms_of(p.subs(v, p)) == ref_subs(dict(p.terms), v, dict(p.terms), 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), small_polys(max_exp=2, max_size=3), small_polys(max_exp=2, max_size=3))
+def test_compose_matches_reference(p, x, y):
+    target = p.ring
+    images = [target.pi(), x, y]
+    want = ref_compose(terms_of(p), [terms_of(im) for im in images], 3)
+    assert terms_of(p.compose(target, images)) == want
+    # into a larger ring, variables relabelled, as the volume engine uses it
+    big = angle_ring(4)
+    relabel = [big.pi(), big.var(4), big.var(2)]
+    want = ref_compose(terms_of(p), [terms_of(im) for im in relabel], 5)
+    assert terms_of(p.compose(big, relabel)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), small_polys(max_size=3))
+def test_integrate_upper_matches_reference(p, upper):
+    upper = upper.subs(2, 0)  # the bound must not involve the variable t2
+    assert terms_of(p.integrate_upper(2, upper)) == ref_integrate_upper(
+        terms_of(p), 2, terms_of(upper), 3
+    )
+    assert terms_of(p.integrate_upper(1, F(3, 2))) == ref_integrate_upper(
+        terms_of(p), 1, {(0, 0, 0): F(3, 2)}, 3
+    )
+
+
+def pi_multiples():
+    """Angle values q * pi^m: a Fraction, or a Poly of the test ring."""
+    ring = PolyRing(("pi", "t1", "t2"))
+    q = st.fractions(min_value=-2, max_value=2, max_denominator=5)
+    polys = st.tuples(q, st.integers(0, 2)).map(lambda t: ring.monomial(t[0], (t[1], 0, 0)))
+    return st.one_of(q, polys)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys(), pi_multiples(), pi_multiples())
+def test_evaluate_angles_matches_reference(p, x, y):
+    values = [x if isinstance(x, Poly) else p.ring.const(x) for x in (x, y)]
+    want = ref_evaluate_angles(terms_of(p), [terms_of(v) for v in values], 3)
+    got = p.evaluate_angles([x, y])
+    assert got.ring == PI_RING
+    assert terms_of(got) == want
+
+
+def test_evaluate_angles_rejects_angle_valued_inputs():
+    r = angle_ring(2)
+    t1, t2, pi = r.var(1), r.var(2), r.pi()
+    for values in ([pi, t1], [pi + 1, pi], [pi * t2, pi], [pi, R4.pi()], [pi, 0.5]):
+        with pytest.raises(VariableRangeError):
+            t2.evaluate_angles(values)
+    assert t2.evaluate_angles([pi, r.zero()]).is_zero()
+    assert (t1 * t2).evaluate_angles([2 * pi, F(1, 3) * pi**2]) == F(2, 3) * PI_RING.pi() ** 3
+
+
+def test_public_constructor_is_canonical():
+    p = Poly(R2, {(0, 1, 0): F(0), (0, 0, 1): F(2)})
+    assert p.terms == {(0, 0, 1): F(2)}
+    assert p == 2 * R2.var(2) and hash(p) == hash(2 * R2.var(2))
+
+
+def test_terms_are_read_only_and_the_memo_survives():
+    c = light_chamber(StabilitySpace(1, 2))
+    vr = chamber_volume(c)
+    before = vr.poly.to_json_dict()
+    e = next(iter(vr.poly.terms))
+    with pytest.raises(TypeError):
+        vr.poly.terms[e] = F(7)
+    with pytest.raises(TypeError):
+        del vr.poly.terms[e]
+    with pytest.raises(AttributeError):  # a read-only view has no clear/pop/update
+        vr.poly.terms.clear()
+    assert chamber_volume(c).poly.to_json_dict() == before
+    assert chamber_volume(c).poly == ref.v_light_12()
+
+
+def test_json_and_monomial_reject_malformed_exponents():
+    dup = {"vars": ["pi", "t1"], "terms": [{"c": "1/1", "e": [0, 1]}, {"c": "2/1", "e": [0, 1]}]}
+    neg = {"vars": ["pi", "t1"], "terms": [{"c": "1/1", "e": [0, -1]}]}
+    short = {"vars": ["pi", "t1"], "terms": [{"c": "1/1", "e": [1]}]}
+    for data in (dup, neg, short):
+        with pytest.raises(ValueError):
+            wpvol.poly_from_json_dict(data)
+    with pytest.raises(ValueError):
+        R2.monomial(1, (0, -1, 0))
+    with pytest.raises(ValueError):
+        poly_from_text(R2, "t1^-1")
+
+
+def mirzakhani_per_monomial(g, n):
+    """Reference: the former mirzakhani_volume, which added one monomial at a time."""
+    d = 3 * g - 3 + n
+    total = {}
+    for m in range(d + 1):
+        for alpha in _compositions(d - m, n):
+            num = kappa_psi_intersection(g, m, alpha)
+            if num == 0:
+                continue
+            coeff = F(2**m, factorial(m)) * num
+            for a in alpha:
+                coeff *= F((-1) ** a, 2**a * factorial(a))
+            total = ref_add(total, {(2 * m,) + tuple(2 * a for a in alpha): coeff})
+    return total
+
+
+STABLE_UP_TO_DIM_5 = [
+    (g, n) for g in range(3) for n in range(1, 9) if 2 * g - 2 + n > 0 and 3 * g - 3 + n <= 5
+]
+
+
+@pytest.mark.parametrize("g,n", STABLE_UP_TO_DIM_5)
+def test_mirzakhani_volume_matches_per_monomial_sum(g, n):
+    assert terms_of(mirzakhani_volume(g, n).poly) == mirzakhani_per_monomial(g, n)
+
+
+def test_v36_and_its_dilaton_identity():
+    """V_{3,6} (18 564 terms) and the dilaton identity of its main chamber,
+    which is flat in 6: sizes the former per-term rebuild loops could not reach
+    within a test (about 100 s for V_{3,6} alone)."""
+    start = time.monotonic()
+    v = mirzakhani_volume(3, 6).poly
+    assert len(v.terms) == 18564 and v.is_homogeneous(24)
+    lhs, rhs = dilaton_check(main_chamber(StabilitySpace(3, 6)), 6)
+    assert lhs == rhs and not lhs.is_zero()
+    print(f"[V_3,6 and its dilaton identity] {time.monotonic() - start:.1f}s")
