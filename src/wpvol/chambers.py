@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
@@ -170,11 +171,16 @@ class Chamber:
         S = tuple(sorted(set(S)))
         if S not in self.light_max:
             raise NotIncidentError(f"{list(S)} is not a maximal light set of {self}")
-        subwalls = tuple(itertools.combinations(S, len(S) - 1)) if len(S) > 2 else ()
-        above = Chamber(self.space, tuple(s for s in self.light_max if s != S) + subwalls)
+        above = self._above(S)
         if not above.is_realizable():
             raise NotRealizableError(f"no weight vector above W_{list(S)} from {self}")
         return above
+
+    def _above(self, S: tuple[int, ...]) -> "Chamber":
+        """The chamber above W_S for S a maximal light set, not checked for
+        realizability."""
+        subwalls = tuple(itertools.combinations(S, len(S) - 1)) if len(S) > 2 else ()
+        return Chamber(self.space, tuple(s for s in self.light_max if s != S) + subwalls)
 
     def quotient(self, S: Iterable[int]) -> "Chamber":
         """Merge the points of S into one point, placed last."""
@@ -362,13 +368,19 @@ def witness(c: Chamber) -> WeightVector:
 
 
 def classify(w: WeightVector) -> Chamber:
-    """The chamber containing w; exact, raises OnWallError on any wall."""
+    """The chamber containing w; exact, raises OnWallError on any wall.
+
+    The weights are put over one common denominator, so each subset sum is
+    compared with 1 in integers.
+    """
+    den = lcm(*(x.denominator for x in w.a))
+    nums = [0] + [x.numerator * (den // x.denominator) for x in w.a]
     light = []
     for J in w.space.subsets():
-        total = sum(w.a[j - 1] for j in J)
-        if total == 1:
+        total = sum(nums[j] for j in J)
+        if total == den:
             raise OnWallError(J)
-        if total < 1:
+        if total < den:
             light.append(tuple(sorted(J)))
     return Chamber(w.space, tuple(light))
 
@@ -399,17 +411,19 @@ def last_crossing(src: Chamber, dst: Chamber) -> tuple[Chamber, frozenset[int]]:
     """The last simple crossing of a path from ``src`` down to ``dst``.
 
     Returns (above, S) with ``above.cross(S) == dst`` and ``above`` still
-    below ``src``: S is the first maximal light set of ``dst``, heavy in
-    ``src``, whose uncrossing is realizable.  One exists whenever ``src`` lies
+    below ``src``: S is a maximal light set of ``dst``, heavy in ``src``,
+    whose uncrossing is realizable.  One exists whenever ``src`` lies
     strictly above ``dst``: the last wall a generic segment from ``src`` to
-    ``dst`` crosses is such a set.
+    ``dst`` crosses is such a set.  Candidates whose chamber above is already
+    known to be realizable are tried first, so no LP is solved when one is;
+    when every realizable chamber is known (after ``enumerate_chambers``),
+    S is the first realizable candidate in ``light_max`` order.
     """
-    for S in dst.light_max:
-        if src.value(S) == 1:
-            try:
-                return dst.uncross(S), frozenset(S)
-            except NotRealizableError:
-                continue
+    candidates = [(dst._above(S), S) for S in dst.light_max if src.value(S) == 1]
+    candidates.sort(key=lambda pair: _realize_cache.get(pair[0]) is None)
+    for above, S in candidates:
+        if above.is_realizable():
+            return above, frozenset(S)
     raise NotComparableError(f"{src} does not lie strictly above {dst}")
 
 

@@ -5,34 +5,39 @@ optionally one trailing integration variable.  The symbol pi is always index 0
 and is never treated numerically here; numeric evaluation lives in
 :mod:`wpvol.numeric`.
 
-A :class:`Poly` is a map from exponent vectors to nonzero Fraction
-coefficients.  Polys are immutable values in canonical form (no stored zeros,
-exponent tuples of ring length), so equality is plain term-map equality and
-instances can be shared freely; ``Poly.terms`` is a read-only view.
+A :class:`Poly` stores integer numerators over one common denominator: a map
+``nums`` from exponent vectors to nonzero ints, and ``den > 0`` with
+``gcd(den, *nums) == 1``.  This form is unique, so Polys are immutable values
+compared by ring, denominator and numerators, and instances can be shared
+freely.  All arithmetic runs on Python ints; ``Poly.terms`` is a read-only
+``Mapping[tuple, Fraction]`` view that builds each ``Fraction`` on demand.
 
 Coefficients are merged in one place, :func:`accumulate`, and every operation
-makes one pass into one dict.  ``Poly(ring, terms)`` is ``accumulate`` over
-``terms``; the trusted constructor :meth:`Poly.from_canonical` adopts a
-canonical dict without copying or filtering it.  ``evaluate_angles`` takes
-each angle as q * pi^m (a rational, zero, or a one-term Poly in pi alone).
+makes one pass into one dict.  The trusted constructor
+:meth:`Poly.from_canonical` adopts a numerator dict without copying or
+filtering it and divides out the one common gcd; ``Poly(ring, terms)`` puts
+rational ``terms`` over their lcm first.  ``evaluate_angles`` takes each angle
+as q * pi^m (a rational, zero, or a one-term Poly in pi alone).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import RingMismatchError, VariableRangeError
 from .rationals import format_rat, rat
 
 Scalar = Union[int, Fraction]
-Terms = dict[tuple[int, ...], Fraction]
+Nums = dict[tuple[int, ...], int]
 
 
-def accumulate(out: Terms, pairs: Iterable[tuple[tuple[int, ...], Fraction]]) -> Terms:
+def accumulate(out: dict, pairs: Iterable[tuple[tuple[int, ...], Scalar]]) -> dict:
     """Add each (exponents, coefficient) pair into ``out``, dropping cancelled sums."""
     get, pop = out.get, out.pop
     for e, c in pairs:
@@ -42,6 +47,22 @@ def accumulate(out: Terms, pairs: Iterable[tuple[tuple[int, ...], Fraction]]) ->
         else:
             pop(e, None)
     return out
+
+
+def _mul_nums(a: Nums, b: Nums) -> Nums:
+    """Product of two numerator dicts."""
+    right = b.items()
+    return accumulate(
+        {}, ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in a.items() for e2, c2 in right)
+    )
+
+
+def _power_table(base: Nums, top: int, unit: tuple[int, ...]) -> list[Nums]:
+    """``[base^0, ..., base^top]`` as numerator dicts."""
+    table = [{unit: 1}]
+    for _ in range(top):
+        table.append(_mul_nums(table[-1], base))
+    return table
 
 
 @dataclass(frozen=True)
@@ -66,13 +87,10 @@ class PolyRing:
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> "Poly":
-        return Poly.from_canonical(self, {})
+        return Poly.from_canonical(self, {}, 1)
 
     def const(self, c: Scalar) -> "Poly":
-        c = rat(c)
-        if c == 0:
-            return self.zero()
-        return Poly.from_canonical(self, {(0,) * self.nvars: c})
+        return self.monomial(c, (0,) * self.nvars)
 
     def one(self) -> "Poly":
         return self.const(1)
@@ -82,7 +100,7 @@ class PolyRing:
             raise VariableRangeError(f"variable index {i} out of range")
         e = [0] * self.nvars
         e[i] = 1
-        return Poly.from_canonical(self, {tuple(e): Fraction(1)})
+        return Poly.from_canonical(self, {tuple(e): 1}, 1)
 
     def pi(self) -> "Poly":
         return self.var(0)
@@ -98,7 +116,7 @@ class PolyRing:
         c = rat(c)
         if c == 0:
             return self.zero()
-        return Poly.from_canonical(self, {tuple(int(e) for e in exps): c})
+        return Poly.from_canonical(self, {tuple(int(e) for e in exps): c.numerator}, c.denominator)
 
 
 def angle_ring(n: int, extra: str | None = None) -> PolyRing:
@@ -112,48 +130,89 @@ def angle_ring(n: int, extra: str | None = None) -> PolyRing:
 PI_RING = PolyRing(("pi",))
 
 
+class Terms(Mapping):
+    """Read-only view of a Poly as exponents -> Fraction; values are built on
+    demand and not stored, so the view costs no memory per term."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: Nums, den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, e: tuple[int, ...]) -> Fraction:
+        return Fraction(self._nums[e], self._den)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __contains__(self, e) -> bool:
+        return e in self._nums
+
+
+_set = object.__setattr__
+
+
 class Poly:
-    """Immutable sparse polynomial over Fraction."""
+    """Immutable sparse polynomial: integer numerators over one denominator."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "_nums", "den", "_hash")
 
-    def __new__(cls, ring: PolyRing, terms: Mapping[tuple[int, ...], Fraction]):
-        return cls.from_canonical(ring, accumulate({}, terms.items()))
+    def __new__(cls, ring: PolyRing, terms: Mapping[tuple[int, ...], Scalar]):
+        return _from_pairs(ring, terms.items())
 
     @classmethod
-    def from_canonical(cls, ring: PolyRing, terms: Terms) -> "Poly":
-        """Trusted constructor: adopt ``terms`` (nonzero coefficients, exponent
-        tuples of ring length) without copying or filtering it."""
+    def from_canonical(cls, ring: PolyRing, nums: Nums, den: int) -> "Poly":
+        """Trusted constructor: adopt ``nums`` (nonzero ints, exponent tuples
+        of ring length) over ``den > 0`` without copying or filtering it,
+        after dividing out the common gcd of ``den`` and every numerator."""
+        g = gcd(den, *nums.values()) if den != 1 else 1
+        if g != 1:
+            nums = {e: c // g for e, c in nums.items()}
+            den //= g
         p = object.__new__(cls)
-        object.__setattr__(p, "ring", ring)
-        object.__setattr__(p, "terms", MappingProxyType(terms))
-        object.__setattr__(p, "_hash", None)
+        _set(p, "ring", ring)
+        _set(p, "_nums", nums)
+        _set(p, "den", den)
+        _set(p, "_hash", None)
         return p
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
+    @property
+    def nums(self) -> Mapping[tuple[int, ...], int]:
+        """The integer numerators, read-only; each coefficient is nums[e] / den."""
+        return MappingProxyType(self._nums)
+
+    @property
+    def terms(self) -> Terms:
+        return Terms(self._nums, self.den)
+
     # -- basic protocol ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.ring == other.ring and self.terms == other.terms
+            return self.ring == other.ring and self.den == other.den and self._nums == other._nums
         if isinstance(other, (int, Fraction)):
             return self == self.ring.const(other)
         return NotImplemented
 
     def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
+        h = self._hash
         if h is None:
             h = hash((self.ring, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
         return h
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -172,12 +231,17 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Poly.from_canonical(self.ring, accumulate(self.terms.copy(), other.terms.items()))
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g  # da * fa == db * fb == lcm(da, db)
+        left = {e: c * fa for e, c in self._nums.items()} if fa != 1 else self._nums.copy()
+        right = ((e, c * fb) for e, c in other._nums.items()) if fb != 1 else other._nums.items()
+        return Poly.from_canonical(self.ring, accumulate(left, right), da * fa)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly.from_canonical(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly.from_canonical(self.ring, {e: -c for e, c in self._nums.items()}, self.den)
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -190,18 +254,16 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            q = rat(other)
-            if q == 0:
+            if other == 0:
                 return self.ring.zero()
-            return Poly.from_canonical(self.ring, {e: c * q for e, c in self.terms.items()})
+            q = other.numerator
+            nums = {e: c * q for e, c in self._nums.items()} if q != 1 else self._nums
+            return Poly.from_canonical(self.ring, nums, self.den * other.denominator)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        right = other.terms.items()
-        pairs = (
-            (tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in right
-        )
-        return Poly.from_canonical(self.ring, accumulate({}, pairs))
+        nums = _mul_nums(self._nums, other._nums)
+        return Poly.from_canonical(self.ring, nums, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -224,31 +286,35 @@ class Poly:
         """Formal partial derivative with respect to variable v (not pi)."""
         if not 1 <= v < self.ring.nvars:
             raise VariableRangeError(f"cannot differentiate in variable index {v}")
-        terms = self.terms.items()
-        return Poly.from_canonical(
-            self.ring, {e[:v] + (e[v] - 1,) + e[v + 1 :]: c * e[v] for e, c in terms if e[v]}
-        )
+        nums = {e[:v] + (e[v] - 1,) + e[v + 1 :]: c * e[v] for e, c in self._nums.items() if e[v]}
+        return Poly.from_canonical(self.ring, nums, self.den)
 
     def subs(self, v: int, value: Union["Poly", Scalar]) -> "Poly":
-        """Substitute variable v by a Poly or rational; exact composition."""
+        """Substitute variable v by a Poly or rational; exact composition.
+
+        With value = N / d, each term c * x_v^k becomes c * d^(K-k) * N^k over
+        the common d^K, K the degree in v.
+        """
         if not 0 <= v < self.ring.nvars:
             raise VariableRangeError(f"variable index {v} out of range")
         if not isinstance(value, Poly):
             value = self.ring.const(value)
         if value.ring != self.ring:
             raise RingMismatchError("substitution value lives in a different ring")
-        powers: list[Poly] = [self.ring.one()]
+        top = max(self.degree_in(v), 0)
+        powers = _power_table(value._nums, top, (0,) * self.ring.nvars)
+        d = value.den
+        pad = [d ** (top - k) for k in range(top + 1)]
 
         def pairs():
-            for e, c in self.terms.items():
+            for e, c in self._nums.items():
                 k = e[v]
-                while len(powers) <= k:
-                    powers.append(powers[-1] * value)
+                c *= pad[k]
                 rest = e[:v] + (0,) + e[v + 1 :]
-                for pe, pc in powers[k].terms.items():
+                for pe, pc in powers[k].items():
                     yield tuple(map(add, rest, pe)), c * pc
 
-        return Poly.from_canonical(self.ring, accumulate({}, pairs()))
+        return Poly.from_canonical(self.ring, accumulate({}, pairs()), self.den * d**top)
 
     def integrate_upper(self, t: int, upper: Union["Poly", Scalar]) -> "Poly":
         """Exact integral from 0 to ``upper`` in variable t.
@@ -263,13 +329,16 @@ class Poly:
             upper = self.ring.const(upper)
         if upper.ring != self.ring:
             raise RingMismatchError("upper bound lives in a different ring")
-        terms = self.terms.items()
+        nums = self._nums.items()
+        scale = lcm(*{e[t] + 1 for e in self._nums})
         antiderivative = Poly.from_canonical(
-            self.ring, {e[:t] + (e[t] + 1,) + e[t + 1 :]: c / (e[t] + 1) for e, c in terms}
+            self.ring,
+            {e[:t] + (e[t] + 1,) + e[t + 1 :]: c * (scale // (e[t] + 1)) for e, c in nums},
+            self.den * scale,
         )
         if upper == self.ring.var(t):
             return antiderivative
-        if any(e[t] for e in upper.terms):
+        if any(e[t] for e in upper._nums):
             raise VariableRangeError("upper bound involves the integration variable")
         return antiderivative.subs(t, upper)
 
@@ -277,17 +346,17 @@ class Poly:
 
     def total_degree(self) -> int:
         """Total degree counting pi as a degree-1 variable; zero poly has -1."""
-        if not self.terms:
+        if not self._nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._nums)
 
     def degree_in(self, v: int) -> int:
-        if not self.terms:
+        if not self._nums:
             return -1
-        return max(e[v] for e in self.terms)
+        return max(e[v] for e in self._nums)
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(sum(e) == d for e in self.terms)
+        return all(sum(e) == d for e in self._nums)
 
     # -- ring moves -------------------------------------------------------------
 
@@ -295,7 +364,9 @@ class Poly:
         """Map this poly into ``target`` sending variable i to images[i].
 
         images[0] must be the target pi; this keeps pi formal through every
-        change of variables.
+        change of variables.  Each term is expanded against integer power
+        tables of the images, padded to the common denominator
+        den * prod d_i^K_i (d_i the image denominators, K_i the degrees).
         """
         if len(images) != self.ring.nvars:
             raise VariableRangeError("need one image per source variable")
@@ -304,51 +375,75 @@ class Poly:
                 raise RingMismatchError("image polynomial in wrong ring")
         if images[0] != target.pi():
             raise ValueError("pi must map to pi")
-        powers = [[target.one(), im] for im in images]
+        unit = (0,) * target.nvars
+        tops = [max(self.degree_in(i), 0) for i in range(self.ring.nvars)]
+        tables = [_power_table(im._nums, top, unit) for im, top in zip(images, tops)]
+        dens = [im.den for im in images]
+        padded = any(d != 1 for d in dens)
+        den = self.den
+        for d, top in zip(dens, tops):
+            den *= d**top
 
         def pairs():
-            for e, c in self.terms.items():
-                m = target.const(c)
-                for i, k in enumerate(e):
+            for e, c in self._nums.items():
+                if padded:
+                    for d, top, k in zip(dens, tops, e):
+                        c *= d ** (top - k)
+                partial = [(unit, c)]
+                for table, k in zip(tables, e):
                     if k:
-                        p = powers[i]
-                        while len(p) <= k:
-                            p.append(p[-1] * images[i])
-                        m = m * p[k]
-                yield from m.terms.items()
+                        factor = table[k].items()
+                        partial = [
+                            (tuple(map(add, pe, fe)), pc * fc)
+                            for pe, pc in partial
+                            for fe, fc in factor
+                        ]
+                yield from partial
 
-        return Poly.from_canonical(target, accumulate({}, pairs()))
+        return Poly.from_canonical(target, accumulate({}, pairs()), den)
 
     def drop_last_var(self) -> "Poly":
         """Project into the ring without the trailing variable (must be unused)."""
         if self.degree_in(self.ring.nvars - 1) > 0:
             raise VariableRangeError("polynomial still involves the last variable")
         ring = PolyRing(self.ring.names[:-1])
-        return Poly.from_canonical(ring, {e[:-1]: c for e, c in self.terms.items()})
+        return Poly.from_canonical(ring, {e[:-1]: c for e, c in self._nums.items()}, self.den)
 
     def evaluate_angles(self, values: Sequence[Union["Poly", Scalar]]) -> "Poly":
         """Substitute every angle variable; result is univariate in pi.
 
         ``values`` holds one entry per angle variable (indices 1..n), each
         theta_j = q_j * pi^m_j: a rational, zero, or a one-term Poly of this
-        ring in pi alone; anything else raises VariableRangeError.  Each term
-        c * pi^e0 * prod theta_j^k_j gives c * prod q_j^k_j * pi^(e0 + sum m_j k_j).
+        ring in pi alone; anything else raises VariableRangeError.  With the
+        q_j over one denominator B, q_j = A_j / B, and K the total degree (so
+        K >= sum k_j), each term c * pi^e0 * prod theta_j^k_j gives the
+        numerator c * prod A_j^k_j * B^(K - sum k_j) at pi^(e0 + sum m_j k_j),
+        over the common den * B^K.
         """
         if len(values) != self.ring.nvars - 1:
             raise VariableRangeError(
                 f"need {self.ring.nvars - 1} values, got {len(values)}"
             )
         angles = [_pi_multiple(self.ring, x) for x in values]
+        B = lcm(*(b for _, b, _ in angles))
+        top = max(map(sum, self._nums), default=0)
+        powers = [[(a * (B // b)) ** k for k in range(top + 1)] for a, b, _ in angles]
+        pad = [B ** (top - s) for s in range(top + 1)]
+        shifts = [m for _, _, m in angles]
 
         def pairs():
-            for e, c in self.terms.items():
-                num, den, m = c.numerator, c.denominator, e[0]
-                for (a, b, mj), k in zip(angles, e[1:]):
+            for e, c in self._nums.items():
+                m, s = e[0], 0
+                for table, mj, k in zip(powers, shifts, e[1:]):
                     if k:
-                        num, den, m = num * a**k, den * b**k, m + mj * k
-                yield (m,), Fraction(num, den)
+                        c *= table[k]
+                        m += mj * k
+                        s += k
+                yield m, c * pad[s]
 
-        return Poly.from_canonical(PI_RING, accumulate({}, pairs()))
+        by_power = accumulate({}, pairs())
+        nums = {(m,): c for m, c in by_power.items()}
+        return Poly.from_canonical(PI_RING, nums, self.den * B**top)
 
     # -- printing ---------------------------------------------------------------
 
@@ -368,7 +463,7 @@ class Poly:
         coefficient; ``sep`` joins the coefficient and the factors.  A unit
         coefficient is omitted unless the term is constant.
         """
-        if not self.terms:
+        if not self._nums:
             return "0"
         out = ""
         for e, c in sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-x for x in t[0]))):
@@ -427,6 +522,14 @@ class Poly:
         }
 
 
+def _from_pairs(ring: PolyRing, pairs: Iterable[tuple[tuple[int, ...], Scalar]]) -> Poly:
+    """The Poly summing rational (exponents, coefficient) pairs, put over their lcm."""
+    pairs = list(pairs)
+    den = lcm(*(c.denominator for _, c in pairs))
+    nums = ((e, c.numerator * (den // c.denominator)) for e, c in pairs)
+    return Poly.from_canonical(ring, accumulate({}, nums), den)
+
+
 def poly_from_text(ring: PolyRing, text: str) -> Poly:
     """Parse the canonical text form produced by str(poly)."""
     text = text.strip()
@@ -451,7 +554,7 @@ def poly_from_text(ring: PolyRing, text: str) -> Poly:
                 raise ValueError(f"negative exponent in {chunk!r}")
             yield tuple(exps), coeff
 
-    return Poly.from_canonical(ring, accumulate({}, pairs()))
+    return _from_pairs(ring, pairs())
 
 
 def poly_from_json_dict(data: Mapping) -> Poly:
@@ -473,11 +576,11 @@ def _pi_multiple(ring: PolyRing, x: Union[Poly, Scalar]) -> tuple[int, int, int]
     with at most one term, in pi alone; anything else raises VariableRangeError."""
     if isinstance(x, (int, Fraction)):
         x = ring.const(x)
-    if isinstance(x, Poly) and x.ring == ring and len(x.terms) <= 1:
+    if isinstance(x, Poly) and x.ring == ring and len(x._nums) <= 1:
         # the zero Poly is 0 * pi^0
-        ((e, q),) = x.terms.items() or (((0,) * ring.nvars, Fraction(0)),)
+        ((e, a),) = x._nums.items() or (((0,) * ring.nvars, 0),)
         if not any(e[1:]):
-            return q.numerator, q.denominator, e[0]
+            return a, x.den, e[0]
     raise VariableRangeError(f"angle value {x} is not a rational multiple of a power of pi")
 
 

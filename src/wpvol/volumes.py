@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Optional, Sequence
 
 from .chambers import (
@@ -98,18 +98,22 @@ def mirzakhani_volume(g: int, n: int) -> VolumeResult:
     space = StabilitySpace(g, n)  # validates stability
     ring = angle_ring(n)
     d = 3 * g - 3 + n
-    terms = {}  # (m, alpha) -> (2m, 2 alpha) is injective, so no merging
+    # the coefficient 2^m / m! * <...> * prod (-1)^a / (2^a a!) as p / q, with
+    # |alpha| = d - m; (m, alpha) -> (2m, 2 alpha) is injective, so no merging
+    terms = {}
     for m in range(d + 1):
-        pref = Fraction(2**m, factorial(m))
+        sign = (-1) ** (d - m)
         for alpha in _compositions(d - m, n):
             num = kappa_psi_intersection(g, m, alpha)
             if num == 0:
                 continue
-            coeff = pref * num
+            q = factorial(m) * 2 ** (d - m) * num.denominator
             for a in alpha:
-                coeff *= Fraction((-1) ** a, 2**a * factorial(a))
-            terms[(2 * m,) + tuple(2 * a for a in alpha)] = coeff
-    return VolumeResult(main_chamber(space), Poly.from_canonical(ring, terms), PROV_MAIN)
+                q *= factorial(a)
+            terms[(2 * m,) + tuple(2 * a for a in alpha)] = sign * 2**m * num.numerator, q
+    den = lcm(*(q for _, q in terms.values()))
+    nums = {e: p * (den // q) for e, (p, q) in terms.items()}
+    return VolumeResult(main_chamber(space), Poly.from_canonical(ring, nums, den), PROV_MAIN)
 
 
 # -- wall crossing -----------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Chamber combinatorics, realizability LP, paths and enumeration."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
+import wpvol.chambers as chambers
 from wpvol.chambers import (
     Chamber,
     StabilitySpace,
@@ -386,3 +388,107 @@ def test_chamber_json_round_trip():
     assert data == {"g": 0, "n": 4, "light_max": [[2, 4], [3, 4]]}
     assert chamber_from_json_dict(data) == b2
     assert chamber_from_json_dict({"light_max": [[2, 4], [3, 4]]}, g=0, n=4) == b2
+
+
+def classify_by_fraction_sums(w):
+    """Reference: the former classify, one Fraction sum per subset."""
+    light = []
+    for J in w.space.subsets():
+        total = sum(w.a[j - 1] for j in J)
+        if total == 1:
+            return J
+        if total < 1:
+            light.append(tuple(sorted(J)))
+    return Chamber(w.space, tuple(light))
+
+
+def seeded_weight_vectors(seed, count):
+    """Weights p/q with mixed denominators; about a third are put on a wall
+    by making the weights of a random subset J sum to exactly 1."""
+    rng = random.Random(seed)
+    spaces = [S04, S05, S12, StabilitySpace(1, 3), StabilitySpace(2, 3), StabilitySpace(1, 5)]
+    out = []
+    while len(out) < count:
+        space = rng.choice(spaces)
+        dens = [rng.choice([2, 3, 5, 7, 12, 1000]) for _ in space.labels]
+        a = [F(rng.randint(1, q), q) for q in dens]
+        if rng.random() < 0.35:
+            J = rng.sample(list(space.labels), rng.randint(2, space.n))
+            cuts = sorted(F(rng.randint(1, 59), 60) for _ in J[1:])
+            parts = [hi - lo for lo, hi in zip([F(0)] + cuts, cuts + [F(1)])]
+            if min(parts) <= 0:
+                continue
+            for j, x in zip(J, parts):
+                a[j - 1] = x
+        try:
+            out.append(WeightVector(space, tuple(a)))
+        except ValueError:  # total weight too small for the space
+            continue
+    return out
+
+
+def test_integer_classify_matches_fraction_subset_sums():
+    on_wall = 0
+    for w in seeded_weight_vectors(20260, 600):
+        want = classify_by_fraction_sums(w)
+        if isinstance(want, Chamber):
+            assert classify(w) == want
+        else:
+            on_wall += 1
+            with pytest.raises(OnWallError) as err:
+                classify(w)
+            assert err.value.wall == want
+    assert on_wall > 50  # the on-wall branch is exercised
+
+
+def test_last_crossing_after_enumeration_solves_no_lp(monkeypatch):
+    """After enumeration every realizable chamber is known, so last_crossing
+    solves no LP and returns the first realizable candidate in light_max
+    order, as it did before known candidates were tried first."""
+    for space in (S05, StabilitySpace(1, 4)):
+        known = set(enumerate_chambers(space))
+        top = main_chamber(space)
+        expected = {
+            c: next((c.uncross(S), frozenset(S)) for S in c.light_max if _uncrossable(c, S))
+            for c in known
+            if c.light_max
+        }
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("simplex_max called for a known chamber")
+
+        monkeypatch.setattr(chambers, "simplex_max", no_lp)
+        for c, want in expected.items():
+            above, S = chambers.last_crossing(top, c)
+            assert (above, S) == want
+            assert above in known and above.cross(S) == c
+        monkeypatch.undo()
+
+
+def test_last_crossing_tries_known_realizable_first(monkeypatch):
+    """With only the last realizable candidate known, last_crossing returns it
+    without solving an LP for the unknown candidates before it."""
+    def no_lp(*args, **kwargs):
+        raise AssertionError("simplex_max called although a known candidate exists")
+
+    top = main_chamber(S05)
+    checked = 0
+    for c in enumerate_chambers(S05):
+        walls = [S for S in c.light_max if _uncrossable(c, S)]
+        if len(c.light_max) < 2 or not walls or walls[-1] == c.light_max[0]:
+            continue
+        above = c.uncross(walls[-1])
+        monkeypatch.setattr(chambers, "_realize_cache", {above: chambers.realize(above)})
+        monkeypatch.setattr(chambers, "simplex_max", no_lp)
+        assert chambers.last_crossing(top, c) == (above, frozenset(walls[-1]))
+        monkeypatch.undo()
+        checked += 1
+    assert checked > 100
+
+
+def _uncrossable(c, S):
+    try:
+        c.uncross(S)
+    except NotRealizableError:
+        return False
+    return True

@@ -3,7 +3,7 @@
 import json
 import time
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -236,31 +236,43 @@ def small_polys(nvars=3, max_exp=3, max_size=5):
     )
 
 
+def canonical(p):
+    """``p``, after asserting the stored form: den > 0, gcd(den, *nums) == 1,
+    nonzero int numerators, exponent tuples of ring length."""
+    assert isinstance(p.den, int) and p.den > 0, p.den
+    assert gcd(p.den, *p.nums.values()) == 1, (p.den, dict(p.nums))
+    assert all(isinstance(c, int) and c != 0 for c in p.nums.values()), dict(p.nums)
+    assert all(len(e) == p.ring.nvars and min(e) >= 0 for e in p.nums), dict(p.nums)
+    assert len(p.terms) == len(p.nums)
+    return p
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_polys(), small_polys(), small_polys())
 def test_ring_axioms(p, q, r):
-    assert p + q == q + p
-    assert p * q == q * p
-    assert (p + q) + r == p + (q + r)
-    assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
+    assert canonical(p + q) == canonical(q + p)
+    assert canonical(p * q) == canonical(q * p)
+    assert canonical((p + q) + r) == canonical(p + (q + r))
+    assert canonical((p * q) * r) == canonical(p * (q * r))
+    assert canonical(p * (q + r)) == canonical(p * q + p * r)
+    assert canonical(p - p).is_zero() and (p - p).den == 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_polys(), small_polys(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
 def test_substitution_commutes_with_arithmetic(p, q, c):
     ring = p.ring
-    assert (p + q).subs(1, c) == p.subs(1, c) + q.subs(1, c)
-    assert (p * q).subs(1, c) == p.subs(1, c) * q.subs(1, c)
+    assert canonical((p + q).subs(1, c)) == canonical(p.subs(1, c) + q.subs(1, c))
+    assert canonical((p * q).subs(1, c)) == canonical(p.subs(1, c) * q.subs(1, c))
     value = ring.const(c) * ring.pi()  # rational multiple of pi
-    assert (p * q).subs(2, value) == p.subs(2, value) * q.subs(2, value)
+    assert canonical((p * q).subs(2, value)) == canonical(p.subs(2, value) * q.subs(2, value))
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_polys())
 def test_serialization_round_trip_property(p):
-    assert poly_from_json_dict(p.to_json_dict()) == p
-    assert poly_from_text(p.ring, str(p)) == p
+    assert canonical(poly_from_json_dict(p.to_json_dict())) == p
+    assert canonical(poly_from_text(p.ring, str(p))) == p
 
 
 def subs_per_term(p, v, value):
@@ -281,7 +293,7 @@ def subs_per_term(p, v, value):
 @settings(max_examples=80, deadline=None)
 @given(small_polys(), small_polys(), st.integers(0, 2))
 def test_subs_matches_per_term_formula(p, value, v):
-    assert p.subs(v, value) == subs_per_term(p, v, value)
+    assert canonical(p.subs(v, value)) == subs_per_term(p, v, value)
 
 
 def printed_polys():
@@ -407,6 +419,7 @@ def ref_evaluate_angles(a, values, nvars):
 
 def terms_of(p):
     """The term dict of ``p``, after asserting that it is canonical."""
+    canonical(p)
     assert all(c != 0 for c in p.terms.values()), p.terms
     assert all(len(e) == p.ring.nvars and min(e) >= 0 for e in p.terms), p.terms
     return dict(p.terms)
@@ -493,6 +506,41 @@ def test_public_constructor_is_canonical():
     assert p == 2 * R2.var(2) and hash(p) == hash(2 * R2.var(2))
 
 
+def test_two_routes_to_one_value_are_equal_and_hash_alike():
+    """The stored (nums, den) form is unique, whatever the route to it."""
+    t1, t2, pi = R2.var(1), R2.var(2), R2.pi()
+    pairs = [
+        (Poly(R2, {(0, 1, 0): F(2, 4)}), t1 / 2),
+        (Poly(R2, {(0, 1, 0): F(2, 4)}), t1 / 6 + t1 / 3),
+        (t1 / 4 + t2 / 4 - t2 / 4, Poly(R2, {(0, 1, 0): F(1, 4)})),
+        (t1 / 3 * 3, t1),
+        (t1 / 2 + t1 / 2, t1),
+        ((pi / 6 - t1 / 10) * 15, F(5, 2) * pi - F(3, 2) * t1),
+        (poly_from_text(R2, "1/2*t1 + 1/2*t1"), t1),
+        ((t1 / 3).subs(1, 3 * t2), t2),
+        ((t1 * t1 / 4).diff(1), t1 / 2),
+        ((t1 / 2).compose(R2, [pi, t2 / 3, t1]), t2 / 6),
+        ((3 * t1 / 2).evaluate_angles([pi / 3, 0]), PI_RING.pi() / 2),
+        (R2.const(F(6, 4)), Poly(R2, {(0, 0, 0): 3}) / 2),
+    ]
+    for a, b in pairs:
+        assert canonical(a) == canonical(b)
+        assert hash(a) == hash(b)
+        assert (a.den, dict(a.nums)) == (b.den, dict(b.nums))
+    assert t1 / 2 != t1 / 4 and (t1 / 2).den == 2
+
+
+def test_numerators_and_denominator_are_read_only():
+    p = R2.var(1) / 6 + R2.pi() / 4
+    assert (p.den, dict(p.nums)) == (12, {(0, 1, 0): 2, (1, 0, 0): 3})
+    assert dict(p.terms) == {(0, 1, 0): F(1, 6), (1, 0, 0): F(1, 4)}
+    with pytest.raises(TypeError):
+        p.nums[(0, 1, 0)] = 5
+    with pytest.raises(AttributeError):
+        p.den = 1
+    assert p == R2.var(1) / 6 + R2.pi() / 4
+
+
 def test_terms_are_read_only_and_the_memo_survives():
     c = light_chamber(StabilitySpace(1, 2))
     vr = chamber_volume(c)
@@ -557,3 +605,26 @@ def test_v36_and_its_dilaton_identity():
     lhs, rhs = dilaton_check(main_chamber(StabilitySpace(3, 6)), 6)
     assert lhs == rhs and not lhs.is_zero()
     print(f"[V_3,6 and its dilaton identity] {time.monotonic() - start:.1f}s")
+
+
+def test_terms_view_builds_fractions_only_for_values(monkeypatch):
+    """len, key iteration, membership, equality and arithmetic read the integer
+    numerators; only values and items make a Fraction."""
+    import wpvol.poly as poly_module
+
+    p = mirzakhani_volume(1, 3).poly
+    q = p * p + p
+    n = len(p.terms)
+
+    class NoFraction(F):
+        def __new__(cls, *args):
+            raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(poly_module, "Fraction", NoFraction)
+    assert len(p.terms) == n and list(p.terms) == list(p.nums)
+    assert all(e in p.terms for e in p.nums)
+    assert p * p + p == q and p.total_degree() == 6
+    with pytest.raises(AssertionError):
+        dict(p.terms.items())
+    monkeypatch.undo()
+    assert dict(p.terms.items()) == {e: F(c, p.den) for e, c in p.nums.items()}
