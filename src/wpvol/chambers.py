@@ -17,6 +17,7 @@ sharing between threads is safe.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,9 @@ from .errors import (
 from .lp import simplex_max
 from .poly import Poly, PolyRing
 
-ENUMERATION_BOUND = 5  # the D_{0,6} search had not ended after 10 min and 80 k chambers
+# n = 6 stays off: D_{0,6} alone has 105 123 chambers (448 orbits), and the
+# full list of D_{1,6} would run to hundreds of thousands
+ENUMERATION_BOUND = 5
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,11 @@ class Wall:
             raise ValueError(f"invalid wall set {sorted(self.J)}")
 
 
+def _mask(J: Iterable[int]) -> int:
+    """The bitmask of a label set: label j is bit j-1."""
+    return sum(1 << (j - 1) for j in J)
+
+
 def _canonical_antichain(sets: Iterable[frozenset[int]]) -> tuple[tuple[int, ...], ...]:
     family = [frozenset(s) for s in sets]
     maximal = [s for s in family if not any(s < t for t in family)]
@@ -135,13 +143,8 @@ class Chamber:
 
     def heavy_min(self) -> list[frozenset[int]]:
         """Minimal heavy sets: heavy J whose proper subsets are all light."""
-        out = []
-        for J in self.space.subsets():
-            if self.value(J) == 1 and all(
-                self.value(J - {j}) == 0 for j in J
-            ):
-                out.append(J)
-        return out
+        minimal = set(_minimal_heavy([_mask(s) for s in self.light_max], self.space.n))
+        return [J for J in self.space.subsets() if _mask(J) in minimal]
 
     # -- constructions ---------------------------------------------------------
 
@@ -455,65 +458,136 @@ def crossing_path(src: Chamber, dst: Chamber) -> CrossingPath:
 
 # -- enumeration ---------------------------------------------------------------------
 
-_enum_cache: dict[StabilitySpace, tuple[Chamber, ...]] = {}
+
+@dataclass(frozen=True)
+class _Relabelings:
+    """The S_n action on the light sets of D_{g,n}, as tables of ranks.
+
+    The subsets of size >= 2 are ranked in sorted-label-tuple order, so a
+    sorted tuple of ranks compares exactly as the light antichain it encodes.
+    ``tables[k][mask]``, for a mask of size >= 2, is the rank of its image
+    under the permutation ``perms[k]`` (label j goes to perms[k][j-1] + 1).
+    """
+
+    subsets: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
+    perms: tuple[tuple[int, ...], ...]
+    tables: tuple[tuple[int, ...], ...]
+
+    def relabeled(self, masks: Iterable[int]) -> list[tuple[int, ...]]:
+        """The sorted rank tuple of the light antichain ``masks`` under every
+        permutation, in ``perms`` order."""
+        masks = list(masks)
+        return [tuple(sorted(map(t.__getitem__, masks))) for t in self.tables]
+
+    def canonical(self, masks: Iterable[int]) -> tuple[int, ...]:
+        """The canonical form of a chamber: the smallest relabeled rank tuple."""
+        return min(self.relabeled(masks))
+
+    def chamber(self, space: StabilitySpace, key: tuple[int, ...]) -> Chamber:
+        return Chamber(space, tuple(self.subsets[r] for r in key))
+
+
+@functools.cache
+def _relabelings(n: int) -> _Relabelings:
+    subsets = sorted(
+        c for r in range(2, n + 1) for c in itertools.combinations(range(1, n + 1), r)
+    )
+    masks = tuple(map(_mask, subsets))
+    rank = [0] * (1 << n)
+    for r, m in enumerate(masks):
+        rank[m] = r
+    perms = tuple(itertools.permutations(range(n)))
+    tables = tuple(
+        tuple(rank[sum(1 << p[j] for j in range(n) if m >> j & 1)] for m in range(1 << n))
+        for p in perms
+    )
+    return _Relabelings(tuple(subsets), masks, perms, tables)
+
+
+def _minimal_heavy(light_max: list[int], n: int) -> list[int]:
+    """Minimal heavy sets, as masks, of the chamber with light antichain
+    ``light_max`` (masks): the heavy sets of size >= 2 all of whose proper
+    subsets are light, i.e. the walls ``Chamber.cross`` accepts."""
+    light = {0} | {1 << j for j in range(n)}
+    for a in light_max:
+        sub = a
+        while sub:
+            light.add(sub)
+            sub = (sub - 1) & a
+    out = []
+    for m in range(1 << n):
+        if m not in light and all(m ^ (1 << j) in light for j in range(n) if m >> j & 1):
+            out.append(m)
+    return out
+
+
+_enum_cache: dict[StabilitySpace, tuple[tuple[Chamber, ...], tuple[Chamber, ...]]] = {}
 
 
 def enumerate_chambers(space: StabilitySpace, up_to_symmetry: bool = False) -> list[Chamber]:
     """All realizable chambers of D_{g,n}, in deterministic order.
 
     Every chamber lies below the main chamber and is reached from it by a
-    downward path of simple crossings (``crossing_path``), so breadth-first
-    search over simple wall-crossings starting at C^M enumerates the chamber
-    decomposition exactly.  Spaces with more than ENUMERATION_BOUND points
-    raise BoundExceededError.
+    downward path of simple crossings (``crossing_path``), and relabeling the
+    points maps chambers, crossings and realizability LPs to themselves.  So
+    a breadth-first search over S_n orbits, starting at C^M, enumerates the
+    chamber decomposition exactly: each orbit is represented by its canonical
+    form, the smallest relabeled light antichain; every orbit representative
+    is crossed at each of its minimal heavy sets, and an LP is solved only for
+    canonical forms not seen before.  Spaces with more than ENUMERATION_BOUND
+    points raise BoundExceededError.
 
-    With ``up_to_symmetry``, returns one chamber per S_n orbit: the first of
-    the orbit in the order above.  Orbits are told apart by the smallest
-    sorted tuple of relabeled light-set bitmasks, read from one 2^n relabel
-    table per permutation, and listed in the order of their smallest relabeled
-    light antichain.
+    The full list relabels every representative by all n! permutations,
+    ordered by (number of maximal light sets, light antichain); each of its
+    chambers enters the realizability memo with its representative's witness
+    relabeled, which has the same (maximal) margin.  With ``up_to_symmetry``,
+    returns the representatives instead, ordered by light antichain; each is
+    the first chamber of its orbit in the full list.
     """
     if space.n > ENUMERATION_BOUND:
         raise BoundExceededError(f"n={space.n} exceeds enumeration bound {ENUMERATION_BOUND}")
-    all_chambers = _enum_cache.get(space)
-    if all_chambers is None:
-        start = main_chamber(space)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            new_frontier = []
-            for c in frontier:
-                for S in space.subsets():
-                    if c.value(S) != 1:
-                        continue
-                    try:
-                        below = c.cross(S)
-                    except (NotIncidentError, NotRealizableError):
-                        continue
-                    if below not in seen:
-                        seen.add(below)
-                        new_frontier.append(below)
-            frontier = new_frontier
-        all_chambers = tuple(sorted(seen, key=lambda c: (len(c.light_max), c.light_max)))
-        _enum_cache[space] = all_chambers
-    if not up_to_symmetry:
-        return list(all_chambers)
+    got = _enum_cache.get(space)
+    if got is None:
+        got = _enum_cache[space] = _search(space)
+    return list(got[1] if up_to_symmetry else got[0])
+
+
+def _search(space: StabilitySpace) -> tuple[tuple[Chamber, ...], tuple[Chamber, ...]]:
+    """(all chambers, orbit representatives) of ``space``, as described in
+    ``enumerate_chambers``."""
     n = space.n
-    tables = [
-        [sum(1 << p[j] for j in range(n) if mask >> j & 1) for mask in range(1 << n)]
-        for p in itertools.permutations(range(n))
-    ]
-    reps = {}
-    for c in all_chambers:
-        masks = [sum(1 << (j - 1) for j in s) for s in c.light_max]
-        key = min(tuple(sorted(t[m] for m in masks)) for t in tables)
-        reps.setdefault(key, c)
-    return sorted(reps.values(), key=_orbit_key)
-
-
-def _orbit_key(c: Chamber) -> tuple[tuple[int, ...], ...]:
-    """The smallest relabeled light antichain of c: the output order of orbits."""
-    return min(
-        tuple(sorted(tuple(sorted(p[j - 1] for j in s)) for s in c.light_max))
-        for p in itertools.permutations(c.space.labels)
-    )
+    sym = _relabelings(n)
+    start: tuple[int, ...] = ()  # C^M: no light sets, its own canonical form
+    seen = {start}
+    found = []
+    frontier = [start]
+    while frontier:
+        new_frontier = []
+        for key in frontier:
+            found.append(key)
+            masks = [sym.masks[r] for r in key]
+            for S in _minimal_heavy(masks, n):
+                below = sym.canonical([m for m in masks if m & ~S] + [S])
+                if below not in seen:
+                    seen.add(below)
+                    if realize(sym.chamber(space, below)) is not None:
+                        new_frontier.append(below)
+        frontier = new_frontier
+    found.sort()
+    reps = tuple(sym.chamber(space, key) for key in found)
+    witnesses = {}  # rank tuple -> (witness, slack), from the first relabeling found
+    for key, rep in zip(found, reps):
+        point, slack = realize(rep)
+        for p, image in zip(sym.perms, sym.relabeled(sym.masks[r] for r in key)):
+            if image not in witnesses:
+                b = [Fraction(0)] * n
+                for j, aj in enumerate(point):
+                    b[p[j]] = aj
+                witnesses[image] = (tuple(b), slack)
+    all_chambers = []
+    for key in sorted(witnesses, key=lambda k: (len(k), k)):
+        c = sym.chamber(space, key)
+        _realize_cache.setdefault(c, witnesses[key])
+        all_chambers.append(c)
+    return tuple(all_chambers), reps

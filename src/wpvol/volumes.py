@@ -165,11 +165,16 @@ def wall_crossing_poly(c: Chamber, S: Iterable[int]) -> WallCrossingPoly:
     """
     S = frozenset(S)
     c.cross(S)  # validates incidence and realizability below
+    return WallCrossingPoly(c, S, _crossing_poly(c, S), phi_form(angle_ring(c.space.n), S))
+
+
+def _crossing_poly(c: Chamber, S: frozenset[int]) -> Poly:
+    """The memoized wc_{C,S}, for c known to be incident to and above W_S."""
     key = (c.quotient(S), S)
     poly = _crossing_cache.get(key)
     if poly is None:
         poly = _crossing_cache[key] = _integrate_crossing(c, S)
-    return WallCrossingPoly(c, S, poly, phi_form(angle_ring(c.space.n), S))
+    return poly
 
 
 _volume_cache: dict[Chamber, VolumeResult] = {}
@@ -183,16 +188,23 @@ def chamber_volume(c: Chamber) -> VolumeResult:
     memoized per chamber; by path independence the polynomial does not depend
     on which S is uncrossed (covered by tests).
     """
+    if c not in _volume_cache and not c.is_realizable():
+        raise NotRealizableError(f"{c} is not realizable")
+    return _realizable_chamber_volume(c)
+
+
+def _realizable_chamber_volume(c: Chamber) -> VolumeResult:
+    """``chamber_volume`` of a chamber known to be realizable, so no LP is
+    solved for ``c`` itself: ``last_crossing`` returns a realizable chamber
+    above it and a wall it crosses down to ``c``."""
     got = _volume_cache.get(c)
     if got is not None:
         return got
-    if not c.is_realizable():
-        raise NotRealizableError(f"{c} is not realizable")
     if not c.light_max:
         result = mirzakhani_volume(c.space.g, c.space.n)
     else:
         above, wall = last_crossing(main_chamber(c.space), c)
-        poly = chamber_volume(above).poly + wall_crossing_poly(above, wall).poly
+        poly = _realizable_chamber_volume(above).poly + _crossing_poly(above, wall)
         result = VolumeResult(c, poly, PROV_PATH)
     _volume_cache[c] = result
     return result
@@ -224,7 +236,7 @@ def piecewise_volume(w: WeightVector, numeric: bool = False, digits: int = 50):
     Poly, or a Decimal in numeric mode.
     """
     c = classify(w)
-    vr = chamber_volume(c)
+    vr = _realizable_chamber_volume(c)  # w lies in c, so c is realizable
     values = w.theta_values(vr.poly.ring)
     formal = vr.poly.evaluate_angles(values)
     if not numeric:

@@ -298,6 +298,70 @@ def test_enumeration_counts():
     assert len(enumerate_chambers(S05, up_to_symmetry=True)) == 36
 
 
+def _reference_enumeration(space):
+    """Reference: the former full search, a breadth-first search over
+    ``Chamber.cross`` at every heavy set of every chamber, sorted by (number
+    of maximal light sets, light antichain)."""
+    start = main_chamber(space)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new_frontier = []
+        for c in frontier:
+            for S in space.subsets():
+                if c.value(S) != 1:
+                    continue
+                try:
+                    below = c.cross(S)
+                except (NotIncidentError, NotRealizableError):
+                    continue
+                if below not in seen:
+                    seen.add(below)
+                    new_frontier.append(below)
+        frontier = new_frontier
+    return sorted(seen, key=lambda c: (len(c.light_max), c.light_max))
+
+
+@pytest.mark.parametrize(
+    "g,n",
+    [(0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (0, 5), (1, 5)],
+    ids=["D04", "D12", "D13", "D14", "D23", "D05", "D15"],
+)
+def test_orbit_search_matches_full_search(monkeypatch, g, n):
+    """The orbit search returns the list the full search finds, each from
+    its own empty realizability memo, and the representatives are the first
+    chamber of each orbit."""
+    space = StabilitySpace(g, n)
+    monkeypatch.setattr(chambers, "_realize_cache", {})
+    want = _reference_enumeration(space)
+    monkeypatch.setattr(chambers, "_realize_cache", {})
+    monkeypatch.setattr(chambers, "_enum_cache", {})
+    assert enumerate_chambers(space) == want
+    assert enumerate_chambers(space, up_to_symmetry=True) == _reference_up_to_symmetry(space)
+
+
+@pytest.mark.parametrize("g,n", [(0, 4), (1, 4), (0, 5)], ids=["D04", "D14", "D05"])
+def test_enumeration_witnesses_without_lp(monkeypatch, g, n):
+    """After enumeration every chamber's witness is known without an LP; it
+    lies in the chamber and has the margin a fresh LP gives."""
+    space = StabilitySpace(g, n)
+    monkeypatch.setattr(chambers, "_realize_cache", {})
+    monkeypatch.setattr(chambers, "_enum_cache", {})
+    found = enumerate_chambers(space)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("simplex_max called for an enumerated chamber")
+
+    monkeypatch.setattr(chambers, "simplex_max", no_lp)
+    known = {c: realize(c) for c in found}
+    for c, (point, slack) in known.items():
+        assert classify(WeightVector(space, point)) == c
+    monkeypatch.undo()
+    monkeypatch.setattr(chambers, "_realize_cache", {})
+    for c, (point, slack) in known.items():
+        assert realize(c)[1] == slack
+
+
 def _reference_up_to_symmetry(space):
     """One chamber per S_n orbit, keyed by its smallest relabeled antichain
     over all n! permutations; the first chamber of each orbit, orbits in key

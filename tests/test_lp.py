@@ -9,7 +9,7 @@ from math import lcm
 import pytest
 
 import wpvol.chambers as chambers
-from wpvol.chambers import StabilitySpace, enumerate_chambers
+from wpvol.chambers import Chamber, StabilitySpace, enumerate_chambers
 from wpvol.lp import simplex_max
 
 
@@ -181,10 +181,13 @@ def test_matches_full_tableau_on_random_lps():
 
 
 def test_matches_full_tableau_on_realizability_lps(monkeypatch):
-    """Every LP that realize solves while D_{0,4}, D_{1,4} and D_{0,5} are
-    enumerated from empty memo tables gives the reference's (value, x)."""
+    """Every LP that realize solves, from an empty memo table, for each
+    chamber of D_{0,4}, D_{1,4} and D_{0,5} and for each chamber one simple
+    crossing below it (one minimal heavy set made light) gives the
+    reference's (value, x)."""
+    spaces = [StabilitySpace(g, n) for g, n in [(0, 4), (1, 4), (0, 5)]]
+    found = [c for space in spaces for c in enumerate_chambers(space)]
     monkeypatch.setattr(chambers, "_realize_cache", {})
-    monkeypatch.setattr(chambers, "_enum_cache", {})
     recorded = []
 
     def recording(c, A, b):
@@ -192,8 +195,10 @@ def test_matches_full_tableau_on_realizability_lps(monkeypatch):
         return simplex_max(c, A, b)
 
     monkeypatch.setattr(chambers, "simplex_max", recording)
-    for g, n in [(0, 4), (1, 4), (0, 5)]:
-        enumerate_chambers(StabilitySpace(g, n))
+    for c in found:
+        chambers.realize(c)
+        for S in c.heavy_min():
+            chambers.realize(Chamber(c.space, c.light_max + (tuple(sorted(S)),)))
     assert len(recorded) > 2500
     for c, A, b in recorded:
         assert simplex_max(c, A, b) == full_tableau_simplex_max(c, A, b)

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import wpvol.chambers as chambers
+import wpvol.volumes as volumes
 from wpvol import reference as ref
 from wpvol.chambers import (
     StabilitySpace,
@@ -191,6 +193,36 @@ def test_piecewise_volume_examples():
     # cusp values: all theta = 0 gives the constant term
     c, vr, value = piecewise_volume(WeightVector(S04, (F(1),) * 4))
     assert value == 2 * PI_RING.pi() ** 2
+
+
+def test_cold_piecewise_volume_solves_no_lp_for_its_chamber(monkeypatch):
+    """The query's weight vector lies in its chamber, so no LP is solved to
+    prove that chamber realizable, and the vector is not stored as its
+    witness; the value matches the public chamber_volume."""
+    points = [
+        WeightVector(S05, (F(9, 10), F(9, 10), F(2, 25), F(9, 10), F(3, 20))),
+        WeightVector(S05, (F(1), F(2, 5), F(2, 5), F(2, 5), F(3, 10))),
+        WeightVector(StabilitySpace(1, 4), (F(1, 5), F(3, 10), F(3, 5), F(1, 20))),
+    ]
+    for w in points:
+        c = classify(w)
+        monkeypatch.setattr(chambers, "_realize_cache", {})
+        monkeypatch.setattr(volumes, "_volume_cache", {})
+        solved = []
+        real_realize = chambers.realize
+
+        def recording(chamber):
+            if chamber not in chambers._realize_cache:
+                solved.append(chamber)
+            return real_realize(chamber)
+
+        monkeypatch.setattr(chambers, "realize", recording)
+        _, vr, value = piecewise_volume(w)
+        assert c.light_max and solved  # the chambers above c still need LPs
+        assert c not in solved and c not in chambers._realize_cache
+        monkeypatch.undo()
+        assert vr == chamber_volume(c)
+        assert value == vr.poly.evaluate_angles(w.theta_values(vr.poly.ring))
 
 
 def test_piecewise_volume_numeric():
