@@ -276,11 +276,14 @@ def chamber_from_json_dict(data: Mapping, g: Optional[int] = None, n: Optional[i
         isinstance(s, list) and all(_is_int(j) for j in s) for s in light
     ):
         raise ValueError('chamber JSON must be an object whose "light_max" is a list of label lists')
-    g = data.get("g", g)
-    n = data.get("n", n)
-    if not _is_int(g) or not _is_int(n):
+    genus = data.get("g", g)
+    points = data.get("n", n)
+    if not _is_int(genus) or not _is_int(points):
         raise ValueError("chamber JSON needs integer g and n (inline or from flags)")
-    return Chamber(StabilitySpace(g, n), tuple(tuple(s) for s in light))
+    for name, value, flag in (("g", genus, g), ("n", points, n)):
+        if flag is not None and value != flag:
+            raise ValueError(f"chamber JSON has {name}={value}, but the flag gives {name}={flag}")
+    return Chamber(StabilitySpace(genus, points), tuple(tuple(s) for s in light))
 
 
 def main_chamber(space: StabilitySpace) -> Chamber:

@@ -26,7 +26,7 @@ from .chambers import (
 from .errors import WpvolError
 from .poly import Poly
 from .rationals import parse_weights
-from .verify import run as run_verify
+from .verify import SUITES as VERIFY_SUITES, run as run_verify
 from .volumes import chamber_volume, piecewise_volume, wall_crossing_poly
 
 EXIT_OK = 0
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("--suite", choices=["paper", "invariants", "all"], default="all")
+    p.add_argument("--suite", choices=[*VERIFY_SUITES, "all"], default="all")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify)
 

@@ -2,9 +2,11 @@
 
 Each check compares engine output against an independently stated expected
 value (closed forms, hand-integrated fixtures, combinatorial oracles) and
-reports a machine-readable record.  The CLI ``verify`` command runs these and
+reports a machine-readable record.  ``CRITERIA`` groups the checks, with
+their spaces bound, into the acceptance criteria, each with its suite and
+runtime budget.  The CLI ``verify`` command runs the criteria of a suite and
 exits nonzero if anything fails; the pytest acceptance suite runs the same
-identities with per-criterion runtime budgets.
+table, one test per criterion within its budget.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 from typing import Callable, Iterable
 
@@ -21,14 +24,15 @@ from .chambers import (
     StabilitySpace,
     WeightVector,
     classify,
+    crossing_path,
     enumerate_chambers,
     light_chamber,
     main_chamber,
     minimal_chamber_0,
     realize,
 )
-from .errors import WpvolError
-from .intersection import psi_intersection
+from .errors import NotIncidentError, NotRealizableError, WpvolError
+from .intersection import kappa_psi_intersection, psi_intersection
 from .numeric import evaluate_pi_poly
 from .poly import PolyRing, angle_ring, phi_form
 from .volumes import (
@@ -132,7 +136,7 @@ def check_05_s3(rep: Reporter) -> None:
     for c in enumerate_chambers(s05):
         try:
             got = wall_crossing_poly(c, {3, 4, 5}).poly
-        except WpvolError:
+        except (NotIncidentError, NotRealizableError):
             continue
         count += 1
         if got != expected:
@@ -169,8 +173,6 @@ def _psi0_by_string(d: tuple[int, ...]) -> Fraction:
 
 
 def check_intersections(rep: Reporter) -> None:
-    from .intersection import kappa_psi_intersection
-
     for g, m, d, want in ref.INTERSECTION_ANCHORS:
         got = (
             psi_intersection(g, d) if m == 0 else kappa_psi_intersection(g, m, d)
@@ -266,6 +268,10 @@ def check_limits(rep: Reporter, spaces: Iterable[StabilitySpace]) -> None:
             bad == 0,
             f"{bad} nonzero",
         )
+
+
+def check_limits_12(rep: Reporter) -> None:
+    """The (g,2) corollary limits for g=1, in the main and the light chamber."""
     # limitdil1 for the main chamber of (1,2)
     r2 = angle_ring(2)
     lhs = eval_at_2pi(mirzakhani_volume(1, 2), 2)
@@ -344,10 +350,12 @@ def check_general_dilaton(rep: Reporter, space: StabilitySpace) -> None:
 
 
 def _incident_walls(c: Chamber):
-    for S in c.space.subsets():
+    """The walls W_S that ``c.cross`` accepts: the minimal heavy sets S whose
+    chamber below is realizable."""
+    for S in c.heavy_min():
         try:
             c.cross(S)
-        except WpvolError:
+        except NotRealizableError:
             continue
         yield S
 
@@ -386,9 +394,7 @@ def two_crossing_orders(c: Chamber):
     another linear extension, which is kept if every intermediate chamber
     stays realizable.
     """
-    from .chambers import crossing_path, main_chamber as _main
-
-    order1 = crossing_path(_main(c.space), c).walls()
+    order1 = crossing_path(main_chamber(c.space), c).walls()
     if len(order1) < 2:
         return [order1]
     for i in range(len(order1) - 1):
@@ -396,7 +402,7 @@ def two_crossing_orders(c: Chamber):
         if a < b or b < a:
             continue
         order2 = order1[:i] + [b, a] + order1[i + 2 :]
-        cur = _main(c.space)
+        cur = main_chamber(c.space)
         try:
             for wall in order2:
                 cur = cur.cross(wall)
@@ -543,50 +549,77 @@ def check_positivity(rep: Reporter, spaces: Iterable[StabilitySpace]) -> None:
         )
 
 
-# -- suite runners ------------------------------------------------------------------------
+# -- the criterion table -------------------------------------------------------------
 
 
-def run_paper_suite(rep: Reporter) -> None:
-    check_main_volumes(rep)
-    check_chambers_04(rep)
-    check_wall_crossings_04(rep)
-    check_12(rep)
-    check_05_s3(rep)
-    check_05_s2_cases(rep)
-    check_intersections(rep)
-    check_closed_forms(rep)
-    check_cayley(rep)
-    spaces = [StabilitySpace(0, 4), StabilitySpace(0, 5), StabilitySpace(1, 2)]
-    check_limits(rep, spaces)
-    check_dilaton(rep, [StabilitySpace(0, 5), StabilitySpace(1, 2)])
-    check_general_dilaton(rep, StabilitySpace(0, 5))
+@dataclass(frozen=True)
+class Criterion:
+    """An acceptance criterion: checks, with their spaces bound, that run in
+    ``suite`` and together stay within ``budget`` seconds."""
+
+    number: int
+    suite: str
+    budget: float
+    checks: tuple[Callable[[Reporter], None], ...]
+
+    def run(self, rep: Reporter) -> None:
+        for check in self.checks:
+            check(rep)
 
 
-def run_invariants_suite(rep: Reporter) -> None:
-    small = [StabilitySpace(0, 4), StabilitySpace(1, 2)]
-    big = small + [StabilitySpace(0, 5)]
-    check_continuity(rep, big)
-    check_path_independence(rep, big)
-    check_quotient_equivalence(rep, StabilitySpace(0, 5))
-    check_quotient_crossing_equality(rep, StabilitySpace(0, 5))
-    check_evenness(rep, small)
-    check_positivity(rep, [StabilitySpace(0, 5), StabilitySpace(1, 2)])
+D04, D05, D12 = StabilitySpace(0, 4), StabilitySpace(0, 5), StabilitySpace(1, 2)
 
+CRITERIA: tuple[Criterion, ...] = (
+    # V_{0,3} = 1, V_{0,4}, V_{1,1} = (4pi^2-t^2)/48, V_{1,2}
+    Criterion(1, "paper", 5, (check_main_volumes,)),
+    # five (0,4) chamber volumes and the four listed wall-crossings
+    Criterion(2, "paper", 5, (check_chambers_04, check_wall_crossings_04)),
+    # (1,2) wall-crossing and light chamber, and the (g,2) corollary limits
+    Criterion(3, "paper", 5, (check_12, check_limits_12)),
+    # (0,5): |S|=3 crossing from every chamber above it, four |S|=2 cases
+    Criterion(4, "paper", 30, (check_05_s3, check_05_s2_cases)),
+    # minimal chamber n=4,5,6; Losev-Manin n<=4; (CP^1)^n n<=3; Cayley n<=6
+    Criterion(5, "paper", 180, (check_closed_forms, check_cayley)),
+    # 2pi vanishing at light coordinates, dilaton at flat ones, general dilaton
+    Criterion(
+        6,
+        "paper",
+        120,
+        (
+            partial(check_limits, spaces=(D04, D05, D12)),
+            partial(check_dilaton, spaces=(D05, D12)),
+            partial(check_general_dilaton, space=D05),
+        ),
+    ),
+    # backend anchors and the genus-0 closed form for all n <= 8
+    Criterion(7, "paper", 30, (check_intersections,)),
+    # continuity and differentiability at every wall, path independence,
+    # quotient criteria, evenness, positivity at 20 interior points per chamber
+    Criterion(
+        8,
+        "invariants",
+        300,
+        (
+            partial(check_continuity, spaces=(D04, D12, D05)),
+            partial(check_path_independence, spaces=(D04, D12, D05)),
+            partial(check_quotient_equivalence, space=D05),
+            partial(check_quotient_crossing_equality, space=D05),
+            partial(check_evenness, spaces=(D04, D12)),
+            partial(check_positivity, spaces=(D05, D12)),
+        ),
+    ),
+)
 
-SUITES: dict[str, Callable[[Reporter], None]] = {
-    "paper": run_paper_suite,
-    "invariants": run_invariants_suite,
-}
+SUITES: tuple[str, ...] = tuple(dict.fromkeys(c.suite for c in CRITERIA))
 
 
 def run(suite: str = "all") -> list[CheckResult]:
+    """The sorted results of the criteria of ``suite``, or of all of them."""
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r} (choose {', '.join(SUITES)}, all)")
     rep = Reporter()
-    if suite == "all":
-        for fn in SUITES.values():
-            fn(rep)
-    elif suite in SUITES:
-        SUITES[suite](rep)
-    else:
-        raise ValueError(f"unknown suite {suite!r} (choose paper, invariants, all)")
+    for criterion in CRITERIA:
+        if suite in ("all", criterion.suite):
+            criterion.run(rep)
     rep.results.sort(key=lambda r: r.id)
     return rep.results

@@ -1,44 +1,33 @@
 """Acceptance criteria, one test per criterion, each with its runtime budget.
 
-Every comparison is an exact polynomial identity (Fraction coefficients, pi
-formal); the only numeric assertions are the positivity spot checks, which
-use 50-digit decimal evaluation in the quarantined output layer.
+Criteria 1-8 are the rows of ``wpvol.verify.CRITERIA``, the table the CLI
+``verify`` suites also run; ``tests/verify_ids.json`` pins the check IDs each
+of them produces.  Every comparison is an exact polynomial identity (rational
+coefficients, pi formal); the only numeric assertions are the positivity spot
+checks, which use 50-digit decimal evaluation in the quarantined output layer.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.
 """
 
+import json
 import time
 from contextlib import contextmanager
+from pathlib import Path
+
+import pytest
 
 from wpvol.chambers import StabilitySpace, light_chamber, main_chamber
 from wpvol.poly import angle_ring
-from wpvol.verify import (
-    Reporter,
-    check_cayley,
-    check_chambers_04,
-    check_closed_forms,
-    check_continuity,
-    check_dilaton,
-    check_general_dilaton,
-    check_intersections,
-    check_limits,
-    check_main_volumes,
-    check_path_independence,
-    check_positivity,
-    check_quotient_crossing_equality,
-    check_quotient_equivalence,
-    check_wall_crossings_04,
-    check_05_s2_cases,
-    check_05_s3,
-    check_12,
-)
+from wpvol.verify import CRITERIA, Reporter
 from wpvol.volumes import (
     chamber_volume,
     dilaton_check,
     mirzakhani_volume,
     wall_crossing_poly,
 )
+
+VERIFY_IDS = json.loads((Path(__file__).parent / "verify_ids.json").read_text())
 
 
 @contextmanager
@@ -54,105 +43,18 @@ def budget(criterion: str, seconds: float):
     assert elapsed < seconds, f"criterion {criterion} exceeded its runtime budget"
 
 
-def _assert_all(rep: Reporter):
-    failures = [r for r in rep.results if not r.passed]
-    assert not failures, "\n".join(
-        f"{r.id}: expected {r.expected}, computed {r.computed}" for r in failures
-    )
-    return len(rep.results)
-
-
-def test_criterion_1_main_chamber_volumes():
-    """V_{0,3}=1, V_{0,4}, V_{1,1}=(4pi^2-t^2)/48, V_{1,2}; exact; < 5 s."""
-    with budget("1", 5):
+@pytest.mark.parametrize("criterion", CRITERIA, ids=lambda c: str(c.number))
+def test_criterion(criterion):
+    """Every check of the criterion passes, within its budget, and produces
+    exactly the criterion's pinned check IDs."""
+    with budget(str(criterion.number), criterion.budget):
         rep = Reporter()
-        check_main_volumes(rep)
-        _assert_all(rep)
-
-
-def test_criterion_2_all_04_chambers_and_crossings():
-    """Five (0,4) chamber volumes and the four listed wall-crossings; < 5 s."""
-    with budget("2", 5):
-        rep = Reporter()
-        check_chambers_04(rep)
-        check_wall_crossings_04(rep)
-        _assert_all(rep)
-
-
-def test_criterion_3_12_light_chamber_and_g2_limits():
-    """(1,2) light chamber product formula and the (g,2) corollary limits; < 5 s."""
-    with budget("3", 5):
-        rep = Reporter()
-        check_12(rep)
-        _assert_all(rep)
-        s12 = StabilitySpace(1, 2)
-        r2 = angle_ring(2)
-        v_light = chamber_volume(light_chamber(s12)).poly
-        # V at theta_2 = 2 pi vanishes in C^L
-        assert v_light.subs(2, r2.two_pi()).is_zero()
-        # derivative limit: the piecewise volume follows C^L near theta_2 = 2 pi,
-        # d V/d theta_2 at 2 pi = 2 pi (1 - 2g + theta_1/(2 pi)) V_{1,1}(i theta_1)
-        v11 = mirzakhani_volume(1, 1).poly.compose(r2, [r2.pi(), r2.var(1)])
-        got = v_light.diff(2).subs(2, r2.two_pi())
-        assert got == (-r2.two_pi() + r2.var(1)) * v11
-        # and for the main-chamber polynomial itself the same limit drops the
-        # theta_1 term (the dilaton identity for Mirzakhani polynomials)
-        vm = mirzakhani_volume(1, 2).poly
-        assert vm.diff(2).subs(2, r2.two_pi()) == -r2.two_pi() * v11
-
-
-def test_criterion_4_05_wall_crossings():
-    """(0,5): |S|=3 crossing from every chamber above it; four |S|=2 cases; < 30 s."""
-    with budget("4", 30):
-        rep = Reporter()
-        check_05_s3(rep)
-        check_05_s2_cases(rep)
-        _assert_all(rep)
-
-
-def test_criterion_5_closed_form_cross_checks():
-    """Minimal chamber n=4,5,6; Losev-Manin n<=4; (CP^1)^n n<=3; Cayley n<=6; < 3 min."""
-    with budget("5", 180):
-        rep = Reporter()
-        check_closed_forms(rep)
-        check_cayley(rep)
-        _assert_all(rep)
-
-
-def test_criterion_6_limit_identities():
-    """2 pi vanishing at light coordinates; limitdil1; dilaton at all flat
-    coordinates of D_{0,5} and D_{1,2}; general dilaton on D_{0,5}; < 2 min."""
-    with budget("6", 120):
-        rep = Reporter()
-        spaces = [StabilitySpace(0, 4), StabilitySpace(0, 5), StabilitySpace(1, 2)]
-        check_limits(rep, spaces)
-        check_dilaton(rep, [StabilitySpace(0, 5), StabilitySpace(1, 2)])
-        check_general_dilaton(rep, StabilitySpace(0, 5))
-        _assert_all(rep)
-
-
-def test_criterion_7_intersection_anchors():
-    """Backend anchors and the genus-0 closed form for all n <= 8; < 30 s."""
-    with budget("7", 30):
-        rep = Reporter()
-        check_intersections(rep)
-        _assert_all(rep)
-
-
-def test_criterion_8_property_suites():
-    """Continuity and differentiability at every wall of D_{0,5} and D_{1,2};
-    path independence; quotient-equivalence exhaustively; positivity at 20
-    random interior rational points per chamber (50 digits); < 5 min."""
-    with budget("8", 300):
-        rep = Reporter()
-        check_continuity(rep, [StabilitySpace(0, 5), StabilitySpace(1, 2)])
-        check_path_independence(
-            rep, [StabilitySpace(0, 4), StabilitySpace(0, 5), StabilitySpace(1, 2)]
+        criterion.run(rep)
+        failures = [r for r in rep.results if not r.passed]
+        assert not failures, "\n".join(
+            f"{r.id}: expected {r.expected}, computed {r.computed}" for r in failures
         )
-        check_quotient_equivalence(rep, StabilitySpace(0, 5))
-        check_quotient_crossing_equality(rep, StabilitySpace(0, 5))
-        check_positivity(rep, [StabilitySpace(0, 5), StabilitySpace(1, 2)])
-        _assert_all(rep)
+        assert sorted(r.id for r in rep.results) == VERIFY_IDS[str(criterion.number)]
 
 
 def test_criterion_9_d22_stress():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -167,6 +168,53 @@ def test_malformed_chamber_json_is_usage_error(capsys, chamber):
     code, _, err = run_cli(capsys, "volume", "--g", "0", "--n", "4", "--chamber", chamber)
     assert code == 2
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["volume"], ["wallcross", "--wall", "1,2"]])
+@pytest.mark.parametrize(
+    "chamber",
+    [
+        '{"g":1,"n":2,"light_max":[]}',
+        '{"g":0,"n":5,"light_max":[]}',
+        '{"g":1,"n":4,"light_max":[]}',
+    ],
+)
+def test_chamber_json_contradicting_flags_is_usage_error(command, chamber):
+    """An inline g or n that differs from --g or --n is an error, not an
+    override."""
+    code, out, err, parsed = call_main(command + ["--g", "0", "--n", "4", "--chamber", chamber])
+    assert (code, parsed, out) == (2, True, "")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["volume"], ["wallcross", "--wall", "1,2"]])
+@pytest.mark.parametrize(
+    "flags, chamber",
+    [
+        (["--n", "2"], '{"g":1,"n":2,"light_max":[]}'),
+        ([], '{"n":2,"light_max":[]}'),
+        (["--n", "2"], '{"light_max":[]}'),
+    ],
+)
+def test_chamber_json_agreeing_with_flags(command, flags, chamber):
+    """g and n given in both places and agreeing, or in one place only."""
+    code, out, err, parsed = call_main(command + ["--g", "1", "--chamber", chamber] + flags)
+    assert (code, parsed, err) == (0, True, "")
+    assert out
+
+
+def test_verify_paper_suite_json():
+    """The paper suite is criteria 1-7 of the check table: all pass, and it
+    produces exactly their pinned check IDs."""
+    with open(Path(__file__).parent / "verify_ids.json") as fh:
+        pinned = json.load(fh)
+    code, out, err, parsed = call_main(["verify", "--suite", "paper", "--format", "json"])
+    assert (code, parsed, err) == (0, True, "")
+    data = json.loads(out)
+    assert (data["suite"], data["failed"]) == ("paper", 0)
+    assert [r["id"] for r in data["results"]] == sorted(
+        i for k in range(1, 8) for i in pinned[str(k)]
+    )
 
 
 @pytest.fixture

@@ -1,0 +1,53 @@
+"""The check table of ``wpvol.verify``: pinned IDs and wall iteration."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from wpvol import verify
+from wpvol.chambers import StabilitySpace, enumerate_chambers
+from wpvol.errors import RingMismatchError, WpvolError
+from wpvol.verify import CRITERIA, Reporter, check_05_s3
+
+
+def test_verify_ids_partition_the_suite():
+    """The pinned ID lists of criteria 1-8 are disjoint: 52 paper and 11
+    invariants IDs, 63 in all."""
+    with open(Path(__file__).parent / "verify_ids.json") as fh:
+        pinned = json.load(fh)
+    assert list(pinned) == [str(c.number) for c in CRITERIA] == [str(k) for k in range(1, 9)]
+    by_suite = {}
+    for c in CRITERIA:
+        by_suite.setdefault(c.suite, []).extend(pinned[str(c.number)])
+    assert {suite: len(ids) for suite, ids in by_suite.items()} == {"paper": 52, "invariants": 11}
+    every = [i for ids in pinned.values() for i in ids]
+    assert len(set(every)) == len(every) == 63
+
+
+def _walls_cross_accepts(c):
+    """Reference: every subset S for which ``c.cross(S)`` succeeds."""
+    for S in c.space.subsets():
+        try:
+            c.cross(S)
+        except WpvolError:
+            continue
+        yield S
+
+
+@pytest.mark.parametrize("space", [(0, 4), (1, 2), (1, 3), (0, 5)], ids="D{0[0]}{0[1]}".format)
+def test_incident_walls_are_the_walls_cross_accepts(space):
+    for c in enumerate_chambers(StabilitySpace(*space)):
+        assert list(verify._incident_walls(c)) == list(_walls_cross_accepts(c)), c
+
+
+def test_unexpected_error_in_a_crossing_is_not_skipped(monkeypatch):
+    """Only a chamber that is not incident to the wall is skipped; any other
+    error propagates and fails the check."""
+
+    def broken(c, S):
+        raise RingMismatchError("injected")
+
+    monkeypatch.setattr(verify, "wall_crossing_poly", broken)
+    with pytest.raises(RingMismatchError):
+        check_05_s3(Reporter())
