@@ -24,6 +24,7 @@ from .chambers import (
 from .errors import (
     BoundExceededError,
     DimensionMismatchError,
+    NoFlatHullError,
     NotComparableError,
     NotIncidentError,
     NotRealizableError,

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Optional
+from typing import Container, Iterable, Mapping, Optional
 
 from .errors import (
     BoundExceededError,
@@ -318,11 +318,54 @@ def minimal_chamber_0(space: StabilitySpace, j: int) -> Chamber:
 
 # -- realizability LP -------------------------------------------------------------
 
-_realize_cache: dict[Chamber, Optional[tuple[tuple[Fraction, ...], Fraction]]] = {}
+Realization = tuple[tuple[Fraction, ...], Fraction]
+
+_realize_cache: dict[Chamber, Optional[Realization]] = {}
+# Relabeling the points maps chambers and their LPs to themselves, so the
+# answer is one per S_n orbit: keyed by (space, canonical form), the witness
+# in the labels of the canonical chamber, or None.
+_realize_orbits: dict[tuple[StabilitySpace, tuple[int, ...]], Optional[Realization]] = {}
 
 
-def realize(c: Chamber) -> Optional[tuple[tuple[Fraction, ...], Fraction]]:
+def realize(c: Chamber) -> Optional[Realization]:
     """(a, s): an interior witness a of maximal margin s > 0, or None.
+
+    Memoized per chamber and, up to ENUMERATION_BOUND points, per S_n orbit:
+    on a miss of the per-chamber table the orbit table is read under the
+    canonical form of ``c`` (``_orbit``); a hit relabels the stored witness,
+    which keeps its (maximal) margin, and a miss solves the LP on ``c``
+    (``_solve``) and stores the canonical copy.
+    """
+    got = _realize_cache.get(c, "miss")
+    if got != "miss":
+        return got
+    orbit = _orbit(c)
+    if orbit is None:
+        got = _solve(c)
+    else:
+        form, perm = orbit  # label j of c is label perm[j-1] + 1 of the canonical chamber
+        key = (c.space, form)
+        if key in _realize_orbits:
+            canon = _realize_orbits[key]
+            got = canon and (tuple(canon[0][p] for p in perm), canon[1])
+        else:
+            got = _solve(c)
+            _realize_orbits[key] = got and (_moved(got[0], perm), got[1])
+    _realize_cache[c] = got
+    return got
+
+
+def _moved(point: tuple[Fraction, ...], perm: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """The weights of ``point`` relabeled by ``perm``: a_j moves to position
+    perm[j-1] + 1, as label j does."""
+    out = [Fraction(0)] * len(point)
+    for p, x in zip(perm, point):
+        out[p] = x
+    return tuple(out)
+
+
+def _solve(c: Chamber) -> Optional[Realization]:
+    """The realizability LP of ``c``, solved afresh.
 
     Maximizes s subject to s <= a_j, a_j <= 1, sum_J a <= 1-s on maximal light
     sets, sum_J a >= 1+s on minimal heavy sets and sum a >= 2-2g+s, using the
@@ -331,9 +374,6 @@ def realize(c: Chamber) -> Optional[tuple[tuple[Fraction, ...], Fraction]]:
     coefficient is 0 or +-1 and every right-hand side an integer, so the rows
     are plain ints and the LP clears no denominators.
     """
-    got = _realize_cache.get(c, "miss")
-    if got != "miss":
-        return got
     n = c.space.n
     g = c.space.g
     rows: list[list[int]] = []
@@ -358,9 +398,7 @@ def realize(c: Chamber) -> Optional[tuple[tuple[Fraction, ...], Fraction]]:
     objective = [0] * n + [1]
     value, x = simplex_max(objective, rows, rhs)
     slack = value - 3
-    result = (tuple(x[:n]), slack) if slack > 0 else None
-    _realize_cache[c] = result
-    return result
+    return (tuple(x[:n]), slack) if slack > 0 else None
 
 
 def witness(c: Chamber) -> WeightVector:
@@ -413,22 +451,25 @@ class CrossingPath:
         return [w for _, w in self.steps]
 
 
-def last_crossing(src: Chamber, dst: Chamber) -> tuple[Chamber, frozenset[int]]:
+def last_crossing(
+    src: Chamber, dst: Chamber, known: Container[Chamber] = ()
+) -> tuple[Chamber, frozenset[int]]:
     """The last simple crossing of a path from ``src`` down to ``dst``.
 
     Returns (above, S) with ``above.cross(S) == dst`` and ``above`` still
     below ``src``: S is a maximal light set of ``dst``, heavy in ``src``,
     whose uncrossing is realizable.  One exists whenever ``src`` lies
     strictly above ``dst``: the last wall a generic segment from ``src`` to
-    ``dst`` crosses is such a set.  Candidates whose chamber above is already
-    known to be realizable are tried first, so no LP is solved when one is;
-    when every realizable chamber is known (after ``enumerate_chambers``),
-    S is the first realizable candidate in ``light_max`` order.
+    ``dst`` crosses is such a set.  Candidates already known to be
+    realizable, by the realizability memo or by membership in ``known``, are
+    tried first and need no LP; when every realizable chamber is known (after
+    ``enumerate_chambers``), S is the first realizable candidate in
+    ``light_max`` order.
     """
     candidates = [(dst._above(S), S) for S in dst.light_max if src.value(S) == 1]
-    candidates.sort(key=lambda pair: _realize_cache.get(pair[0]) is None)
+    candidates.sort(key=lambda pair: pair[0] not in known and _realize_cache.get(pair[0]) is None)
     for above, S in candidates:
-        if above.is_realizable():
+        if above in known or above.is_realizable():
             return above, frozenset(S)
     raise NotComparableError(f"{src} does not lie strictly above {dst}")
 
@@ -469,13 +510,15 @@ class _Relabelings:
     The subsets of size >= 2 are ranked in sorted-label-tuple order, so a
     sorted tuple of ranks compares exactly as the light antichain it encodes.
     ``tables[k][mask]``, for a mask of size >= 2, is the rank of its image
-    under the permutation ``perms[k]`` (label j goes to perms[k][j-1] + 1).
+    under the permutation ``perms[k]`` (label j goes to perms[k][j-1] + 1);
+    ``last_fixed`` lists the k whose permutation fixes the last label.
     """
 
     subsets: tuple[tuple[int, ...], ...]
     masks: tuple[int, ...]
     perms: tuple[tuple[int, ...], ...]
     tables: tuple[tuple[int, ...], ...]
+    last_fixed: tuple[int, ...]
 
     def relabeled(self, masks: Iterable[int]) -> list[tuple[int, ...]]:
         """The sorted rank tuple of the light antichain ``masks`` under every
@@ -505,7 +548,26 @@ def _relabelings(n: int) -> _Relabelings:
         tuple(rank[sum(1 << p[j] for j in range(n) if m >> j & 1)] for m in range(1 << n))
         for p in perms
     )
-    return _Relabelings(tuple(subsets), masks, perms, tables)
+    last_fixed = tuple(k for k, p in enumerate(perms) if p[-1] == n - 1)
+    return _Relabelings(tuple(subsets), masks, perms, tables, last_fixed)
+
+
+def _orbit(c: Chamber, fix_last: bool = False) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(form, perm): the smallest rank tuple of ``c`` over the relabelings of
+    its points, or over those fixing the last point, and the first
+    permutation reaching it.  None above ENUMERATION_BOUND points, where the
+    n! relabel tables are not built."""
+    n = c.space.n
+    if n > ENUMERATION_BOUND:
+        return None
+    sym = _relabelings(n)
+    masks = [_mask(s) for s in c.light_max]
+
+    def form(k: int) -> tuple[int, ...]:
+        return tuple(sorted(map(sym.tables[k].__getitem__, masks)))
+
+    k = min(sym.last_fixed if fix_last else range(len(sym.perms)), key=form)
+    return form(k), sym.perms[k]
 
 
 def _minimal_heavy(light_max: list[int], n: int) -> list[int]:
@@ -574,23 +636,30 @@ def _search(space: StabilitySpace) -> tuple[tuple[Chamber, ...], tuple[Chamber, 
                 below = sym.canonical([m for m in masks if m & ~S] + [S])
                 if below not in seen:
                     seen.add(below)
-                    if realize(sym.chamber(space, below)) is not None:
+                    if _realize_form(space, below) is not None:
                         new_frontier.append(below)
         frontier = new_frontier
     found.sort()
     reps = tuple(sym.chamber(space, key) for key in found)
     witnesses = {}  # rank tuple -> (witness, slack), from the first relabeling found
-    for key, rep in zip(found, reps):
-        point, slack = realize(rep)
+    for key in found:
+        point, slack = _realize_form(space, key)
         for p, image in zip(sym.perms, sym.relabeled(sym.masks[r] for r in key)):
             if image not in witnesses:
-                b = [Fraction(0)] * n
-                for j, aj in enumerate(point):
-                    b[p[j]] = aj
-                witnesses[image] = (tuple(b), slack)
+                witnesses[image] = (_moved(point, p), slack)
     all_chambers = []
     for key in sorted(witnesses, key=lambda k: (len(k), k)):
         c = sym.chamber(space, key)
         _realize_cache.setdefault(c, witnesses[key])
         all_chambers.append(c)
     return tuple(all_chambers), reps
+
+
+def _realize_form(space: StabilitySpace, form: tuple[int, ...]) -> Optional[Realization]:
+    """``realize`` of the chamber with canonical form ``form``, read from and
+    stored in the orbit table alone: its witness is already in canonical
+    labels."""
+    key = (space, form)
+    if key not in _realize_orbits:
+        _realize_orbits[key] = _solve(_relabelings(space.n).chamber(space, form))
+    return _realize_orbits[key]

@@ -49,3 +49,7 @@ class UnstableError(WpvolError):
 
 class BoundExceededError(WpvolError):
     """The space has more points than chambers.ENUMERATION_BOUND allows."""
+
+
+class NoFlatHullError(WpvolError):
+    """The chamber has no flat hull in the requested coordinate."""

@@ -26,7 +26,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Sequence, Union
 
@@ -173,6 +173,11 @@ class Poly:
         if g != 1:
             nums = {e: c // g for e, c in nums.items()}
             den //= g
+        return cls._adopt(ring, nums, den)
+
+    @classmethod
+    def _adopt(cls, ring: PolyRing, nums: Nums, den: int) -> "Poly":
+        """Adopt ``nums`` over ``den``, already in canonical form."""
         p = object.__new__(cls)
         _set(p, "ring", ring)
         _set(p, "_nums", nums)
@@ -401,6 +406,31 @@ class Poly:
                 yield from partial
 
         return Poly.from_canonical(target, accumulate({}, pairs()), den)
+
+    def relabeled(self, target: PolyRing, positions: Sequence[int]) -> "Poly":
+        """Map this poly into ``target`` sending variable i to variable
+        ``positions[i]``.
+
+        ``positions[0]`` must be 0, so pi stays pi, and the positions must be
+        distinct, so no two terms merge: one pass over the exponent tuples,
+        with the numerators and ``den`` kept and no gcd taken.
+        """
+        if len(positions) != self.ring.nvars:
+            raise VariableRangeError("need one position per source variable")
+        if positions[0] != 0:
+            raise ValueError("pi must map to pi")
+        if len(set(positions)) != len(positions):
+            raise ValueError(f"positions {tuple(positions)} are not distinct")
+        if min(positions) < 0 or max(positions) >= target.nvars:
+            raise VariableRangeError(f"positions {tuple(positions)} out of range for {target.names}")
+        if target.nvars == 1:  # pi alone
+            return Poly._adopt(target, self._nums, self.den)
+        source = [self.ring.nvars] * target.nvars  # an unused target variable reads a padded 0
+        for i, p in enumerate(positions):
+            source[p] = i
+        pick = itemgetter(*source)
+        pad = (0,) if target.nvars > self.ring.nvars else ()
+        return Poly._adopt(target, {pick(e + pad): c for e, c in self._nums.items()}, self.den)
 
     def drop_last_var(self) -> "Poly":
         """Project into the ring without the trailing variable (must be unused)."""

@@ -31,7 +31,7 @@ from .chambers import (
     minimal_chamber_0,
     realize,
 )
-from .errors import NotIncidentError, NotRealizableError, WpvolError
+from .errors import NoFlatHullError, NotIncidentError, NotRealizableError, WpvolError
 from .intersection import kappa_psi_intersection, psi_intersection
 from .numeric import evaluate_pi_poly
 from .poly import PolyRing, angle_ring, phi_form
@@ -333,7 +333,7 @@ def check_general_dilaton(rep: Reporter, space: StabilitySpace) -> None:
                 continue
             try:
                 lhs, rhs = general_dilaton_check(c, i)
-            except WpvolError:
+            except (NoFlatHullError, NotRealizableError):
                 continue
             total += 1
             if lhs != rhs:

@@ -18,6 +18,13 @@ volume is computed recursively by the same engine (the merged point is
 labelled last and bound to the integration variable), so the recursion
 strictly reduces n and bottoms out at one-chamber spaces.
 
+Volumes are memoized per chamber.  Crossings are memoized per (C/S, S) and,
+below that, per key orbit: relabeling the points that fix the merged one is a
+symmetry, and phi_S is symmetric in S, so wc depends only on the space of
+C/S, on s and on the orbit of C/S.  One integral is computed per key orbit
+and relabeled (``Poly.relabeled``) for every other key in it.  The identity
+checks integrate through ``_integrate_crossing``, which bypasses both tables.
+
 Also here: closed-form chamber volumes (genus-0 minimal chamber, Losev-Manin,
 (CP^1)^n), the 2 pi limit (light coordinates), and the dilaton-type derivative
 identities.  Identity checks return both sides as exact polynomials so a
@@ -36,12 +43,13 @@ from .chambers import (
     CrossingPath,
     StabilitySpace,
     WeightVector,
+    _orbit,
     classify,
     crossing_path,
     last_crossing,
     main_chamber,
 )
-from .errors import NotRealizableError, UnstableError, WpvolError
+from .errors import NoFlatHullError, NotRealizableError, UnstableError, WpvolError
 from .intersection import kappa_psi_intersection
 from .poly import Poly, PolyRing, angle_ring, phi_form
 
@@ -132,8 +140,7 @@ def _wc_integral(
     n = ring.nvars - 1
     ext = angle_ring(n, extra="t")
     ti = ext.nvars - 1
-    images = [ext.pi()] + [ext.var(j) for j in s_comp] + [ext.var(ti)]
-    vq = quotient_poly.compose(ext, images)
+    vq = quotient_poly.relabeled(ext, [0, *s_comp, ti])
     phi = phi_form(ext, S)
     t = ext.var(ti)
     kernel = (phi * phi - t * t) ** (s - 2) * t / Fraction(factorial(s - 2) * 2 ** (s - 2))
@@ -156,6 +163,12 @@ def _integrate_crossing(c: Chamber, S: frozenset[int]) -> Poly:
 # wc_{C,S} depends on C only through the quotient C/S (the paper's corollary),
 # so one integral serves every chamber above W_S with the same quotient.
 _crossing_cache: dict[tuple[Chamber, frozenset[int]], Poly] = {}
+# Relabeling the points that fix the merged one maps C/S to another quotient
+# and wc to the relabeled wc, and phi_S is symmetric in S, so wc depends only
+# on (space of C/S, |S|, orbit of C/S).  Keyed so, wc in the reference
+# labelling: the complement of S in the order of the canonical quotient
+# (``chambers._orbit`` with the merged label fixed), then S.
+_crossing_orbits: dict[tuple[StabilitySpace, int, tuple[int, ...]], Poly] = {}
 
 
 def wall_crossing_poly(c: Chamber, S: Iterable[int]) -> WallCrossingPoly:
@@ -169,11 +182,42 @@ def wall_crossing_poly(c: Chamber, S: Iterable[int]) -> WallCrossingPoly:
 
 
 def _crossing_poly(c: Chamber, S: frozenset[int]) -> Poly:
-    """The memoized wc_{C,S}, for c known to be incident to and above W_S."""
-    key = (c.quotient(S), S)
+    """The memoized wc_{C,S}, for c known to be incident to and above W_S.
+
+    Read from the exact (C/S, S) table; on its miss, relabeled from the
+    key-orbit table, and integrated once per key orbit.
+    """
+    quotient = c.quotient(S)
+    key = (quotient, S)
     poly = _crossing_cache.get(key)
     if poly is None:
-        poly = _crossing_cache[key] = _integrate_crossing(c, S)
+        poly = _crossing_cache[key] = _orbit_crossing(c, S, quotient)
+    return poly
+
+
+def _orbit_crossing(c: Chamber, S: frozenset[int], quotient: Chamber) -> Poly:
+    """wc_{C,S} through the key-orbit table; ``quotient`` is C/S."""
+    orbit = _orbit(quotient, fix_last=True)
+    if orbit is None:
+        return _integrate_crossing(c, S)
+    form, perm = orbit
+    # reference variable perm[j-1] + 1 is the j-th label of the complement,
+    # and the last |S| reference variables are S
+    comp = sorted(set(c.space.labels) - S)
+    positions = [0] * (c.space.n + 1)
+    for p, j in zip(perm, comp):
+        positions[p + 1] = j
+    positions[len(comp) + 1 :] = sorted(S)
+    ring = angle_ring(c.space.n)
+    key = (quotient.space, len(S), form)
+    ref = _crossing_orbits.get(key)
+    if ref is not None:
+        return ref.relabeled(ring, positions)
+    poly = _integrate_crossing(c, S)
+    back = [0] * len(positions)
+    for i, j in enumerate(positions):
+        back[j] = i
+    _crossing_orbits[key] = poly.relabeled(ring, back)
     return poly
 
 
@@ -203,7 +247,7 @@ def _realizable_chamber_volume(c: Chamber) -> VolumeResult:
     if not c.light_max:
         result = mirzakhani_volume(c.space.g, c.space.n)
     else:
-        above, wall = last_crossing(main_chamber(c.space), c)
+        above, wall = last_crossing(main_chamber(c.space), c, _volume_cache)
         poly = _realizable_chamber_volume(above).poly + _crossing_poly(above, wall)
         result = VolumeResult(c, poly, PROV_PATH)
     _volume_cache[c] = result
@@ -334,8 +378,7 @@ def eval_at_2pi(vr: VolumeResult, i: int) -> Poly:
 def _restricted_volume_in(ring: PolyRing, c: Chamber, keep: Sequence[int]) -> Poly:
     """Volume of c.restrict(keep), re-expressed in the big ring's variables."""
     sub = chamber_volume(c.restrict(keep)).poly
-    images = [ring.pi()] + [ring.var(j) for j in sorted(keep)]
-    return sub.compose(ring, images)
+    return sub.relabeled(ring, [0, *sorted(keep)])
 
 
 def dilaton_rhs(c: Chamber, i: int) -> Poly:
@@ -385,8 +428,7 @@ def wc_derivative_check(c: Chamber, S: Iterable[int], j: int) -> tuple[Poly, Pol
     comp = sorted(set(c.space.labels) - S)
     if len(S) == 2:
         (k,) = sorted(S - {j})
-        images = [ring.pi()] + [ring.var(x) for x in comp] + [ring.var(k)]
-        rhs = ring.var(k) * vq.compose(ring, images)
+        rhs = ring.var(k) * vq.relabeled(ring, [0, *comp, k])
     else:
         s_rest = sorted(S - {j})
         rhs = phi_form(ring, s_rest) * _wc_integral(vq, s_rest, comp, ring)
@@ -406,7 +448,7 @@ def flat_hull(c: Chamber, i: int) -> Chamber:
             continue
         if c.value(S | {i}) == 1:
             if q & S:
-                raise WpvolError(
+                raise NoFlatHullError(
                     f"no flat hull in coordinate {i}: light set {sorted(S)} meets q(C)"
                 )
             light.append(tuple(sorted(S | {i})))
@@ -490,3 +532,4 @@ def general_dilaton_check(
 def clear_volume_cache() -> None:
     _volume_cache.clear()
     _crossing_cache.clear()
+    _crossing_orbits.clear()

@@ -333,8 +333,10 @@ def test_orbit_search_matches_full_search(monkeypatch, g, n):
     chamber of each orbit."""
     space = StabilitySpace(g, n)
     monkeypatch.setattr(chambers, "_realize_cache", {})
+    monkeypatch.setattr(chambers, "_realize_orbits", {})
     want = _reference_enumeration(space)
     monkeypatch.setattr(chambers, "_realize_cache", {})
+    monkeypatch.setattr(chambers, "_realize_orbits", {})
     monkeypatch.setattr(chambers, "_enum_cache", {})
     assert enumerate_chambers(space) == want
     assert enumerate_chambers(space, up_to_symmetry=True) == _reference_up_to_symmetry(space)
@@ -346,6 +348,7 @@ def test_enumeration_witnesses_without_lp(monkeypatch, g, n):
     lies in the chamber and has the margin a fresh LP gives."""
     space = StabilitySpace(g, n)
     monkeypatch.setattr(chambers, "_realize_cache", {})
+    monkeypatch.setattr(chambers, "_realize_orbits", {})
     monkeypatch.setattr(chambers, "_enum_cache", {})
     found = enumerate_chambers(space)
 
@@ -357,9 +360,8 @@ def test_enumeration_witnesses_without_lp(monkeypatch, g, n):
     for c, (point, slack) in known.items():
         assert classify(WeightVector(space, point)) == c
     monkeypatch.undo()
-    monkeypatch.setattr(chambers, "_realize_cache", {})
     for c, (point, slack) in known.items():
-        assert realize(c)[1] == slack
+        assert chambers._solve(c)[1] == slack
 
 
 def _reference_up_to_symmetry(space):
@@ -529,22 +531,45 @@ def test_last_crossing_after_enumeration_solves_no_lp(monkeypatch):
         monkeypatch.undo()
 
 
-def test_last_crossing_tries_known_realizable_first(monkeypatch):
-    """With only the last realizable candidate known, last_crossing returns it
-    without solving an LP for the unknown candidates before it."""
-    def no_lp(*args, **kwargs):
-        raise AssertionError("simplex_max called although a known candidate exists")
-
-    top = main_chamber(S05)
-    checked = 0
-    for c in enumerate_chambers(S05):
+def _late_uncrossings(space):
+    """(c, above, S) for the chambers of ``space`` whose last realizable
+    uncrossing S is not their first maximal light set; above = c.uncross(S)."""
+    for c in enumerate_chambers(space):
         walls = [S for S in c.light_max if _uncrossable(c, S)]
         if len(c.light_max) < 2 or not walls or walls[-1] == c.light_max[0]:
             continue
-        above = c.uncross(walls[-1])
+        yield c, c.uncross(walls[-1]), frozenset(walls[-1])
+
+
+def _no_lp(*args, **kwargs):
+    raise AssertionError("simplex_max called although a known candidate exists")
+
+
+def test_last_crossing_tries_known_realizable_first(monkeypatch):
+    """With only the last realizable candidate known, last_crossing returns it
+    without solving an LP for the unknown candidates before it."""
+    top = main_chamber(S05)
+    checked = 0
+    for c, above, S in _late_uncrossings(S05):
         monkeypatch.setattr(chambers, "_realize_cache", {above: chambers.realize(above)})
-        monkeypatch.setattr(chambers, "simplex_max", no_lp)
-        assert chambers.last_crossing(top, c) == (above, frozenset(walls[-1]))
+        monkeypatch.setattr(chambers, "_realize_orbits", {})
+        monkeypatch.setattr(chambers, "simplex_max", _no_lp)
+        assert chambers.last_crossing(top, c) == (above, S)
+        monkeypatch.undo()
+        checked += 1
+    assert checked > 100
+
+
+def test_last_crossing_takes_known_chambers_as_realizable(monkeypatch):
+    """A chamber in ``known`` (the volume engine passes its volume memo) is
+    taken as realizable and tried first, with no LP for it or before it."""
+    top = main_chamber(S05)
+    checked = 0
+    for c, above, S in _late_uncrossings(S05):
+        monkeypatch.setattr(chambers, "_realize_cache", {})
+        monkeypatch.setattr(chambers, "_realize_orbits", {})
+        monkeypatch.setattr(chambers, "simplex_max", _no_lp)
+        assert chambers.last_crossing(top, c, {above}) == (above, S)
         monkeypatch.undo()
         checked += 1
     assert checked > 100

@@ -9,7 +9,7 @@ from math import lcm
 import pytest
 
 import wpvol.chambers as chambers
-from wpvol.chambers import Chamber, StabilitySpace, enumerate_chambers
+from wpvol.chambers import Chamber, StabilitySpace, WeightVector, classify, enumerate_chambers
 from wpvol.lp import simplex_max
 
 
@@ -180,25 +180,53 @@ def test_matches_full_tableau_on_random_lps():
     assert solved > 800
 
 
-def test_matches_full_tableau_on_realizability_lps(monkeypatch):
-    """Every LP that realize solves, from an empty memo table, for each
-    chamber of D_{0,4}, D_{1,4} and D_{0,5} and for each chamber one simple
-    crossing below it (one minimal heavy set made light) gives the
-    reference's (value, x)."""
+@pytest.fixture(scope="module")
+def realizability_lps():
+    """Each chamber of D_{0,4}, D_{1,4} and D_{0,5} and each chamber one
+    simple crossing below it (one minimal heavy set made light), with the
+    result of its realizability LP solved afresh, and every (c, A, b) those
+    LPs pass to simplex_max."""
     spaces = [StabilitySpace(g, n) for g, n in [(0, 4), (1, 4), (0, 5)]]
     found = [c for space in spaces for c in enumerate_chambers(space)]
-    monkeypatch.setattr(chambers, "_realize_cache", {})
+    fresh = {}
     recorded = []
 
     def recording(c, A, b):
         recorded.append((c, A, b))
         return simplex_max(c, A, b)
 
-    monkeypatch.setattr(chambers, "simplex_max", recording)
-    for c in found:
-        chambers.realize(c)
-        for S in c.heavy_min():
-            chambers.realize(Chamber(c.space, c.light_max + (tuple(sorted(S)),)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chambers, "simplex_max", recording)
+        for c in found:
+            below = [Chamber(c.space, c.light_max + (tuple(sorted(S)),)) for S in c.heavy_min()]
+            for x in [c, *below]:
+                if x not in fresh:
+                    fresh[x] = chambers._solve(x)
+    return fresh, recorded
+
+
+def test_matches_full_tableau_on_realizability_lps(realizability_lps):
+    """Every LP that realize solves on a memo miss (chambers._solve), for each
+    chamber of D_{0,4}, D_{1,4} and D_{0,5} and for each chamber one simple
+    crossing below it, gives the reference's (value, x)."""
+    _, recorded = realizability_lps
     assert len(recorded) > 2500
     for c, A, b in recorded:
         assert simplex_max(c, A, b) == full_tableau_simplex_max(c, A, b)
+
+
+def test_orbit_realize_matches_fresh_lp(realizability_lps, monkeypatch):
+    """From empty memo tables, realize through the S_n orbit table agrees with
+    the fresh LP on every chamber above, candidates of the enumeration
+    included, on realizability and slack, and its witness lies in the
+    chamber; most answers are orbit hits."""
+    fresh, _ = realizability_lps
+    monkeypatch.setattr(chambers, "_realize_cache", {})
+    monkeypatch.setattr(chambers, "_realize_orbits", {})
+    for c, want in sorted(fresh.items(), key=lambda item: (item[0].space.g, item[0].space.n, item[0].light_max)):
+        got = chambers.realize(c)
+        assert (got is None) == (want is None), c
+        if got is not None:
+            assert got[1] == want[1], c
+            assert classify(WeightVector(c.space, got[0])) == c
+    assert len(chambers._realize_orbits) < len(fresh) // 10

@@ -460,6 +460,32 @@ def test_compose_matches_reference(p, x, y):
     assert terms_of(p.compose(big, relabel)) == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_polys(), st.integers(2, 5), st.randoms(use_true_random=False))
+def test_relabeled_equals_compose_with_single_variable_images(p, width, rng):
+    """Sending each variable to a distinct variable of a ring as large or
+    larger gives what compose gives with those variables as images."""
+    target = angle_ring(width)
+    positions = [0] + rng.sample(range(1, width + 1), p.ring.nvars - 1)
+    images = [target.var(j) for j in positions]
+    assert canonical(p.relabeled(target, positions)) == p.compose(target, images)
+    if width == p.ring.nvars - 1:  # a permutation: relabeling back is the identity
+        back = [positions.index(i) for i in range(width + 1)]
+        assert p.relabeled(target, positions).relabeled(p.ring, back) == p
+
+
+def test_relabeled_rejects_bad_positions():
+    p = mirzakhani_volume(1, 2).poly
+    with pytest.raises(ValueError):
+        p.relabeled(p.ring, [1, 0, 2])  # pi must stay pi
+    with pytest.raises(ValueError):
+        p.relabeled(p.ring, [0, 1, 1])  # not injective
+    with pytest.raises(VariableRangeError):
+        p.relabeled(p.ring, [0, 1, 3])
+    with pytest.raises(VariableRangeError):
+        p.relabeled(p.ring, [0, 1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_polys(), small_polys(max_size=3))
 def test_integrate_upper_matches_reference(p, upper):

@@ -51,3 +51,18 @@ def test_unexpected_error_in_a_crossing_is_not_skipped(monkeypatch):
     monkeypatch.setattr(verify, "wall_crossing_poly", broken)
     with pytest.raises(RingMismatchError):
         check_05_s3(Reporter())
+
+
+def test_unexpected_error_in_general_dilaton_is_not_skipped(monkeypatch):
+    """P14 skips only a coordinate without a flat hull or with an
+    unrealizable one; any other error propagates and fails the check."""
+    from wpvol import volumes
+    from wpvol.verify import check_general_dilaton
+
+    def broken(c, i):
+        raise RingMismatchError("injected")
+
+    monkeypatch.setattr(volumes, "dilaton_rhs", broken)
+    with pytest.raises(RingMismatchError):
+        check_general_dilaton(Reporter(), StabilitySpace(0, 5))
+

@@ -20,6 +20,7 @@ from wpvol.poly import PI_RING, angle_ring
 from wpvol.verify import _incident_walls, two_crossing_orders
 from wpvol.volumes import (
     _integrate_crossing,
+    _wc_integral,
     chamber_volume,
     clear_volume_cache,
     eval_at_2pi,
@@ -207,6 +208,7 @@ def test_cold_piecewise_volume_solves_no_lp_for_its_chamber(monkeypatch):
     for w in points:
         c = classify(w)
         monkeypatch.setattr(chambers, "_realize_cache", {})
+        monkeypatch.setattr(chambers, "_realize_orbits", {})
         monkeypatch.setattr(volumes, "_volume_cache", {})
         solved = []
         real_realize = chambers.realize
@@ -251,3 +253,73 @@ def test_eval_at_2pi_light_vanishing_04():
     b3 = chambers_04()["B3"]
     assert eval_at_2pi(chamber_volume(b3), 4).is_zero()
     assert not eval_at_2pi(chamber_volume(chambers_04()["B4"]), 4).is_zero()
+
+
+# -- the orbit-keyed memos against the per-chamber engine --------------------------
+
+
+@pytest.fixture
+def empty_memos(monkeypatch):
+    """Every chamber, volume and crossing memo empty, the orbit tables
+    included, and restored afterwards."""
+    for module, name in [
+        (chambers, "_realize_cache"),
+        (chambers, "_realize_orbits"),
+        (chambers, "_enum_cache"),
+        (volumes, "_volume_cache"),
+        (volumes, "_crossing_cache"),
+        (volumes, "_crossing_orbits"),
+    ]:
+        monkeypatch.setattr(module, name, {})
+
+
+def _exact_key_volume(c, polys, crossings):
+    """Reference: the per-chamber engine, each wall crossing integrated once
+    per exact key (C/S, S) from a quotient volume computed by the reference
+    itself."""
+    got = polys.get(c)
+    if got is None:
+        if not c.light_max:
+            got = mirzakhani_volume(c.space.g, c.space.n).poly
+        else:
+            above, S = chambers.last_crossing(main_chamber(c.space), c)
+            key = (above.quotient(S), S)
+            wc = crossings.get(key)
+            if wc is None:
+                vq = _exact_key_volume(key[0], polys, crossings)
+                comp = sorted(set(c.space.labels) - S)
+                wc = crossings[key] = _wc_integral(vq, sorted(S), comp, angle_ring(c.space.n))
+            got = _exact_key_volume(above, polys, crossings) + wc
+        polys[c] = got
+    return got
+
+
+def test_orbit_keyed_volumes_match_exact_key_engine(empty_memos):
+    """Every chamber of D_{0,5} and D_{1,4}, computed in one process that
+    shares the memos (the crossings of D_{1,3} and D_{1,4} both have
+    quotients in D_{1,2}, with |S| = 2 and 3), equals the reference."""
+    spaces = [S05, StabilitySpace(1, 4)]
+    got = {c: chamber_volume(c).poly for space in spaces for c in enumerate_chambers(space)}
+    assert len(volumes._crossing_orbits) < len(volumes._crossing_cache)
+    polys, crossings = {}, {}
+    for c, poly in got.items():
+        assert poly == _exact_key_volume(c, polys, crossings), c
+
+
+def test_orbit_keyed_crossings_match_fresh_integrals(empty_memos, monkeypatch):
+    """Every exact (C/S, S) key that the D_{1,5} volumes reach, in D_{1,5}
+    and in the quotient spaces below it, holds the crossing integrated afresh
+    for the first chamber that reached it."""
+    reached = {}
+    orbit_crossing = volumes._orbit_crossing
+
+    def recording(c, S, quotient):  # called once per exact key, on its miss
+        reached[(quotient, S)] = c
+        return orbit_crossing(c, S, quotient)
+
+    monkeypatch.setattr(volumes, "_orbit_crossing", recording)
+    for c in enumerate_chambers(StabilitySpace(1, 5)):
+        chamber_volume(c)
+    assert {q.space.n + len(S) - 1 for q, S in reached} == {3, 4, 5}
+    for (q, S), c in reached.items():
+        assert volumes._crossing_cache[(q, S)] == _integrate_crossing(c, S), (c, S)
