@@ -35,9 +35,10 @@ from .errors import (
 from .lp import simplex_max
 from .poly import Poly, PolyRing
 
-# n = 6 stays off: D_{0,6} alone has 105 123 chambers (448 orbits), and the
-# full list of D_{1,6} would run to hundreds of thousands
-ENUMERATION_BOUND = 5
+# n = 7 stays off: the D_{0,7} orbit search had not ended after 11 200 new
+# canonical forms (5 040 relabelings each) in 190 s, where D_{1,6} takes
+# about 2.5 s for its 994 orbits
+ENUMERATION_BOUND = 6
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,8 @@ class Chamber:
 
     def heavy_min(self) -> list[frozenset[int]]:
         """Minimal heavy sets: heavy J whose proper subsets are all light."""
-        minimal = set(_minimal_heavy([_mask(s) for s in self.light_max], self.space.n))
+        n = self.space.n
+        minimal = set(_minimal_heavy(_light_closure(map(_mask, self.light_max), n), n))
         return [J for J in self.space.subsets() if _mask(J) in minimal]
 
     # -- constructions ---------------------------------------------------------
@@ -265,6 +267,16 @@ class Chamber:
         return realize(self) is not None
 
 
+def _adopt(space: StabilitySpace, light_max: tuple[tuple[int, ...], ...]) -> Chamber:
+    """The chamber with light antichain ``light_max``, which is already in
+    canonical form (maximal sets only, sorted): built without the validation
+    and re-canonicalization of ``Chamber.__post_init__``."""
+    c = object.__new__(Chamber)
+    object.__setattr__(c, "space", space)
+    object.__setattr__(c, "light_max", light_max)
+    return c
+
+
 def _is_int(x) -> bool:
     """A JSON integer; JSON booleans parse to bool, a subclass of int."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -330,17 +342,20 @@ _realize_orbits: dict[tuple[StabilitySpace, tuple[int, ...]], Optional[Realizati
 def realize(c: Chamber) -> Optional[Realization]:
     """(a, s): an interior witness a of maximal margin s > 0, or None.
 
-    Memoized per chamber and, up to ENUMERATION_BOUND points, per S_n orbit:
-    on a miss of the per-chamber table the orbit table is read under the
-    canonical form of ``c`` (``_orbit``); a hit relabels the stored witness,
-    which keeps its (maximal) margin, and a miss solves the LP on ``c``
-    (``_solve``) and stores the canonical copy.
+    Memoized per chamber and, up to ENUMERATION_BOUND points, per S_n orbit.
+    On a miss of the per-chamber table, a chamber whose desirability relation
+    is not total (``_desirability``) is not realizable, with no LP.  Otherwise
+    the orbit table is read under the canonical form of ``c`` (``_orbit``); a
+    hit relabels the stored witness, which keeps its (maximal) margin, and a
+    miss solves the LP on ``c`` (``_solve``) and stores the canonical copy.
     """
     got = _realize_cache.get(c, "miss")
     if got != "miss":
         return got
-    orbit = _orbit(c)
-    if orbit is None:
+    n = c.space.n
+    if _desirability(_light_closure(map(_mask, c.light_max), n), n) is None:
+        got = None
+    elif (orbit := _orbit(c)) is None:
         got = _solve(c)
     else:
         form, perm = orbit  # label j of c is label perm[j-1] + 1 of the canonical chamber
@@ -511,7 +526,9 @@ class _Relabelings:
     sorted tuple of ranks compares exactly as the light antichain it encodes.
     ``tables[k][mask]``, for a mask of size >= 2, is the rank of its image
     under the permutation ``perms[k]`` (label j goes to perms[k][j-1] + 1);
-    ``last_fixed`` lists the k whose permutation fixes the last label.
+    ``last_fixed`` lists the k whose permutation fixes the last label, and
+    ``inversions[k]`` has bit i*n + j set, for labels i+1 < j+1, when
+    ``perms[k]`` puts label i+1 after label j+1.
     """
 
     subsets: tuple[tuple[int, ...], ...]
@@ -519,19 +536,24 @@ class _Relabelings:
     perms: tuple[tuple[int, ...], ...]
     tables: tuple[tuple[int, ...], ...]
     last_fixed: tuple[int, ...]
+    inversions: tuple[int, ...]
 
-    def relabeled(self, masks: Iterable[int]) -> list[tuple[int, ...]]:
-        """The sorted rank tuple of the light antichain ``masks`` under every
-        permutation, in ``perms`` order."""
+    def relabeled(
+        self, masks: Iterable[int], ks: Optional[Iterable[int]] = None
+    ) -> list[tuple[int, ...]]:
+        """The sorted rank tuple of the light antichain ``masks`` under the
+        permutations ``perms[k]`` for k in ``ks`` (default: every one), in
+        that order."""
         masks = list(masks)
-        return [tuple(sorted(map(t.__getitem__, masks))) for t in self.tables]
-
-    def canonical(self, masks: Iterable[int]) -> tuple[int, ...]:
-        """The canonical form of a chamber: the smallest relabeled rank tuple."""
-        return min(self.relabeled(masks))
+        tables = self.tables if ks is None else map(self.tables.__getitem__, ks)
+        return [tuple(sorted(map(t.__getitem__, masks))) for t in tables]
 
     def chamber(self, space: StabilitySpace, key: tuple[int, ...]) -> Chamber:
-        return Chamber(space, tuple(self.subsets[r] for r in key))
+        """The chamber of a sorted rank tuple, whose light antichain is then
+        already canonical."""
+        if list(key) != sorted(key):
+            raise ValueError(f"rank tuple {key} is not sorted")
+        return _adopt(space, tuple(self.subsets[r] for r in key))
 
 
 @functools.cache
@@ -549,7 +571,11 @@ def _relabelings(n: int) -> _Relabelings:
         for p in perms
     )
     last_fixed = tuple(k for k, p in enumerate(perms) if p[-1] == n - 1)
-    return _Relabelings(tuple(subsets), masks, perms, tables, last_fixed)
+    inversions = tuple(
+        sum(1 << (i * n + j) for i, j in itertools.combinations(range(n), 2) if p[i] > p[j])
+        for p in perms
+    )
+    return _Relabelings(tuple(subsets), masks, perms, tables, last_fixed, inversions)
 
 
 def _orbit(c: Chamber, fix_last: bool = False) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -570,24 +596,113 @@ def _orbit(c: Chamber, fix_last: bool = False) -> Optional[tuple[tuple[int, ...]
     return form(k), sym.perms[k]
 
 
-def _minimal_heavy(light_max: list[int], n: int) -> list[int]:
-    """Minimal heavy sets, as masks, of the chamber with light antichain
-    ``light_max`` (masks): the heavy sets of size >= 2 all of whose proper
-    subsets are light, i.e. the walls ``Chamber.cross`` accepts."""
-    light = {0} | {1 << j for j in range(n)}
+# A family of label masks is held as a set of masks: an int whose bit m is set
+# when mask m belongs to it, so one shift moves every member at once.
+
+
+@functools.cache
+def _mask_sets(n: int) -> tuple[int, int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(all masks, masks of size <= 1, masks containing label j for each j,
+    pairs) as sets of masks; ``pairs`` holds, for labels i < j, (i, j, the
+    masks with i and without j, those with j and without i, 2^j - 2^i)."""
+    every = (1 << (1 << n)) - 1
+    small = 1 | sum(1 << (1 << j) for j in range(n))
+    has = tuple(sum(1 << m for m in range(1 << n) if m >> j & 1) for j in range(n))
+    pairs = tuple(
+        (i, j, has[i] & ~has[j], has[j] & ~has[i], (1 << j) - (1 << i))
+        for i, j in itertools.combinations(range(n), 2)
+    )
+    return every, small, has, pairs
+
+
+def _light_closure(light_max: Iterable[int], n: int) -> int:
+    """The light sets of the chamber with light antichain ``light_max``
+    (masks), as a set of masks: every subset of a maximal light set, and
+    every set of size <= 1."""
+    _, light, has, _ = _mask_sets(n)
     for a in light_max:
-        sub = a
-        while sub:
-            light.add(sub)
-            sub = (sub - 1) & a
+        light |= 1 << a
+    for j, with_j in enumerate(has):
+        light |= (light & with_j) >> (1 << j)  # drop label j from every light set
+    return light
+
+
+def _minimal_heavy(light: int, n: int) -> list[int]:
+    """Minimal heavy sets, as ascending masks, of the chamber whose light sets
+    are ``light`` (``_light_closure``): the heavy sets all of whose proper
+    subsets are light, i.e. the walls ``Chamber.cross`` accepts."""
+    every, _, has, _ = _mask_sets(n)
+    heavy = every & ~light
+    minimal = heavy
+    for j, with_j in enumerate(has):
+        minimal &= ~((heavy & ~with_j) << (1 << j))  # a heavy set plus label j
     out = []
-    for m in range(1 << n):
-        if m not in light and all(m ^ (1 << j) in light for j in range(n) if m >> j & 1):
-            out.append(m)
+    while minimal:
+        low = minimal & -minimal
+        out.append(low.bit_length() - 1)
+        minimal ^= low
     return out
 
 
-_enum_cache: dict[StabilitySpace, tuple[tuple[Chamber, ...], tuple[Chamber, ...]]] = {}
+def _desirability(light: int, n: int) -> Optional[tuple[int, ...]]:
+    """The desirability ranks of a chamber whose light sets are ``light``
+    (``_light_closure``), or None if its desirability relation is not total.
+
+    Label i is at least as desirable as j when J + {j} heavy implies J + {i}
+    heavy for every J avoiding both.  A realizable chamber is a weighted
+    threshold family, where a_i >= a_j makes i at least as desirable as j, so
+    its relation is total (Isbell's desirability relation; Taylor-Zwicker,
+    *Simple Games*, 1999).  The relation fails for i over j exactly when
+    some light set M holds i and not j and M - i + j is heavy.  Rank k of the
+    result, for label k + 1, counts the labels strictly more desirable; since
+    the relation is a preorder, the labels of equal rank are its ties.
+
+    Two tied labels are interchangeable: swapping them maps the chamber to
+    itself.  So every relabeling that sorts the labels by rank, permuting
+    only ties, gives the same image of the chamber, and that image is the
+    same for every chamber of an orbit (``_sorting_table``).
+    """
+    heavy = ~light
+    ranks = [0] * n
+    for i, j, i_not_j, j_not_i, shift in _mask_sets(n)[3]:
+        j_above = (light & i_not_j) << shift & heavy  # light M with i, M - i + j heavy
+        i_above = (light & j_not_i) >> shift & heavy
+        if j_above:
+            if i_above:
+                return None
+            ranks[i] += 1
+        elif i_above:
+            ranks[j] += 1
+    return tuple(ranks)
+
+
+@functools.cache
+def _sorting_table(n: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """The relabel table (``_Relabelings.tables``) of the permutation that
+    sorts the labels by desirability rank, and ties by label."""
+    perm = [0] * n
+    for position, j in enumerate(sorted(range(n), key=ranks.__getitem__)):
+        perm[j] = position
+    sym = _relabelings(n)
+    return sym.tables[sym.perms.index(tuple(perm))]
+
+
+@functools.cache
+def _coset_relabelings(n: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """The indices k, ascending, of the permutations ``perms[k]`` that keep
+    labels of equal desirability rank in order: one in each coset of the
+    permutations of ties, and the first of it in ``perms`` order.  The
+    permutations of ties are exactly those that fix a chamber with these
+    ranks (relabeling preserves desirability), so relabeling it by these
+    alone reaches each chamber of its orbit once, and by the first of all
+    permutations that reach it."""
+    tied = sum(
+        1 << (i * n + j) for i, j in itertools.combinations(range(n), 2) if ranks[i] == ranks[j]
+    )
+    return tuple(k for k, inv in enumerate(_relabelings(n).inversions) if not inv & tied)
+
+
+_enum_cache: dict[StabilitySpace, tuple[tuple[Chamber, ...], Optional[tuple[Chamber, ...]]]] = {}
 
 
 def enumerate_chambers(space: StabilitySpace, up_to_symmetry: bool = False) -> list[Chamber]:
@@ -597,62 +712,91 @@ def enumerate_chambers(space: StabilitySpace, up_to_symmetry: bool = False) -> l
     downward path of simple crossings (``crossing_path``), and relabeling the
     points maps chambers, crossings and realizability LPs to themselves.  So
     a breadth-first search over S_n orbits, starting at C^M, enumerates the
-    chamber decomposition exactly: each orbit is represented by its canonical
-    form, the smallest relabeled light antichain; every orbit representative
-    is crossed at each of its minimal heavy sets, and an LP is solved only for
-    canonical forms not seen before.  Spaces with more than ENUMERATION_BOUND
-    points raise BoundExceededError.
+    chamber decomposition exactly: every orbit representative is crossed at
+    each of its minimal heavy sets.  A candidate below whose desirability
+    relation is not total is not realizable and is dropped
+    (``_desirability``).  The others are deduplicated by their light
+    antichain relabeled so that the labels are sorted by desirability; tied
+    labels are interchangeable, so this is the smallest such antichain over
+    the permutations of the ties, one per orbit.  Each candidate not seen
+    before gets its canonical form, the smallest relabeled light antichain
+    over all n! permutations, and one LP.  The permutations of ties fix the
+    candidate, so the canonical form is taken over one permutation per coset
+    of them (``_coset_relabelings``).  Spaces with more than
+    ENUMERATION_BOUND points raise BoundExceededError.
 
-    The full list relabels every representative by all n! permutations,
-    ordered by (number of maximal light sets, light antichain); each of its
-    chambers enters the realizability memo with its representative's witness
-    relabeled, which has the same (maximal) margin.  With ``up_to_symmetry``,
-    returns the representatives instead, ordered by light antichain; each is
-    the first chamber of its orbit in the full list.
+    With ``up_to_symmetry``, returns the representatives, each in canonical
+    form and ordered by light antichain; the full list is not built.  The
+    full list is built on its first request: every representative relabeled
+    by all n! permutations (again one per coset), ordered by (number of
+    maximal light sets, light antichain).  Each of its chambers enters the
+    realizability memo with its representative's witness relabeled, which
+    has the same (maximal) margin, and each representative is the first
+    chamber of its orbit in it.
     """
     if space.n > ENUMERATION_BOUND:
         raise BoundExceededError(f"n={space.n} exceeds enumeration bound {ENUMERATION_BOUND}")
     got = _enum_cache.get(space)
     if got is None:
-        got = _enum_cache[space] = _search(space)
-    return list(got[1] if up_to_symmetry else got[0])
+        sym = _relabelings(space.n)
+        got = _enum_cache[space] = (tuple(sym.chamber(space, key) for key in _search(space)), None)
+    reps, every = got
+    if up_to_symmetry:
+        return list(reps)
+    if every is None:
+        every = _expand(space, reps)
+        _enum_cache[space] = (reps, every)
+    return list(every)
 
 
-def _search(space: StabilitySpace) -> tuple[tuple[Chamber, ...], tuple[Chamber, ...]]:
-    """(all chambers, orbit representatives) of ``space``, as described in
-    ``enumerate_chambers``."""
+def _search(space: StabilitySpace) -> list[tuple[int, ...]]:
+    """The canonical forms of the orbits of realizable chambers of ``space``,
+    sorted, found as described in ``enumerate_chambers``."""
     n = space.n
     sym = _relabelings(n)
-    start: tuple[int, ...] = ()  # C^M: no light sets, its own canonical form
-    seen = {start}
+    seen = set()  # candidates relabeled by desirability rank: one per orbit
     found = []
-    frontier = [start]
+    frontier: list[tuple[int, ...]] = [()]  # C^M: no light sets, its own canonical form
     while frontier:
         new_frontier = []
         for key in frontier:
             found.append(key)
             masks = [sym.masks[r] for r in key]
-            for S in _minimal_heavy(masks, n):
-                below = sym.canonical([m for m in masks if m & ~S] + [S])
-                if below not in seen:
-                    seen.add(below)
-                    if _realize_form(space, below) is not None:
-                        new_frontier.append(below)
+            light = _light_closure(masks, n)
+            for S in _minimal_heavy(light, n):
+                ranks = _desirability(light | 1 << S, n)
+                if ranks is None:
+                    continue
+                below = [m for m in masks if m & ~S] + [S]
+                sort = _sorting_table(n, ranks)
+                tie = tuple(sorted(map(sort.__getitem__, below)))
+                if tie not in seen:
+                    seen.add(tie)
+                    form = min(sym.relabeled(below, _coset_relabelings(n, ranks)))
+                    if _realize_form(space, form) is not None:
+                        new_frontier.append(form)
         frontier = new_frontier
-    found.sort()
-    reps = tuple(sym.chamber(space, key) for key in found)
-    witnesses = {}  # rank tuple -> (witness, slack), from the first relabeling found
-    for key in found:
-        point, slack = _realize_form(space, key)
-        for p, image in zip(sym.perms, sym.relabeled(sym.masks[r] for r in key)):
-            if image not in witnesses:
-                witnesses[image] = (_moved(point, p), slack)
-    all_chambers = []
+    return sorted(found)
+
+
+def _expand(space: StabilitySpace, reps: Iterable[Chamber]) -> tuple[Chamber, ...]:
+    """The full list of ``space`` from its orbit representatives, as described
+    in ``enumerate_chambers``; fills the realizability memo."""
+    sym = _relabelings(space.n)
+    witnesses = {}  # rank tuple -> (witness, slack)
+    for rep in reps:
+        masks = [_mask(s) for s in rep.light_max]
+        ks = _coset_relabelings(space.n, _desirability(_light_closure(masks, space.n), space.n))
+        images = sym.relabeled(masks, ks)
+        point, slack = _realize_form(space, images[0])  # ks[0] is 0, the identity
+        for k, image in zip(ks, images):
+            witnesses[image] = (_moved(point, sym.perms[k]), slack)
+    every = []
     for key in sorted(witnesses, key=lambda k: (len(k), k)):
         c = sym.chamber(space, key)
         _realize_cache.setdefault(c, witnesses[key])
-        all_chambers.append(c)
-    return tuple(all_chambers), reps
+        every.append(c)
+    return tuple(every)
 
 
 def _realize_form(space: StabilitySpace, form: tuple[int, ...]) -> Optional[Realization]:

@@ -31,7 +31,7 @@ from .chambers import (
     minimal_chamber_0,
     realize,
 )
-from .errors import NoFlatHullError, NotIncidentError, NotRealizableError, WpvolError
+from .errors import NoFlatHullError, NotIncidentError, NotRealizableError
 from .intersection import kappa_psi_intersection, psi_intersection
 from .numeric import evaluate_pi_poly
 from .poly import PolyRing, angle_ring, phi_form
@@ -406,7 +406,7 @@ def two_crossing_orders(c: Chamber):
         try:
             for wall in order2:
                 cur = cur.cross(wall)
-        except WpvolError:
+        except (NotIncidentError, NotRealizableError):
             continue
         if cur == c:
             return [order1, order2]

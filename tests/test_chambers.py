@@ -356,6 +356,7 @@ def test_enumeration_witnesses_without_lp(monkeypatch, g, n):
         raise AssertionError("simplex_max called for an enumerated chamber")
 
     monkeypatch.setattr(chambers, "simplex_max", no_lp)
+    assert all(c in chambers._realize_cache for c in found)
     known = {c: realize(c) for c in found}
     for c, (point, slack) in known.items():
         assert classify(WeightVector(space, point)) == c
@@ -376,6 +377,227 @@ def _reference_up_to_symmetry(space):
         )
         reps.setdefault(key, c)
     return [reps[k] for k in sorted(reps)]
+
+
+def _reference_minimal_heavy(light_max, n):
+    """Reference: the former minimal heavy sets, a closure loop over the
+    submasks of each maximal light set and a test of every mask."""
+    light = {0} | {1 << j for j in range(n)}
+    for a in light_max:
+        sub = a
+        while sub:
+            light.add(sub)
+            sub = (sub - 1) & a
+    out = []
+    for m in range(1 << n):
+        if m not in light and all(m ^ (1 << j) in light for j in range(n) if m >> j & 1):
+            out.append(m)
+    return out
+
+
+def _reference_orbit_search(space):
+    """Reference: the former orbit search, which canonicalizes every candidate
+    over all n! relabelings and solves one LP per new canonical form, then
+    expands the representatives and fills the realizability memo; returns
+    (all chambers, representatives), each validated by ``Chamber``."""
+    n = space.n
+    sym = chambers._relabelings(n)
+    seen = {()}
+    found = []
+    frontier = [()]
+    while frontier:
+        new_frontier = []
+        for key in frontier:
+            found.append(key)
+            masks = [sym.masks[r] for r in key]
+            for S in _reference_minimal_heavy(masks, n):
+                below = min(sym.relabeled([m for m in masks if m & ~S] + [S]))
+                if below not in seen:
+                    seen.add(below)
+                    if chambers._realize_form(space, below) is not None:
+                        new_frontier.append(below)
+        frontier = new_frontier
+    found.sort()
+
+    def chamber(key):
+        return Chamber(space, tuple(sym.subsets[r] for r in key))
+
+    reps = [chamber(key) for key in found]
+    witnesses = {}
+    for key in found:
+        point, slack = chambers._realize_form(space, key)
+        for p, image in zip(sym.perms, sym.relabeled(sym.masks[r] for r in key)):
+            if image not in witnesses:
+                witnesses[image] = (chambers._moved(point, p), slack)
+    every = []
+    for key in sorted(witnesses, key=lambda k: (len(k), k)):
+        c = chamber(key)
+        chambers._realize_cache.setdefault(c, witnesses[key])
+        every.append(c)
+    return every, reps
+
+
+@pytest.mark.parametrize(
+    "g,n",
+    [(0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (0, 5), (1, 5)],
+    ids=["D04", "D12", "D13", "D14", "D23", "D05", "D15"],
+)
+def test_orbit_search_matches_reference_orbit_search(monkeypatch, g, n):
+    """From empty memos, the filtered search returns the lists of the former
+    orbit search, and its orbit table is the former one less the forms whose
+    desirability relation is not total, none of them realizable.  Both fill
+    the realizability memo with the same witnesses."""
+    space = StabilitySpace(g, n)
+    monkeypatch.setattr(chambers, "_realize_cache", {})
+    monkeypatch.setattr(chambers, "_realize_orbits", {})
+    want_all, want_reps = _reference_orbit_search(space)
+    ref_orbits = chambers._realize_orbits
+    ref_witnesses = chambers._realize_cache
+    monkeypatch.setattr(chambers, "_realize_cache", {})
+    monkeypatch.setattr(chambers, "_realize_orbits", {})
+    monkeypatch.setattr(chambers, "_enum_cache", {})
+    reps = enumerate_chambers(space, up_to_symmetry=True)
+    assert [c.light_max for c in reps] == [c.light_max for c in want_reps]
+    assert [c.light_max for c in enumerate_chambers(space)] == [c.light_max for c in want_all]
+    orbits = chambers._realize_orbits
+    assert orbits.items() <= ref_orbits.items()
+    sym = chambers._relabelings(n)
+    for key in ref_orbits.keys() - orbits.keys():
+        light = chambers._light_closure((sym.masks[r] for r in key[1]), n)
+        assert ref_orbits[key] is None and chambers._desirability(light, n) is None
+    assert chambers._realize_cache == ref_witnesses
+
+
+def _candidates(space):
+    """The chamber below each minimal heavy set of each orbit representative
+    of ``space``: the candidates the search filters."""
+    for c in enumerate_chambers(space, up_to_symmetry=True):
+        for S in c.heavy_min():
+            below = [s for s in c.light_max if not set(s) <= S] + [tuple(sorted(S))]
+            yield Chamber(space, tuple(below))
+
+
+@pytest.mark.parametrize(
+    "g,n,rejected",
+    [(0, 4, 2), (1, 2, 0), (1, 4, 2), (0, 5, 28), (1, 5, 43)],
+    ids=["D04", "D12", "D14", "D05", "D15"],
+)
+def test_desirability_filter_rejects_no_realizable_chamber(g, n, rejected):
+    """Every candidate the filter rejects has no solution to its LP, solved
+    afresh; relabeling maps candidates to candidates and the filter to
+    itself, so the candidates of the representatives cover them all.
+    ``rejected`` counts the orbits of rejected candidates (regression values,
+    fixed once computed)."""
+    space = StabilitySpace(g, n)
+    sym = chambers._relabelings(n)
+    forms = set()
+    for below in _candidates(space):
+        masks = [chambers._mask(s) for s in below.light_max]
+        if chambers._desirability(chambers._light_closure(masks, n), n) is None:
+            assert chambers._solve(below) is None, below
+            forms.add(min(sym.relabeled(masks)))
+    assert len(forms) == rejected
+
+
+def _sorted_form(masks, n):
+    """(desirability ranks, the rank tuple of the light antichain ``masks``
+    relabeled by ``_sorting_table``), or None if the relation is not total."""
+    ranks = chambers._desirability(chambers._light_closure(masks, n), n)
+    if ranks is None:
+        return None
+    table = chambers._sorting_table(n, ranks)
+    return ranks, tuple(sorted(map(table.__getitem__, masks)))
+
+
+@pytest.mark.parametrize(
+    "g,n", [(0, 4), (1, 2), (1, 4), (0, 5), (1, 5)], ids=["D04", "D12", "D14", "D05", "D15"]
+)
+def test_enumerated_chambers_have_total_desirability(g, n):
+    """Every chamber is a weighted threshold family: its desirability relation
+    is total, and its ranks order the labels by the witness weights."""
+    space = StabilitySpace(g, n)
+    for c in enumerate_chambers(space):
+        got = _sorted_form([chambers._mask(s) for s in c.light_max], n)
+        assert got is not None, c
+        ranks = got[0]
+        point = realize(c)[0]
+        for i, j in itertools.permutations(range(n), 2):
+            if point[i] > point[j]:
+                assert ranks[i] <= ranks[j], c
+
+
+@pytest.mark.parametrize("g,n", [(0, 4), (1, 4), (0, 5), (1, 5)], ids=["D04", "D14", "D05", "D15"])
+def test_minimal_heavy_matches_reference_closure(g, n):
+    for c in enumerate_chambers(StabilitySpace(g, n)):
+        masks = [chambers._mask(s) for s in c.light_max]
+        got = chambers._minimal_heavy(chambers._light_closure(masks, n), n)
+        assert got == _reference_minimal_heavy(masks, n), c
+
+
+@pytest.mark.parametrize(
+    "g,n", [(0, 4), (1, 4), (0, 5), (1, 5)], ids=["D04", "D14", "D05", "D15"]
+)
+def test_tie_relabelings_match_all_relabelings(g, n):
+    """For every candidate of the search with a total relation: the one
+    relabeling ``_sorting_table`` gives the smallest relabeled antichain over
+    every permutation that sorts the labels by desirability rank, because
+    swapping two tied labels maps the candidate to itself; and the coset
+    relabelings reach each image of all n! relabelings once, each by the
+    first permutation that reaches it."""
+    space = StabilitySpace(g, n)
+    sym = chambers._relabelings(n)
+    pairs = list(itertools.permutations(range(n), 2))
+    checked = 0
+    for below in _candidates(space):
+        masks = [chambers._mask(s) for s in below.light_max]
+        got = _sorted_form(masks, n)
+        if got is None:
+            continue
+        ranks, form = got
+        sorting = [
+            t for p, t in zip(sym.perms, sym.tables)
+            if all(p[i] < p[j] for i, j in pairs if ranks[i] < ranks[j])
+        ]
+        assert form == min(tuple(sorted(map(t.__getitem__, masks))) for t in sorting)
+        for i, j in pairs:
+            if ranks[i] == ranks[j]:
+                swap = {k: k for k in space.labels} | {i + 1: j + 1, j + 1: i + 1}
+                assert below.permuted(swap) == below
+        first = {}
+        for k, image in enumerate(sym.relabeled(masks)):
+            first.setdefault(image, k)
+        ks = chambers._coset_relabelings(n, ranks)
+        assert dict(zip(sym.relabeled(masks, ks), ks)) == first
+        assert len(ks) == len(first)
+        checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("g,n", [(1, 4), (0, 5), (1, 5)], ids=["D14", "D05", "D15"])
+def test_sorted_form_is_an_orbit_key(g, n):
+    """The search's dedup key, the antichain relabeled by desirability rank,
+    is one per orbit of the full list and differs between orbits."""
+    sym = chambers._relabelings(n)
+    keys = {}
+    for c in enumerate_chambers(StabilitySpace(g, n)):
+        masks = [chambers._mask(s) for s in c.light_max]
+        keys.setdefault(min(sym.relabeled(masks)), set()).add(_sorted_form(masks, n)[1])
+    assert all(len(forms) == 1 for forms in keys.values())
+    assert len(set().union(*keys.values())) == len(keys)
+
+
+@pytest.mark.parametrize("g,n", [(0, 4), (1, 4), (0, 5)], ids=["D04", "D14", "D05"])
+def test_rank_tuple_chambers_equal_validated_chambers(g, n):
+    """A chamber built from a sorted rank tuple, with no validation, equals the
+    ``Chamber`` built from its light antichain, which keeps it unchanged."""
+    space = StabilitySpace(g, n)
+    for c in enumerate_chambers(space) + enumerate_chambers(space, up_to_symmetry=True):
+        checked = Chamber(space, c.light_max)
+        assert checked == c and hash(checked) == hash(c)
+        assert checked.light_max == c.light_max
+    sym = chambers._relabelings(n)
+    with pytest.raises(ValueError):
+        sym.chamber(space, (n, 0))
 
 
 @pytest.mark.parametrize(
@@ -406,9 +628,22 @@ def test_enumeration_deterministic_order():
 def test_enumeration_bound():
     from wpvol.errors import BoundExceededError
 
-    for n in (6, 7):
+    assert chambers.ENUMERATION_BOUND == 6
+    for n in (7, 8):
         with pytest.raises(BoundExceededError):
             enumerate_chambers(StabilitySpace(0, n))
+
+
+def test_orbit_sizes_of_d06_cover_every_chamber():
+    """The D_{0,6} representatives, from the orbit search alone: their orbit
+    sizes, read from the rank tables, sum to the 105 123 chambers, and the
+    full list is not built."""
+    space = StabilitySpace(0, 6)
+    reps = enumerate_chambers(space, up_to_symmetry=True)
+    sym = chambers._relabelings(6)
+    sizes = [len(set(sym.relabeled(map(chambers._mask, c.light_max)))) for c in reps]
+    assert (len(reps), sum(sizes)) == (448, 105123)
+    assert chambers._enum_cache[space][1] is None
 
 
 def _monotone_candidates(space):

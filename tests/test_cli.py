@@ -248,11 +248,20 @@ def test_verify_mutation_smoke(monkeypatch, fresh_volume_caches):
 
 
 def test_enumerate_over_bound_is_domain_error():
-    """n = 6 is over the enumeration bound: exit 1 at once, not a search
+    """n = 7 is over the enumeration bound: exit 1 at once, not a search
     that does not end."""
-    code, out, err, parsed = call_main(["chamber", "enumerate", "--g", "0", "--n", "6"])
+    code, out, err, parsed = call_main(["chamber", "enumerate", "--g", "0", "--n", "7"])
     assert (code, parsed, out) == (1, True, "")
     assert len(err.strip().splitlines()) == 1 and "bound" in err and "Traceback" not in err
+
+
+def test_enumerate_d06_up_to_symmetry():
+    code, out, err, parsed = call_main(
+        ["chamber", "enumerate", "--g", "0", "--n", "6", "--up-to-symmetry"]
+    )
+    assert (code, parsed, err) == (0, True, "")
+    lines = out.splitlines()
+    assert lines[0] == "448 chambers" and len(lines) == 449
 
 
 def test_enumerate_without_n_is_usage_error():

@@ -66,3 +66,17 @@ def test_unexpected_error_in_general_dilaton_is_not_skipped(monkeypatch):
     with pytest.raises(RingMismatchError):
         check_general_dilaton(Reporter(), StabilitySpace(0, 5))
 
+
+def test_unexpected_error_in_a_swapped_replay_is_not_skipped(monkeypatch):
+    """I02 drops a reordering only when a crossing is not incident or not
+    realizable; any other error in the replay propagates and fails the check,
+    where it would have left I02 passing on 0 chambers."""
+    from wpvol.chambers import Chamber
+    from wpvol.verify import check_path_independence
+
+    def broken(c, S):
+        raise RingMismatchError("injected")
+
+    monkeypatch.setattr(Chamber, "cross", broken)
+    with pytest.raises(RingMismatchError):
+        check_path_independence(Reporter(), [StabilitySpace(0, 4)])
