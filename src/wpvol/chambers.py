@@ -83,8 +83,15 @@ class WeightVector:
             raise ValueError("total weight violates sum a_j > 2-2g")
 
     def theta_values(self, ring: PolyRing) -> list[Poly]:
-        """Angles theta_j = (2-2a_j)*pi as polynomials of ``ring``."""
-        return [(2 - 2 * aj) * ring.pi() for aj in self.a]
+        """Angles theta_j = (2-2a_j)*pi as polynomials of ``ring``: for
+        a_j = k/d, the one-term Poly 2(d - k)/d * pi, and zero for a_j = 1."""
+        pi = (1,) + (0,) * (ring.nvars - 1)
+        return [
+            Poly.from_canonical(ring, {pi: 2 * (aj.denominator - aj.numerator)}, aj.denominator)
+            if aj.numerator != aj.denominator
+            else ring.zero()
+            for aj in self.a
+        ]
 
     def permuted(self, perm: Mapping[int, int]) -> "WeightVector":
         """Relabel points: new weight at position perm[j] is a_j."""
@@ -143,10 +150,16 @@ class Chamber:
         return 0 if any(J <= frozenset(s) for s in self.light_max) else 1
 
     def heavy_min(self) -> list[frozenset[int]]:
-        """Minimal heavy sets: heavy J whose proper subsets are all light."""
+        """Minimal heavy sets: heavy J whose proper subsets are all light, in
+        ``space.subsets()`` order."""
+        labels = self.space.labels
+        return [frozenset(j for j in labels if m >> (j - 1) & 1) for m in self._heavy_masks()]
+
+    def _heavy_masks(self) -> list[int]:
+        """The masks of ``heavy_min``, in its order."""
         n = self.space.n
-        minimal = set(_minimal_heavy(_light_closure(map(_mask, self.light_max), n), n))
-        return [J for J in self.space.subsets() if _mask(J) in minimal]
+        heavy = _minimal_heavy(_light_closure(map(_mask, self.light_max), n), n)
+        return sorted(heavy, key=_subset_order(n).__getitem__)
 
     # -- constructions ---------------------------------------------------------
 
@@ -353,10 +366,9 @@ def realize(c: Chamber) -> Optional[Realization]:
     if got != "miss":
         return got
     n = c.space.n
-    if _desirability(_light_closure(map(_mask, c.light_max), n), n) is None:
-        got = None
-    elif (orbit := _orbit(c)) is None:
-        got = _solve(c)
+    if (orbit := _orbit(c)) is None:  # above ENUMERATION_BOUND, or not total
+        light = _light_closure(map(_mask, c.light_max), n)
+        got = _solve(c) if n > ENUMERATION_BOUND and _desirability(light, n) is not None else None
     else:
         form, perm = orbit  # label j of c is label perm[j-1] + 1 of the canonical chamber
         key = (c.space, form)
@@ -387,7 +399,8 @@ def _solve(c: Chamber) -> Optional[Realization]:
     shifted variable sigma = s+3 >= 0 so the all-slack simplex basis is
     feasible.  The chamber is realizable iff the optimum has s > 0.  Every
     coefficient is 0 or +-1 and every right-hand side an integer, so the rows
-    are plain ints and the LP clears no denominators.
+    are plain ints and the LP clears no denominators.  The heavy rows come
+    in the order of ``Chamber.heavy_min``.
     """
     n = c.space.n
     g = c.space.g
@@ -407,13 +420,25 @@ def _solve(c: Chamber) -> Optional[Realization]:
         row(e, 1, 3)  # a_j >= s
     for J in c.light_max:
         row([1 if j + 1 in J else 0 for j in range(n)], 1, 4)  # sum_J a <= 1 - s
-    for J in c.heavy_min():
-        row([-1 if j + 1 in J else 0 for j in range(n)], 1, 2)  # sum_J a >= 1 + s
+    for m in c._heavy_masks():
+        row([-(m >> j & 1) for j in range(n)], 1, 2)  # sum_J a >= 1 + s
     row([-1] * n, 1, 1 + 2 * g)  # sum a >= 2 - 2g + s
     objective = [0] * n + [1]
     value, x = simplex_max(objective, rows, rhs)
     slack = value - 3
     return (tuple(x[:n]), slack) if slack > 0 else None
+
+
+@functools.cache
+def _subset_order(n: int) -> tuple[int, ...]:
+    """The position of each label mask in ``StabilitySpace.subsets()`` order
+    (by size, then lexicographic), indexed by mask."""
+    order = [0] * (1 << n)
+    labels = range(1, n + 1)
+    subsets = (J for r in range(2, n + 1) for J in itertools.combinations(labels, r))
+    for position, J in enumerate(subsets):
+        order[_mask(J)] = position
+    return tuple(order)
 
 
 def witness(c: Chamber) -> WeightVector:
@@ -582,18 +607,29 @@ def _orbit(c: Chamber, fix_last: bool = False) -> Optional[tuple[tuple[int, ...]
     """(form, perm): the smallest rank tuple of ``c`` over the relabelings of
     its points, or over those fixing the last point, and the first
     permutation reaching it.  None above ENUMERATION_BOUND points, where the
-    n! relabel tables are not built."""
+    n! relabel tables are not built, and for a chamber whose desirability
+    relation is not total, which is not realizable.
+
+    The permutations of tied labels fix ``c``, so the minimum is taken over
+    one permutation per coset of them, the first of it
+    (``_coset_relabelings``); with ``fix_last``, the last label is given a
+    rank of its own, so that only the ties that fix it count, and only the
+    permutations fixing it are scanned.
+    """
     n = c.space.n
     if n > ENUMERATION_BOUND:
         return None
-    sym = _relabelings(n)
     masks = [_mask(s) for s in c.light_max]
-
-    def form(k: int) -> tuple[int, ...]:
-        return tuple(sorted(map(sym.tables[k].__getitem__, masks)))
-
-    k = min(sym.last_fixed if fix_last else range(len(sym.perms)), key=form)
-    return form(k), sym.perms[k]
+    ranks = _desirability(_light_closure(masks, n), n)
+    if ranks is None:
+        return None
+    if fix_last:
+        ranks = ranks[:-1] + (n,)  # no label has n labels above it
+    ks = _coset_relabelings(n, ranks, fix_last)
+    sym = _relabelings(n)
+    forms = sym.relabeled(masks, ks)
+    i = min(range(len(ks)), key=forms.__getitem__)
+    return forms[i], sym.perms[ks[i]]
 
 
 # A family of label masks is held as a set of masks: an int whose bit m is set
@@ -688,18 +724,21 @@ def _sorting_table(n: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @functools.cache
-def _coset_relabelings(n: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
-    """The indices k, ascending, of the permutations ``perms[k]`` that keep
-    labels of equal desirability rank in order: one in each coset of the
-    permutations of ties, and the first of it in ``perms`` order.  The
-    permutations of ties are exactly those that fix a chamber with these
-    ranks (relabeling preserves desirability), so relabeling it by these
-    alone reaches each chamber of its orbit once, and by the first of all
-    permutations that reach it."""
+def _coset_relabelings(n: int, ranks: tuple[int, ...], fix_last: bool = False) -> tuple[int, ...]:
+    """The indices k, ascending, of the permutations ``perms[k]`` (with
+    ``fix_last``, of those fixing the last label) that keep labels of equal
+    desirability rank in order: one in each coset of the permutations of
+    ties, and the first of it in ``perms`` order.  The permutations of ties
+    are exactly those that fix a chamber with these ranks (relabeling
+    preserves desirability), so relabeling it by these alone reaches each
+    chamber of its orbit once, and by the first of all permutations that
+    reach it."""
     tied = sum(
         1 << (i * n + j) for i, j in itertools.combinations(range(n), 2) if ranks[i] == ranks[j]
     )
-    return tuple(k for k, inv in enumerate(_relabelings(n).inversions) if not inv & tied)
+    sym = _relabelings(n)
+    ks = sym.last_fixed if fix_last else range(len(sym.perms))
+    return tuple(k for k in ks if not sym.inversions[k] & tied)
 
 
 _enum_cache: dict[StabilitySpace, tuple[tuple[Chamber, ...], Optional[tuple[Chamber, ...]]]] = {}

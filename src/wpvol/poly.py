@@ -17,18 +17,23 @@ makes one pass into one dict.  The trusted constructor
 :meth:`Poly.from_canonical` adopts a numerator dict without copying or
 filtering it and divides out the one common gcd; ``Poly(ring, terms)`` puts
 rational ``terms`` over their lcm first.  ``evaluate_angles`` takes each angle
-as q * pi^m (a rational, zero, or a one-term Poly in pi alone).
+as q * pi^m (a rational, zero, or a one-term Poly in pi alone) and runs
+through the Poly's evaluation plan (``_Plan``), built on its first call and
+kept with it: each angle monomial is one angle times a monomial of the layer
+below, and the terms of one degree and pi power are summed at once.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from types import MappingProxyType
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import RingMismatchError, VariableRangeError
 from .rationals import format_rat, rat
@@ -153,13 +158,95 @@ class Terms(Mapping):
         return e in self._nums
 
 
+class _Plan(NamedTuple):
+    """How ``Poly.evaluate_angles`` evaluates one Poly; it depends on the
+    Poly alone, which keeps it.
+
+    The angle monomials evaluation needs are the downward closure of the
+    poly's angle-exponent support under "remove one unit of the last nonzero
+    variable", so each monomial but 1 is its parent times one angle.  Layer s
+    holds the monomials of degree s, layer 0 the monomial 1 alone.  Layers 1
+    to top, the largest angle degree, follow each other in ``parents`` and
+    ``angles``, layer s ending at ``ends[s - 1]``: for each monomial, the
+    position of its parent in the layer below and the index of its angle (0
+    for t1).  ``groups`` holds (s, e0, numerators) for each angle degree s
+    and pi exponent e0 of the terms, the numerators aligned to layer s (0
+    where a monomial has no such term).  Each term adds at most its angle
+    degree monomials, so the plan holds at most terms x degree of them
+    besides 1, whatever the number of monomials of that degree.
+    """
+
+    parents: array
+    angles: array
+    ends: tuple[int, ...]
+    groups: tuple[tuple[int, int, tuple[int, ...]], ...]
+
+    def layers(self, first, factors: Sequence, op: Callable) -> list[list]:
+        """A value per monomial, layer by layer: ``first`` for 1, and
+        op(the parent's value, factors[the angle]) for every other."""
+        out = [[first]]
+        parents, angles = memoryview(self.parents), memoryview(self.angles)
+        start = 0
+        for end in self.ends:
+            below = map(out[-1].__getitem__, parents[start:end])
+            out.append(list(map(op, below, map(factors.__getitem__, angles[start:end]))))
+            start = end
+        return out
+
+
+def _plan(nums: Nums, n: int) -> _Plan:
+    """The evaluation plan of the numerators ``nums`` in n angles.
+
+    Each term's parent chain is walked down until it meets a monomial already
+    placed, and the new monomials are placed on the way back up, so each
+    monomial is visited once and nothing is sorted.
+    """
+    where = {(0,) * n: 0}  # monomial -> position in its layer
+    parents: list[list[int]] = [[0]]  # layer 0: the monomial 1, whose entry is unused
+    angles: list[list[int]] = [[0]]
+    for e in nums:
+        k = e[1:]
+        chain = []
+        while k not in where:
+            j = n - 1
+            while not k[j]:
+                j -= 1
+            chain.append((k, j))
+            k = k[:j] + (k[j] - 1,) + k[j + 1 :]
+        if chain:
+            s, pos = sum(k), where[k]
+            for k, j in reversed(chain):
+                s += 1
+                if s == len(parents):
+                    parents.append([])
+                    angles.append([])
+                parents[s].append(pos)
+                angles[s].append(j)
+                pos = where[k] = len(parents[s]) - 1
+    rows: dict[tuple[int, int], list[int]] = {}
+    for e, c in nums.items():
+        k = e[1:]
+        s = sum(k)
+        row = rows.get((s, e[0]))
+        if row is None:
+            row = rows[s, e[0]] = [0] * len(parents[s])
+        row[where[k]] = c
+    flat_parents, flat_angles, ends = array("I"), array("I"), []
+    for layer, js in zip(parents[1:], angles[1:]):
+        flat_parents.extend(layer)
+        flat_angles.extend(js)
+        ends.append(len(flat_parents))
+    groups = tuple((s, e0, tuple(row)) for (s, e0), row in rows.items())
+    return _Plan(flat_parents, flat_angles, tuple(ends), groups)
+
+
 _set = object.__setattr__
 
 
 class Poly:
     """Immutable sparse polynomial: integer numerators over one denominator."""
 
-    __slots__ = ("ring", "_nums", "den", "_hash")
+    __slots__ = ("ring", "_nums", "den", "_hash", "_plan")
 
     def __new__(cls, ring: PolyRing, terms: Mapping[tuple[int, ...], Scalar]):
         return _from_pairs(ring, terms.items())
@@ -183,6 +270,7 @@ class Poly:
         _set(p, "_nums", nums)
         _set(p, "den", den)
         _set(p, "_hash", None)
+        _set(p, "_plan", None)
         return p
 
     def __setattr__(self, *_):
@@ -445,34 +533,49 @@ class Poly:
         ``values`` holds one entry per angle variable (indices 1..n), each
         theta_j = q_j * pi^m_j: a rational, zero, or a one-term Poly of this
         ring in pi alone; anything else raises VariableRangeError.  With the
-        q_j over one denominator B, q_j = A_j / B, and K the total degree (so
-        K >= sum k_j), each term c * pi^e0 * prod theta_j^k_j gives the
-        numerator c * prod A_j^k_j * B^(K - sum k_j) at pi^(e0 + sum m_j k_j),
+        q_j over one denominator B, q_j = A_j / B, and K the largest angle
+        degree, a term c * pi^e0 * prod theta_j^k_j of angle degree s gives
+        the numerator c * prod A_j^k_j * B^(K - s) at pi^(e0 + sum m_j k_j),
         over the common den * B^K.
+
+        The products prod A_j^k_j come layer by layer from the poly's
+        evaluation plan (``_Plan``, built on the first call and kept), each
+        monomial one angle times a monomial of the layer below; the terms of
+        one (s, e0) are summed at once.  When the nonzero angles have unequal
+        pi powers, the pi power of each monomial is built the same way and
+        the group's terms merge by it.
         """
         if len(values) != self.ring.nvars - 1:
             raise VariableRangeError(
                 f"need {self.ring.nvars - 1} values, got {len(values)}"
             )
         angles = [_pi_multiple(self.ring, x) for x in values]
+        plan = self._plan
+        if plan is None:
+            plan = _plan(self._nums, self.ring.nvars - 1)
+            _set(self, "_plan", plan)
         B = lcm(*(b for _, b, _ in angles))
-        top = max(map(sum, self._nums), default=0)
-        powers = [[(a * (B // b)) ** k for k in range(top + 1)] for a, b, _ in angles]
-        pad = [B ** (top - s) for s in range(top + 1)]
-        shifts = [m for _, _, m in angles]
-
-        def pairs():
-            for e, c in self._nums.items():
-                m, s = e[0], 0
-                for table, mj, k in zip(powers, shifts, e[1:]):
-                    if k:
-                        c *= table[k]
-                        m += mj * k
-                        s += k
-                yield m, c * pad[s]
-
-        by_power = accumulate({}, pairs())
-        nums = {(m,): c for m, c in by_power.items()}
+        A = [a * (B // b) for a, b, _ in angles]
+        vals = plan.layers(1, A, mul)
+        top = len(plan.ends)  # the largest angle degree
+        shifts = {m for a, _, m in angles if a}  # the pi power of a zero angle is moot
+        if len(shifts) <= 1:
+            m = shifts.pop() if shifts else 0
+            pairs = (
+                (e0 + m * s, sum(map(mul, coeffs, vals[s])) * B ** (top - s))
+                for s, e0, coeffs in plan.groups
+            )
+        else:
+            powers = plan.layers(0, [m for _, _, m in angles], add)
+            pairs = (
+                pair
+                for s, e0, coeffs in plan.groups
+                for pair in zip(
+                    map(e0.__add__, powers[s]),
+                    map(mul, map(mul, coeffs, vals[s]), repeat(B ** (top - s))),
+                )
+            )
+        nums = {(m,): c for m, c in accumulate({}, pairs).items()}
         return Poly.from_canonical(PI_RING, nums, self.den * B**top)
 
     # -- printing ---------------------------------------------------------------

@@ -28,6 +28,7 @@ from wpvol.errors import (
     OnWallError,
     UnstableError,
 )
+from wpvol.poly import angle_ring
 
 S04 = StabilitySpace(0, 4)
 S05 = StabilitySpace(0, 5)
@@ -816,3 +817,67 @@ def _uncrossable(c, S):
     except NotRealizableError:
         return False
     return True
+
+
+def test_theta_values_equal_the_poly_product():
+    """The one-term angles equal (2 - 2 a_j) * pi built by Poly arithmetic,
+    a weight of 1 giving the zero Poly."""
+    ws = seeded_weight_vectors(7, 200)
+    ws.append(WeightVector(S05, (F(1), F(1, 2), F(3, 4), F(1), F(1, 7))))
+    ones = 0
+    for w in ws:
+        ring = angle_ring(w.space.n)
+        assert w.theta_values(ring) == [(2 - 2 * aj) * ring.pi() for aj in w.a]
+        ones += w.a.count(1)
+    assert ones >= 2
+
+
+def _full_scan_orbit(c, fix_last):
+    """The former ``_orbit``: the smallest rank tuple over every relabeling
+    (or every one fixing the last label), and the first permutation giving it."""
+    sym = chambers._relabelings(c.space.n)
+    masks = [chambers._mask(s) for s in c.light_max]
+
+    def form(k):
+        return tuple(sorted(map(sym.tables[k].__getitem__, masks)))
+
+    k = min(sym.last_fixed if fix_last else range(len(sym.perms)), key=form)
+    return form(k), sym.perms[k]
+
+
+@pytest.mark.parametrize("g,n", [(0, 5), (1, 4), (1, 5)], ids=["D05", "D14", "D15"])
+def test_orbit_over_cosets_matches_full_scan(g, n):
+    """``_orbit`` over one relabeling per coset of the ties gives the form and
+    the permutation of the scan over all relabelings, with the last label
+    free and fixed."""
+    for c in enumerate_chambers(StabilitySpace(g, n)):
+        for fix_last in (False, True):
+            assert chambers._orbit(c, fix_last) == _full_scan_orbit(c, fix_last)
+
+
+@pytest.mark.parametrize("g,n", [(0, 4), (1, 4), (0, 5)], ids=["D04", "D14", "D05"])
+def test_heavy_min_and_solve_rows_follow_subsets_order(monkeypatch, g, n):
+    """``heavy_min`` and the heavy rows of ``_solve``, both built from the
+    minimal heavy masks, list the minimal heavy sets by definition in
+    ``space.subsets()`` order, for every chamber and every candidate below
+    one."""
+    space = StabilitySpace(g, n)
+    chambers_and_candidates = enumerate_chambers(space) + list(_candidates(space))
+    seen = []
+
+    def record(c, A, b):
+        seen.append((A, b))
+        return 0, [0] * len(c)  # s = -3: not realizable
+
+    monkeypatch.setattr(chambers, "simplex_max", record)
+    for c in chambers_and_candidates:
+        seen.clear()
+        chambers._solve(c)
+        ((A, b),) = seen
+        want = [
+            J for J in space.subsets()
+            if c.value(J) == 1 and all(c.value(J - {j}) == 0 for j in J)
+        ]
+        assert c.heavy_min() == want
+        heavy = [row[:n] for row, rhs in zip(A, b) if rhs == 2]  # sum_J a >= 1 + s
+        assert heavy == [[-1 if j in J else 0 for j in space.labels] for J in want]

@@ -1,9 +1,10 @@
 """Exact polynomial algebra: arithmetic, calculus, serialization."""
 
 import json
+import random
 import time
 from fractions import Fraction as F
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import wpvol
 from wpvol import reference as ref
-from wpvol.chambers import StabilitySpace, light_chamber, main_chamber
+from wpvol.chambers import StabilitySpace, enumerate_chambers, light_chamber, main_chamber
 from wpvol.errors import RingMismatchError, VariableRangeError
 from wpvol.intersection import kappa_psi_intersection
 from wpvol.numeric import evaluate_pi_poly, pi_decimal
@@ -20,6 +21,8 @@ from wpvol.poly import (
     PI_RING,
     Poly,
     PolyRing,
+    _pi_multiple,
+    accumulate,
     angle_ring,
     phi_form,
     poly_from_json_dict,
@@ -514,6 +517,101 @@ def test_evaluate_angles_matches_reference(p, x, y):
     got = p.evaluate_angles([x, y])
     assert got.ring == PI_RING
     assert terms_of(got) == want
+    assert got == per_term_evaluate_angles(p, [x, y])
+
+
+def per_term_evaluate_angles(p, values):
+    """The former body of ``Poly.evaluate_angles``: one pass over the terms,
+    each term's angle powers multiplied in one by one."""
+    angles = [_pi_multiple(p.ring, x) for x in values]
+    B = lcm(*(b for _, b, _ in angles))
+    top = max(map(sum, p.nums), default=0)
+    powers = [[(a * (B // b)) ** k for k in range(top + 1)] for a, b, _ in angles]
+    pad = [B ** (top - s) for s in range(top + 1)]
+    shifts = [m for _, _, m in angles]
+
+    def pairs():
+        for e, c in p.nums.items():
+            m, s = e[0], 0
+            for table, mj, k in zip(powers, shifts, e[1:]):
+                if k:
+                    c *= table[k]
+                    m += mj * k
+                    s += k
+            yield m, c * pad[s]
+
+    nums = {(m,): c for m, c in accumulate({}, pairs()).items()}
+    return Poly.from_canonical(PI_RING, nums, p.den * B**top)
+
+
+def fresh(p):
+    """A copy of ``p`` that has not been evaluated yet."""
+    return Poly.from_canonical(p.ring, dict(p.nums), p.den)
+
+
+def seeded_angles(ring, rng):
+    """theta_j = (2 - 2 a_j) pi for seeded weights a_j = k/d, with a weight of
+    1 (a zero angle) about one time in six."""
+    out = []
+    for _ in range(ring.nvars - 1):
+        d = rng.choice([1, 2, 3, 7, 12, 1000])
+        a = F(rng.randint(1, d), d)
+        out.append((2 - 2 * a) * ring.pi())
+    return out
+
+
+def plan_size(p):
+    """The monomials of the evaluation plan of ``p``, besides 1."""
+    return len(p._plan.parents)
+
+
+@pytest.mark.parametrize("g,n", [(0, 5), (1, 4), (2, 3), (1, 3)], ids=["D05", "D14", "D23", "D13"])
+def test_evaluate_angles_matches_per_term_loop_on_chamber_volumes(g, n):
+    """Every chamber volume, evaluated from a fresh copy at seeded angles,
+    equals the former per-term loop bit for bit; a second evaluation reuses
+    the plan the first one built."""
+    rng = random.Random(1000 * g + n)
+    zeros = 0
+    for c in enumerate_chambers(StabilitySpace(g, n)):
+        p = fresh(chamber_volume(c).poly)
+        for i in range(3):
+            values = seeded_angles(p.ring, rng)
+            if i == 0:
+                values[rng.randrange(n)] = p.ring.zero()
+            zeros += sum(v.is_zero() for v in values)
+            got = p.evaluate_angles(values)
+            if i == 0:
+                plan = p._plan
+            assert p._plan is plan
+            want = per_term_evaluate_angles(p, values)
+            assert (got.den, dict(got.nums)) == (want.den, dict(want.nums))
+            assert got.ring == PI_RING
+    assert zeros > 0
+
+
+def test_evaluate_angles_matches_per_term_loop_on_v36():
+    p = fresh(mirzakhani_volume(3, 6).poly)
+    rng = random.Random(36)
+    for _ in range(3):
+        values = seeded_angles(p.ring, rng)
+        assert p.evaluate_angles(values) == per_term_evaluate_angles(p, values)
+    values = [p.ring.zero()] + seeded_angles(p.ring, rng)[1:]
+    assert p.evaluate_angles(values) == per_term_evaluate_angles(p, values)
+
+
+def test_evaluation_plan_is_bounded_by_the_support():
+    """The plan holds at most terms x degree monomials besides 1, never every
+    monomial of degree <= K in n angles (C(n + K, n) of them): one chain of
+    120 for t1^60 * t5^60, and about twice the 18 564 terms of V_{3,6},
+    not C(30, 6) = 593 775."""
+    r5 = angle_ring(5)
+    p = r5.monomial(1, (0, 60, 0, 0, 0, 60))
+    values = seeded_angles(r5, random.Random(5))
+    assert p.evaluate_angles(values) == per_term_evaluate_angles(p, values)
+    assert plan_size(p) == 120
+    v = fresh(mirzakhani_volume(3, 6).poly)
+    v.evaluate_angles([0] * 6)
+    assert plan_size(v) <= len(v.nums) * 24
 
 
 def test_evaluate_angles_rejects_angle_valued_inputs():
