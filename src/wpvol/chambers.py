@@ -9,7 +9,9 @@ the chamber.
 Realizability is decided by exact rational LP with slack maximization: the
 open system {0 < a_j <= 1, sum_J a < 1 on light walls, sum_J a > 1 on heavy
 walls, sum a > 2-2g} is feasible iff the maximized common margin is positive.
-No floating point is involved anywhere.
+No floating point is involved anywhere.  For g >= 1 the sum condition holds
+on the whole cube, so every D_{g,n} with g >= 1 has the walls, chambers and
+witnesses of D_{1,n} (``_genus_class``); only the volumes depend on g.
 
 All types are immutable values; module-level memo tables are idempotent, so
 sharing between threads is safe.
@@ -37,7 +39,8 @@ from .poly import Poly, PolyRing
 
 # n = 7 stays off: the D_{0,7} orbit search had not ended after 11 200 new
 # canonical forms (5 040 relabelings each) in 190 s, where D_{1,6} takes
-# about 2.5 s for its 994 orbits
+# about 1.6-1.8 s for its 994 orbits (2-core x86_64, Python 3.11), and
+# D_{g,6} for g >= 2 then takes none (``_genus_class``)
 ENUMERATION_BOUND = 6
 
 
@@ -346,21 +349,32 @@ def minimal_chamber_0(space: StabilitySpace, j: int) -> Chamber:
 Realization = tuple[tuple[Fraction, ...], Fraction]
 
 _realize_cache: dict[Chamber, Optional[Realization]] = {}
-# Relabeling the points maps chambers and their LPs to themselves, so the
-# answer is one per S_n orbit: keyed by (space, canonical form), the witness
-# in the labels of the canonical chamber, or None.
+# Relabeling the points maps chambers and their LPs to themselves, and every
+# space of a genus class has the same LP, so the answer is one per S_n orbit
+# of the class: keyed by (genus class, canonical form), the witness in the
+# labels of the canonical chamber, or None.
 _realize_orbits: dict[tuple[StabilitySpace, tuple[int, ...]], Optional[Realization]] = {}
+
+
+def _genus_class(space: StabilitySpace) -> StabilitySpace:
+    """The space D_{min(g,1),n}, whose walls, chambers and realizability LPs
+    are those of ``space``: for g >= 1, sum a > 2-2g follows from a_j > 0.
+    D_{0,n} is its own class."""
+    return space if space.g <= 1 else StabilitySpace(1, space.n)
 
 
 def realize(c: Chamber) -> Optional[Realization]:
     """(a, s): an interior witness a of maximal margin s > 0, or None.
 
-    Memoized per chamber and, up to ENUMERATION_BOUND points, per S_n orbit.
-    On a miss of the per-chamber table, a chamber whose desirability relation
-    is not total (``_desirability``) is not realizable, with no LP.  Otherwise
-    the orbit table is read under the canonical form of ``c`` (``_orbit``); a
-    hit relabels the stored witness, which keeps its (maximal) margin, and a
-    miss solves the LP on ``c`` (``_solve``) and stores the canonical copy.
+    Memoized per chamber and, up to ENUMERATION_BOUND points, per S_n orbit
+    of the genus class (``_genus_class``), so a chamber of D_{g,n}, g >= 2,
+    gets the witness of the same light antichain in D_{1,n}.  On a miss of
+    the per-chamber table, a chamber whose desirability relation is not
+    total (``_desirability``) is not realizable, with no LP.  Otherwise the
+    orbit table is read under the class and the canonical form of ``c``
+    (``_orbit``); a hit relabels the stored witness, which keeps its
+    (maximal) margin, and a miss solves the LP on ``c`` (``_solve``) and
+    stores the canonical copy.
     """
     got = _realize_cache.get(c, "miss")
     if got != "miss":
@@ -371,7 +385,7 @@ def realize(c: Chamber) -> Optional[Realization]:
         got = _solve(c) if n > ENUMERATION_BOUND and _desirability(light, n) is not None else None
     else:
         form, perm = orbit  # label j of c is label perm[j-1] + 1 of the canonical chamber
-        key = (c.space, form)
+        key = (_genus_class(c.space), form)
         if key in _realize_orbits:
             canon = _realize_orbits[key]
             got = canon and (tuple(canon[0][p] for p in perm), canon[1])
@@ -395,15 +409,19 @@ def _solve(c: Chamber) -> Optional[Realization]:
     """The realizability LP of ``c``, solved afresh.
 
     Maximizes s subject to s <= a_j, a_j <= 1, sum_J a <= 1-s on maximal light
-    sets, sum_J a >= 1+s on minimal heavy sets and sum a >= 2-2g+s, using the
-    shifted variable sigma = s+3 >= 0 so the all-slack simplex basis is
-    feasible.  The chamber is realizable iff the optimum has s > 0.  Every
-    coefficient is 0 or +-1 and every right-hand side an integer, so the rows
-    are plain ints and the LP clears no denominators.  The heavy rows come
-    in the order of ``Chamber.heavy_min``.
+    sets, sum_J a >= 1+s on minimal heavy sets and sum a >= 2-2g+s with
+    g replaced by min(g, 1), using the shifted variable sigma = s+3 >= 0 so
+    the all-slack simplex basis is feasible.  The chamber is realizable iff
+    the optimum has s > 0.  For s > 0 the last row holds at g >= 1 whatever
+    g is (sum a >= ns >= s >= 2-2g+s), so the LP of the genus class
+    (``_genus_class``) has the same positive optimum; taking it makes the
+    witness one per class.  Every coefficient is 0 or +-1 and every
+    right-hand side an integer, so the rows are plain ints and the LP clears
+    no denominators.  The heavy rows come in the order of
+    ``Chamber.heavy_min``.
     """
     n = c.space.n
-    g = c.space.g
+    g = min(c.space.g, 1)
     rows: list[list[int]] = []
     rhs: list[int] = []
 
@@ -741,7 +759,10 @@ def _coset_relabelings(n: int, ranks: tuple[int, ...], fix_last: bool = False) -
     return tuple(k for k in ks if not sym.inversions[k] & tied)
 
 
-_enum_cache: dict[StabilitySpace, tuple[tuple[Chamber, ...], Optional[tuple[Chamber, ...]]]] = {}
+# A full list: the chambers and, in the same order, their witnesses.
+_FullList = tuple[tuple[Chamber, ...], tuple[Realization, ...]]
+# Per space: (representatives, the full list once it is asked for, or None).
+_enum_cache: dict[StabilitySpace, tuple[tuple[Chamber, ...], Optional[_FullList]]] = {}
 
 
 def enumerate_chambers(space: StabilitySpace, up_to_symmetry: bool = False) -> list[Chamber]:
@@ -764,6 +785,13 @@ def enumerate_chambers(space: StabilitySpace, up_to_symmetry: bool = False) -> l
     of them (``_coset_relabelings``).  Spaces with more than
     ENUMERATION_BOUND points raise BoundExceededError.
 
+    The search runs once per genus class (``_genus_class``): D_{g,n} with
+    g >= 2 takes the light antichains of D_{1,n}, representatives and full
+    list alike, and each chamber of its full list enters the realizability
+    memo with the witness that the full list of D_{1,n} holds for the same
+    light antichain.  Each space keeps its own lists, so a repeated call
+    costs no search.
+
     With ``up_to_symmetry``, returns the representatives, each in canonical
     form and ordered by light antichain; the full list is not built.  The
     full list is built on its first request: every representative relabeled
@@ -775,17 +803,41 @@ def enumerate_chambers(space: StabilitySpace, up_to_symmetry: bool = False) -> l
     """
     if space.n > ENUMERATION_BOUND:
         raise BoundExceededError(f"n={space.n} exceeds enumeration bound {ENUMERATION_BOUND}")
+    return list(_representatives(space) if up_to_symmetry else _full_list(space)[0])
+
+
+def _representatives(space: StabilitySpace) -> tuple[Chamber, ...]:
+    """The orbit representatives of ``space``, memoized; a space of genus
+    g >= 2 moves those of its genus class."""
     got = _enum_cache.get(space)
     if got is None:
-        sym = _relabelings(space.n)
-        got = _enum_cache[space] = (tuple(sym.chamber(space, key) for key in _search(space)), None)
-    reps, every = got
-    if up_to_symmetry:
-        return list(reps)
+        cls = _genus_class(space)
+        if space == cls:
+            sym = _relabelings(space.n)
+            reps = tuple(sym.chamber(space, key) for key in _search(space))
+        else:
+            reps = tuple(_adopt(space, c.light_max) for c in _representatives(cls))
+        got = _enum_cache[space] = (reps, None)
+    return got[0]
+
+
+def _full_list(space: StabilitySpace) -> _FullList:
+    """The full list of ``space``, memoized; a space of genus g >= 2 moves
+    that of its genus class and keeps its witnesses.  Fills the
+    realizability memo."""
+    reps = _representatives(space)
+    every = _enum_cache[space][1]
     if every is None:
-        every = _expand(space, reps)
+        cls = _genus_class(space)
+        if space == cls:
+            every = _expand(space, reps)
+        else:
+            chambers, witnesses = _full_list(cls)
+            every = (tuple(_adopt(space, c.light_max) for c in chambers), witnesses)
+        for c, w in zip(*every):
+            _realize_cache.setdefault(c, w)
         _enum_cache[space] = (reps, every)
-    return list(every)
+    return every
 
 
 def _search(space: StabilitySpace) -> list[tuple[int, ...]]:
@@ -818,9 +870,9 @@ def _search(space: StabilitySpace) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-def _expand(space: StabilitySpace, reps: Iterable[Chamber]) -> tuple[Chamber, ...]:
+def _expand(space: StabilitySpace, reps: Iterable[Chamber]) -> _FullList:
     """The full list of ``space`` from its orbit representatives, as described
-    in ``enumerate_chambers``; fills the realizability memo."""
+    in ``enumerate_chambers``."""
     sym = _relabelings(space.n)
     witnesses = {}  # rank tuple -> (witness, slack)
     for rep in reps:
@@ -830,19 +882,15 @@ def _expand(space: StabilitySpace, reps: Iterable[Chamber]) -> tuple[Chamber, ..
         point, slack = _realize_form(space, images[0])  # ks[0] is 0, the identity
         for k, image in zip(ks, images):
             witnesses[image] = (_moved(point, sym.perms[k]), slack)
-    every = []
-    for key in sorted(witnesses, key=lambda k: (len(k), k)):
-        c = sym.chamber(space, key)
-        _realize_cache.setdefault(c, witnesses[key])
-        every.append(c)
-    return tuple(every)
+    keys = sorted(witnesses, key=lambda k: (len(k), k))
+    return tuple(sym.chamber(space, key) for key in keys), tuple(map(witnesses.__getitem__, keys))
 
 
 def _realize_form(space: StabilitySpace, form: tuple[int, ...]) -> Optional[Realization]:
     """``realize`` of the chamber with canonical form ``form``, read from and
     stored in the orbit table alone: its witness is already in canonical
     labels."""
-    key = (space, form)
+    key = (_genus_class(space), form)
     if key not in _realize_orbits:
         _realize_orbits[key] = _solve(_relabelings(space.n).chamber(space, form))
     return _realize_orbits[key]

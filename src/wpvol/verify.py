@@ -568,6 +568,7 @@ class Criterion:
 
 
 D04, D05, D12 = StabilitySpace(0, 4), StabilitySpace(0, 5), StabilitySpace(1, 2)
+D23 = StabilitySpace(2, 3)
 
 CRITERIA: tuple[Criterion, ...] = (
     # V_{0,3} = 1, V_{0,4}, V_{1,1} = (4pi^2-t^2)/48, V_{1,2}
@@ -605,7 +606,7 @@ CRITERIA: tuple[Criterion, ...] = (
             partial(check_quotient_equivalence, space=D05),
             partial(check_quotient_crossing_equality, space=D05),
             partial(check_evenness, spaces=(D04, D12)),
-            partial(check_positivity, spaces=(D05, D12)),
+            partial(check_positivity, spaces=(D05, D12, D23)),
         ),
     ),
 )

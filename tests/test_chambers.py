@@ -323,34 +323,149 @@ def _reference_enumeration(space):
     return sorted(seen, key=lambda c: (len(c.light_max), c.light_max))
 
 
+@pytest.fixture
+def empty_memos(monkeypatch):
+    """Every chamber memo table empty for the test, and restored after it;
+    the fixture's value empties them all again."""
+
+    def empty():
+        for name in ("_realize_cache", "_realize_orbits", "_enum_cache"):
+            monkeypatch.setattr(chambers, name, {})
+
+    empty()
+    return empty
+
+
+def per_genus_solve(c):
+    """Reference: the former ``_solve``, the realizability LP of ``c`` in its
+    own genus, whose last row is sum a >= 2-2g+s with the chamber's g."""
+    n = c.space.n
+    g = c.space.g
+    rows, rhs = [], []
+
+    def row(avec, sigma, b):
+        rows.append(avec + [sigma])
+        rhs.append(b)
+
+    for j in range(n):
+        e = [0] * n
+        e[j] = 1
+        row(e, 0, 1)
+        e = [0] * n
+        e[j] = -1
+        row(e, 1, 3)
+    for J in c.light_max:
+        row([1 if j + 1 in J else 0 for j in range(n)], 1, 4)
+    for m in c._heavy_masks():
+        row([-(m >> j & 1) for j in range(n)], 1, 2)
+    row([-1] * n, 1, 1 + 2 * g)
+    value, x = chambers.simplex_max([0] * n + [1], rows, rhs)
+    slack = value - 3
+    return (tuple(x[:n]), slack) if slack > 0 else None
+
+
+GENUS_CLASS_SPACES = [(g, n) for g in (2, 3) for n in range(2, 6) if (g, n) != (2, 3)]
+
+
 @pytest.mark.parametrize(
     "g,n",
-    [(0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (0, 5), (1, 5)],
-    ids=["D04", "D12", "D13", "D14", "D23", "D05", "D15"],
+    [(0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (0, 5), (1, 5)] + GENUS_CLASS_SPACES,
+    ids=["D04", "D12", "D13", "D14", "D23", "D05", "D15"]
+    + [f"D{g}{n}" for g, n in GENUS_CLASS_SPACES],
 )
-def test_orbit_search_matches_full_search(monkeypatch, g, n):
-    """The orbit search returns the list the full search finds, each from
-    its own empty realizability memo, and the representatives are the first
-    chamber of each orbit."""
+def test_orbit_search_matches_full_search(monkeypatch, empty_memos, g, n):
+    """The orbit search returns the list the full search finds with the LP
+    of each chamber's own genus, from empty memos, and the representatives
+    are the first chamber of each orbit.  Every chamber's witness equals,
+    bit for bit, that of its own-genus LP, although a space of genus >= 2
+    is enumerated and realized through its genus class."""
     space = StabilitySpace(g, n)
-    monkeypatch.setattr(chambers, "_realize_cache", {})
-    monkeypatch.setattr(chambers, "_realize_orbits", {})
-    want = _reference_enumeration(space)
-    monkeypatch.setattr(chambers, "_realize_cache", {})
-    monkeypatch.setattr(chambers, "_realize_orbits", {})
-    monkeypatch.setattr(chambers, "_enum_cache", {})
+    solved = {}  # the own-genus LP, memoized per chamber alone
+
+    def realize_afresh(c):
+        if c not in solved:
+            solved[c] = per_genus_solve(c)
+        return solved[c]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(chambers, "realize", realize_afresh)
+        want = _reference_enumeration(space)
+    own = {c: realize_afresh(c) for c in want}
+    empty_memos()
     assert enumerate_chambers(space) == want
-    assert enumerate_chambers(space, up_to_symmetry=True) == _reference_up_to_symmetry(space)
+    assert enumerate_chambers(space, up_to_symmetry=True) == _reference_up_to_symmetry(want)
+    assert {c: realize(c) for c in want} == own
+
+
+def test_genus_classes_share_one_search(monkeypatch, empty_memos):
+    """D_{7,4} enumerated before D_{1,4} runs the one search of their genus
+    class; afterwards every chamber of both realizes without an LP, to the
+    witness of its own-genus LP, and the two lists hold the same light
+    antichains."""
+    d74, d14 = StabilitySpace(7, 4), StabilitySpace(1, 4)
+    got = {space: enumerate_chambers(space) for space in (d74, d14)}
+    reps = {space: enumerate_chambers(space, up_to_symmetry=True) for space in (d74, d14)}
+    assert [c.light_max for c in got[d74]] == [c.light_max for c in got[d14]]
+    assert [c.light_max for c in reps[d74]] == [c.light_max for c in reps[d14]]
+    assert all(c.space == space for space in got for c in got[space] + reps[space])
+    with monkeypatch.context() as patched:
+        patched.setattr(chambers, "simplex_max", _no_lp)
+        known = {c: realize(c) for space in got for c in got[space] + reps[space]}
+    assert known == {c: per_genus_solve(c) for c in known}
+
+
+def test_d26_representatives_match_per_space_search(monkeypatch, empty_memos):
+    """The D_{2,6} representatives, read from the search of D_{1,6}, and
+    their witnesses equal those of a search of D_{2,6} alone with its own
+    LPs."""
+    space = StabilitySpace(2, 6)
+    reps = enumerate_chambers(space, up_to_symmetry=True)
+    got = {c: realize(c) for c in reps}
+    empty_memos()
+    with monkeypatch.context() as patched:
+        patched.setattr(chambers, "_genus_class", lambda space: space)
+        patched.setattr(chambers, "_solve", per_genus_solve)
+        assert enumerate_chambers(space, up_to_symmetry=True) == reps
+        assert {c: realize(c) for c in reps} == got
+    assert len(reps) == 994
+
+
+def test_solve_is_the_genus_class_lp(monkeypatch):
+    """For g >= 1, ``_solve`` hands ``simplex_max`` the LP of D_{1,n}, on the
+    chambers and the candidates of the enumeration and above the
+    enumeration bound; at g = 0 the sum row keeps its own right-hand side."""
+    seen = []
+
+    def record(c, A, b):
+        seen.append((A, b))
+        return 0, [0] * len(c)
+
+    def lps(space, antichains):
+        seen.clear()
+        for light_max in antichains:
+            chambers._solve(Chamber(space, light_max))
+        return list(seen)
+
+    antichains = {
+        n: [c.light_max for c in enumerate_chambers(d1n) + list(_candidates(d1n))]
+        for n, d1n in ((n, StabilitySpace(1, n)) for n in (2, 3, 4, 5))
+    }
+    monkeypatch.setattr(chambers, "simplex_max", record)
+    for n in (2, 3, 4, 5):
+        want = lps(StabilitySpace(1, n), antichains[n])
+        for g in (2, 3, 7):
+            assert lps(StabilitySpace(g, n), antichains[n]) == want
+    above = [(), ((1, 2),), ((1, 2, 3, 4, 5, 6, 7),)]
+    assert lps(StabilitySpace(2, 7), above) == lps(StabilitySpace(1, 7), above)
+    ((A, b),) = lps(S04, [()])
+    assert (A[-1], b[-1]) == ([-1, -1, -1, -1, 1], 1)
 
 
 @pytest.mark.parametrize("g,n", [(0, 4), (1, 4), (0, 5)], ids=["D04", "D14", "D05"])
-def test_enumeration_witnesses_without_lp(monkeypatch, g, n):
+def test_enumeration_witnesses_without_lp(monkeypatch, empty_memos, g, n):
     """After enumeration every chamber's witness is known without an LP; it
     lies in the chamber and has the margin a fresh LP gives."""
     space = StabilitySpace(g, n)
-    monkeypatch.setattr(chambers, "_realize_cache", {})
-    monkeypatch.setattr(chambers, "_realize_orbits", {})
-    monkeypatch.setattr(chambers, "_enum_cache", {})
     found = enumerate_chambers(space)
 
     def no_lp(*args, **kwargs):
@@ -366,15 +481,15 @@ def test_enumeration_witnesses_without_lp(monkeypatch, g, n):
         assert chambers._solve(c)[1] == slack
 
 
-def _reference_up_to_symmetry(space):
-    """One chamber per S_n orbit, keyed by its smallest relabeled antichain
-    over all n! permutations; the first chamber of each orbit, orbits in key
-    order."""
+def _reference_up_to_symmetry(every):
+    """One chamber per S_n orbit of the full list ``every``, keyed by its
+    smallest relabeled antichain over all n! permutations; the first chamber
+    of each orbit, orbits in key order."""
     reps = {}
-    for c in enumerate_chambers(space):
+    for c in every:
         key = min(
             tuple(sorted(tuple(sorted(p[j - 1] for j in s)) for s in c.light_max))
-            for p in itertools.permutations(space.labels)
+            for p in itertools.permutations(c.space.labels)
         )
         reps.setdefault(key, c)
     return [reps[k] for k in sorted(reps)]
@@ -443,20 +558,18 @@ def _reference_orbit_search(space):
     [(0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (0, 5), (1, 5)],
     ids=["D04", "D12", "D13", "D14", "D23", "D05", "D15"],
 )
-def test_orbit_search_matches_reference_orbit_search(monkeypatch, g, n):
+def test_orbit_search_matches_reference_orbit_search(empty_memos, g, n):
     """From empty memos, the filtered search returns the lists of the former
     orbit search, and its orbit table is the former one less the forms whose
     desirability relation is not total, none of them realizable.  Both fill
-    the realizability memo with the same witnesses."""
+    the realizability memo with the same witnesses; a space of genus >= 2
+    also fills it with the chambers of its genus class, each with the
+    witness of the same light antichain."""
     space = StabilitySpace(g, n)
-    monkeypatch.setattr(chambers, "_realize_cache", {})
-    monkeypatch.setattr(chambers, "_realize_orbits", {})
     want_all, want_reps = _reference_orbit_search(space)
     ref_orbits = chambers._realize_orbits
     ref_witnesses = chambers._realize_cache
-    monkeypatch.setattr(chambers, "_realize_cache", {})
-    monkeypatch.setattr(chambers, "_realize_orbits", {})
-    monkeypatch.setattr(chambers, "_enum_cache", {})
+    empty_memos()
     reps = enumerate_chambers(space, up_to_symmetry=True)
     assert [c.light_max for c in reps] == [c.light_max for c in want_reps]
     assert [c.light_max for c in enumerate_chambers(space)] == [c.light_max for c in want_all]
@@ -466,7 +579,11 @@ def test_orbit_search_matches_reference_orbit_search(monkeypatch, g, n):
     for key in ref_orbits.keys() - orbits.keys():
         light = chambers._light_closure((sym.masks[r] for r in key[1]), n)
         assert ref_orbits[key] is None and chambers._desirability(light, n) is None
-    assert chambers._realize_cache == ref_witnesses
+    memo = chambers._realize_cache
+    assert {c: memo[c] for c in memo if c.space == space} == ref_witnesses
+    for c in memo.keys() - ref_witnesses.keys():
+        assert c.space == chambers._genus_class(space) != space
+        assert memo[c] == ref_witnesses[chambers._adopt(space, c.light_max)]
 
 
 def _candidates(space):
@@ -608,7 +725,7 @@ def test_rank_tuple_chambers_equal_validated_chambers(g, n):
 )
 def test_up_to_symmetry_matches_permutation_key(space, total):
     reps = enumerate_chambers(space, up_to_symmetry=True)
-    assert reps == _reference_up_to_symmetry(space)
+    assert reps == _reference_up_to_symmetry(enumerate_chambers(space))
     # orbit-stabiliser: the orbits of the representatives cover every chamber
     orbit_sizes = [
         len({c.permuted(dict(zip(space.labels, p))) for p in itertools.permutations(space.labels)})
@@ -796,14 +913,13 @@ def test_last_crossing_tries_known_realizable_first(monkeypatch):
     assert checked > 100
 
 
-def test_last_crossing_takes_known_chambers_as_realizable(monkeypatch):
+def test_last_crossing_takes_known_chambers_as_realizable(monkeypatch, empty_memos):
     """A chamber in ``known`` (the volume engine passes its volume memo) is
     taken as realizable and tried first, with no LP for it or before it."""
     top = main_chamber(S05)
     checked = 0
     for c, above, S in _late_uncrossings(S05):
-        monkeypatch.setattr(chambers, "_realize_cache", {})
-        monkeypatch.setattr(chambers, "_realize_orbits", {})
+        empty_memos()
         monkeypatch.setattr(chambers, "simplex_max", _no_lp)
         assert chambers.last_crossing(top, c, {above}) == (above, S)
         monkeypatch.undo()
