@@ -254,25 +254,6 @@ def _realizable_chamber_volume(c: Chamber) -> VolumeResult:
     return result
 
 
-def volume_along_order(c: Chamber, order: Sequence[Iterable[int]]) -> Poly:
-    """V_{g,C} summed along an explicit crossing order from the main chamber.
-
-    Used to check path independence, so every crossing is integrated afresh;
-    raises if the order is not a valid sequence of simple crossings ending
-    at ``c``.
-    """
-    cur = main_chamber(c.space)
-    poly = mirzakhani_volume(c.space.g, c.space.n).poly
-    for wall in order:
-        wall = frozenset(wall)
-        below = cur.cross(wall)
-        poly = poly + _integrate_crossing(cur, wall)
-        cur = below
-    if cur != c:
-        raise WpvolError("crossing order does not end at the requested chamber")
-    return poly
-
-
 def piecewise_volume(w: WeightVector, numeric: bool = False, digits: int = 50):
     """Classify, compute the chamber volume, and evaluate at theta(w).
 

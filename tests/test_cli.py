@@ -217,15 +217,6 @@ def test_verify_paper_suite_json():
     )
 
 
-@pytest.fixture
-def fresh_volume_caches():
-    """Empty the volume and wall-crossing memos before and after the test, so
-    it neither reads values computed earlier nor leaves broken ones behind."""
-    clear_volume_cache()
-    yield
-    clear_volume_cache()
-
-
 def test_verify_mutation_smoke(monkeypatch, fresh_volume_caches):
     """An injected off-by-one in phi breaks the continuity check visibly."""
     from wpvol import volumes

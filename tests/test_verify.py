@@ -1,38 +1,39 @@
 """The check table of ``wpvol.verify``: pinned IDs and wall iteration."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from wpvol import verify
-from wpvol.chambers import StabilitySpace, enumerate_chambers
+from wpvol import verify, volumes
+from wpvol.chambers import StabilitySpace, enumerate_chambers, main_chamber
 from wpvol.errors import RingMismatchError, WpvolError
 from wpvol.verify import CRITERIA, Reporter, check_05_s3
 
 
 def test_verify_ids_partition_the_suite():
-    """The pinned ID lists of criteria 1-8 are disjoint: 52 paper and 12
-    invariants IDs, 64 in all."""
+    """The pinned ID lists of criteria 1-8 are disjoint: 52 paper and 20
+    invariants IDs, 72 in all."""
     with open(Path(__file__).parent / "verify_ids.json") as fh:
         pinned = json.load(fh)
     assert list(pinned) == [str(c.number) for c in CRITERIA] == [str(k) for k in range(1, 9)]
     by_suite = {}
     for c in CRITERIA:
         by_suite.setdefault(c.suite, []).extend(pinned[str(c.number)])
-    assert {suite: len(ids) for suite, ids in by_suite.items()} == {"paper": 52, "invariants": 12}
+    assert {suite: len(ids) for suite, ids in by_suite.items()} == {"paper": 52, "invariants": 20}
     every = [i for ids in pinned.values() for i in ids]
-    assert len(set(every)) == len(every) == 64
+    assert len(set(every)) == len(every) == 72
 
 
 def _walls_cross_accepts(c):
-    """Reference: every subset S for which ``c.cross(S)`` succeeds."""
+    """Reference: (S, c.cross(S)) for every subset S that ``c.cross`` accepts."""
     for S in c.space.subsets():
         try:
-            c.cross(S)
+            below = c.cross(S)
         except WpvolError:
             continue
-        yield S
+        yield S, below
 
 
 @pytest.mark.parametrize("space", [(0, 4), (1, 2), (1, 3), (0, 5)], ids="D{0[0]}{0[1]}".format)
@@ -67,10 +68,9 @@ def test_unexpected_error_in_general_dilaton_is_not_skipped(monkeypatch):
         check_general_dilaton(Reporter(), StabilitySpace(0, 5))
 
 
-def test_unexpected_error_in_a_swapped_replay_is_not_skipped(monkeypatch):
-    """I02 drops a reordering only when a crossing is not incident or not
-    realizable; any other error in the replay propagates and fails the check,
-    where it would have left I02 passing on 0 chambers."""
+def test_unexpected_error_in_an_edge_crossing_is_not_skipped(monkeypatch):
+    """I02 skips only a wall whose chamber below is not realizable; any other
+    error raised while crossing an edge propagates and fails the check."""
     from wpvol.chambers import Chamber
     from wpvol.verify import check_path_independence
 
@@ -80,3 +80,40 @@ def test_unexpected_error_in_a_swapped_replay_is_not_skipped(monkeypatch):
     monkeypatch.setattr(Chamber, "cross", broken)
     with pytest.raises(RingMismatchError):
         check_path_independence(Reporter(), [StabilitySpace(0, 4)])
+
+
+def _path_independence_04():
+    rep = Reporter()
+    verify.check_path_independence(rep, [StabilitySpace(0, 4)])
+    (result,) = rep.results
+    assert result.id == "I02.0.4"
+    return result
+
+
+def test_perturbed_memoized_volume_fails_path_independence(fresh_volume_caches, monkeypatch):
+    """One memoized chamber volume off by 1 breaks the edges at that chamber."""
+    space = StabilitySpace(0, 4)
+    for c in enumerate_chambers(space):
+        volumes.chamber_volume(c)
+    assert _path_independence_04().passed
+    c = main_chamber(space).cross({3, 4})
+    vr = volumes._volume_cache[c]
+    monkeypatch.setitem(
+        volumes._volume_cache, c, replace(vr, poly=vr.poly + vr.poly.ring.one())
+    )
+    assert not _path_independence_04().passed
+
+
+def test_perturbed_crossing_orbit_fails_path_independence(fresh_volume_caches, monkeypatch):
+    """Volumes built from a wrong key-orbit crossing fail I02, which integrates
+    every crossing afresh; read from the memo, the wrong crossing would agree
+    with itself on every edge."""
+    space = StabilitySpace(0, 4)
+    for c in enumerate_chambers(space):
+        volumes.chamber_volume(c)
+    key = next(k for k in volumes._crossing_orbits if k[:2] == (StabilitySpace(0, 3), 2))
+    wc = volumes._crossing_orbits[key]
+    monkeypatch.setitem(volumes._crossing_orbits, key, wc + wc.ring.one())
+    volumes._volume_cache.clear()
+    volumes._crossing_cache.clear()
+    assert not _path_independence_04().passed

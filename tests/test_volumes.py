@@ -17,7 +17,7 @@ from wpvol.chambers import (
 )
 from wpvol.errors import NotIncidentError, NotRealizableError, UnstableError
 from wpvol.poly import PI_RING, angle_ring
-from wpvol.verify import _incident_walls, two_crossing_orders
+from wpvol.verify import _incident_walls
 from wpvol.volumes import (
     _integrate_crossing,
     _wc_integral,
@@ -26,7 +26,6 @@ from wpvol.volumes import (
     eval_at_2pi,
     mirzakhani_volume,
     piecewise_volume,
-    volume_along_order,
     wall_crossing_poly,
 )
 
@@ -117,18 +116,13 @@ def test_wall_crossing_05_s2_cases():
         assert wall_crossing_poly(c, {4, 5}).poly == expected[case], case
 
 
-def test_chamber_volume_path_independence_04():
-    for c in enumerate_chambers(S04):
-        orders = two_crossing_orders(c)
-        if len(orders) == 2:
-            assert volume_along_order(c, orders[0]) == volume_along_order(c, orders[1])
-            assert volume_along_order(c, orders[0]) == chamber_volume(c).poly
-
-
-def _descent_order(c):
+def _descent_order(c, largest_first=False):
     """Walls crossed from the main chamber down to c, found with Chamber.cross
-    alone: each step crosses the smallest light set of c that it can."""
+    alone: each step crosses the smallest (or largest) light set of c that it
+    can."""
     remaining = [S for S in c.space.subsets() if c.value(S) == 0]  # smallest first
+    if largest_first:
+        remaining.reverse()
     cur = main_chamber(c.space)
     order = []
     while remaining:
@@ -145,14 +139,29 @@ def _descent_order(c):
     return order
 
 
+def _volume_along_order(c, order):
+    """Reference: Mirzakhani's polynomial plus every crossing of ``order``,
+    each integrated afresh."""
+    cur = main_chamber(c.space)
+    poly = mirzakhani_volume(c.space.g, c.space.n).poly
+    for wall in order:
+        poly = poly + _integrate_crossing(cur, wall)
+        cur = cur.cross(wall)
+    assert cur == c, (c, order)
+    return poly
+
+
 def test_chamber_volume_matches_uncached_path_sum():
     """Each volume, built from its predecessor with memoized crossings, equals
-    Mirzakhani's polynomial plus every crossing of an independent descent
-    integrated afresh."""
+    Mirzakhani's polynomial plus every crossing integrated afresh, along each
+    of two independent descents."""
     clear_volume_cache()
     for space in (S04, S12, StabilitySpace(1, 3), StabilitySpace(1, 4)):
         for c in enumerate_chambers(space):
-            assert chamber_volume(c).poly == volume_along_order(c, _descent_order(c)), c
+            volume = chamber_volume(c).poly
+            for largest_first in (False, True):
+                order = _descent_order(c, largest_first)
+                assert volume == _volume_along_order(c, order), (c, order)
 
 
 def test_wall_crossing_memo_matches_uncached_integral():
@@ -160,7 +169,7 @@ def test_wall_crossing_memo_matches_uncached_integral():
     equals the integral for this chamber."""
     clear_volume_cache()
     for c in enumerate_chambers(StabilitySpace(1, 4)):
-        for S in _incident_walls(c):
+        for S, _ in _incident_walls(c):
             assert wall_crossing_poly(c, S).poly == _integrate_crossing(c, S), (c, S)
 
 
