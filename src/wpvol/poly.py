@@ -13,7 +13,14 @@ freely.  All arithmetic runs on Python ints; ``Poly.terms`` is a read-only
 ``Mapping[tuple, Fraction]`` view that builds each ``Fraction`` on demand.
 
 Coefficients are merged in one place, :func:`accumulate`, and every operation
-makes one pass into one dict.  The trusted constructor
+makes one pass into one dict.  Products (``*``, ``**``, ``subs``) run on
+packed exponent codes (``_codec``): each exponent tuple becomes one int with
+a fixed-width digit per variable, wide enough for the largest exponent the
+result can reach, so a monomial product is one int addition, applied to a
+whole key list at once (``_mul_codes``), and keys are decoded to tuples once
+at the end.  ``subs`` runs Horner's rule over the parts of the poly by degree
+in the substituted variable, so the value's powers are never formed.  The
+trusted constructor
 :meth:`Poly.from_canonical` adopts a numerator dict without copying or
 filtering it and divides out the one common gcd; ``Poly(ring, terms)`` puts
 rational ``terms`` over their lcm first.  ``evaluate_angles`` takes each angle
@@ -28,6 +35,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -40,6 +48,7 @@ from .rationals import format_rat, rat
 
 Scalar = Union[int, Fraction]
 Nums = dict[tuple[int, ...], int]
+Codec = tuple[Callable[[tuple[int, ...]], int], Callable[[int], tuple[int, ...]]]
 
 
 def accumulate(out: dict, pairs: Iterable[tuple[tuple[int, ...], Scalar]]) -> dict:
@@ -54,12 +63,66 @@ def accumulate(out: dict, pairs: Iterable[tuple[tuple[int, ...], Scalar]]) -> di
     return out
 
 
-def _mul_nums(a: Nums, b: Nums) -> Nums:
-    """Product of two numerator dicts."""
-    right = b.items()
-    return accumulate(
-        {}, ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in a.items() for e2, c2 in right)
+def _top(nums: Nums) -> int:
+    """The largest exponent of any variable in ``nums``; 0 when empty."""
+    return max(map(max, nums)) if nums else 0
+
+
+def _codec(n: int, bound: int) -> Codec:
+    """(encode, decode) between exponent tuples of length n and packed int
+    codes, one little-endian digit per variable.
+
+    A digit has as many bytes as an exponent up to ``bound`` needs, so adding
+    codes adds exponent tuples as long as no sum exceeds ``bound``: no carry
+    crosses a digit.
+    """
+    return _packing(n, max(1, (bound.bit_length() + 7) // 8))
+
+
+@cache
+def _packing(n: int, w: int) -> Codec:
+    """``_codec`` for digits of w bytes."""
+    if w == 1:  # the codes of the general form below, through bytes() directly
+        return (
+            lambda e: int.from_bytes(bytes(e), "little"),
+            lambda code: tuple(code.to_bytes(n, "little")),
+        )
+    size = n * w
+
+    def decode(code: int) -> tuple[int, ...]:
+        b = code.to_bytes(size, "little")
+        return tuple(int.from_bytes(b[i : i + w], "little") for i in range(0, size, w))
+
+    return (
+        lambda e: int.from_bytes(b"".join(x.to_bytes(w, "little") for x in e), "little"),
+        decode,
     )
+
+
+def _mul_codes(keys: list[int], vals: list[int], rows: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Product of two numerator polys keyed by packed codes, one given as
+    aligned ``keys`` and ``vals``, the other as (code, numerator) ``rows``:
+    each row adds its code to all the keys at once."""
+    out: dict[int, int] = {}
+    for code, c in rows:
+        row = zip(map(add, keys, repeat(code)), map(mul, vals, repeat(c)))
+        if out:
+            accumulate(out, row)
+        else:  # one row has distinct keys and nonzero products: nothing merges
+            out = dict(row)
+    return out
+
+
+def _mul_nums(a: Nums, b: Nums) -> Nums:
+    """Product of two numerator dicts, on packed codes, with the larger one
+    as the keys."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return {}
+    encode, decode = _codec(len(next(iter(a))), _top(a) + _top(b))
+    product = _mul_codes(list(map(encode, a)), list(a.values()), zip(map(encode, b), b.values()))
+    return dict(zip(map(decode, product), product.values()))
 
 
 def _power_table(base: Nums, top: int, unit: tuple[int, ...]) -> list[Nums]:
@@ -385,8 +448,14 @@ class Poly:
     def subs(self, v: int, value: Union["Poly", Scalar]) -> "Poly":
         """Substitute variable v by a Poly or rational; exact composition.
 
-        With value = N / d, each term c * x_v^k becomes c * d^(K-k) * N^k over
-        the common d^K, K the degree in v.
+        With value = N / d and K the degree in v, split this poly as
+        sum_k P_k x_v^k, P_k free of x_v.  Horner's rule gives the numerator
+        sum_k d^(K-k) * P_k * N^k over the common d^K: acc = P_K, then
+        acc = acc * N + d^(K-k) * P_k for k = K-1 down to 0.  The parts and N
+        are keyed by packed exponent codes (``_codec``) with digits wide
+        enough for every exponent of the result, so each product adds one
+        int per term pair; the keys are decoded once, at the end.  N may
+        involve x_v itself.
         """
         if not 0 <= v < self.ring.nvars:
             raise VariableRangeError(f"variable index {v} out of range")
@@ -394,20 +463,24 @@ class Poly:
             value = self.ring.const(value)
         if value.ring != self.ring:
             raise RingMismatchError("substitution value lives in a different ring")
+        n = self.ring.nvars
         top = max(self.degree_in(v), 0)
-        powers = _power_table(value._nums, top, (0,) * self.ring.nvars)
+        # the value is encoded even at degree 0, hence max(top, 1)
+        encode, decode = _codec(n, _top(self._nums) + max(top, 1) * _top(value._nums))
+        unit = encode(tuple(int(i == v) for i in range(n)))  # the code of x_v
+        parts: list[dict[int, int]] = [{} for _ in range(top + 1)]
+        for e, c in self._nums.items():
+            k = e[v]
+            parts[k][encode(e) - k * unit] = c
+        value_codes = list(zip(map(encode, value._nums), value._nums.values()))
         d = value.den
-        pad = [d ** (top - k) for k in range(top + 1)]
-
-        def pairs():
-            for e, c in self._nums.items():
-                k = e[v]
-                c *= pad[k]
-                rest = e[:v] + (0,) + e[v + 1 :]
-                for pe, pc in powers[k].items():
-                    yield tuple(map(add, rest, pe)), c * pc
-
-        return Poly.from_canonical(self.ring, accumulate({}, pairs()), self.den * d**top)
+        acc, pad = parts[top], 1
+        for part in reversed(parts[:top]):
+            pad *= d
+            scaled = ((e, c * pad) for e, c in part.items()) if pad != 1 else part.items()
+            acc = accumulate(_mul_codes(list(acc), list(acc.values()), value_codes), scaled)
+        nums = dict(zip(map(decode, acc), acc.values()))
+        return Poly.from_canonical(self.ring, nums, self.den * d**top)
 
     def integrate_upper(self, t: int, upper: Union["Poly", Scalar]) -> "Poly":
         """Exact integral from 0 to ``upper`` in variable t.

@@ -33,7 +33,7 @@ from .chambers import (
 from .errors import NoFlatHullError, NotIncidentError, NotRealizableError
 from .intersection import kappa_psi_intersection, psi_intersection
 from .numeric import evaluate_pi_poly
-from .poly import PolyRing, angle_ring, phi_form
+from .poly import Poly, PolyRing, angle_ring, phi_form
 from .volumes import (
     _integrate_crossing,
     chamber_volume,
@@ -453,26 +453,27 @@ def check_quotient_equivalence(rep: Reporter, space: StabilitySpace) -> None:
     )
 
 
+def _phi_lift(poly: Poly, S: frozenset[int]) -> Poly:
+    """``poly`` in the ring extended by u, with theta_k = u + 2 pi(|S|-1) -
+    sum_{j in S-k} theta_j substituted for k = min(S), which turns phi_S
+    into the variable u."""
+    n = poly.ring.nvars - 1
+    ext = angle_ring(n, extra="u")
+    k = min(S)
+    rel = ext.var(n + 1) + ext.two_pi() - phi_form(ext, S - {k})
+    return poly.relabeled(ext, range(n + 1)).subs(k, rel)
+
+
 def check_evenness(rep: Reporter, spaces: Iterable[StabilitySpace]) -> None:
     """wc is an even polynomial of degree >= 2 in phi_S with theta_{S^c} coefficients."""
     bad = 0
     total = 0
     for space in spaces:
-        n = space.n
+        u = space.n + 1
         for c in enumerate_chambers(space):
             for S, _ in _incident_walls(c):
-                wcp = wall_crossing_poly(c, S)
-                ext = angle_ring(n, extra="u")
-                u = ext.nvars - 1
+                lifted = _phi_lift(wall_crossing_poly(c, S).poly, S)
                 k = min(S)
-                # substitute theta_k = u + 2 pi(|S|-1) - sum_{j in S-k} theta_j,
-                # turning phi_S into the variable u
-                rel = ext.var(u) + ext.two_pi() - phi_form(ext, S - {k})
-                lifted = wcp.poly.compose(
-                    ext,
-                    [ext.pi()]
-                    + [rel if j == k else ext.var(j) for j in range(1, n + 1)],
-                )
                 total += 1
                 degs = {e[u] for e in lifted.terms}
                 if any(d % 2 or d < 2 for d in degs):

@@ -501,6 +501,84 @@ def test_integrate_upper_matches_reference(p, upper):
     )
 
 
+# -- packed exponent codes: digits past one byte and carries across them ----------
+
+# exponents on each side of the one-, two- and more-byte digit boundaries
+WIDE = [0, 1, 2, 127, 128, 254, 255, 256, 257, 300, 65535, 65536, 2**31, 2**40]
+
+
+def wide_polys(max_size=4):
+    """Polys of the test ring with pi and t1 exponents from WIDE and t2
+    exponents up to 2, so substituting t2 stays cheap; coefficients have
+    denominators up to 6."""
+    ring = PolyRing(("pi", "t1", "t2"))
+    exps = st.tuples(st.sampled_from(WIDE), st.sampled_from(WIDE), st.integers(0, 2))
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    return st.lists(st.tuples(exps, coeffs), max_size=max_size).map(
+        lambda items: sum((ring.monomial(c, e) for e, c in items), ring.zero())
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_polys(), wide_polys(max_size=3))
+def test_subs_matches_references_on_wide_exponents(p, value):
+    """The value may involve t2 itself, have den > 1, or be zero; p may be
+    zero or free of t2 (degree 0)."""
+    got = p.subs(2, value)
+    assert terms_of(got) == ref_subs(terms_of(p), 2, terms_of(value), 3)
+    assert got == subs_per_term(p, 2, value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_polys(), wide_polys())
+def test_mul_matches_reference_on_wide_exponents(p, q):
+    assert terms_of(p * q) == ref_mul(terms_of(p), terms_of(q))
+    assert terms_of(q**2) == ref_mul(terms_of(q), terms_of(q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_polys(), wide_polys(max_size=3))
+def test_integrate_upper_matches_reference_on_wide_exponents(p, upper):
+    upper = upper.subs(2, 0)  # the bound must not involve the variable t2
+    assert terms_of(p.integrate_upper(2, upper)) == ref_integrate_upper(
+        terms_of(p), 2, terms_of(upper), 3
+    )
+
+
+def test_subs_mul_and_integrate_across_digit_boundaries():
+    """Results whose exponents leave the digit width of every input: the
+    width is sized by the result's largest exponent, so no sum carries."""
+    r = PolyRing(("pi", "t1", "t2"))
+    x, y = r.var(1), r.var(2)
+
+    def m(c, *e):
+        return r.monomial(c, e)
+
+    # 255 + 1 leaves one byte, 65535 + 1 two bytes, 2^63 + 2^63 eight
+    assert m(1, 0, 255, 0) * x == m(1, 0, 256, 0)
+    assert m(2, 65535, 0, 1) * m(3, 1, 0, 0) == m(6, 65536, 0, 1)
+    assert m(1, 0, 2**63, 0) * m(1, 0, 2**63, 0) == m(1, 0, 2**64, 0)
+    assert m(1, 0, 255, 1).subs(2, x) == m(1, 0, 256, 0)
+    # 200 + 2 * 100 = 400 in t1, beside a t2 digit that the parts zero
+    p = m(F(1, 2), 3, 200, 2) + m(-1, 0, 255, 1) + y
+    value = m(F(2, 3), 1, 100, 0) - m(F(1, 5), 0, 0, 1)
+    assert terms_of(p.subs(2, value)) == ref_subs(terms_of(p), 2, terms_of(value), 3)
+    # degree 256 in t2, and a value in t2 itself: t2^256 -> t2^512
+    assert m(1, 0, 0, 256).subs(2, y * y) == m(1, 0, 0, 512)
+    assert m(1, 0, 0, 256).subs(2, m(F(1, 2), 0, 0, 1)) == m(F(1, 2**256), 0, 0, 256)
+    # degree 0 in t2 keeps p, whatever the value's denominator
+    assert m(5, 0, 300, 0).subs(2, F(1, 7)) == m(5, 0, 300, 0)
+    assert r.zero().subs(2, x) == r.zero()
+    assert (m(1, 0, 300, 1) + m(4, 0, 0, 0)).subs(2, r.zero()) == r.const(4)
+    # the antiderivative of t1^300 t2^255 has t2^256
+    q = m(1, 0, 300, 255)
+    upper = m(F(2, 3), 0, 200, 0)
+    assert q.integrate_upper(2, upper) == m(F(2**256, 256 * 3**256), 0, 300 + 200 * 256, 0)
+    assert terms_of(q.integrate_upper(2, upper)) == ref_integrate_upper(
+        terms_of(q), 2, terms_of(upper), 3
+    )
+
+
 def pi_multiples():
     """Angle values q * pi^m: a Fraction, or a Poly of the test ring."""
     ring = PolyRing(("pi", "t1", "t2"))

@@ -9,6 +9,7 @@ import pytest
 from wpvol import verify, volumes
 from wpvol.chambers import StabilitySpace, enumerate_chambers, main_chamber
 from wpvol.errors import RingMismatchError, WpvolError
+from wpvol.poly import angle_ring, phi_form
 from wpvol.verify import CRITERIA, Reporter, check_05_s3
 
 
@@ -40,6 +41,30 @@ def _walls_cross_accepts(c):
 def test_incident_walls_are_the_walls_cross_accepts(space):
     for c in enumerate_chambers(StabilitySpace(*space)):
         assert list(verify._incident_walls(c)) == list(_walls_cross_accepts(c)), c
+
+
+def _compose_lift(poly, S):
+    """Reference: the lift of ``verify._phi_lift`` by ``Poly.compose``, with
+    theta_k's image u + 2 pi(|S|-1) - sum_{j in S-k} theta_j, k = min(S), and
+    every other variable sent to itself."""
+    n = poly.ring.nvars - 1
+    ext = angle_ring(n, extra="u")
+    k = min(S)
+    rel = ext.var(n + 1) + ext.two_pi() - phi_form(ext, S - {k})
+    return poly.compose(ext, [ext.pi()] + [rel if j == k else ext.var(j) for j in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("space, walls", [((0, 5), 3590), ((1, 4), 235)], ids=["D05", "D14"])
+def test_phi_lift_equals_the_compose_lift(space, walls):
+    """I04's lift (relabel into the ring with u, then one ``subs``) equals
+    the ``compose`` lift it replaced, on every wall."""
+    seen = 0
+    for c in enumerate_chambers(StabilitySpace(*space)):
+        for S, _ in verify._incident_walls(c):
+            wc = volumes.wall_crossing_poly(c, S).poly
+            assert verify._phi_lift(wc, S) == _compose_lift(wc, S), (c, S)
+            seen += 1
+    assert seen == walls
 
 
 def test_unexpected_error_in_a_crossing_is_not_skipped(monkeypatch):
