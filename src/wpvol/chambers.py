@@ -450,6 +450,12 @@ def _solve(c: Chamber) -> Optional[Realization]:
 
 
 @functools.cache
+def _mask_labels(n: int) -> tuple[tuple[int, ...], ...]:
+    """The ascending label tuple of each mask, indexed by mask."""
+    return tuple(tuple(j + 1 for j in range(n) if m >> j & 1) for m in range(1 << n))
+
+
+@functools.cache
 def _subset_order(n: int) -> tuple[int, ...]:
     """The position of each label mask in ``StabilitySpace.subsets()`` order
     (by size, then lexicographic), indexed by mask."""
@@ -472,21 +478,40 @@ def witness(c: Chamber) -> WeightVector:
 
 
 def classify(w: WeightVector) -> Chamber:
-    """The chamber containing w; exact, raises OnWallError on any wall.
+    """The chamber containing w; exact, raises OnWallError on any wall, the
+    first in ``space.subsets()`` order.
 
     The weights are put over one common denominator, so each subset sum is
-    compared with 1 in integers.
+    compared with 1 in integers; the sum of each mask is that of the mask
+    without its lowest label plus one weight.  The light sets form a set of
+    masks, and its maximal members of size >= 2 are the light antichain.
     """
+    n = w.space.n
     den = lcm(*(x.denominator for x in w.a))
-    nums = [0] + [x.numerator * (den // x.denominator) for x in w.a]
-    light = []
-    for J in w.space.subsets():
-        total = sum(nums[j] for j in J)
-        if total == den:
-            raise OnWallError(J)
+    nums = [x.numerator * (den // x.denominator) for x in w.a]
+    sums = [0] * (1 << n)
+    light = 1  # the empty set
+    for m in range(1, 1 << n):
+        low = m & -m
+        total = sums[m] = sums[m ^ low] + nums[low.bit_length() - 1]
         if total < den:
-            light.append(tuple(sorted(J)))
-    return Chamber(w.space, tuple(light))
+            light |= 1 << m
+    _, small, has, _ = _mask_sets(n)
+    if den in sums:
+        order = _subset_order(n)
+        walls = [m for m, total in enumerate(sums) if total == den and not small >> m & 1]
+        if walls:
+            raise OnWallError(frozenset(_mask_labels(n)[min(walls, key=order.__getitem__)]))
+    maximal = light & ~small
+    for j, with_j in enumerate(has):
+        maximal &= ~((light & with_j) >> (1 << j))  # a light set plus label j is light
+    labels = _mask_labels(n)
+    out = []
+    while maximal:
+        low = maximal & -maximal
+        out.append(labels[low.bit_length() - 1])
+        maximal ^= low
+    return _adopt(w.space, tuple(sorted(out)))
 
 
 # -- crossing paths ----------------------------------------------------------------
@@ -733,14 +758,32 @@ def _desirability(light: int, n: int) -> Optional[tuple[int, ...]]:
 
 
 @functools.cache
-def _sorting_table(n: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
-    """The relabel table (``_Relabelings.tables``) of the permutation that
-    sorts the labels by desirability rank, and ties by label."""
-    perm = [0] * n
-    for position, j in enumerate(sorted(range(n), key=ranks.__getitem__)):
+def _sorting_permutation(ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation that sorts the labels by desirability rank, and ties
+    by label: label j goes to perm[j-1] + 1."""
+    perm = [0] * len(ranks)
+    for position, j in enumerate(sorted(range(len(ranks)), key=ranks.__getitem__)):
         perm[j] = position
+    return tuple(perm)
+
+
+@functools.cache
+def _sorting_table(n: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """The relabel table (``_Relabelings.tables``) of ``_sorting_permutation``."""
     sym = _relabelings(n)
-    return sym.tables[sym.perms.index(tuple(perm))]
+    return sym.tables[sym.perms.index(_sorting_permutation(ranks))]
+
+
+def _sorted_key(c: Chamber) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(key, perm) for a realizable chamber: its light antichain relabeled by
+    ``_sorting_permutation`` as ascending masks, and that permutation.  Two
+    chambers of a space share the key iff they lie in one S_n orbit
+    (``_desirability``); it takes no relabel table, so it holds at any n."""
+    n = c.space.n
+    masks = [_mask(s) for s in c.light_max]
+    perm = _sorting_permutation(_desirability(_light_closure(masks, n), n))
+    key = sorted(sum(1 << perm[j] for j in range(n) if m >> j & 1) for m in masks)
+    return tuple(key), perm
 
 
 @functools.cache

@@ -24,6 +24,10 @@ symmetry, and phi_S is symmetric in S, so wc depends only on the space of
 C/S, on s and on the orbit of C/S.  One integral is computed per key orbit
 and relabeled (``Poly.relabeled``) for every other key in it.  The identity
 checks integrate through ``_integrate_crossing``, which bypasses both tables.
+Point queries (``piecewise_volume``) evaluate every chamber of an S_n orbit
+through the volume of the first one queried, at the angles permuted, so one
+evaluation plan is built per orbit; each chamber's own volume is still the
+one computed and returned.
 
 Also here: closed-form chamber volumes (genus-0 minimal chamber, Losev-Manin,
 (CP^1)^n), the 2 pi limit (light coordinates), and the dilaton-type derivative
@@ -44,6 +48,7 @@ from .chambers import (
     StabilitySpace,
     WeightVector,
     _orbit,
+    _sorted_key,
     classify,
     crossing_path,
     last_crossing,
@@ -254,16 +259,48 @@ def _realizable_chamber_volume(c: Chamber) -> VolumeResult:
     return result
 
 
+# Relabeling the points maps a chamber's volume to the relabeled volume, so
+# point queries evaluate every chamber of an S_n orbit through the volume of
+# the first one queried, whose evaluation plan is then the only one built.
+# Keyed by (space, ``chambers._sorted_key``): that volume and its sorting
+# permutation.
+_evaluation_orbits: dict[tuple[StabilitySpace, tuple[int, ...]], tuple[Poly, tuple[int, ...]]] = {}
+# Per chamber: its own volume, the volume it is evaluated through, and for
+# each variable of that volume the index of the angle it reads.
+_evaluators: dict[Chamber, tuple[VolumeResult, Poly, tuple[int, ...]]] = {}
+
+
+def _evaluator(c: Chamber) -> tuple[VolumeResult, Poly, tuple[int, ...]]:
+    """The ``_evaluators`` entry of a realizable chamber."""
+    vr = _realizable_chamber_volume(c)
+    key, perm = _sorted_key(c)
+    poly, rep_perm = _evaluation_orbits.setdefault((c.space, key), (vr.poly, perm))
+    # perm and rep_perm take c and the representative to the same key, so
+    # label j of the representative is label back[rep_perm[j]] of c, whose
+    # angle variable j of the representative's volume reads
+    back = [0] * len(perm)
+    for j, p in enumerate(perm):
+        back[p] = j
+    return vr, poly, tuple(back[p] for p in rep_perm)
+
+
 def piecewise_volume(w: WeightVector, numeric: bool = False, digits: int = 50):
     """Classify, compute the chamber volume, and evaluate at theta(w).
 
     Returns (chamber, VolumeResult, value) where value is a univariate-in-pi
-    Poly, or a Decimal in numeric mode.
+    Poly, or a Decimal in numeric mode.  The VolumeResult is the chamber's
+    own memoized volume; the value comes from the volume of the first chamber
+    of its S_n orbit that was queried, at the angles relabeled
+    (``_evaluation_orbits``).  ``evaluate_angles`` returns the canonical
+    Poly of the exact value, so it is the value of the chamber's own volume.
     """
     c = classify(w)
-    vr = _realizable_chamber_volume(c)  # w lies in c, so c is realizable
-    values = w.theta_values(vr.poly.ring)
-    formal = vr.poly.evaluate_angles(values)
+    got = _evaluators.get(c)
+    if got is None:
+        got = _evaluators[c] = _evaluator(c)  # w lies in c, so c is realizable
+    vr, poly, reads = got
+    values = w.theta_values(poly.ring)
+    formal = poly.evaluate_angles([values[i] for i in reads])
     if not numeric:
         return c, vr, formal
     from .numeric import evaluate_pi_poly
@@ -514,3 +551,5 @@ def clear_volume_cache() -> None:
     _volume_cache.clear()
     _crossing_cache.clear()
     _crossing_orbits.clear()
+    _evaluation_orbits.clear()
+    _evaluators.clear()

@@ -821,11 +821,13 @@ def classify_by_fraction_sums(w):
     return Chamber(w.space, tuple(light))
 
 
-def seeded_weight_vectors(seed, count):
+SEEDED_SPACES = (S04, S05, S12, StabilitySpace(1, 3), StabilitySpace(2, 3), StabilitySpace(1, 5))
+
+
+def seeded_weight_vectors(seed, count, spaces=SEEDED_SPACES):
     """Weights p/q with mixed denominators; about a third are put on a wall
     by making the weights of a random subset J sum to exactly 1."""
     rng = random.Random(seed)
-    spaces = [S04, S05, S12, StabilitySpace(1, 3), StabilitySpace(2, 3), StabilitySpace(1, 5)]
     out = []
     while len(out) < count:
         space = rng.choice(spaces)
@@ -847,15 +849,21 @@ def seeded_weight_vectors(seed, count):
 
 
 def test_integer_classify_matches_fraction_subset_sums():
+    """The mask classify gives the light antichain of the Fraction reference,
+    tuple for tuple, and on a wall the first wall in subsets() order."""
     on_wall = 0
-    for w in seeded_weight_vectors(20260, 600):
+    six = (StabilitySpace(0, 6), StabilitySpace(1, 6))
+    for w in seeded_weight_vectors(20260, 600) + seeded_weight_vectors(20261, 300, six):
         want = classify_by_fraction_sums(w)
         if isinstance(want, Chamber):
-            assert classify(w) == want
+            got = classify(w)
+            assert got == want
+            assert got.light_max == want.light_max
         else:
             on_wall += 1
             with pytest.raises(OnWallError) as err:
                 classify(w)
+            assert isinstance(err.value.wall, frozenset)
             assert err.value.wall == want
     assert on_wall > 50  # the on-wall branch is exercised
 

@@ -1,10 +1,12 @@
 """Volume engine: main-chamber polynomials, wall crossings, chamber volumes."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import wpvol.chambers as chambers
+import wpvol.poly as poly_module
 import wpvol.volumes as volumes
 from wpvol import reference as ref
 from wpvol.chambers import (
@@ -15,8 +17,9 @@ from wpvol.chambers import (
     light_chamber,
     main_chamber,
 )
-from wpvol.errors import NotIncidentError, NotRealizableError, UnstableError
-from wpvol.poly import PI_RING, angle_ring
+from wpvol.errors import NotIncidentError, NotRealizableError, OnWallError, UnstableError
+from wpvol.numeric import evaluate_pi_poly
+from wpvol.poly import PI_RING, Poly, angle_ring
 from wpvol.verify import _incident_walls
 from wpvol.volumes import (
     _integrate_crossing,
@@ -219,6 +222,8 @@ def test_cold_piecewise_volume_solves_no_lp_for_its_chamber(monkeypatch):
         monkeypatch.setattr(chambers, "_realize_cache", {})
         monkeypatch.setattr(chambers, "_realize_orbits", {})
         monkeypatch.setattr(volumes, "_volume_cache", {})
+        monkeypatch.setattr(volumes, "_evaluation_orbits", {})
+        monkeypatch.setattr(volumes, "_evaluators", {})
         solved = []
         real_realize = chambers.realize
 
@@ -278,6 +283,8 @@ def empty_memos(monkeypatch):
         (volumes, "_volume_cache"),
         (volumes, "_crossing_cache"),
         (volumes, "_crossing_orbits"),
+        (volumes, "_evaluation_orbits"),
+        (volumes, "_evaluators"),
     ]:
         monkeypatch.setattr(module, name, {})
 
@@ -332,3 +339,74 @@ def test_orbit_keyed_crossings_match_fresh_integrals(empty_memos, monkeypatch):
     assert {q.space.n + len(S) - 1 for q, S in reached} == {3, 4, 5}
     for (q, S), c in reached.items():
         assert volumes._crossing_cache[(q, S)] == _integrate_crossing(c, S), (c, S)
+
+
+# -- point queries through one evaluation plan per chamber orbit --------------------
+
+
+def _fresh(poly):
+    """A copy of ``poly`` with no evaluation plan yet."""
+    return Poly.from_canonical(poly.ring, dict(poly.nums), poly.den)
+
+
+def _query_points(c, rng):
+    """Seeded interior points of ``c``, and the points with one weight raised
+    to 1 (a zero angle) that still lie in ``c``."""
+    point, slack = chambers.realize(c)
+    n = c.space.n
+    out = []
+    for _ in range(2):
+        delta = [F(rng.randint(0, 999), 1000) * slack / (2 * n) for _ in range(n)]
+        w = WeightVector(c.space, tuple(a - d for a, d in zip(point, delta)))
+        out.append(w)
+        for j in range(n):
+            raised = WeightVector(c.space, w.a[:j] + (F(1),) + w.a[j + 1 :])
+            try:
+                if classify(raised) == c:
+                    out.append(raised)
+            except OnWallError:
+                pass
+    return out
+
+
+def test_orbit_evaluation_matches_own_volume(empty_memos, monkeypatch):
+    """Queried in shuffled chamber order from empty memos, every chamber of
+    D_{0,5}, D_{1,4}, D_{2,3} and D_{1,3} gives, formally and numerically,
+    the value of its own volume at the query's angles, zero angles included,
+    and one evaluation plan is built per chamber orbit."""
+    spaces = [S05, StabilitySpace(1, 4), StabilitySpace(2, 3), StabilitySpace(1, 3)]
+    rng = random.Random(20261018)
+    chambers_all = [c for space in spaces for c in enumerate_chambers(space)]
+    orbits = sum(len(enumerate_chambers(space, up_to_symmetry=True)) for space in spaces)
+    rng.shuffle(chambers_all)
+    queries = [(c, w) for c in chambers_all for w in _query_points(c, rng)]
+    assert sum(F(1) in w.a for _, w in queries) > 100  # zero angles are exercised
+    built = []
+    build = poly_module._plan
+
+    def recording(nums, n):
+        built.append(id(nums))
+        return build(nums, n)
+
+    monkeypatch.setattr(poly_module, "_plan", recording)
+    answers = [(c, w, piecewise_volume(w), piecewise_volume(w, numeric=True)) for c, w in queries]
+    monkeypatch.setattr(poly_module, "_plan", build)
+    assert len(built) == len(set(built)) == len(volumes._evaluation_orbits) == orbits
+    for c, w, (got_c, vr, formal), (_, _, numeric) in answers:
+        assert got_c == c and vr is volumes._volume_cache[c]
+        want = _fresh(vr.poly).evaluate_angles(w.theta_values(vr.poly.ring))
+        assert formal == want, (c, w)
+        assert numeric == evaluate_pi_poly(want, 50), (c, w)
+
+
+def test_clear_volume_cache_drops_every_evaluator(fresh_volume_caches):
+    """After clear_volume_cache() no evaluator survives: the next query
+    builds its evaluator from the chamber's recomputed volume."""
+    w = WeightVector(S05, (F(9, 10), F(9, 10), F(2, 25), F(9, 10), F(3, 20)))
+    c, before, value = piecewise_volume(w)
+    assert c in volumes._evaluators and volumes._evaluation_orbits
+    clear_volume_cache()
+    assert not volumes._evaluators and not volumes._evaluation_orbits
+    _, after, again = piecewise_volume(w)
+    assert after is volumes._volume_cache[c] and after is not before
+    assert again == value
