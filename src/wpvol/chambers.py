@@ -37,6 +37,7 @@ from .errors import (
 from .lp import simplex_max
 from .poly import Poly, PolyRing
 
+# Bounds enumeration alone: realizability and the orbit tables hold at any n.
 # n = 7 stays off.  With the bound raised to 7, the orbit search
 # (``up_to_symmetry=True``) ends with 13 642 representatives of D_{0,7} in
 # 85 s (18 684 LPs) and 28 262 of D_{1,7} in 163 s (35 791 LPs), where the
@@ -353,8 +354,9 @@ Realization = tuple[tuple[Fraction, ...], Fraction]
 _realize_cache: dict[Chamber, Optional[Realization]] = {}
 # Relabeling the points maps chambers and their LPs to themselves, and every
 # space of a genus class has the same LP, so the answer is one per S_n orbit
-# of the class: keyed by (genus class, canonical form), the witness in the
-# labels of the canonical chamber, or None.
+# of the class: keyed by (genus class, ``_sorted_key``), the LP solved on the
+# chamber of the key (``_realize_key``), with its witness in the labels of
+# that chamber, or None.
 _realize_orbits: dict[tuple[StabilitySpace, tuple[int, ...]], Optional[Realization]] = {}
 
 
@@ -368,34 +370,37 @@ def _genus_class(space: StabilitySpace) -> StabilitySpace:
 def realize(c: Chamber) -> Optional[Realization]:
     """(a, s): an interior witness a of maximal margin s > 0, or None.
 
-    Memoized per chamber and, up to ENUMERATION_BOUND points, per S_n orbit
-    of the genus class (``_genus_class``), so a chamber of D_{g,n}, g >= 2,
-    gets the witness of the same light antichain in D_{1,n}.  On a miss of
-    the per-chamber table, a chamber whose desirability relation is not
-    total (``_desirability``) is not realizable, with no LP.  Otherwise the
-    orbit table is read under the class and the canonical form of ``c``
-    (``_orbit``); a hit relabels the stored witness, which keeps its
-    (maximal) margin, and a miss solves the LP on ``c`` (``_solve``) and
-    stores the canonical copy.
+    Memoized per chamber and per S_n orbit of the genus class
+    (``_genus_class``), so a chamber of D_{g,n}, g >= 2, gets the witness of
+    the same light antichain in D_{1,n}.  On a miss of the per-chamber table,
+    a chamber whose desirability relation is not total (``_desirability``)
+    is not realizable, with no LP.  Otherwise the orbit table, read under
+    the class and the sorted key of ``c`` (``_sorted_key``), holds the LP
+    solved once per orbit on the chamber of the key (``_realize_key``); its
+    witness is relabeled to the labels of ``c`` and keeps its (maximal)
+    margin.
     """
     got = _realize_cache.get(c, "miss")
     if got != "miss":
         return got
-    n = c.space.n
-    if (orbit := _orbit(c)) is None:  # above ENUMERATION_BOUND, or not total
-        light = _light_closure(map(_mask, c.light_max), n)
-        got = _solve(c) if n > ENUMERATION_BOUND and _desirability(light, n) is not None else None
-    else:
-        form, perm = orbit  # label j of c is label perm[j-1] + 1 of the canonical chamber
-        key = (_genus_class(c.space), form)
-        if key in _realize_orbits:
-            canon = _realize_orbits[key]
-            got = canon and (tuple(canon[0][p] for p in perm), canon[1])
-        else:
-            got = _solve(c)
-            _realize_orbits[key] = got and (_moved(got[0], perm), got[1])
+    got = None
+    if (orbit := _sorted_key(c)) is not None:
+        key, perm = orbit  # label j of c is label perm[j-1] + 1 of the key
+        canon = _realize_key(c.space, key)
+        got = canon and (tuple(canon[0][p] for p in perm), canon[1])
     _realize_cache[c] = got
     return got
+
+
+def _realize_key(space: StabilitySpace, key: tuple[int, ...]) -> Optional[Realization]:
+    """The orbit-table entry of the sorted key ``key`` of a chamber of
+    ``space``: the LP (``_solve``) of the chamber whose light antichain is
+    ``key``, solved once per orbit of the genus class."""
+    entry = (_genus_class(space), key)
+    if entry not in _realize_orbits:
+        light = sorted(tuple(j + 1 for j in range(space.n) if m >> j & 1) for m in key)
+        _realize_orbits[entry] = _solve(_adopt(space, tuple(light)))
+    return _realize_orbits[entry]
 
 
 def _moved(point: tuple[Fraction, ...], perm: tuple[int, ...]) -> tuple[Fraction, ...]:
@@ -595,9 +600,8 @@ class _Relabelings:
     The subsets of size >= 2 are ranked in sorted-label-tuple order, so a
     sorted tuple of ranks compares exactly as the light antichain it encodes.
     ``tables[k][mask]``, for a mask of size >= 2, is the rank of its image
-    under the permutation ``perms[k]`` (label j goes to perms[k][j-1] + 1);
-    ``last_fixed`` lists the k whose permutation fixes the last label, and
-    ``inversions[k]`` has bit i*n + j set, for labels i+1 < j+1, when
+    under the permutation ``perms[k]`` (label j goes to perms[k][j-1] + 1),
+    and ``inversions[k]`` has bit i*n + j set, for labels i+1 < j+1, when
     ``perms[k]`` puts label i+1 after label j+1.
     """
 
@@ -605,7 +609,6 @@ class _Relabelings:
     masks: tuple[int, ...]
     perms: tuple[tuple[int, ...], ...]
     tables: tuple[tuple[int, ...], ...]
-    last_fixed: tuple[int, ...]
     inversions: tuple[int, ...]
 
     def relabeled(
@@ -640,41 +643,11 @@ def _relabelings(n: int) -> _Relabelings:
         tuple(rank[sum(1 << p[j] for j in range(n) if m >> j & 1)] for m in range(1 << n))
         for p in perms
     )
-    last_fixed = tuple(k for k, p in enumerate(perms) if p[-1] == n - 1)
     inversions = tuple(
         sum(1 << (i * n + j) for i, j in itertools.combinations(range(n), 2) if p[i] > p[j])
         for p in perms
     )
-    return _Relabelings(tuple(subsets), masks, perms, tables, last_fixed, inversions)
-
-
-def _orbit(c: Chamber, fix_last: bool = False) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(form, perm): the smallest rank tuple of ``c`` over the relabelings of
-    its points, or over those fixing the last point, and the first
-    permutation reaching it.  None above ENUMERATION_BOUND points, where the
-    n! relabel tables are not built, and for a chamber whose desirability
-    relation is not total, which is not realizable.
-
-    The permutations of tied labels fix ``c``, so the minimum is taken over
-    one permutation per coset of them, the first of it
-    (``_coset_relabelings``); with ``fix_last``, the last label is given a
-    rank of its own, so that only the ties that fix it count, and only the
-    permutations fixing it are scanned.
-    """
-    n = c.space.n
-    if n > ENUMERATION_BOUND:
-        return None
-    masks = [_mask(s) for s in c.light_max]
-    ranks = _desirability(_light_closure(masks, n), n)
-    if ranks is None:
-        return None
-    if fix_last:
-        ranks = ranks[:-1] + (n,)  # no label has n labels above it
-    ks = _coset_relabelings(n, ranks, fix_last)
-    sym = _relabelings(n)
-    forms = sym.relabeled(masks, ks)
-    i = min(range(len(ks)), key=forms.__getitem__)
-    return forms[i], sym.perms[ks[i]]
+    return _Relabelings(tuple(subsets), masks, perms, tables, inversions)
 
 
 # A family of label masks is held as a set of masks: an int whose bit m is set
@@ -688,7 +661,15 @@ def _mask_sets(n: int) -> tuple[int, int, tuple[int, ...], tuple[tuple[int, ...]
     masks with i and without j, those with j and without i, 2^j - 2^i)."""
     every = (1 << (1 << n)) - 1
     small = 1 | sum(1 << (1 << j) for j in range(n))
-    has = tuple(sum(1 << m for m in range(1 << n) if m >> j & 1) for j in range(n))
+    has = []
+    for j in range(n):
+        # the masks 2^j .. 2^(j+1) - 1, then the pattern doubled up to 2^n masks
+        with_j, width = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+        while width < 1 << n:
+            with_j |= with_j << width
+            width <<= 1
+        has.append(with_j)
+    has = tuple(has)
     pairs = tuple(
         (i, j, has[i] & ~has[j], has[j] & ~has[i], (1 << j) - (1 << i))
         for i, j in itertools.combinations(range(n), 2)
@@ -741,7 +722,7 @@ def _desirability(light: int, n: int) -> Optional[tuple[int, ...]]:
     Two tied labels are interchangeable: swapping them maps the chamber to
     itself.  So every relabeling that sorts the labels by rank, permuting
     only ties, gives the same image of the chamber, and that image is the
-    same for every chamber of an orbit (``_sorting_table``).
+    same for every chamber of an orbit (``_sorted_key``).
     """
     heavy = ~light
     ranks = [0] * n
@@ -768,40 +749,62 @@ def _sorting_permutation(ranks: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @functools.cache
-def _sorting_table(n: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
-    """The relabel table (``_Relabelings.tables``) of ``_sorting_permutation``."""
-    sym = _relabelings(n)
-    return sym.tables[sym.perms.index(_sorting_permutation(ranks))]
+def _mask_images(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of each label mask under ``perm`` (label j goes to
+    perm[j-1] + 1), indexed by mask."""
+    images = [0]
+    for p in perm:
+        images += [m | 1 << p for m in images]
+    return tuple(images)
 
 
-def _sorted_key(c: Chamber) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(key, perm) for a realizable chamber: its light antichain relabeled by
-    ``_sorting_permutation`` as ascending masks, and that permutation.  Two
-    chambers of a space share the key iff they lie in one S_n orbit
-    (``_desirability``); it takes no relabel table, so it holds at any n."""
+def _sorted_key(
+    c: Chamber, merged_last: bool = False
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(key, perm): the light antichain of ``c`` relabeled by
+    ``_sorting_permutation`` as ascending masks, and that permutation; None
+    if the desirability relation of ``c`` is not total, so that ``c`` is not
+    realizable.  Two chambers of a space share the key iff they lie in one
+    S_n orbit (``_desirability``); it takes no n! relabel table, so it holds
+    at any n.
+
+    With ``merged_last`` the last label gets a rank of its own, above every
+    other, so the permutation fixes it and the key is one per orbit of the
+    relabelings that fix it: the ties that remain still fix the chamber.
+    """
     n = c.space.n
     masks = [_mask(s) for s in c.light_max]
-    perm = _sorting_permutation(_desirability(_light_closure(masks, n), n))
-    key = sorted(sum(1 << perm[j] for j in range(n) if m >> j & 1) for m in masks)
-    return tuple(key), perm
+    ranks = _desirability(_light_closure(masks, n), n)
+    if ranks is None:
+        return None
+    if merged_last:
+        ranks = ranks[:-1] + (n,)  # no label has n labels above it
+    return _sorted_masks(masks, ranks)
+
+
+def _sorted_masks(
+    masks: Iterable[int], ranks: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``_sorted_key`` of the light antichain ``masks`` with desirability
+    ranks ``ranks``."""
+    perm = _sorting_permutation(ranks)
+    return tuple(sorted(map(_mask_images(perm).__getitem__, masks))), perm
 
 
 @functools.cache
-def _coset_relabelings(n: int, ranks: tuple[int, ...], fix_last: bool = False) -> tuple[int, ...]:
-    """The indices k, ascending, of the permutations ``perms[k]`` (with
-    ``fix_last``, of those fixing the last label) that keep labels of equal
-    desirability rank in order: one in each coset of the permutations of
-    ties, and the first of it in ``perms`` order.  The permutations of ties
-    are exactly those that fix a chamber with these ranks (relabeling
-    preserves desirability), so relabeling it by these alone reaches each
-    chamber of its orbit once, and by the first of all permutations that
-    reach it."""
+def _coset_relabelings(n: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """The indices k, ascending, of the permutations ``perms[k]`` that keep
+    labels of equal desirability rank in order: one in each coset of the
+    permutations of ties, and the first of it in ``perms`` order.  The
+    permutations of ties are exactly those that fix a chamber with these
+    ranks (relabeling preserves desirability), so relabeling it by these
+    alone reaches each chamber of its orbit once, and by the first of all
+    permutations that reach it."""
     tied = sum(
         1 << (i * n + j) for i, j in itertools.combinations(range(n), 2) if ranks[i] == ranks[j]
     )
     sym = _relabelings(n)
-    ks = sym.last_fixed if fix_last else range(len(sym.perms))
-    return tuple(k for k in ks if not sym.inversions[k] & tied)
+    return tuple(k for k, inversions in enumerate(sym.inversions) if not inversions & tied)
 
 
 # A full list: the chambers and, in the same order, their witnesses.
@@ -820,15 +823,13 @@ def enumerate_chambers(space: StabilitySpace, up_to_symmetry: bool = False) -> l
     chamber decomposition exactly: every orbit representative is crossed at
     each of its minimal heavy sets.  A candidate below whose desirability
     relation is not total is not realizable and is dropped
-    (``_desirability``).  The others are deduplicated by their light
-    antichain relabeled so that the labels are sorted by desirability; tied
-    labels are interchangeable, so this is the smallest such antichain over
-    the permutations of the ties, one per orbit.  Each candidate not seen
-    before gets its canonical form, the smallest relabeled light antichain
-    over all n! permutations, and one LP.  The permutations of ties fix the
-    candidate, so the canonical form is taken over one permutation per coset
-    of them (``_coset_relabelings``).  Spaces with more than
-    ENUMERATION_BOUND points raise BoundExceededError.
+    (``_desirability``).  The others are deduplicated by their sorted key
+    (``_sorted_key``), one per orbit, and the realizability orbit table
+    decides each key not seen before, with one LP.  Only a realizable one
+    gets its canonical form, the smallest relabeled light antichain over all
+    n! permutations; the permutations of ties fix the candidate, so it is
+    taken over one permutation per coset of them (``_coset_relabelings``).
+    Spaces with more than ENUMERATION_BOUND points raise BoundExceededError.
 
     The search runs once per genus class (``_genus_class``): D_{g,n} with
     g >= 2 takes the light antichains of D_{1,n}, representatives and full
@@ -890,27 +891,25 @@ def _search(space: StabilitySpace) -> list[tuple[int, ...]]:
     sorted, found as described in ``enumerate_chambers``."""
     n = space.n
     sym = _relabelings(n)
-    seen = set()  # candidates relabeled by desirability rank: one per orbit
+    seen = set()  # sorted keys of the candidates: one per orbit
     found = []
     frontier: list[tuple[int, ...]] = [()]  # C^M: no light sets, its own canonical form
     while frontier:
         new_frontier = []
-        for key in frontier:
-            found.append(key)
-            masks = [sym.masks[r] for r in key]
+        for form in frontier:
+            found.append(form)
+            masks = [sym.masks[r] for r in form]
             light = _light_closure(masks, n)
             for S in _minimal_heavy(light, n):
                 ranks = _desirability(light | 1 << S, n)
                 if ranks is None:
                     continue
                 below = [m for m in masks if m & ~S] + [S]
-                sort = _sorting_table(n, ranks)
-                tie = tuple(sorted(map(sort.__getitem__, below)))
-                if tie not in seen:
-                    seen.add(tie)
-                    form = min(sym.relabeled(below, _coset_relabelings(n, ranks)))
-                    if _realize_form(space, form) is not None:
-                        new_frontier.append(form)
+                key, _ = _sorted_masks(below, ranks)
+                if key not in seen:
+                    seen.add(key)
+                    if _realize_key(space, key) is not None:
+                        new_frontier.append(min(sym.relabeled(below, _coset_relabelings(n, ranks))))
         frontier = new_frontier
     return sorted(found)
 
@@ -923,19 +922,8 @@ def _expand(space: StabilitySpace, reps: Iterable[Chamber]) -> _FullList:
     for rep in reps:
         masks = [_mask(s) for s in rep.light_max]
         ks = _coset_relabelings(space.n, _desirability(_light_closure(masks, space.n), space.n))
-        images = sym.relabeled(masks, ks)
-        point, slack = _realize_form(space, images[0])  # ks[0] is 0, the identity
-        for k, image in zip(ks, images):
+        point, slack = realize(rep)
+        for k, image in zip(ks, sym.relabeled(masks, ks)):
             witnesses[image] = (_moved(point, sym.perms[k]), slack)
     keys = sorted(witnesses, key=lambda k: (len(k), k))
     return tuple(sym.chamber(space, key) for key in keys), tuple(map(witnesses.__getitem__, keys))
-
-
-def _realize_form(space: StabilitySpace, form: tuple[int, ...]) -> Optional[Realization]:
-    """``realize`` of the chamber with canonical form ``form``, read from and
-    stored in the orbit table alone: its witness is already in canonical
-    labels."""
-    key = (_genus_class(space), form)
-    if key not in _realize_orbits:
-        _realize_orbits[key] = _solve(_relabelings(space.n).chamber(space, form))
-    return _realize_orbits[key]

@@ -22,8 +22,10 @@ Volumes are memoized per chamber.  Crossings are memoized per (C/S, S) and,
 below that, per key orbit: relabeling the points that fix the merged one is a
 symmetry, and phi_S is symmetric in S, so wc depends only on the space of
 C/S, on s and on the orbit of C/S.  One integral is computed per key orbit
-and relabeled (``Poly.relabeled``) for every other key in it.  The identity
-checks integrate through ``_integrate_crossing``, which bypasses both tables.
+and relabeled (``Poly.relabeled``) for every other key in it.  The orbit is
+keyed by ``chambers._sorted_key``, as are the realizability and evaluation
+orbit tables, so this holds at every n.  The identity checks integrate
+through ``_integrate_crossing``, which bypasses both tables.
 Point queries (``piecewise_volume``) evaluate every chamber of an S_n orbit
 through the volume of the first one queried, at the angles permuted, so one
 evaluation plan is built per orbit; each chamber's own volume is still the
@@ -47,7 +49,6 @@ from .chambers import (
     CrossingPath,
     StabilitySpace,
     WeightVector,
-    _orbit,
     _sorted_key,
     classify,
     crossing_path,
@@ -170,9 +171,10 @@ def _integrate_crossing(c: Chamber, S: frozenset[int]) -> Poly:
 _crossing_cache: dict[tuple[Chamber, frozenset[int]], Poly] = {}
 # Relabeling the points that fix the merged one maps C/S to another quotient
 # and wc to the relabeled wc, and phi_S is symmetric in S, so wc depends only
-# on (space of C/S, |S|, orbit of C/S).  Keyed so, wc in the reference
-# labelling: the complement of S in the order of the canonical quotient
-# (``chambers._orbit`` with the merged label fixed), then S.
+# on (space of C/S, |S|, orbit of C/S).  Keyed so, by the sorted key of C/S
+# with the merged label kept last (``chambers._sorted_key``, ``merged_last``),
+# wc in the reference labelling: the complement of S in the order of that
+# key, then S.
 _crossing_orbits: dict[tuple[StabilitySpace, int, tuple[int, ...]], Poly] = {}
 
 
@@ -202,10 +204,7 @@ def _crossing_poly(c: Chamber, S: frozenset[int]) -> Poly:
 
 def _orbit_crossing(c: Chamber, S: frozenset[int], quotient: Chamber) -> Poly:
     """wc_{C,S} through the key-orbit table; ``quotient`` is C/S."""
-    orbit = _orbit(quotient, fix_last=True)
-    if orbit is None:
-        return _integrate_crossing(c, S)
-    form, perm = orbit
+    form, perm = _sorted_key(quotient, merged_last=True)
     # reference variable perm[j-1] + 1 is the j-th label of the complement,
     # and the last |S| reference variables are S
     comp = sorted(set(c.space.labels) - S)

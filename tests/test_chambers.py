@@ -511,13 +511,42 @@ def _reference_minimal_heavy(light_max, n):
     return out
 
 
-def _reference_orbit_search(space):
+def _reference_orbit(masks, n):
+    """Reference: the former ``chambers._orbit`` of the chamber with light
+    antichain ``masks``: (form, perm), its canonical form, the smallest rank
+    tuple over one relabeling per coset of its ties, and the first
+    permutation reaching it; None if its desirability relation is not
+    total."""
+    ranks = chambers._desirability(chambers._light_closure(masks, n), n)
+    if ranks is None:
+        return None
+    sym = chambers._relabelings(n)
+    ks = chambers._coset_relabelings(n, ranks)
+    forms = sym.relabeled(masks, ks)
+    i = min(range(len(ks)), key=forms.__getitem__)
+    return forms[i], sym.perms[ks[i]]
+
+
+def _reference_orbit_search(space, orbits, canonical=None):
     """Reference: the former orbit search, which canonicalizes every candidate
-    over all n! relabelings and solves one LP per new canonical form, then
-    expands the representatives and fills the realizability memo; returns
-    (all chambers, representatives), each validated by ``Chamber``."""
+    (by default over all n! relabelings; else by ``canonical``, where None
+    drops it) and solves one LP per new canonical form, on the chamber of
+    that form, in the table ``orbits`` keyed by (genus class, form); then
+    expands the representatives.  Returns (the light antichains of all
+    chambers, their witnesses, representatives validated by ``Chamber``)."""
     n = space.n
     sym = chambers._relabelings(n)
+    cls = chambers._genus_class(space)
+    canonical = canonical or (lambda masks: min(sym.relabeled(masks)))
+
+    def chamber(key):
+        return Chamber(space, tuple(sym.subsets[r] for r in key))
+
+    def realize_form(form):
+        if (cls, form) not in orbits:
+            orbits[(cls, form)] = chambers._solve(chamber(form))
+        return orbits[(cls, form)]
+
     seen = {()}
     found = []
     frontier = [()]
@@ -527,30 +556,28 @@ def _reference_orbit_search(space):
             found.append(key)
             masks = [sym.masks[r] for r in key]
             for S in _reference_minimal_heavy(masks, n):
-                below = min(sym.relabeled([m for m in masks if m & ~S] + [S]))
-                if below not in seen:
+                below = canonical([m for m in masks if m & ~S] + [S])
+                if below is not None and below not in seen:
                     seen.add(below)
-                    if chambers._realize_form(space, below) is not None:
+                    if realize_form(below) is not None:
                         new_frontier.append(below)
         frontier = new_frontier
     found.sort()
-
-    def chamber(key):
-        return Chamber(space, tuple(sym.subsets[r] for r in key))
-
-    reps = [chamber(key) for key in found]
     witnesses = {}
     for key in found:
-        point, slack = chambers._realize_form(space, key)
+        point, slack = realize_form(key)
         for p, image in zip(sym.perms, sym.relabeled(sym.masks[r] for r in key)):
             if image not in witnesses:
                 witnesses[image] = (chambers._moved(point, p), slack)
-    every = []
-    for key in sorted(witnesses, key=lambda k: (len(k), k)):
-        c = chamber(key)
-        chambers._realize_cache.setdefault(c, witnesses[key])
-        every.append(c)
-    return every, reps
+    every = sorted(witnesses, key=lambda k: (len(k), k))
+    light_max = [tuple(sym.subsets[r] for r in k) for k in every]
+    return light_max, [witnesses[k] for k in every], [chamber(k) for k in found]
+
+
+def _key_chamber(space, key):
+    """The chamber whose light antichain is the sorted key ``key`` (masks)."""
+    labels = chambers._mask_labels(space.n)
+    return Chamber(space, tuple(labels[m] for m in key))
 
 
 @pytest.mark.parametrize(
@@ -560,36 +587,103 @@ def _reference_orbit_search(space):
 )
 def test_orbit_search_matches_reference_orbit_search(empty_memos, g, n):
     """From empty memos, the filtered search returns the lists of the former
-    orbit search, and its orbit table is the former one less the forms whose
-    desirability relation is not total, none of them realizable.  Both fill
-    the realizability memo with the same witnesses; a space of genus >= 2
-    also fills it with the chambers of its genus class, each with the
-    witness of the same light antichain."""
+    orbit search, and its orbit table, keyed by the sorted key, holds one
+    entry per realizable orbit of the former table, keyed by the canonical
+    form, with the same witness relabeled; the forms the former table holds
+    beyond those have no total desirability relation and are not
+    realizable.  The full list gets the witnesses of the former one; a
+    space of genus >= 2 also fills the memo with the chambers of its genus
+    class, each with the witness of the same light antichain."""
     space = StabilitySpace(g, n)
-    want_all, want_reps = _reference_orbit_search(space)
-    ref_orbits = chambers._realize_orbits
-    ref_witnesses = chambers._realize_cache
-    empty_memos()
+    ref_orbits = {}
+    want_all, want_witnesses, want_reps = _reference_orbit_search(space, ref_orbits)
     reps = enumerate_chambers(space, up_to_symmetry=True)
     assert [c.light_max for c in reps] == [c.light_max for c in want_reps]
-    assert [c.light_max for c in enumerate_chambers(space)] == [c.light_max for c in want_all]
-    orbits = chambers._realize_orbits
-    assert orbits.items() <= ref_orbits.items()
+    got_all = enumerate_chambers(space)
+    assert [c.light_max for c in got_all] == want_all
+    cls = chambers._genus_class(space)
+    matched = set()
+    for (key_space, key), entry in chambers._realize_orbits.items():
+        assert key_space == cls
+        form, perm = _full_scan_orbit(_key_chamber(space, key), False)
+        canon = ref_orbits[(cls, form)]
+        assert entry == (canon and (tuple(canon[0][p] for p in perm), canon[1]))
+        matched.add((cls, form))
+    assert len(matched) == len(chambers._realize_orbits)
     sym = chambers._relabelings(n)
-    for key in ref_orbits.keys() - orbits.keys():
+    for key in ref_orbits.keys() - matched:
         light = chambers._light_closure((sym.masks[r] for r in key[1]), n)
         assert ref_orbits[key] is None and chambers._desirability(light, n) is None
     memo = chambers._realize_cache
-    assert {c: memo[c] for c in memo if c.space == space} == ref_witnesses
-    for c in memo.keys() - ref_witnesses.keys():
-        assert c.space == chambers._genus_class(space) != space
-        assert memo[c] == ref_witnesses[chambers._adopt(space, c.light_max)]
+    assert [memo[c] for c in got_all] == want_witnesses
+    assert {c for c in memo if c.space == space} == set(got_all)
+    for c in memo.keys() - set(got_all):
+        assert c.space == cls != space
+        assert memo[c] == memo[chambers._adopt(space, c.light_max)]
 
 
-def _candidates(space):
+def _reference_realize(c, memo, orbits):
+    """Reference: the former ``realize``, on the tables ``memo`` (per
+    chamber) and ``orbits`` (per genus class and canonical form, the witness
+    in the labels of the canonical chamber); an orbit miss solves the LP of
+    ``c`` itself."""
+    if c not in memo:
+        orbit = _reference_orbit([chambers._mask(s) for s in c.light_max], c.space.n)
+        memo[c] = None
+        if orbit is not None:
+            form, perm = orbit
+            key = (chambers._genus_class(c.space), form)
+            if key not in orbits:
+                got = chambers._solve(c)
+                orbits[key] = got and (chambers._moved(got[0], perm), got[1])
+            canon = orbits[key]
+            memo[c] = canon and (tuple(canon[0][p] for p in perm), canon[1])
+    return memo[c]
+
+
+@pytest.mark.parametrize("g,n", [(0, 5), (1, 5), (0, 6)], ids=["D05", "D15", "D06"])
+def test_sorted_key_tables_match_canonical_form_tables(empty_memos, g, n):
+    """From empty memos, the realizability tables keyed by the sorted key and
+    those keyed by the n! canonical form (``_reference_orbit``, the former
+    ``_orbit``) give the same witness, bit for bit, for every chamber that
+    ``realize`` is asked about: first cold, in shuffled order before any
+    search, on candidates and relabeled representatives; then after the
+    search, on every candidate and every chamber of the full list.  The two
+    orbit tables agree on realizability per orbit, and the representatives,
+    their order and the full list are those of the former search."""
+    space = StabilitySpace(g, n)
+    orbits = {}
+    want_all, want_witnesses, want_reps = _reference_orbit_search(
+        space, orbits, lambda masks: (_reference_orbit(masks, n) or (None,))[0]
+    )
+    candidates = list(_candidates(space, want_reps))
+    rng = random.Random(20261019 + n)
+    relabeled = [c.permuted(dict(zip(space.labels, rng.sample(space.labels, n)))) for c in want_reps]
+    cold = candidates + relabeled
+    rng.shuffle(cold)
+    cold = cold[:400]
+    cold_memo, cold_orbits = {}, {}
+    assert [realize(c) for c in cold] == [_reference_realize(c, cold_memo, cold_orbits) for c in cold]
+
+    empty_memos()
+    assert enumerate_chambers(space, up_to_symmetry=True) == want_reps
+    got_all = enumerate_chambers(space)
+    assert [c.light_max for c in got_all] == want_all
+    assert [realize(c) for c in got_all] == want_witnesses
+    memo = {}
+    assert [realize(c) for c in candidates] == [_reference_realize(c, memo, orbits) for c in candidates]
+    realizable = {}
+    for (_, key), entry in chambers._realize_orbits.items():
+        form, _ = _reference_orbit(list(key), n)
+        realizable[form] = entry is not None
+    assert len(realizable) == len(chambers._realize_orbits)
+    assert realizable == {form: entry is not None for (_, form), entry in orbits.items()}
+
+
+def _candidates(space, reps=None):
     """The chamber below each minimal heavy set of each orbit representative
-    of ``space``: the candidates the search filters."""
-    for c in enumerate_chambers(space, up_to_symmetry=True):
+    of ``space`` (or of ``reps``): the candidates the search filters."""
+    for c in enumerate_chambers(space, up_to_symmetry=True) if reps is None else reps:
         for S in c.heavy_min():
             below = [s for s in c.light_max if not set(s) <= S] + [tuple(sorted(S))]
             yield Chamber(space, tuple(below))
@@ -617,14 +711,20 @@ def test_desirability_filter_rejects_no_realizable_chamber(g, n, rejected):
     assert len(forms) == rejected
 
 
-def _sorted_form(masks, n):
-    """(desirability ranks, the rank tuple of the light antichain ``masks``
-    relabeled by ``_sorting_table``), or None if the relation is not total."""
-    ranks = chambers._desirability(chambers._light_closure(masks, n), n)
-    if ranks is None:
-        return None
-    table = chambers._sorting_table(n, ranks)
-    return ranks, tuple(sorted(map(table.__getitem__, masks)))
+def _sorted_form(c):
+    """(desirability ranks, sorted key) of the chamber ``c``, or None if the
+    relation is not total."""
+    n = c.space.n
+    ranks = chambers._desirability(chambers._light_closure(map(chambers._mask, c.light_max), n), n)
+    orbit = chambers._sorted_key(c)
+    assert (orbit is None) == (ranks is None)
+    return orbit and (ranks, orbit[0])
+
+
+def _image(masks, perm):
+    """The light antichain ``masks`` relabeled by ``perm`` (label j goes to
+    perm[j-1] + 1), as ascending masks."""
+    return tuple(sorted(sum(1 << p for j, p in enumerate(perm) if m >> j & 1) for m in masks))
 
 
 @pytest.mark.parametrize(
@@ -635,7 +735,7 @@ def test_enumerated_chambers_have_total_desirability(g, n):
     is total, and its ranks order the labels by the witness weights."""
     space = StabilitySpace(g, n)
     for c in enumerate_chambers(space):
-        got = _sorted_form([chambers._mask(s) for s in c.light_max], n)
+        got = _sorted_form(c)
         assert got is not None, c
         ranks = got[0]
         point = realize(c)[0]
@@ -656,9 +756,9 @@ def test_minimal_heavy_matches_reference_closure(g, n):
     "g,n", [(0, 4), (1, 4), (0, 5), (1, 5)], ids=["D04", "D14", "D05", "D15"]
 )
 def test_tie_relabelings_match_all_relabelings(g, n):
-    """For every candidate of the search with a total relation: the one
-    relabeling ``_sorting_table`` gives the smallest relabeled antichain over
-    every permutation that sorts the labels by desirability rank, because
+    """For every candidate of the search with a total relation: every
+    permutation that sorts the labels by desirability rank gives the sorted
+    key, the image under the one relabeling ``_sorted_key`` takes, because
     swapping two tied labels maps the candidate to itself; and the coset
     relabelings reach each image of all n! relabelings once, each by the
     first permutation that reaches it."""
@@ -668,15 +768,12 @@ def test_tie_relabelings_match_all_relabelings(g, n):
     checked = 0
     for below in _candidates(space):
         masks = [chambers._mask(s) for s in below.light_max]
-        got = _sorted_form(masks, n)
+        got = _sorted_form(below)
         if got is None:
             continue
-        ranks, form = got
-        sorting = [
-            t for p, t in zip(sym.perms, sym.tables)
-            if all(p[i] < p[j] for i, j in pairs if ranks[i] < ranks[j])
-        ]
-        assert form == min(tuple(sorted(map(t.__getitem__, masks))) for t in sorting)
+        ranks, key = got
+        sorting = [p for p in sym.perms if all(p[i] < p[j] for i, j in pairs if ranks[i] < ranks[j])]
+        assert {_image(masks, p) for p in sorting} == {key}
         for i, j in pairs:
             if ranks[i] == ranks[j]:
                 swap = {k: k for k in space.labels} | {i + 1: j + 1, j + 1: i + 1}
@@ -699,7 +796,7 @@ def test_sorted_form_is_an_orbit_key(g, n):
     keys = {}
     for c in enumerate_chambers(StabilitySpace(g, n)):
         masks = [chambers._mask(s) for s in c.light_max]
-        keys.setdefault(min(sym.relabeled(masks)), set()).add(_sorted_form(masks, n)[1])
+        keys.setdefault(min(sym.relabeled(masks)), set()).add(_sorted_form(c)[1])
     assert all(len(forms) == 1 for forms in keys.values())
     assert len(set().union(*keys.values())) == len(keys)
 
@@ -750,6 +847,71 @@ def test_enumeration_bound():
     for n in (7, 8):
         with pytest.raises(BoundExceededError):
             enumerate_chambers(StabilitySpace(0, n))
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records its arguments in the
+    returned list."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_orbit_tables_above_the_enumeration_bound(monkeypatch, empty_memos):
+    """Above ENUMERATION_BOUND the orbit tables still serve: a D_{0,7} chamber
+    and a relabeling of it solve one LP between them, each witness that of
+    its own fresh LP; a D_{2,7} chamber reads the entry of the same light
+    antichain in D_{1,7} with no LP; and a crossing of a D_{0,7} chamber with
+    a quotient with one light pair is read, relabeled, from the key-orbit
+    crossing table with no integral, equal to the crossing integrated
+    afresh."""
+    from wpvol import volumes
+
+    d07, d17, d27 = (StabilitySpace(g, 7) for g in (0, 1, 2))
+    w = WeightVector(d07, (F(1, 5), F(9, 10), F(1, 3), F(7, 11), F(2, 7), F(3, 4), F(1, 2)))
+    c = classify(w)
+    other = c.permuted({1: 4, 2: 6, 3: 1, 4: 7, 5: 2, 6: 3, 7: 5})
+    assert len(c.light_max) > 2 and other != c
+    with monkeypatch.context() as patched:
+        solved = _counting(patched, chambers, "simplex_max")
+        got = realize(c), realize(other)
+    assert len(solved) == 1 and None not in got
+    assert got == (chambers._solve(c), chambers._solve(other))
+    assert realize(Chamber(d17, c.light_max)) is not None
+    with monkeypatch.context() as patched:
+        patched.setattr(chambers, "simplex_max", _no_lp)
+        assert realize(Chamber(d27, c.light_max)) == realize(Chamber(d17, c.light_max))
+
+    monkeypatch.setattr(volumes, "_volume_cache", {})
+    monkeypatch.setattr(volumes, "_crossing_cache", {})
+    monkeypatch.setattr(volumes, "_crossing_orbits", {})
+    c, S = Chamber(d07, ((1, 3, 7),)), frozenset({1, 2})
+    assert c.quotient(S).light_max == ((1, 5),)
+    volumes.wall_crossing_poly(c, S)
+    keys = set(volumes._crossing_orbits)
+    perm = {1: 2, 2: 7, 3: 4, 4: 1, 5: 3, 6: 5, 7: 6}
+    c, S = c.permuted(perm), frozenset(perm[j] for j in S)
+    with monkeypatch.context() as patched:
+        integrated = _counting(patched, volumes, "_integrate_crossing")
+        got = volumes.wall_crossing_poly(c, S).poly
+    assert not integrated and set(volumes._crossing_orbits) == keys
+    assert got == volumes._integrate_crossing(c, S)
+
+
+@pytest.mark.parametrize("g,n", [(0, 5), (1, 5), (0, 6)], ids=["D05", "D15", "D06"])
+def test_search_canonicalizes_realizable_orbits_only(monkeypatch, empty_memos, g, n):
+    """The search solves one LP per sorted key of its candidates, on the
+    chamber of the key, and takes the n! canonical form of the realizable
+    ones alone: once per representative but the main chamber."""
+    space = StabilitySpace(g, n)
+    solved = _counting(monkeypatch, chambers, "_solve")
+    canonicalized = _counting(monkeypatch, chambers, "_coset_relabelings")
+    reps = enumerate_chambers(space, up_to_symmetry=True)
+    assert len(canonicalized) == len(reps) - 1
+    keys = [key for (_, key) in chambers._realize_orbits]
+    assert [_sorted_form(c)[1] for (c,) in solved] == keys
+    assert sum(entry is not None for entry in chambers._realize_orbits.values()) == len(reps) - 1
 
 
 def test_orbit_sizes_of_d06_cover_every_chamber():
@@ -957,26 +1119,47 @@ def test_theta_values_equal_the_poly_product():
 
 
 def _full_scan_orbit(c, fix_last):
-    """The former ``_orbit``: the smallest rank tuple over every relabeling
-    (or every one fixing the last label), and the first permutation giving it."""
-    sym = chambers._relabelings(c.space.n)
+    """Reference: the smallest rank tuple of ``c`` over every relabeling (or
+    every one fixing the last label), and the first permutation giving it."""
+    n = c.space.n
+    sym = chambers._relabelings(n)
     masks = [chambers._mask(s) for s in c.light_max]
 
     def form(k):
         return tuple(sorted(map(sym.tables[k].__getitem__, masks)))
 
-    k = min(sym.last_fixed if fix_last else range(len(sym.perms)), key=form)
+    ks = [k for k, p in enumerate(sym.perms) if not fix_last or p[-1] == n - 1]
+    k = min(ks, key=form)
     return form(k), sym.perms[k]
 
 
 @pytest.mark.parametrize("g,n", [(0, 5), (1, 4), (1, 5)], ids=["D05", "D14", "D15"])
 def test_orbit_over_cosets_matches_full_scan(g, n):
-    """``_orbit`` over one relabeling per coset of the ties gives the form and
-    the permutation of the scan over all relabelings, with the last label
-    free and fixed."""
+    """Over one relabeling per coset of the ties (``_coset_relabelings``), the
+    smallest rank tuple, the canonical form of the search, and the first
+    permutation reaching it (``_reference_orbit``) are those of the scan
+    over all relabelings.  With the merged label last, the sorted key is one
+    per orbit of the relabelings that fix the last label, as the scan over
+    those finds them, and its permutation fixes that label and reaches it."""
+    keys = {}  # the last-fixed form -> the merged-last sorted keys of its chambers
     for c in enumerate_chambers(StabilitySpace(g, n)):
-        for fix_last in (False, True):
-            assert chambers._orbit(c, fix_last) == _full_scan_orbit(c, fix_last)
+        masks = [chambers._mask(s) for s in c.light_max]
+        assert _reference_orbit(masks, n) == _full_scan_orbit(c, False)
+        key, perm = chambers._sorted_key(c, merged_last=True)
+        assert perm[-1] == n - 1 and key == _image(masks, perm)
+        keys.setdefault(_full_scan_orbit(c, True)[0], set()).add(key)
+    assert all(len(k) == 1 for k in keys.values())
+    assert len(set().union(*keys.values())) == len(keys)
+
+
+def test_mask_sets_match_their_definition():
+    """The masks containing each label, built by doubling a period, are those
+    of the comprehension over every mask, as are the pairs read from them."""
+    for n in range(1, 11):
+        every, small, has, pairs = chambers._mask_sets(n)
+        assert has == tuple(sum(1 << m for m in range(1 << n) if m >> j & 1) for j in range(n))
+        assert every == (1 << (1 << n)) - 1 and small == sum(1 << m for m in range(1 << n) if m & (m - 1) == 0)
+        assert [p[:2] for p in pairs] == list(itertools.combinations(range(n), 2))
 
 
 @pytest.mark.parametrize("g,n", [(0, 4), (1, 4), (0, 5)], ids=["D04", "D14", "D05"])

@@ -216,10 +216,11 @@ def test_matches_full_tableau_on_realizability_lps(realizability_lps):
 
 
 def test_orbit_realize_matches_fresh_lp(realizability_lps, monkeypatch):
-    """From empty memo tables, realize through the S_n orbit table agrees with
-    the fresh LP on every chamber above, candidates of the enumeration
-    included, on realizability and slack, and its witness lies in the
-    chamber; most answers are orbit hits."""
+    """From empty memo tables, realize through the S_n orbit table, keyed by
+    the sorted key and solved on the chamber of the key, agrees with the
+    fresh LP on every chamber above, candidates of the enumeration included:
+    on realizability and on the witness and slack, bit for bit, and the
+    witness lies in the chamber; most answers are orbit hits."""
     fresh, _ = realizability_lps
     monkeypatch.setattr(chambers, "_realize_cache", {})
     monkeypatch.setattr(chambers, "_realize_orbits", {})
@@ -227,6 +228,6 @@ def test_orbit_realize_matches_fresh_lp(realizability_lps, monkeypatch):
         got = chambers.realize(c)
         assert (got is None) == (want is None), c
         if got is not None:
-            assert got[1] == want[1], c
+            assert got == want, c
             assert classify(WeightVector(c.space, got[0])) == c
     assert len(chambers._realize_orbits) < len(fresh) // 10
