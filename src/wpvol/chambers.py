@@ -91,13 +91,7 @@ class WeightVector:
     def theta_values(self, ring: PolyRing) -> list[Poly]:
         """Angles theta_j = (2-2a_j)*pi as polynomials of ``ring``: for
         a_j = k/d, the one-term Poly 2(d - k)/d * pi, and zero for a_j = 1."""
-        pi = (1,) + (0,) * (ring.nvars - 1)
-        return [
-            Poly.from_canonical(ring, {pi: 2 * (aj.denominator - aj.numerator)}, aj.denominator)
-            if aj.numerator != aj.denominator
-            else ring.zero()
-            for aj in self.a
-        ]
+        return [ring.pi_multiple(2 * (aj.denominator - aj.numerator), aj.denominator) for aj in self.a]
 
     def permuted(self, perm: Mapping[int, int]) -> "WeightVector":
         """Relabel points: new weight at position perm[j] is a_j."""
@@ -123,6 +117,16 @@ class Wall:
 def _mask(J: Iterable[int]) -> int:
     """The bitmask of a label set: label j is bit j-1."""
     return sum(1 << (j - 1) for j in J)
+
+
+def _labels(m: int) -> tuple[int, ...]:
+    """The ascending label tuple of a mask, the inverse of ``_mask``."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length())
+        m ^= low
+    return tuple(out)
 
 
 def _canonical_antichain(sets: Iterable[frozenset[int]]) -> tuple[tuple[int, ...], ...]:
@@ -398,7 +402,7 @@ def _realize_key(space: StabilitySpace, key: tuple[int, ...]) -> Optional[Realiz
     ``key``, solved once per orbit of the genus class."""
     entry = (_genus_class(space), key)
     if entry not in _realize_orbits:
-        light = sorted(tuple(j + 1 for j in range(space.n) if m >> j & 1) for m in key)
+        light = sorted(map(_labels, key))
         _realize_orbits[entry] = _solve(_adopt(space, tuple(light)))
     return _realize_orbits[entry]
 
@@ -455,12 +459,6 @@ def _solve(c: Chamber) -> Optional[Realization]:
 
 
 @functools.cache
-def _mask_labels(n: int) -> tuple[tuple[int, ...], ...]:
-    """The ascending label tuple of each mask, indexed by mask."""
-    return tuple(tuple(j + 1 for j in range(n) if m >> j & 1) for m in range(1 << n))
-
-
-@functools.cache
 def _subset_order(n: int) -> tuple[int, ...]:
     """The position of each label mask in ``StabilitySpace.subsets()`` order
     (by size, then lexicographic), indexed by mask."""
@@ -506,15 +504,14 @@ def classify(w: WeightVector) -> Chamber:
         order = _subset_order(n)
         walls = [m for m, total in enumerate(sums) if total == den and not small >> m & 1]
         if walls:
-            raise OnWallError(frozenset(_mask_labels(n)[min(walls, key=order.__getitem__)]))
+            raise OnWallError(frozenset(_labels(min(walls, key=order.__getitem__))))
     maximal = light & ~small
     for j, with_j in enumerate(has):
         maximal &= ~((light & with_j) >> (1 << j))  # a light set plus label j is light
-    labels = _mask_labels(n)
     out = []
     while maximal:
         low = maximal & -maximal
-        out.append(labels[low.bit_length() - 1])
+        out.append(_labels(low.bit_length() - 1))
         maximal ^= low
     return _adopt(w.space, tuple(sorted(out)))
 

@@ -1,33 +1,44 @@
-"""Sparse multivariate polynomials over exact rationals with a formal pi.
+"""Multivariate polynomials over exact rationals with a formal pi.
 
 A :class:`PolyRing` fixes an ordered variable list ``(pi, t1, ..., tn)`` and
 optionally one trailing integration variable.  The symbol pi is always index 0
 and is never treated numerically here; numeric evaluation lives in
 :mod:`wpvol.numeric`.
 
-A :class:`Poly` stores integer numerators over one common denominator: a map
-``nums`` from exponent vectors to nonzero ints, and ``den > 0`` with
-``gcd(den, *nums) == 1``.  This form is unique, so Polys are immutable values
-compared by ring, denominator and numerators, and instances can be shared
-freely.  All arithmetic runs on Python ints; ``Poly.terms`` is a read-only
-``Mapping[tuple, Fraction]`` view that builds each ``Fraction`` on demand.
+A :class:`Poly` stores integer numerators over one common denominator
+``den > 0`` as numerator vectors: for each total degree d it has (pi counted
+as a variable), one tuple of ints aligned to the shared monomial table of
+(number of variables, d) (``_Table``), entry i the numerator of the table's
+i-th exponent tuple and 0 where the poly has no such term.  A table interns
+the exponent tuples that polys actually reach, appends new ones and never
+moves one, so a vector stays valid as its table grows.  The form is
+canonical: ``gcd(den, *numerators) == 1``, no vector ends in 0 and no degree
+is all zero, so equal polys have equal vectors whatever order their
+monomials were interned in.  Polys are immutable values compared by ring,
+denominator and vectors, and instances can be shared freely.  All arithmetic
+runs on Python ints; ``Poly.nums`` and ``Poly.terms`` are read-only
+``Mapping`` views of the nonzero entries keyed by exponent tuples, and
+``terms`` builds each ``Fraction`` on demand.
 
-Coefficients are merged in one place, :func:`accumulate`, and every operation
-makes one pass into one dict.  Products (``*``, ``**``, ``subs``) run on
-packed exponent codes (``_codec``): each exponent tuple becomes one int with
-a fixed-width digit per variable, wide enough for the largest exponent the
-result can reach, so a monomial product is one int addition, applied to a
-whole key list at once (``_mul_codes``), and keys are decoded to tuples once
-at the end.  ``subs`` runs Horner's rule over the parts of the poly by degree
-in the substituted variable, so the value's powers are never formed.  The
-trusted constructor
-:meth:`Poly.from_canonical` adopts a numerator dict without copying or
-filtering it and divides out the one common gcd; ``Poly(ring, terms)`` puts
-rational ``terms`` over their lcm first.  ``evaluate_angles`` takes each angle
-as q * pi^m (a rational, zero, or a one-term Poly in pi alone) and runs
-through the Poly's evaluation plan (``_Plan``), built on its first call and
-kept with it: each angle monomial is one angle times a monomial of the layer
-below, and the terms of one degree and pi power are summed at once.
+Sums and differences add the vectors of each degree position by position,
+one ``map(add)`` per degree.  ``relabeled`` and ``drop_last_var`` scatter the
+nonzero entries through the target table.  Every other operation reads the
+nonzero entries as (exponents, numerator) pairs, merges coefficients in one
+place, :func:`accumulate`, and interns its result.  Products (``*``, ``**``,
+``subs``) run on packed exponent codes (``_codec``): each exponent tuple
+becomes one int with a fixed-width digit per variable, wide enough for the
+largest exponent the result can reach, so a monomial product is one int
+addition, applied to a whole key list at once (``_mul_codes``), and keys are
+decoded to tuples once at the end.  ``subs`` runs Horner's rule over the
+parts of the poly by degree in the substituted variable, so the value's
+powers are never formed.  The trusted constructor :meth:`Poly.from_canonical`
+interns a numerator mapping and divides out the one common gcd;
+``Poly(ring, terms)`` puts rational ``terms`` over their lcm first.
+``evaluate_angles`` takes each angle as q * pi^m (a rational, zero, or a
+one-term Poly in pi alone) and runs through the Poly's evaluation plan
+(``_Plan``), built on its first call and kept with it: each angle monomial is
+one angle times a monomial of the layer below, and the terms of one degree
+and pi power are summed at once.
 """
 
 from __future__ import annotations
@@ -37,10 +48,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, mul
-from types import MappingProxyType
+from operator import add, floordiv, itemgetter, mul, neg
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import RingMismatchError, VariableRangeError
@@ -48,6 +58,7 @@ from .rationals import format_rat, rat
 
 Scalar = Union[int, Fraction]
 Nums = dict[tuple[int, ...], int]
+Vectors = dict[int, tuple[int, ...]]
 Codec = tuple[Callable[[tuple[int, ...]], int], Callable[[int], tuple[int, ...]]]
 
 
@@ -63,9 +74,104 @@ def accumulate(out: dict, pairs: Iterable[tuple[tuple[int, ...], Scalar]]) -> di
     return out
 
 
-def _top(nums: Nums) -> int:
-    """The largest exponent of any variable in ``nums``; 0 when empty."""
-    return max(map(max, nums)) if nums else 0
+class _Table:
+    """The exponent tuples of one (number of variables, degree), in the
+    order they were interned; a position, once given, never changes."""
+
+    __slots__ = ("keys", "index")
+
+    def __init__(self, keys: Iterable[tuple[int, ...]]):
+        self.keys = list(keys)
+        self.index = {e: i for i, e in enumerate(self.keys)}
+
+    def vector(self, keys: Sequence[tuple[int, ...]], vals: Iterable[int]) -> tuple[int, ...]:
+        """The vector holding vals[i] at the position of keys[i], for distinct
+        keys and nonzero vals, interning the keys not seen before."""
+        index = self.index
+        pos = list(map(index.get, keys))
+        if None in pos:
+            for i, p in enumerate(pos):
+                if p is None:
+                    pos[i] = index[keys[i]] = len(self.keys)
+                    self.keys.append(keys[i])
+        vec = [0] * (max(pos) + 1)
+        for i, c in zip(pos, vals):
+            vec[i] = c
+        return tuple(vec)
+
+
+_tables: dict[tuple[int, int], _Table] = {}
+
+
+def _table(n: int, d: int) -> _Table:
+    """The monomial table of exponent tuples of length n and sum d.
+
+    A table starts with the monomials it is certain to hold, in a fixed
+    order: the one monomial of degree 0, or of one variable, and the n unit
+    vectors of degree 1 in variable order, so that pi is always position 0.
+    """
+    table = _tables.get((n, d))
+    if table is None:
+        if n == 1:
+            first = [(d,)]
+        elif d == 0:
+            first = [(0,) * n]
+        elif d == 1:
+            first = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        else:
+            first = []
+        table = _tables[n, d] = _Table(first)
+    return table
+
+
+def _vectors(n: int, keys: Sequence[tuple[int, ...]], vals: Iterable[int]) -> Vectors:
+    """The vectors of nonzero numerators ``vals`` at distinct exponent tuples
+    ``keys`` of length n, grouped by degree."""
+    if not keys:
+        return {}
+    degrees = list(map(sum, keys))
+    d = degrees[0]
+    if degrees.count(d) == len(degrees):  # homogeneous: one vector
+        return {d: _table(n, d).vector(keys, vals)}
+    groups: dict[int, tuple[list, list]] = {}
+    for d, e, c in zip(degrees, keys, vals):
+        group = groups.get(d)
+        if group is None:
+            group = groups[d] = ([], [])
+        group[0].append(e)
+        group[1].append(c)
+    return {d: _table(n, d).vector(*group) for d, group in groups.items()}
+
+
+def _support(n: int, vecs: Vectors) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The exponent tuples and the numerators of the nonzero entries, aligned."""
+    keys: list[tuple[int, ...]] = []
+    vals: list[int] = []
+    for d, vec in vecs.items():
+        keys.extend(compress(_tables[n, d].keys, vec))
+        vals.extend(filter(None, vec))
+    return keys, vals
+
+
+def _combine(u: tuple[int, ...], fu: int, v: tuple[int, ...], fv: int) -> tuple[int, ...]:
+    """fu * u + fv * v, position by position, without trailing zeros."""
+    if len(u) < len(v):
+        u, fu, v, fv = v, fv, u, fu
+    su = map(mul, u, repeat(fu)) if fu != 1 else u
+    sv = map(mul, v, repeat(fv)) if fv != 1 else v
+    tail = u[len(v) :]
+    s = tuple(chain(map(add, su, sv), map(mul, tail, repeat(fu)) if fu != 1 else tail))
+    if s and not s[-1]:
+        k = len(s) - 1
+        while k and not s[k - 1]:
+            k -= 1
+        s = s[:k]
+    return s
+
+
+def _top(keys: Iterable[tuple[int, ...]]) -> int:
+    """The largest exponent of any variable in ``keys``; 0 when empty."""
+    return max(map(max, keys), default=0)
 
 
 def _codec(n: int, bound: int) -> Codec:
@@ -155,7 +261,7 @@ class PolyRing:
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> "Poly":
-        return Poly.from_canonical(self, {}, 1)
+        return Poly._adopt(self, {}, 1)
 
     def const(self, c: Scalar) -> "Poly":
         return self.monomial(c, (0,) * self.nvars)
@@ -166,15 +272,23 @@ class PolyRing:
     def var(self, i: int) -> "Poly":
         if not 0 <= i < self.nvars:
             raise VariableRangeError(f"variable index {i} out of range")
-        e = [0] * self.nvars
-        e[i] = 1
-        return Poly.from_canonical(self, {tuple(e): 1}, 1)
+        _table(self.nvars, 1)  # variable i is position i of the degree-1 table
+        return Poly._adopt(self, {1: (0,) * i + (1,)}, 1)
 
     def pi(self) -> "Poly":
         return self.var(0)
 
     def two_pi(self) -> "Poly":
-        return self.const(2) * self.var(0)
+        return self.pi_multiple(2)
+
+    def pi_multiple(self, num: int, den: int = 1) -> "Poly":
+        """num/den * pi, for ints num and den > 0, built directly: pi is
+        position 0 of the degree-1 table."""
+        if not num:
+            return self.zero()
+        g = gcd(num, den)
+        _table(self.nvars, 1)
+        return Poly._adopt(self, {1: (num // g,)}, den // g)
 
     def monomial(self, c: Scalar, exps: Sequence[int]) -> "Poly":
         if len(exps) != self.nvars:
@@ -199,26 +313,38 @@ PI_RING = PolyRing(("pi",))
 
 
 class Terms(Mapping):
-    """Read-only view of a Poly as exponents -> Fraction; values are built on
-    demand and not stored, so the view costs no memory per term."""
+    """Read-only view of the nonzero entries of a Poly, keyed by exponent
+    tuples: as Fractions numerator/den (``Poly.terms``), or as the integer
+    numerators (``Poly.nums``).  Values are built on demand and not stored,
+    so the view costs no memory per term."""
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_poly", "_fractions")
 
-    def __init__(self, nums: Nums, den: int):
-        self._nums = nums
-        self._den = den
+    def __init__(self, poly: "Poly", fractions: bool = True):
+        self._poly = poly
+        self._fractions = fractions
 
-    def __getitem__(self, e: tuple[int, ...]) -> Fraction:
-        return Fraction(self._nums[e], self._den)
+    def _value(self, c: int):
+        return Fraction(c, self._poly.den) if self._fractions else c
+
+    def __getitem__(self, e: tuple[int, ...]):
+        c = self._poly._numerator(e)
+        if not c:
+            raise KeyError(e)
+        return self._value(c)
 
     def __len__(self) -> int:
-        return len(self._nums)
+        return sum(len(vec) - vec.count(0) for vec in self._poly._vecs.values())
 
     def __iter__(self):
-        return iter(self._nums)
+        return iter(self._poly._support()[0])
 
     def __contains__(self, e) -> bool:
-        return e in self._nums
+        return bool(self._poly._numerator(e))
+
+    def items(self) -> list:
+        keys, nums = self._poly._support()
+        return list(zip(keys, map(self._value, nums)))
 
 
 class _Plan(NamedTuple):
@@ -257,17 +383,18 @@ class _Plan(NamedTuple):
         return out
 
 
-def _plan(nums: Nums, n: int) -> _Plan:
-    """The evaluation plan of the numerators ``nums`` in n angles.
+def _plan(vecs: Vectors, n: int) -> _Plan:
+    """The evaluation plan of the numerator vectors ``vecs`` in n angles.
 
     Each term's parent chain is walked down until it meets a monomial already
     placed, and the new monomials are placed on the way back up, so each
     monomial is visited once and nothing is sorted.
     """
+    keys, vals = _support(n + 1, vecs)
     where = {(0,) * n: 0}  # monomial -> position in its layer
     parents: list[list[int]] = [[0]]  # layer 0: the monomial 1, whose entry is unused
     angles: list[list[int]] = [[0]]
-    for e in nums:
+    for e in keys:
         k = e[1:]
         chain = []
         while k not in where:
@@ -287,7 +414,7 @@ def _plan(nums: Nums, n: int) -> _Plan:
                 angles[s].append(j)
                 pos = where[k] = len(parents[s]) - 1
     rows: dict[tuple[int, int], list[int]] = {}
-    for e, c in nums.items():
+    for e, c in zip(keys, vals):
         k = e[1:]
         s = sum(k)
         row = rows.get((s, e[0]))
@@ -307,30 +434,42 @@ _set = object.__setattr__
 
 
 class Poly:
-    """Immutable sparse polynomial: integer numerators over one denominator."""
+    """Immutable polynomial: a numerator vector per total degree, aligned to
+    the shared monomial tables, over one denominator."""
 
-    __slots__ = ("ring", "_nums", "den", "_hash", "_plan")
+    __slots__ = ("ring", "_vecs", "den", "_hash", "_plan")
 
     def __new__(cls, ring: PolyRing, terms: Mapping[tuple[int, ...], Scalar]):
         return _from_pairs(ring, terms.items())
 
     @classmethod
-    def from_canonical(cls, ring: PolyRing, nums: Nums, den: int) -> "Poly":
-        """Trusted constructor: adopt ``nums`` (nonzero ints, exponent tuples
-        of ring length) over ``den > 0`` without copying or filtering it,
-        after dividing out the common gcd of ``den`` and every numerator."""
-        g = gcd(den, *nums.values()) if den != 1 else 1
-        if g != 1:
-            nums = {e: c // g for e, c in nums.items()}
-            den //= g
-        return cls._adopt(ring, nums, den)
+    def from_canonical(cls, ring: PolyRing, nums: Mapping[tuple[int, ...], int], den: int) -> "Poly":
+        """Trusted constructor: the Poly with numerators ``nums`` (nonzero
+        ints, keyed by exponent tuples of ring length) over ``den > 0``,
+        interned into the monomial tables, after dividing out the common gcd
+        of ``den`` and every numerator."""
+        return cls._reduced(ring, _vectors(ring.nvars, list(nums), nums.values()), den)
 
     @classmethod
-    def _adopt(cls, ring: PolyRing, nums: Nums, den: int) -> "Poly":
-        """Adopt ``nums`` over ``den``, already in canonical form."""
+    def _reduced(cls, ring: PolyRing, vecs: Vectors, den: int) -> "Poly":
+        """Adopt ``vecs`` (no vector empty or ending in 0) over ``den``,
+        after dividing out the common gcd of ``den`` and every numerator."""
+        g = den
+        for vec in vecs.values():
+            if g == 1:
+                break
+            g = gcd(g, *vec)
+        if g != 1:
+            vecs = {d: tuple(map(floordiv, vec, repeat(g))) for d, vec in vecs.items()}
+            den //= g
+        return cls._adopt(ring, vecs, den)
+
+    @classmethod
+    def _adopt(cls, ring: PolyRing, vecs: Vectors, den: int) -> "Poly":
+        """Adopt ``vecs`` over ``den``, already in canonical form."""
         p = object.__new__(cls)
         _set(p, "ring", ring)
-        _set(p, "_nums", nums)
+        _set(p, "_vecs", vecs)
         _set(p, "den", den)
         _set(p, "_hash", None)
         _set(p, "_plan", None)
@@ -339,20 +478,32 @@ class Poly:
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
+    def _numerator(self, e: tuple[int, ...]) -> int:
+        """The numerator at exponents ``e``; 0 where there is no such term."""
+        d = sum(e)
+        vec = self._vecs.get(d)
+        if vec is None:
+            return 0
+        i = _tables[self.ring.nvars, d].index.get(e)
+        return vec[i] if i is not None and i < len(vec) else 0
+
+    def _support(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        return _support(self.ring.nvars, self._vecs)
+
     @property
-    def nums(self) -> Mapping[tuple[int, ...], int]:
+    def nums(self) -> Terms:
         """The integer numerators, read-only; each coefficient is nums[e] / den."""
-        return MappingProxyType(self._nums)
+        return Terms(self, fractions=False)
 
     @property
     def terms(self) -> Terms:
-        return Terms(self._nums, self.den)
+        return Terms(self)
 
     # -- basic protocol ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.ring == other.ring and self.den == other.den and self._nums == other._nums
+            return self.ring == other.ring and self.den == other.den and self._vecs == other._vecs
         if isinstance(other, (int, Fraction)):
             return self == self.ring.const(other)
         return NotImplemented
@@ -360,15 +511,15 @@ class Poly:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.ring, frozenset(self.terms.items())))
+            h = hash((self.ring, self.den, frozenset(self._vecs.items())))
             _set(self, "_hash", h)
         return h
 
     def __bool__(self) -> bool:
-        return bool(self._nums)
+        return bool(self._vecs)
 
     def is_zero(self) -> bool:
-        return not self._nums
+        return not self._vecs
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -390,14 +541,22 @@ class Poly:
         da, db = self.den, other.den
         g = gcd(da, db)
         fa, fb = db // g, da // g  # da * fa == db * fb == lcm(da, db)
-        left = {e: c * fa for e, c in self._nums.items()} if fa != 1 else self._nums.copy()
-        right = ((e, c * fb) for e, c in other._nums.items()) if fb != 1 else other._nums.items()
-        return Poly.from_canonical(self.ring, accumulate(left, right), da * fa)
+        a, b = self._vecs, other._vecs
+        vecs = {}
+        for d, u in a.items():
+            s = _combine(u, fa, b.get(d, ()), fb)
+            if s:
+                vecs[d] = s
+        for d, v in b.items():
+            if d not in a:
+                vecs[d] = _combine(v, fb, (), fa)
+        return Poly._reduced(self.ring, vecs, da * fa)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly.from_canonical(self.ring, {e: -c for e, c in self._nums.items()}, self.den)
+        vecs = {d: tuple(map(neg, vec)) for d, vec in self._vecs.items()}
+        return Poly._adopt(self.ring, vecs, self.den)
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -413,12 +572,14 @@ class Poly:
             if other == 0:
                 return self.ring.zero()
             q = other.numerator
-            nums = {e: c * q for e, c in self._nums.items()} if q != 1 else self._nums
-            return Poly.from_canonical(self.ring, nums, self.den * other.denominator)
+            vecs = self._vecs
+            if q != 1:
+                vecs = {d: tuple(map(mul, vec, repeat(q))) for d, vec in vecs.items()}
+            return Poly._reduced(self.ring, vecs, self.den * other.denominator)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        nums = _mul_nums(self._nums, other._nums)
+        nums = _mul_nums(dict(zip(*self._support())), dict(zip(*other._support())))
         return Poly.from_canonical(self.ring, nums, self.den * other.den)
 
     __rmul__ = __mul__
@@ -442,7 +603,7 @@ class Poly:
         """Formal partial derivative with respect to variable v (not pi)."""
         if not 1 <= v < self.ring.nvars:
             raise VariableRangeError(f"cannot differentiate in variable index {v}")
-        nums = {e[:v] + (e[v] - 1,) + e[v + 1 :]: c * e[v] for e, c in self._nums.items() if e[v]}
+        nums = {e[:v] + (e[v] - 1,) + e[v + 1 :]: c * e[v] for e, c in zip(*self._support()) if e[v]}
         return Poly.from_canonical(self.ring, nums, self.den)
 
     def subs(self, v: int, value: Union["Poly", Scalar]) -> "Poly":
@@ -463,24 +624,7 @@ class Poly:
             value = self.ring.const(value)
         if value.ring != self.ring:
             raise RingMismatchError("substitution value lives in a different ring")
-        n = self.ring.nvars
-        top = max(self.degree_in(v), 0)
-        # the value is encoded even at degree 0, hence max(top, 1)
-        encode, decode = _codec(n, _top(self._nums) + max(top, 1) * _top(value._nums))
-        unit = encode(tuple(int(i == v) for i in range(n)))  # the code of x_v
-        parts: list[dict[int, int]] = [{} for _ in range(top + 1)]
-        for e, c in self._nums.items():
-            k = e[v]
-            parts[k][encode(e) - k * unit] = c
-        value_codes = list(zip(map(encode, value._nums), value._nums.values()))
-        d = value.den
-        acc, pad = parts[top], 1
-        for part in reversed(parts[:top]):
-            pad *= d
-            scaled = ((e, c * pad) for e, c in part.items()) if pad != 1 else part.items()
-            acc = accumulate(_mul_codes(list(acc), list(acc.values()), value_codes), scaled)
-        nums = dict(zip(map(decode, acc), acc.values()))
-        return Poly.from_canonical(self.ring, nums, self.den * d**top)
+        return _substitute(self.ring, *self._support(), self.den, v, value)
 
     def integrate_upper(self, t: int, upper: Union["Poly", Scalar]) -> "Poly":
         """Exact integral from 0 to ``upper`` in variable t.
@@ -495,34 +639,28 @@ class Poly:
             upper = self.ring.const(upper)
         if upper.ring != self.ring:
             raise RingMismatchError("upper bound lives in a different ring")
-        nums = self._nums.items()
-        scale = lcm(*{e[t] + 1 for e in self._nums})
-        antiderivative = Poly.from_canonical(
-            self.ring,
-            {e[:t] + (e[t] + 1,) + e[t + 1 :]: c * (scale // (e[t] + 1)) for e, c in nums},
-            self.den * scale,
-        )
+        keys, vals = self._support()
+        scale = lcm(*{e[t] + 1 for e in keys})
+        keys_up = [e[:t] + (e[t] + 1,) + e[t + 1 :] for e in keys]
+        vals = [c * (scale // (e[t] + 1)) for e, c in zip(keys, vals)]
+        den = self.den * scale
         if upper == self.ring.var(t):
-            return antiderivative
-        if any(e[t] for e in upper._nums):
+            return Poly._reduced(self.ring, _vectors(self.ring.nvars, keys_up, vals), den)
+        if upper.degree_in(t) > 0:
             raise VariableRangeError("upper bound involves the integration variable")
-        return antiderivative.subs(t, upper)
+        return _substitute(self.ring, keys_up, vals, den, t, upper)
 
     # -- structure queries ----------------------------------------------------
 
     def total_degree(self) -> int:
         """Total degree counting pi as a degree-1 variable; zero poly has -1."""
-        if not self._nums:
-            return -1
-        return max(sum(e) for e in self._nums)
+        return max(self._vecs, default=-1)
 
     def degree_in(self, v: int) -> int:
-        if not self._nums:
-            return -1
-        return max(e[v] for e in self._nums)
+        return max(map(itemgetter(v), self._support()[0]), default=-1)
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(sum(e) == d for e in self._nums)
+        return all(k == d for k in self._vecs)
 
     # -- ring moves -------------------------------------------------------------
 
@@ -543,7 +681,7 @@ class Poly:
             raise ValueError("pi must map to pi")
         unit = (0,) * target.nvars
         tops = [max(self.degree_in(i), 0) for i in range(self.ring.nvars)]
-        tables = [_power_table(im._nums, top, unit) for im, top in zip(images, tops)]
+        tables = [_power_table(dict(zip(*im._support())), top, unit) for im, top in zip(images, tops)]
         dens = [im.den for im in images]
         padded = any(d != 1 for d in dens)
         den = self.den
@@ -551,7 +689,7 @@ class Poly:
             den *= d**top
 
         def pairs():
-            for e, c in self._nums.items():
+            for e, c in zip(*self._support()):
                 if padded:
                     for d, top, k in zip(dens, tops, e):
                         c *= d ** (top - k)
@@ -573,8 +711,9 @@ class Poly:
         ``positions[i]``.
 
         ``positions[0]`` must be 0, so pi stays pi, and the positions must be
-        distinct, so no two terms merge: one pass over the exponent tuples,
-        with the numerators and ``den`` kept and no gcd taken.
+        distinct, so no two terms merge and no degree changes: the nonzero
+        entries of each vector are scattered through the target table, with
+        the numerators and ``den`` kept and no gcd taken.
         """
         if len(positions) != self.ring.nvars:
             raise VariableRangeError("need one position per source variable")
@@ -584,21 +723,32 @@ class Poly:
             raise ValueError(f"positions {tuple(positions)} are not distinct")
         if min(positions) < 0 or max(positions) >= target.nvars:
             raise VariableRangeError(f"positions {tuple(positions)} out of range for {target.names}")
-        if target.nvars == 1:  # pi alone
-            return Poly._adopt(target, self._nums, self.den)
-        source = [self.ring.nvars] * target.nvars  # an unused target variable reads a padded 0
+        n, m = self.ring.nvars, target.nvars
+        if m == 1:  # pi alone
+            return Poly._adopt(target, self._vecs, self.den)
+        source = [n] * m  # an unused target variable reads a padded 0
         for i, p in enumerate(positions):
             source[p] = i
         pick = itemgetter(*source)
-        pad = (0,) if target.nvars > self.ring.nvars else ()
-        return Poly._adopt(target, {pick(e + pad): c for e, c in self._nums.items()}, self.den)
+        vecs = {}
+        for d, vec in self._vecs.items():
+            keys = compress(_tables[n, d].keys, vec)
+            if m > n:
+                keys = map(add, keys, repeat((0,)))
+            vecs[d] = _table(m, d).vector(list(map(pick, keys)), filter(None, vec))
+        return Poly._adopt(target, vecs, self.den)
 
     def drop_last_var(self) -> "Poly":
         """Project into the ring without the trailing variable (must be unused)."""
         if self.degree_in(self.ring.nvars - 1) > 0:
             raise VariableRangeError("polynomial still involves the last variable")
+        n = self.ring.nvars
         ring = PolyRing(self.ring.names[:-1])
-        return Poly.from_canonical(ring, {e[:-1]: c for e, c in self._nums.items()}, self.den)
+        vecs = {
+            d: _table(n - 1, d).vector([e[:-1] for e in compress(_tables[n, d].keys, vec)], filter(None, vec))
+            for d, vec in self._vecs.items()
+        }
+        return Poly._adopt(ring, vecs, self.den)
 
     def evaluate_angles(self, values: Sequence[Union["Poly", Scalar]]) -> "Poly":
         """Substitute every angle variable; result is univariate in pi.
@@ -625,7 +775,7 @@ class Poly:
         angles = [_pi_multiple(self.ring, x) for x in values]
         plan = self._plan
         if plan is None:
-            plan = _plan(self._nums, self.ring.nvars - 1)
+            plan = _plan(self._vecs, self.ring.nvars - 1)
             _set(self, "_plan", plan)
         B = lcm(*(b for _, b, _ in angles))
         A = [a * (B // b) for a, b, _ in angles]
@@ -648,8 +798,11 @@ class Poly:
                     map(mul, map(mul, coeffs, vals[s]), repeat(B ** (top - s))),
                 )
             )
-        nums = {(m,): c for m, c in accumulate({}, pairs).items()}
-        return Poly.from_canonical(PI_RING, nums, self.den * B**top)
+        powers_of_pi = accumulate({}, pairs)
+        for m in powers_of_pi:
+            _table(1, m)  # the one monomial pi^m, at position 0
+        vecs = {m: (c,) for m, c in powers_of_pi.items()}
+        return Poly._reduced(PI_RING, vecs, self.den * B**top)
 
     # -- printing ---------------------------------------------------------------
 
@@ -669,7 +822,7 @@ class Poly:
         coefficient; ``sep`` joins the coefficient and the factors.  A unit
         coefficient is omitted unless the term is constant.
         """
-        if not self._nums:
+        if not self._vecs:
             return "0"
         out = ""
         for e, c in sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-x for x in t[0]))):
@@ -728,6 +881,31 @@ class Poly:
         }
 
 
+def _substitute(
+    ring: PolyRing, keys: list[tuple[int, ...]], vals: list[int], den: int, v: int, value: Poly
+) -> Poly:
+    """``Poly.subs`` of the numerators ``vals`` at exponents ``keys`` over
+    ``den``, by Horner's rule on packed codes."""
+    n = ring.nvars
+    top = max((e[v] for e in keys), default=0)
+    value_keys, value_vals = value._support()
+    # the value is encoded even at degree 0, hence max(top, 1)
+    encode, decode = _codec(n, _top(keys) + max(top, 1) * _top(value_keys))
+    unit = encode(tuple(int(i == v) for i in range(n)))  # the code of x_v
+    parts: list[dict[int, int]] = [{} for _ in range(top + 1)]
+    for e, c in zip(keys, vals):
+        k = e[v]
+        parts[k][encode(e) - k * unit] = c
+    value_codes = list(zip(map(encode, value_keys), value_vals))
+    d = value.den
+    acc, pad = parts[top], 1
+    for part in reversed(parts[:top]):
+        pad *= d
+        scaled = ((e, c * pad) for e, c in part.items()) if pad != 1 else part.items()
+        acc = accumulate(_mul_codes(list(acc), list(acc.values()), value_codes), scaled)
+    return Poly._reduced(ring, _vectors(n, list(map(decode, acc)), acc.values()), den * d**top)
+
+
 def _from_pairs(ring: PolyRing, pairs: Iterable[tuple[tuple[int, ...], Scalar]]) -> Poly:
     """The Poly summing rational (exponents, coefficient) pairs, put over their lcm."""
     pairs = list(pairs)
@@ -779,14 +957,23 @@ def poly_from_json_dict(data: Mapping) -> Poly:
 
 def _pi_multiple(ring: PolyRing, x: Union[Poly, Scalar]) -> tuple[int, int, int]:
     """(a, b, m) with x = a/b * pi^m, for x a rational or a Poly of ``ring``
-    with at most one term, in pi alone; anything else raises VariableRangeError."""
+    with at most one term, in pi alone; anything else raises VariableRangeError.
+
+    For m <= 1 this reads one entry: position 0 of the tables of degree 0 and
+    1 is the constant 1 and pi, so the vector of such an x has length 1."""
     if isinstance(x, (int, Fraction)):
-        x = ring.const(x)
-    if isinstance(x, Poly) and x.ring == ring and len(x._nums) <= 1:
-        # the zero Poly is 0 * pi^0
-        ((e, a),) = x._nums.items() or (((0,) * ring.nvars, 0),)
-        if not any(e[1:]):
-            return a, x.den, e[0]
+        return x.numerator, x.denominator, 0
+    if isinstance(x, Poly) and (x.ring is ring or x.ring == ring) and len(x._vecs) <= 1:
+        if not x._vecs:
+            return 0, 1, 0  # the zero Poly is 0 * pi^0
+        ((m, vec),) = x._vecs.items()
+        if m <= 1:
+            if len(vec) == 1:
+                return vec[0], x.den, m
+        elif len(vec) - vec.count(0) == 1:
+            i = _tables[ring.nvars, m].index.get((m,) + (0,) * (ring.nvars - 1))
+            if i == len(vec) - 1:
+                return vec[i], x.den, m
     raise VariableRangeError(f"angle value {x} is not a rational multiple of a power of pi")
 
 

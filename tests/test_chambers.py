@@ -576,8 +576,7 @@ def _reference_orbit_search(space, orbits, canonical=None):
 
 def _key_chamber(space, key):
     """The chamber whose light antichain is the sorted key ``key`` (masks)."""
-    labels = chambers._mask_labels(space.n)
-    return Chamber(space, tuple(labels[m] for m in key))
+    return Chamber(space, tuple(map(chambers._labels, key)))
 
 
 @pytest.mark.parametrize(

@@ -241,12 +241,14 @@ def small_polys(nvars=3, max_exp=3, max_size=5):
 
 def canonical(p):
     """``p``, after asserting the stored form: den > 0, gcd(den, *nums) == 1,
-    nonzero int numerators, exponent tuples of ring length."""
+    nonzero int numerators, exponent tuples of ring length, and numerator
+    vectors that neither end in 0 nor are empty."""
     assert isinstance(p.den, int) and p.den > 0, p.den
     assert gcd(p.den, *p.nums.values()) == 1, (p.den, dict(p.nums))
     assert all(isinstance(c, int) and c != 0 for c in p.nums.values()), dict(p.nums)
     assert all(len(e) == p.ring.nvars and min(e) >= 0 for e in p.nums), dict(p.nums)
     assert len(p.terms) == len(p.nums)
+    assert all(vec and vec[-1] for vec in p._vecs.values()), p._vecs  # no trailing zeros
     return p
 
 
