@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Container, Iterable, Mapping, Optional
@@ -71,27 +71,45 @@ class StabilitySpace:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightVector:
-    """a in (0,1]^n with sum a_j > 2-2g; dual angles theta_j = 2 pi (1 - a_j)."""
+    """a in (0,1]^n with sum a_j > 2-2g; dual angles theta_j = 2 pi (1 - a_j).
+
+    The integer form is computed once, at construction: ``den`` is the lcm
+    of the weight denominators and ``nums`` the numerators over it, a_j =
+    nums[j] / den.  Validation runs on it, and ``classify`` and point
+    queries read it; equality, hashing and repr see ``space`` and ``a`` only.
+    Slots, and numerators shared with ``a`` where a weight is already over
+    ``den``, keep the integer form cheap in memory.
+    """
 
     space: StabilitySpace
     a: tuple[Fraction, ...]
+    den: int = field(init=False, repr=False, compare=False)
+    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
-        if len(self.a) != self.space.n:
+        a = tuple(Fraction(x) for x in self.a)
+        object.__setattr__(self, "a", a)
+        if len(a) != self.space.n:
             raise ValueError("weight count does not match n")
-        for x in self.a:
-            if not 0 < x <= 1:
+        den = lcm(*(x.denominator for x in a))
+        # a numerator already over den is the Fraction's own int, not a copy
+        nums = tuple(
+            x.numerator if x.denominator == den else x.numerator * (den // x.denominator) for x in a
+        )
+        for x, k in zip(a, nums):
+            if not 0 < k <= den:
                 raise ValueError(f"weight {x} outside (0,1]")
-        if sum(self.a) <= 2 - 2 * self.space.g:
+        if sum(nums) <= (2 - 2 * self.space.g) * den:
             raise ValueError("total weight violates sum a_j > 2-2g")
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
     def theta_values(self, ring: PolyRing) -> list[Poly]:
-        """Angles theta_j = (2-2a_j)*pi as polynomials of ``ring``: for
-        a_j = k/d, the one-term Poly 2(d - k)/d * pi, and zero for a_j = 1."""
-        return [ring.pi_multiple(2 * (aj.denominator - aj.numerator), aj.denominator) for aj in self.a]
+        """Angles theta_j = (2-2a_j)*pi as polynomials of ``ring``: the
+        one-term Poly 2(den - nums[j])/den * pi, and zero for a_j = 1."""
+        return [ring.pi_multiple(2 * (self.den - k), self.den) for k in self.nums]
 
     def permuted(self, perm: Mapping[int, int]) -> "WeightVector":
         """Relabel points: new weight at position perm[j] is a_j."""
@@ -480,39 +498,40 @@ def witness(c: Chamber) -> WeightVector:
 # -- classification ---------------------------------------------------------------
 
 
+# Turns a byte per mask, 0 or 1, into the binary digit of that mask.
+_BINARY_DIGITS = bytes.maketrans(bytes((0, 1)), b"01")
+
+
 def classify(w: WeightVector) -> Chamber:
     """The chamber containing w; exact, raises OnWallError on any wall, the
     first in ``space.subsets()`` order.
 
-    The weights are put over one common denominator, so each subset sum is
-    compared with 1 in integers; the sum of each mask is that of the mask
-    without its lowest label plus one weight.  The light sets form a set of
-    masks, and its maximal members of size >= 2 are the light antichain.
+    Each subset sum of the integer form ``w.nums`` is compared with
+    ``w.den``: the sums of the masks with highest label j are those of the
+    masks below 2^(j-1) plus one weight.  The light sets form a set of
+    masks, built in one pass from a byte per mask, and its maximal members
+    of size >= 2 are the light antichain.
     """
-    n = w.space.n
-    den = lcm(*(x.denominator for x in w.a))
-    nums = [x.numerator * (den // x.denominator) for x in w.a]
-    sums = [0] * (1 << n)
-    light = 1  # the empty set
-    for m in range(1, 1 << n):
-        low = m & -m
-        total = sums[m] = sums[m ^ low] + nums[low.bit_length() - 1]
-        if total < den:
-            light |= 1 << m
-    _, small, has, _ = _mask_sets(n)
+    den, sums = w.den, [0]
+    for k in w.nums:
+        sums += [total + k for total in sums]
     if den in sums:
-        order = _subset_order(n)
-        walls = [m for m, total in enumerate(sums) if total == den and not small >> m & 1]
+        walls = [m for m, total in enumerate(sums) if total == den and m & (m - 1)]
         if walls:
+            order = _subset_order(w.space.n)
             raise OnWallError(frozenset(_labels(min(walls, key=order.__getitem__))))
+    # bit m of light is set iff mask m is light
+    light = int(bytes(map(den.__gt__, reversed(sums))).translate(_BINARY_DIGITS), 2)
+    _, small, has, _ = _mask_sets(w.space.n)
     maximal = light & ~small
     for j, with_j in enumerate(has):
         maximal &= ~((light & with_j) >> (1 << j))  # a light set plus label j is light
+    bits = f"{maximal:b}"[::-1]
     out = []
-    while maximal:
-        low = maximal & -maximal
-        out.append(_labels(low.bit_length() - 1))
-        maximal ^= low
+    m = bits.find("1")
+    while m >= 0:
+        out.append(_labels(m))
+        m = bits.find("1", m + 1)
     return _adopt(w.space, tuple(sorted(out)))
 
 

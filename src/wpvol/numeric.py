@@ -3,11 +3,15 @@
 The core of the package never touches floating point: pi stays a formal
 variable and every identity is decided by exact polynomial equality.  This
 module is the one place where a univariate-in-pi polynomial is turned into a
-decimal number, at an explicit requested precision (default 50 digits).
+decimal number, at an explicit requested precision (default 50 digits).  It
+takes the polynomial as a Poly (``evaluate_pi_poly``) or, as point queries
+hand it over, as int numerators by pi power over one denominator
+(``evaluate_pi_numerators``); both run the same loop.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from decimal import Decimal, localcontext
 
 from .poly import Poly
@@ -54,18 +58,30 @@ def pi_decimal(digits: int = DEFAULT_DIGITS) -> Decimal:
     return value
 
 
-def evaluate_pi_poly(p: Poly, digits: int = DEFAULT_DIGITS) -> Decimal:
-    """Evaluate a univariate-in-pi Poly numerically."""
-    if p.ring.nvars != 1:
-        raise ValueError("expected a univariate polynomial in pi")
+def evaluate_pi_numerators(nums: Mapping[int, int], den: int, digits: int = DEFAULT_DIGITS) -> Decimal:
+    """sum_k nums[k] / den * pi^k for int numerators and den > 0, to ``digits``
+    significant digits.
+
+    Each nums[k] / den is one correctly rounded Decimal division of exact
+    ints, so the numerators need not be reduced: any fraction of one value
+    gives the same digits.  This is the one numeric evaluation loop.
+    """
     with localcontext() as ctx:
         ctx.prec = digits + _GUARD
         pi_val = pi_decimal(digits + _GUARD)
         total = Decimal(0)
-        for (k,), c in p.sorted_terms():
-            frac = Decimal(c.numerator) / Decimal(c.denominator)
-            total += frac * pi_val**k
+        d = Decimal(den)
+        for k, c in sorted(nums.items()):
+            total += Decimal(c) / d * pi_val**k
     with localcontext() as ctx:
         ctx.prec = digits
         total = +total
     return total
+
+
+def evaluate_pi_poly(p: Poly, digits: int = DEFAULT_DIGITS) -> Decimal:
+    """Evaluate a univariate-in-pi Poly numerically (``evaluate_pi_numerators``
+    of its numerators over its denominator)."""
+    if p.ring.nvars != 1:
+        raise ValueError("expected a univariate polynomial in pi")
+    return evaluate_pi_numerators({k: c for (k,), c in p.nums.items()}, p.den, digits)

@@ -38,7 +38,11 @@ interns a numerator mapping and divides out the one common gcd;
 one-term Poly in pi alone) and runs through the Poly's evaluation plan
 (``_Plan``), built on its first call and kept with it: each angle monomial is
 one angle times a monomial of the layer below, and the terms of one degree
-and pi power are summed at once.
+and pi power are summed at once.  The plan's one entry point,
+``_Plan.evaluate``, works on integers alone (angle numerators A_j over one
+B, and their pi powers) and returns {pi power: numerator}; ``pi_poly`` makes
+that the canonical Poly, and point queries that want a number hand it to
+:mod:`wpvol.numeric` without building a Poly.
 """
 
 from __future__ import annotations
@@ -381,6 +385,39 @@ class _Plan(NamedTuple):
             out.append(list(map(op, below, map(factors.__getitem__, angles[start:end]))))
             start = end
         return out
+
+    def evaluate(self, A: Sequence[int], B: int, shifts: Sequence[int]) -> dict[int, int]:
+        """The poly at theta_j = A_j / B * pi^shifts[j], for ints A_j and
+        B > 0, as {pi power: numerator} with no zero numerator, over
+        den * B^top (den the poly's, top the largest angle degree).
+
+        A term c * pi^e0 * prod theta_j^k_j of angle degree s gives the
+        numerator c * prod A_j^k_j * B^(top - s) at pi^(e0 + sum shifts[j] k_j).
+        The products prod A_j^k_j come layer by layer (``layers``); the
+        terms of one (s, e0) are summed at once.  When the nonzero angles
+        have unequal pi powers, the pi power of each monomial is built the
+        same way and the group's terms merge by it.
+        """
+        vals = self.layers(1, A, mul)
+        top = len(self.ends)
+        moved = {m for a, m in zip(A, shifts) if a}  # the pi power of a zero angle is moot
+        if len(moved) <= 1:
+            m = moved.pop() if moved else 0
+            pairs = (
+                (e0 + m * s, sum(map(mul, coeffs, vals[s])) * B ** (top - s))
+                for s, e0, coeffs in self.groups
+            )
+        else:
+            powers = self.layers(0, shifts, add)
+            pairs = (
+                pair
+                for s, e0, coeffs in self.groups
+                for pair in zip(
+                    map(e0.__add__, powers[s]),
+                    map(mul, map(mul, coeffs, vals[s]), repeat(B ** (top - s))),
+                )
+            )
+        return accumulate({}, pairs)
 
 
 def _plan(vecs: Vectors, n: int) -> _Plan:
@@ -755,54 +792,30 @@ class Poly:
 
         ``values`` holds one entry per angle variable (indices 1..n), each
         theta_j = q_j * pi^m_j: a rational, zero, or a one-term Poly of this
-        ring in pi alone; anything else raises VariableRangeError.  With the
-        q_j over one denominator B, q_j = A_j / B, and K the largest angle
-        degree, a term c * pi^e0 * prod theta_j^k_j of angle degree s gives
-        the numerator c * prod A_j^k_j * B^(K - s) at pi^(e0 + sum m_j k_j),
-        over the common den * B^K.
-
-        The products prod A_j^k_j come layer by layer from the poly's
-        evaluation plan (``_Plan``, built on the first call and kept), each
-        monomial one angle times a monomial of the layer below; the terms of
-        one (s, e0) are summed at once.  When the nonzero angles have unequal
-        pi powers, the pi power of each monomial is built the same way and
-        the group's terms merge by it.
+        ring in pi alone; anything else raises VariableRangeError.  The q_j
+        are put over one denominator B, q_j = A_j / B, and the integers
+        A_j, B and m_j go through the evaluation plan (``_Plan.evaluate``,
+        built on the first call and kept), whose {pi power: numerator} over
+        den * B^top becomes the canonical Poly (``pi_poly``).
         """
         if len(values) != self.ring.nvars - 1:
             raise VariableRangeError(
                 f"need {self.ring.nvars - 1} values, got {len(values)}"
             )
         angles = [_pi_multiple(self.ring, x) for x in values]
+        B = lcm(*(b for _, b, _ in angles))
+        plan = self._evaluation_plan()
+        powers = plan.evaluate([a * (B // b) for a, b, _ in angles], B, [m for _, _, m in angles])
+        return pi_poly(powers, self.den * B ** len(plan.ends))
+
+    def _evaluation_plan(self) -> _Plan:
+        """The evaluation plan of this Poly in its angle variables, built on
+        the first call and kept."""
         plan = self._plan
         if plan is None:
             plan = _plan(self._vecs, self.ring.nvars - 1)
             _set(self, "_plan", plan)
-        B = lcm(*(b for _, b, _ in angles))
-        A = [a * (B // b) for a, b, _ in angles]
-        vals = plan.layers(1, A, mul)
-        top = len(plan.ends)  # the largest angle degree
-        shifts = {m for a, _, m in angles if a}  # the pi power of a zero angle is moot
-        if len(shifts) <= 1:
-            m = shifts.pop() if shifts else 0
-            pairs = (
-                (e0 + m * s, sum(map(mul, coeffs, vals[s])) * B ** (top - s))
-                for s, e0, coeffs in plan.groups
-            )
-        else:
-            powers = plan.layers(0, [m for _, _, m in angles], add)
-            pairs = (
-                pair
-                for s, e0, coeffs in plan.groups
-                for pair in zip(
-                    map(e0.__add__, powers[s]),
-                    map(mul, map(mul, coeffs, vals[s]), repeat(B ** (top - s))),
-                )
-            )
-        powers_of_pi = accumulate({}, pairs)
-        for m in powers_of_pi:
-            _table(1, m)  # the one monomial pi^m, at position 0
-        vecs = {m: (c,) for m, c in powers_of_pi.items()}
-        return Poly._reduced(PI_RING, vecs, self.den * B**top)
+        return plan
 
     # -- printing ---------------------------------------------------------------
 
@@ -975,6 +988,14 @@ def _pi_multiple(ring: PolyRing, x: Union[Poly, Scalar]) -> tuple[int, int, int]
             if i == len(vec) - 1:
                 return vec[i], x.den, m
     raise VariableRangeError(f"angle value {x} is not a rational multiple of a power of pi")
+
+
+def pi_poly(powers: Mapping[int, int], den: int) -> Poly:
+    """The Poly in pi alone sum_m powers[m] / den * pi^m, for nonzero int
+    numerators and den > 0, in canonical form."""
+    for m in powers:
+        _table(1, m)  # the one monomial pi^m, at position 0
+    return Poly._reduced(PI_RING, {m: (c,) for m, c in powers.items()}, den)
 
 
 def phi_form(ring: PolyRing, wall: Iterable[int]) -> Poly:

@@ -15,7 +15,7 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Iterable
 
 from . import reference as ref
@@ -32,10 +32,11 @@ from .chambers import (
 )
 from .errors import NoFlatHullError, NotIncidentError, NotRealizableError
 from .intersection import kappa_psi_intersection, psi_intersection
-from .numeric import evaluate_pi_poly
+from .numeric import evaluate_pi_numerators
 from .poly import Poly, PolyRing, angle_ring, phi_form
 from .volumes import (
     _integrate_crossing,
+    _point_value,
     chamber_volume,
     cp1n_chamber,
     cp1n_volume,
@@ -492,26 +493,31 @@ def check_evenness(rep: Reporter, spaces: Iterable[StabilitySpace]) -> None:
 
 def check_positivity(rep: Reporter, spaces: Iterable[StabilitySpace]) -> None:
     """The volume is positive at 20 random interior points of every chamber,
-    each evaluated to 50 digits."""
+    each evaluated to 50 digits.
+
+    The points a_j - r_j / 1000 * slack / (2n), r_j in 0..999, around the
+    chamber's LP witness are built as ints over one denominator, and each
+    is evaluated on the chamber's own volume in integers (``_point_value``).
+    """
     rng = random.Random(20260808)
     for space in spaces:
         bad = 0
         total = 0
+        n = space.n
         for c in enumerate_chambers(space):
             point, slack = realize(c)
-            vr = chamber_volume(c)
-            n = space.n
+            poly = chamber_volume(c).poly
+            scale = 2000 * n * slack.denominator
+            den = lcm(scale, *(x.denominator for x in point))
+            base = [x.numerator * (den // x.denominator) for x in point]
+            step = slack.numerator * (den // scale)
             for _ in range(20):
-                delta = [
-                    Fraction(rng.randint(0, 999), 1000) * slack / (2 * n) for _ in range(n)
-                ]
-                w = WeightVector(space, tuple(a - d for a, d in zip(point, delta)))
+                a = tuple(Fraction(k - rng.randint(0, 999) * step, den) for k in base)
+                w = WeightVector(space, a)
                 if classify(w) != c:
                     bad += 1
                     continue
-                value = evaluate_pi_poly(
-                    vr.poly.evaluate_angles(w.theta_values(vr.poly.ring)), 50
-                )
+                value = evaluate_pi_numerators(*_point_value(poly, w, range(n)), 50)
                 total += 1
                 if not value > 0:
                     bad += 1

@@ -57,7 +57,8 @@ from .chambers import (
 )
 from .errors import NoFlatHullError, NotRealizableError, UnstableError, WpvolError
 from .intersection import kappa_psi_intersection
-from .poly import Poly, PolyRing, angle_ring, phi_form
+from .numeric import evaluate_pi_numerators
+from .poly import Poly, PolyRing, angle_ring, phi_form, pi_poly
 
 PROV_MAIN = "main-chamber-intersection"
 PROV_PATH = "wall-crossing-path"
@@ -290,21 +291,35 @@ def piecewise_volume(w: WeightVector, numeric: bool = False, digits: int = 50):
     Poly, or a Decimal in numeric mode.  The VolumeResult is the chamber's
     own memoized volume; the value comes from the volume of the first chamber
     of its S_n orbit that was queried, at the angles relabeled
-    (``_evaluation_orbits``).  ``evaluate_angles`` returns the canonical
-    Poly of the exact value, so it is the value of the chamber's own volume.
+    (``_evaluation_orbits``).  The query runs in integers from w's integer
+    form to the exact value (``_point_value``), the angles read in the order
+    of that volume's variables.  Only ``numeric=False`` makes the value a
+    Poly, the canonical one, so it is the value of the chamber's own volume;
+    in numeric mode the numerators go straight to ``evaluate_pi_numerators``.
     """
     c = classify(w)
     got = _evaluators.get(c)
     if got is None:
         got = _evaluators[c] = _evaluator(c)  # w lies in c, so c is realizable
     vr, poly, reads = got
-    values = w.theta_values(poly.ring)
-    formal = poly.evaluate_angles([values[i] for i in reads])
-    if not numeric:
-        return c, vr, formal
-    from .numeric import evaluate_pi_poly
+    powers, den = _point_value(poly, w, reads)
+    if numeric:
+        return c, vr, evaluate_pi_numerators(powers, den, digits)
+    return c, vr, pi_poly(powers, den)
 
-    return c, vr, evaluate_pi_poly(formal, digits)
+
+def _point_value(poly: Poly, w: WeightVector, reads: Sequence[int]) -> tuple[dict[int, int], int]:
+    """``poly`` at theta(w), its angle variable j set to the angle of w at
+    position reads[j - 1]: ({pi power: numerator}, denominator).
+
+    With B = w.den, that angle is A / B * pi for A = 2 (B - w.nums[reads[j - 1]]),
+    and the poly's evaluation plan (``_Plan.evaluate``) gives the value
+    over poly.den * B^top; no Fraction or Poly is built.
+    """
+    B, nums = w.den, w.nums
+    plan = poly._evaluation_plan()
+    powers = plan.evaluate([2 * (B - nums[i]) for i in reads], B, (1,) * len(reads))
+    return powers, poly.den * B ** len(plan.ends)
 
 
 # -- closed forms ------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wpvol.chambers as chambers
 from wpvol.chambers import (
@@ -68,6 +72,80 @@ def test_weight_vector_validation():
         WeightVector(S04, (F(2), F(1), F(1), F(1)))
     with pytest.raises(ValueError):
         WeightVector(S04, (F(1, 2),) * 4)  # total 2, needs > 2 at g=0
+
+
+def fraction_rules(space, a):
+    """The former validation, on the Fractions: its error message, or None."""
+    a = tuple(F(x) for x in a)
+    for x in a:
+        if not 0 < x <= 1:
+            return f"weight {x} outside (0,1]"
+    if sum(a) <= 2 - 2 * space.g:
+        return "total weight violates sum a_j > 2-2g"
+    return None
+
+
+WEIGHT_BOUNDARIES = [
+    (S04, (F(1), F(1), F(1), F(1))),  # every weight 1
+    (S04, (F(1), F(1, 3), F(1, 3), F(1, 3) + F(1, 10**30))),  # 1 and just above the sum bound
+    (S04, (F(1, 2),) * 4),  # sum exactly 2 - 2g
+    (S04, (F(1, 3), F(2, 5), F(5, 7), F(7, 13))),  # mixed denominators, sum exactly 2
+    (S04, (F(1, 3), F(2, 5), F(5, 7), F(8, 13))),
+    (StabilitySpace(0, 3), (F(2, 3), F(2, 3), F(2, 3))),  # sum exactly 2
+    (StabilitySpace(0, 3), (F(1), F(1, 2), F(1, 2) + F(1, 2**70))),
+    (StabilitySpace(1, 1), (F(1),)),
+    (StabilitySpace(1, 2), (F(1, 10**20), F(1, 3))),  # g = 1: any weights in (0, 1]
+    (S04, (F(0), F(1), F(1), F(1))),
+    (S04, (F(1), F(1), F(1), F(1) + F(1, 10**30))),  # just above 1
+    (S04, (F(1), F(-1, 2), F(1), F(1))),
+    (S05, (F(1, 6), F(1, 10), F(1, 15), F(1), F(1))),  # mixed denominators, sum 2 + 1/3
+    (S05, (F(1, 6), F(1, 10), F(1, 15), F(2, 3), F(1))),  # sum exactly 2
+    (StabilitySpace(2, 3), (F(1, 2), F(3, 4), F(5, 6))),
+]
+
+
+@pytest.mark.parametrize("space,a", WEIGHT_BOUNDARIES)
+def test_integer_validation_matches_fraction_rules(space, a):
+    """Validation in integers over the lcm accepts and rejects exactly what
+    the Fraction rules do, with their message; an accepted vector holds
+    a_j = nums[j] / den over the lcm of its denominators, and equality,
+    hashing and repr see only the space and the weights."""
+    want = fraction_rules(space, a)
+    if want is not None:
+        with pytest.raises(ValueError) as err:
+            WeightVector(space, a)
+        assert str(err.value) == want
+        return
+    w = WeightVector(space, a)
+    assert w.den == lcm(*(x.denominator for x in a))
+    assert w.a == a and all(F(k, w.den) == x for k, x in zip(w.nums, a))
+    assert repr(w) == f"WeightVector(space={space!r}, a={a!r})"
+    same = WeightVector(space, tuple(map(str, a)))  # the same weights, parsed
+    assert same == w and hash(same) == hash(w) and (same.den, same.nums) == (w.den, w.nums)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([S04, S05, S12, StabilitySpace(0, 3), StabilitySpace(2, 3)]).flatmap(
+        lambda space: st.tuples(
+            st.just(space),
+            st.lists(
+                st.fractions(min_value=-F(1, 2), max_value=F(3, 2), max_denominator=30),
+                min_size=space.n,
+                max_size=space.n,
+            ),
+        )
+    )
+)
+def test_integer_validation_matches_fraction_rules_on_random_weights(case):
+    space, a = case
+    want = fraction_rules(space, a)
+    if want is None:
+        w = WeightVector(space, tuple(a))
+        assert (w.den, w.nums) == (lcm(*(x.denominator for x in a)), tuple(x * w.den for x in a))
+    else:
+        with pytest.raises(ValueError, match=re.escape(want)):
+            WeightVector(space, tuple(a))
 
 
 def test_classify_examples():
@@ -1027,6 +1105,26 @@ def test_integer_classify_matches_fraction_subset_sums():
             assert isinstance(err.value.wall, frozenset)
             assert err.value.wall == want
     assert on_wall > 50  # the on-wall branch is exercised
+
+
+def test_classify_matches_fraction_subset_sums_at_n9():
+    """At n = 9 the bitsets of classify span 512 masks: it still gives the
+    Fraction reference's antichain or first wall; at n = 12 a vector whose
+    every subset is light has the one maximal light set of all labels."""
+    nine = (StabilitySpace(0, 9), StabilitySpace(1, 9))
+    kinds = set()
+    for w in seeded_weight_vectors(20262, 40, nine):
+        want = classify_by_fraction_sums(w)
+        kinds.add(isinstance(want, Chamber))
+        if isinstance(want, Chamber):
+            assert classify(w).light_max == want.light_max
+        else:
+            with pytest.raises(OnWallError) as err:
+                classify(w)
+            assert err.value.wall == want
+    assert kinds == {True, False}
+    w = WeightVector(StabilitySpace(1, 12), tuple(F(k, 997) for k in range(1, 13)))
+    assert classify(w).light_max == (tuple(range(1, 13)),)
 
 
 def test_last_crossing_after_enumeration_solves_no_lp(monkeypatch):

@@ -3,6 +3,7 @@
 import json
 import random
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from math import factorial, gcd, lcm
 from pathlib import Path
@@ -16,7 +17,7 @@ from wpvol import reference as ref
 from wpvol.chambers import StabilitySpace, enumerate_chambers, light_chamber, main_chamber
 from wpvol.errors import RingMismatchError, VariableRangeError
 from wpvol.intersection import kappa_psi_intersection
-from wpvol.numeric import evaluate_pi_poly, pi_decimal
+from wpvol.numeric import _GUARD, evaluate_pi_numerators, evaluate_pi_poly, pi_decimal
 from wpvol.poly import (
     PI_RING,
     Poly,
@@ -25,6 +26,7 @@ from wpvol.poly import (
     accumulate,
     angle_ring,
     phi_form,
+    pi_poly,
     poly_from_json_dict,
     poly_from_text,
 )
@@ -223,6 +225,39 @@ def test_numeric_evaluation():
     p = 2 * PI_RING.pi() ** 2
     v = evaluate_pi_poly(p, 30)
     assert str(v).startswith("19.7392088")
+
+
+def former_evaluate_pi_poly(p, digits):
+    """The former body of ``evaluate_pi_poly``: one reduced Fraction per
+    term, in ``sorted_terms`` order."""
+    with localcontext() as ctx:
+        ctx.prec = digits + _GUARD
+        pi_val = pi_decimal(digits + _GUARD)
+        total = Decimal(0)
+        for (k,), c in p.sorted_terms():
+            total += Decimal(c.numerator) / Decimal(c.denominator) * pi_val**k
+    with localcontext() as ctx:
+        ctx.prec = digits
+        total = +total
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 14), st.integers(-(2**80), 2**80).filter(bool), max_size=6),
+    st.integers(1, 2**70),
+    st.integers(1, 10**9),
+    st.sampled_from([1, 2, 17, 50, 100]),
+)
+def test_numerators_over_any_denominator_give_the_reduced_digits(nums, den, scale, digits):
+    """``evaluate_pi_numerators`` of unreduced numerators gives the Decimal of
+    the former per-term loop over reduced Fractions, digit for digit and
+    exponent for exponent, and ``evaluate_pi_poly`` is the same loop."""
+    p = pi_poly(nums, den)
+    want = former_evaluate_pi_poly(p, digits)
+    got = evaluate_pi_numerators({k: c * scale for k, c in nums.items()}, den * scale, digits)
+    assert got.as_tuple() == want.as_tuple()
+    assert evaluate_pi_poly(p, digits).as_tuple() == want.as_tuple()
 
 
 # -- property tests --------------------------------------------------------------
@@ -692,6 +727,31 @@ def test_evaluation_plan_is_bounded_by_the_support():
     v = fresh(mirzakhani_volume(3, 6).poly)
     v.evaluate_angles([0] * 6)
     assert plan_size(v) <= len(v.nums) * 24
+
+
+angle_numerators = st.one_of(st.just(0), st.integers(-(2**70), 2**70), st.integers(-3, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small_polys(max_exp=4, max_size=7),
+    st.lists(angle_numerators, min_size=2, max_size=2),
+    st.one_of(st.integers(1, 12), st.integers(2**63, 2**66)),
+    st.lists(st.integers(0, 2), min_size=2, max_size=2),
+)
+def test_plan_evaluate_matches_per_term_loop(p, A, B, shifts):
+    """The integer kernel ``_Plan.evaluate`` at theta_j = A_j / B * pi^m_j,
+    read over den * B^top, equals the former per-term loop: zero angles,
+    mixed pi powers, non-homogeneous polys and numerators past 2^63."""
+    plan = fresh(p)._evaluation_plan()
+    powers = plan.evaluate(A, B, shifts)
+    assert all(isinstance(c, int) and c for c in powers.values())
+    over = p.den * B ** len(plan.ends)
+    values = [p.ring.monomial(F(a, B), (m, 0, 0)) for a, m in zip(A, shifts)]
+    want = per_term_evaluate_angles(p, values)
+    assert {(m,): F(c, over) for m, c in powers.items()} == dict(want.terms)
+    assert canonical(pi_poly(powers, over)) == want
+    assert p.evaluate_angles(values) == want
 
 
 def test_evaluate_angles_rejects_angle_valued_inputs():

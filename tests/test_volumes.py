@@ -399,6 +399,22 @@ def test_orbit_evaluation_matches_own_volume(empty_memos, monkeypatch):
         assert numeric == evaluate_pi_poly(want, 50), (c, w)
 
 
+@pytest.mark.parametrize("g,n", [(0, 5), (1, 4), (2, 3), (1, 3)], ids=["D05", "D14", "D23", "D13"])
+def test_numeric_query_equals_numeric_formal_value(g, n):
+    """On every chamber, at seeded interior points and at those with a weight
+    raised to 1, the numeric query, which never builds the value as a Poly,
+    gives the Decimal of the formal value, digit for digit, at 1, 50 and 100
+    digits."""
+    rng = random.Random(20261019 + 10 * g + n)
+    for c in enumerate_chambers(StabilitySpace(g, n)):
+        for w in _query_points(c, rng)[:3]:
+            got_c, _, formal = piecewise_volume(w)
+            assert got_c == c
+            for digits in (1, 50, 100):
+                _, _, value = piecewise_volume(w, numeric=True, digits=digits)
+                assert value.as_tuple() == evaluate_pi_poly(formal, digits).as_tuple(), (c, w, digits)
+
+
 def test_clear_volume_cache_drops_every_evaluator(fresh_volume_caches):
     """After clear_volume_cache() no evaluator survives: the next query
     builds its evaluator from the chamber's recomputed volume."""
