@@ -1,10 +1,25 @@
-"""Hassett stability space combinatorics: walls, chambers, paths.
+"""Hassett stability space combinatorics: walls, chambers, paths, hulls.
 
 A chamber of D_{g,n} = {a in (0,1]^n : sum a_j > 2-2g} is encoded as the
 order-preserving function C : P({1..n}) -> {0,1}, stored canonically as the
 antichain of maximal light sets (the maximal J with |J| >= 2 and C(J) = 0).
 C(J) = 1 means the points of J cannot collide, i.e. sum_{j in J} a_j > 1 on
 the chamber.
+
+A ``Chamber`` holds that antichain as label masks (label j is bit j-1), in
+ascending order, and every chamber operation runs on them; ``light_max``,
+the antichain as sorted label tuples, is a view.  The light closure (every
+light set, as a 2^n-bit set of masks) is built only by the operations that
+need it -- minimal heavy sets, desirability and orbit keys -- and kept in the
+chamber.  The two steps of the volume path need none:
+
+* the light sets of the quotient C/S are the light sets of C inside the
+  complement of S, so its maximal light sets are the maximal sets of size
+  >= 2 among M - S, over the maximal light sets M, with the labels left
+  renumbered in order (``Chamber.quotient``);
+* for a maximal light set S, the chamber above W_S has the other maximal
+  light sets and the sets S - j, |S| > 2, that none of them contains
+  (``Chamber._above``).
 
 Realizability is decided by exact rational LP with slack maximization: the
 open system {0 < a_j <= 1, sum_J a < 1 on light walls, sum_J a > 1 on heavy
@@ -23,11 +38,12 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Container, Iterable, Mapping, Optional
 
 from .errors import (
     BoundExceededError,
+    NoFlatHullError,
     NotComparableError,
     NotIncidentError,
     NotRealizableError,
@@ -98,13 +114,37 @@ class WeightVector:
         nums = tuple(
             x.numerator if x.denominator == den else x.numerator * (den // x.denominator) for x in a
         )
-        for x, k in zip(a, nums):
-            if not 0 < k <= den:
-                raise ValueError(f"weight {x} outside (0,1]")
-        if sum(nums) <= (2 - 2 * self.space.g) * den:
-            raise ValueError("total weight violates sum a_j > 2-2g")
+        self._check(nums, den)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
+
+    def _check(self, nums: tuple[int, ...], den: int) -> None:
+        """Validation on the integer form: 0 < a_j <= 1 and sum a_j > 2-2g."""
+        for k in nums:
+            if not 0 < k <= den:
+                raise ValueError(f"weight {Fraction(k, den)} outside (0,1]")
+        if sum(nums) <= (2 - 2 * self.space.g) * den:
+            raise ValueError("total weight violates sum a_j > 2-2g")
+
+    @classmethod
+    def _from_ints(cls, space: StabilitySpace, nums: Iterable[int], den: int) -> "WeightVector":
+        """The weight vector a_j = nums[j] / den, for den > 0: validated as
+        by the constructor, then put over the least denominator, so ``den``,
+        ``nums`` and ``a`` are those of ``WeightVector(space, a)``."""
+        nums = tuple(nums)
+        w = object.__new__(cls)
+        object.__setattr__(w, "space", space)
+        if len(nums) != space.n:
+            raise ValueError("weight count does not match n")
+        w._check(nums, den)
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = tuple(k // g for k in nums)
+        object.__setattr__(w, "a", tuple(Fraction(k, den) for k in nums))
+        object.__setattr__(w, "den", den)
+        object.__setattr__(w, "nums", nums)
+        return w
 
     def theta_values(self, ring: PolyRing) -> list[Poly]:
         """Angles theta_j = (2-2a_j)*pi as polynomials of ``ring``: the
@@ -132,9 +172,21 @@ class Wall:
             raise ValueError(f"invalid wall set {sorted(self.J)}")
 
 
+# One object per space, for the spaces that chamber operations reach.
+_space = functools.cache(StabilitySpace)
+
+
+@functools.cache
+def _label_set(n: int) -> frozenset[int]:
+    return frozenset(range(1, n + 1))
+
+
 def _mask(J: Iterable[int]) -> int:
     """The bitmask of a label set: label j is bit j-1."""
-    return sum(1 << (j - 1) for j in J)
+    m = 0
+    for j in J:
+        m |= 1 << (j - 1)
+    return m
 
 
 def _labels(m: int) -> tuple[int, ...]:
@@ -147,134 +199,213 @@ def _labels(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _canonical_antichain(sets: Iterable[frozenset[int]]) -> tuple[tuple[int, ...], ...]:
-    family = [frozenset(s) for s in sets]
-    maximal = [s for s in family if not any(s < t for t in family)]
-    return tuple(sorted(set(tuple(sorted(s)) for s in maximal)))
+def _maximal(masks: Iterable[int]) -> tuple[int, ...]:
+    """The maximal members of size >= 2 of a family of masks, distinct and
+    ascending.
+
+    A proper superset is a larger mask, so in descending order a mask is
+    maximal iff no maximal mask before it contains it.
+    """
+    out = []
+    for a in sorted(set(masks), reverse=True):
+        if not a & (a - 1):
+            continue  # at most one label
+        for b in out:
+            if a & b == a:
+                break
+        else:
+            out.append(a)
+    out.reverse()
+    return tuple(out)
 
 
-@dataclass(frozen=True)
+def _compressed(masks: Iterable[int], drop: int) -> Iterable[int]:
+    """``masks`` with the labels of the mask ``drop`` removed and the labels
+    left renumbered 1, 2, ... in their order."""
+    out = masks
+    while drop:
+        low = (1 << drop.bit_length() - 1) - 1  # the labels below the highest in drop
+        out = [m & low | m >> 1 & ~low for m in out]
+        drop &= low
+    return out
+
+
 class Chamber:
-    """A chamber, stored as the antichain of maximal light sets."""
+    """A chamber: the order-preserving C : P({1..n}) -> {0,1} whose maximal
+    light sets (maximal J with |J| >= 2 and C(J) = 0) are the masks
+    ``_masks``, ascending.
 
-    space: StabilitySpace
-    light_max: tuple[tuple[int, ...], ...]
+    ``light_max``, the same antichain as label tuples in lexicographic order,
+    is a view of the masks.  Equality and the hash, computed once at
+    construction, read ``space`` and the masks.  The light closure, every
+    light set as a set of masks (``_light_closure``, 2^n bits), is built on
+    the first call that needs it and kept.
+    """
 
-    def __post_init__(self):
-        labels = set(self.space.labels)
-        family = [frozenset(s) for s in self.light_max]
-        for s in family:
-            if len(s) < 2 or not s <= labels:
+    __slots__ = ("space", "_masks", "_hash", "_light")
+
+    def __new__(cls, space: StabilitySpace, light_max: Iterable[Iterable[int]]):
+        masks = []
+        for s in light_max:
+            s = set(s)
+            if len(s) < 2 or not s <= _label_set(space.n):
                 raise ValueError(f"invalid light set {sorted(s)}")
-        object.__setattr__(self, "light_max", _canonical_antichain(family))
+            masks.append(_mask(s))
+        return _adopt(space, _maximal(masks))
+
+    def __setattr__(self, *_):
+        raise AttributeError("Chamber is immutable")
+
+    def __reduce__(self):
+        return _adopt, (self.space, self._masks)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Chamber:
+            return NotImplemented
+        return self._masks == other._masks and self.space == other.space
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Chamber(space={self.space!r}, light_max={self.light_max!r})"
+
+    @property
+    def light_max(self) -> tuple[tuple[int, ...], ...]:
+        """The maximal light sets as ascending label tuples, in lexicographic
+        order."""
+        return tuple(sorted(map(_labels, self._masks)))
+
+    def _closure(self) -> int:
+        """The light sets, as a set of masks (``_light_closure``)."""
+        try:
+            return self._light
+        except AttributeError:  # not built yet
+            light = _light_closure(self._masks, self.space.n)
+            _set_light(self, light)
+            return light
+
+    def _is_light(self, m: int) -> bool:
+        """C = 0 on the label mask ``m``."""
+        return not m & (m - 1) or any(m & a == m for a in self._masks)
+
+    def _wall_mask(self, S: Iterable[int], error: type[Exception], what: str) -> int:
+        """The mask of a set S of two or more labels of the space; raises
+        ``error`` naming S otherwise."""
+        S = set(S)
+        if len(S) < 2 or not S <= _label_set(self.space.n):
+            raise error(f"invalid {what} set {sorted(S)}")
+        return _mask(S)
 
     # -- the order-preserving function ----------------------------------------
 
     def value(self, J: Iterable[int]) -> int:
         """C(J): 0 if the points of J may collide, 1 otherwise."""
-        J = frozenset(J)
-        if len(J) <= 1:
-            return 0
-        return 0 if any(J <= frozenset(s) for s in self.light_max) else 1
+        return 0 if self._is_light(_mask(J)) else 1
 
     def heavy_min(self) -> list[frozenset[int]]:
         """Minimal heavy sets: heavy J whose proper subsets are all light, in
         ``space.subsets()`` order."""
-        labels = self.space.labels
-        return [frozenset(j for j in labels if m >> (j - 1) & 1) for m in self._heavy_masks()]
+        return [frozenset(_labels(m)) for m in self._heavy_masks()]
 
     def _heavy_masks(self) -> list[int]:
         """The masks of ``heavy_min``, in its order."""
         n = self.space.n
-        heavy = _minimal_heavy(_light_closure(map(_mask, self.light_max), n), n)
-        return sorted(heavy, key=_subset_order(n).__getitem__)
+        return sorted(_minimal_heavy(self._closure(), n), key=_subset_order(n).__getitem__)
 
     # -- constructions ---------------------------------------------------------
 
     def cross(self, S: Iterable[int]) -> "Chamber":
         """Simple wall-crossing from above W_S to the chamber below."""
-        S = frozenset(S)
-        if len(S) < 2 or not S <= set(self.space.labels):
-            raise NotIncidentError(f"invalid wall set {sorted(S)}")
-        if self.value(S) != 1:
-            raise NotIncidentError(f"chamber is not above W_{sorted(S)}")
-        for r in range(2, len(S)):
-            for T in itertools.combinations(S, r):
-                if self.value(T) == 1:
-                    raise NotIncidentError(
-                        f"chamber is not incident to W_{sorted(S)}: "
-                        f"heavy proper subset {sorted(T)}"
-                    )
-        below = Chamber(self.space, self.light_max + (tuple(sorted(S)),))
-        if not below.is_realizable():
-            raise NotRealizableError(
-                f"no weight vector below W_{sorted(S)} from {self}"
+        s = self._wall_mask(S, NotIncidentError, "wall")
+        labels = _labels(s)
+        if self._is_light(s):
+            raise NotIncidentError(f"chamber is not above W_{list(labels)}")
+        if not all(self._is_light(s & ~(1 << (j - 1))) for j in labels):
+            heavy = next(
+                T
+                for r in range(2, len(labels))
+                for T in itertools.combinations(labels, r)
+                if not self._is_light(_mask(T))
             )
+            raise NotIncidentError(
+                f"chamber is not incident to W_{list(labels)}: heavy proper subset {list(heavy)}"
+            )
+        below = _adopt(self.space, tuple(sorted([a for a in self._masks if a & ~s] + [s])))
+        if not below.is_realizable():
+            raise NotRealizableError(f"no weight vector below W_{list(labels)} from {self}")
         return below
 
     def uncross(self, S: Iterable[int]) -> "Chamber":
         """Inverse of ``cross``: the chamber above W_S, for S a maximal light set."""
         S = tuple(sorted(set(S)))
-        if S not in self.light_max:
+        if S not in map(_labels, self._masks):
             raise NotIncidentError(f"{list(S)} is not a maximal light set of {self}")
-        above = self._above(S)
+        above = self._above(_mask(S))
         if not above.is_realizable():
             raise NotRealizableError(f"no weight vector above W_{list(S)} from {self}")
         return above
 
-    def _above(self, S: tuple[int, ...]) -> "Chamber":
-        """The chamber above W_S for S a maximal light set, not checked for
-        realizability."""
-        subwalls = tuple(itertools.combinations(S, len(S) - 1)) if len(S) > 2 else ()
-        return Chamber(self.space, tuple(s for s in self.light_max if s != S) + subwalls)
+    def _above(self, s: int) -> "Chamber":
+        """The chamber above W_S for the mask ``s`` of a maximal light set S,
+        not checked for realizability: the other maximal light sets, and the
+        sets S - j that none of them contains (for |S| > 2)."""
+        out = [a for a in self._masks if a != s]
+        if s.bit_count() > 2:
+            bits = s
+            while bits:
+                low = bits & -bits
+                t = s ^ low
+                for a in out:  # the sets S - j added so far contain no other
+                    if t & a == t:
+                        break
+                else:
+                    out.append(t)
+                bits ^= low
+        out.sort()
+        return _adopt(self.space, tuple(out))
 
     def quotient(self, S: Iterable[int]) -> "Chamber":
-        """Merge the points of S into one point, placed last."""
-        S = frozenset(S)
-        if len(S) < 2 or not S <= set(self.space.labels):
-            raise ValueError(f"invalid quotient set {sorted(S)}")
-        n2 = self.space.n - len(S) + 1
+        """Merge the points of S into one point, placed last.
+
+        A set of the quotient meeting the merged point is heavy, so the light
+        sets are those of C inside the complement of S, renumbered: the
+        maximal ones are the maximal sets of size >= 2 among M - S for the
+        maximal light sets M of C.
+        """
+        s = self._wall_mask(S, ValueError, "quotient")
+        n2 = self.space.n - s.bit_count() + 1
         if 2 * self.space.g - 2 + n2 <= 0:
             raise UnstableError(f"quotient space D_({self.space.g},{n2}) unstable")
-        comp = sorted(set(self.space.labels) - S)
-        merged = n2
-        space2 = StabilitySpace(self.space.g, n2)
-        light = []
-        for J in space2.subsets():
-            if merged in J:
-                continue  # (C/S)(J) = 1 whenever J meets S without J subset S
-            pre = frozenset(comp[i - 1] for i in J)
-            if self.value(pre) == 0:
-                light.append(J)
-        return Chamber(space2, tuple(tuple(sorted(s)) for s in light))
+        return _adopt(_space(self.space.g, n2), _maximal(_compressed(self._masks, s)))
 
     def restrict(self, T: Iterable[int]) -> "Chamber":
         """Forget the points outside T; result lives in D_{g,|T|}."""
         T = sorted(set(T))
-        if not set(T) <= set(self.space.labels):
+        if not _label_set(self.space.n).issuperset(T):
             raise ValueError(f"invalid restriction set {T}")
         if 2 * self.space.g - 2 + len(T) <= 0:
             raise UnstableError(f"restricted space D_({self.space.g},{len(T)}) unstable")
-        space2 = StabilitySpace(self.space.g, len(T))
-        relabel = {j: i for i, j in enumerate(T, start=1)}
-        light = []
-        for s in self.light_max:
-            inter = [relabel[j] for j in s if j in relabel]
-            if len(inter) >= 2:
-                light.append(tuple(sorted(inter)))
-        return Chamber(space2, tuple(light))
+        drop = (1 << self.space.n) - 1 & ~_mask(T)
+        return _adopt(_space(self.space.g, len(T)), _maximal(_compressed(self._masks, drop)))
 
     def permuted(self, perm: Mapping[int, int]) -> "Chamber":
-        light = [tuple(sorted(perm[j] for j in s)) for s in self.light_max]
-        return Chamber(self.space, tuple(light))
+        return Chamber(self.space, [[perm[j] for j in _labels(m)] for m in self._masks])
 
     # -- flat / light coordinates ----------------------------------------------
 
     def q_set(self, i: int) -> frozenset[int]:
         """q(C) = {j != i : C({j,i}) = 1}, the pair walls crossed as theta_i -> 2pi."""
-        return frozenset(
-            j for j in self.space.labels if j != i and self.value({j, i}) == 1
-        )
+        return frozenset(_labels((1 << self.space.n) - 1 & ~self._partners(i)))
+
+    def _partners(self, i: int) -> int:
+        """The mask of i and every j with {i, j} light."""
+        bit = 1 << (i - 1)
+        out = bit
+        for a in self._masks:
+            if a & bit:
+                out |= a
+        return out
 
     def is_light(self, i: int) -> bool:
         """Empty contraction set: C(S)=0 implies C(S+{i})=0 for every S (any size)."""
@@ -283,11 +414,13 @@ class Chamber:
         return self.is_flat(i)
 
     def is_flat(self, i: int) -> bool:
-        """Contraction sets of order <= 2 only: C(S)=0 => C(S+{i})=0 for |S| >= 2."""
-        for S in self.space.subsets():
-            if i not in S and self.value(S) == 0 and self.value(S | {i}) == 1:
-                return False
-        return True
+        """Contraction sets of order <= 2 only: C(S)=0 => C(S+{i})=0 for |S| >= 2.
+
+        A maximal light set M without i is such an S with S + {i} heavy, and
+        every light S lies in some M, so this holds iff every M contains i.
+        """
+        bit = 1 << (i - 1)
+        return all(a & bit for a in self._masks)
 
     # -- serialization -----------------------------------------------------------
 
@@ -308,13 +441,20 @@ class Chamber:
         return realize(self) is not None
 
 
-def _adopt(space: StabilitySpace, light_max: tuple[tuple[int, ...], ...]) -> Chamber:
-    """The chamber with light antichain ``light_max``, which is already in
-    canonical form (maximal sets only, sorted): built without the validation
-    and re-canonicalization of ``Chamber.__post_init__``."""
+# The slot setters, which bypass ``Chamber.__setattr__``.
+_set_space, _set_masks, _set_hash, _set_light = (
+    getattr(Chamber, name).__set__ for name in Chamber.__slots__
+)
+
+
+def _adopt(space: StabilitySpace, masks: tuple[int, ...]) -> Chamber:
+    """The chamber whose maximal light sets are ``masks``, which are already
+    ascending and an antichain of sets of size >= 2: built without the
+    validation of ``Chamber(space, light_max)``."""
     c = object.__new__(Chamber)
-    object.__setattr__(c, "space", space)
-    object.__setattr__(c, "light_max", light_max)
+    _set_space(c, space)
+    _set_masks(c, masks)
+    _set_hash(c, hash((space.g, space.n, masks)))
     return c
 
 
@@ -341,16 +481,14 @@ def chamber_from_json_dict(data: Mapping, g: Optional[int] = None, n: Optional[i
 
 def main_chamber(space: StabilitySpace) -> Chamber:
     """C^M: every set heavy; its volume polynomial is Mirzakhani's."""
-    return Chamber(space, ())
+    return _adopt(space, ())
 
 
 def light_chamber(space: StabilitySpace) -> Chamber:
     """C^L (g >= 1 only): every set light."""
     if space.g == 0:
         raise UnstableError("the all-light chamber is empty when g = 0")
-    if space.n < 2:
-        return Chamber(space, ())
-    return Chamber(space, (tuple(space.labels),))
+    return _adopt(space, ((1 << space.n) - 1,) if space.n >= 2 else ())
 
 
 def minimal_chamber_0(space: StabilitySpace, j: int) -> Chamber:
@@ -386,7 +524,7 @@ def _genus_class(space: StabilitySpace) -> StabilitySpace:
     """The space D_{min(g,1),n}, whose walls, chambers and realizability LPs
     are those of ``space``: for g >= 1, sum a > 2-2g follows from a_j > 0.
     D_{0,n} is its own class."""
-    return space if space.g <= 1 else StabilitySpace(1, space.n)
+    return space if space.g <= 1 else _space(1, space.n)
 
 
 def realize(c: Chamber) -> Optional[Realization]:
@@ -420,8 +558,7 @@ def _realize_key(space: StabilitySpace, key: tuple[int, ...]) -> Optional[Realiz
     ``key``, solved once per orbit of the genus class."""
     entry = (_genus_class(space), key)
     if entry not in _realize_orbits:
-        light = sorted(map(_labels, key))
-        _realize_orbits[entry] = _solve(_adopt(space, tuple(light)))
+        _realize_orbits[entry] = _solve(_adopt(space, key))
     return _realize_orbits[entry]
 
 
@@ -492,7 +629,8 @@ def witness(c: Chamber) -> WeightVector:
     got = realize(c)
     if got is None:
         raise NotRealizableError(f"{c} is not realizable")
-    return WeightVector(c.space, got[0])
+    den = lcm(*(x.denominator for x in got[0]))
+    return WeightVector._from_ints(c.space, (x.numerator * (den // x.denominator) for x in got[0]), den)
 
 
 # -- classification ---------------------------------------------------------------
@@ -530,9 +668,9 @@ def classify(w: WeightVector) -> Chamber:
     out = []
     m = bits.find("1")
     while m >= 0:
-        out.append(_labels(m))
+        out.append(m)
         m = bits.find("1", m + 1)
-    return _adopt(w.space, tuple(sorted(out)))
+    return _adopt(w.space, tuple(out))
 
 
 # -- crossing paths ----------------------------------------------------------------
@@ -572,11 +710,16 @@ def last_crossing(
     ``enumerate_chambers``), S is the first realizable candidate in
     ``light_max`` order.
     """
-    candidates = [(dst._above(S), S) for S in dst.light_max if src.value(S) == 1]
-    candidates.sort(key=lambda pair: pair[0] not in known and _realize_cache.get(pair[0]) is None)
-    for above, S in candidates:
-        if above in known or above.is_realizable():
-            return above, frozenset(S)
+    unknown = []
+    for s in sorted(dst._masks, key=_labels):  # light_max order
+        if not src._is_light(s):
+            above = dst._above(s)
+            if above in known or _realize_cache.get(above) is not None:
+                return above, frozenset(_labels(s))
+            unknown.append((above, s))
+    for above, s in unknown:
+        if above.is_realizable():
+            return above, frozenset(_labels(s))
     raise NotComparableError(f"{src} does not lie strictly above {dst}")
 
 
@@ -591,10 +734,15 @@ def crossing_path(src: Chamber, dst: Chamber) -> CrossingPath:
         raise NotComparableError("chambers live in different spaces")
     if src == dst:
         return CrossingPath((), dst)
-    for J in src.space.subsets():
-        if dst.value(J) > src.value(J):
+    # src lies above dst iff its light sets are light in dst; if not, the
+    # first set in ``space.subsets()`` order that is not lies in one of ``bad``
+    bad = [a for a in src._masks if not dst._is_light(a)]
+    for r in range(2, src.space.n + 1) if bad else ():
+        subsets = (T for a in bad for T in itertools.combinations(_labels(a), r))
+        found = [T for T in subsets if not dst._is_light(_mask(T))]
+        if found:
             raise NotComparableError(
-                f"{sorted(J)} is light above but heavy below; chambers incomparable"
+                f"{list(min(found))} is light above but heavy below; chambers incomparable"
             )
     if not (src.is_realizable() and dst.is_realizable()):
         raise NotRealizableError("both endpoints must be realizable")
@@ -604,6 +752,48 @@ def crossing_path(src: Chamber, dst: Chamber) -> CrossingPath:
         cur, S = last_crossing(src, cur)
         steps.append((cur, S))
     return CrossingPath(tuple(reversed(steps)), dst)
+
+
+# -- hulls ---------------------------------------------------------------------------
+
+
+def flat_hull(c: Chamber, i: int) -> Chamber:
+    """The chamber below c reached by crossing only walls S+{i}, |S| >= 2,
+    that is flat in i.  Exists iff no light S >= 2 meets q(C).
+
+    Every light S avoiding i lies in M - {i} for a maximal light set M, so
+    the maximal light sets of the hull are the maximal sets M + {i}.  A
+    light S meeting q(C) makes S + {i} heavy; the first in
+    ``space.subsets()`` order is a pair.
+    """
+    bit = 1 << (i - 1)
+    far = (1 << c.space.n) - 1 & ~c._partners(i)  # q(C)
+    pairs = (
+        T
+        for a in c._masks
+        if a & far
+        for T in itertools.combinations(_labels(a & ~bit), 2)
+        if _mask(T) & far
+    )
+    S = min(pairs, default=None)
+    if S is not None:
+        raise NoFlatHullError(f"no flat hull in coordinate {i}: light set {list(S)} meets q(C)")
+    hull = _adopt(c.space, _maximal(a | bit for a in c._masks))
+    if not hull.is_realizable():
+        raise NotRealizableError(f"flat hull of {c} in coordinate {i} is not realizable")
+    return hull
+
+
+def light_hull(c: Chamber, i: int) -> Chamber:
+    """The chamber light in i below c, crossing only walls containing i: its
+    maximal light sets are the maximal sets M + {i}, for M a maximal light
+    set of c or a single label."""
+    bit = 1 << (i - 1)
+    singles = (1 << j for j in range(c.space.n))
+    hull = _adopt(c.space, _maximal(a | bit for a in (*c._masks, *singles)))
+    if not hull.is_realizable():
+        raise NotRealizableError(f"light hull of {c} in coordinate {i} is not realizable")
+    return hull
 
 
 # -- enumeration ---------------------------------------------------------------------
@@ -642,7 +832,7 @@ class _Relabelings:
         already canonical."""
         if list(key) != sorted(key):
             raise ValueError(f"rank tuple {key} is not sorted")
-        return _adopt(space, tuple(self.subsets[r] for r in key))
+        return _adopt(space, tuple(sorted(map(self.masks.__getitem__, key))))
 
 
 @functools.cache
@@ -789,13 +979,12 @@ def _sorted_key(
     relabelings that fix it: the ties that remain still fix the chamber.
     """
     n = c.space.n
-    masks = [_mask(s) for s in c.light_max]
-    ranks = _desirability(_light_closure(masks, n), n)
+    ranks = _desirability(c._closure(), n)
     if ranks is None:
         return None
     if merged_last:
         ranks = ranks[:-1] + (n,)  # no label has n labels above it
-    return _sorted_masks(masks, ranks)
+    return _sorted_masks(c._masks, ranks)
 
 
 def _sorted_masks(
@@ -878,7 +1067,7 @@ def _representatives(space: StabilitySpace) -> tuple[Chamber, ...]:
             sym = _relabelings(space.n)
             reps = tuple(sym.chamber(space, key) for key in _search(space))
         else:
-            reps = tuple(_adopt(space, c.light_max) for c in _representatives(cls))
+            reps = tuple(_adopt(space, c._masks) for c in _representatives(cls))
         got = _enum_cache[space] = (reps, None)
     return got[0]
 
@@ -895,7 +1084,7 @@ def _full_list(space: StabilitySpace) -> _FullList:
             every = _expand(space, reps)
         else:
             chambers, witnesses = _full_list(cls)
-            every = (tuple(_adopt(space, c.light_max) for c in chambers), witnesses)
+            every = (tuple(_adopt(space, c._masks) for c in chambers), witnesses)
         for c, w in zip(*every):
             _realize_cache.setdefault(c, w)
         _enum_cache[space] = (reps, every)
@@ -936,10 +1125,9 @@ def _expand(space: StabilitySpace, reps: Iterable[Chamber]) -> _FullList:
     sym = _relabelings(space.n)
     witnesses = {}  # rank tuple -> (witness, slack)
     for rep in reps:
-        masks = [_mask(s) for s in rep.light_max]
-        ks = _coset_relabelings(space.n, _desirability(_light_closure(masks, space.n), space.n))
+        ks = _coset_relabelings(space.n, _desirability(rep._closure(), space.n))
         point, slack = realize(rep)
-        for k, image in zip(ks, sym.relabeled(masks, ks)):
+        for k, image in zip(ks, sym.relabeled(rep._masks, ks)):
             witnesses[image] = (_moved(point, sym.perms[k]), slack)
     keys = sorted(witnesses, key=lambda k: (len(k), k))
     return tuple(sym.chamber(space, key) for key in keys), tuple(map(witnesses.__getitem__, keys))

@@ -4,8 +4,14 @@ Subcommands: chamber classify / chamber enumerate, volume, wallcross, eval,
 verify.  All rationals in CLI I/O are strings "p/q"; pi stays formal except
 under --numeric, which prints a decimal at --precision digits.
 
-Exit codes: 0 success, 1 domain error (on a wall, not realizable, ...),
-2 usage error.
+Exit codes: 0 success, 1 domain error (on a wall, not realizable, an input
+past a cost bound, ...), 2 usage error.
+
+Three bounds keep the cost of a command line finite, each checked before
+any work and raising BoundExceededError (exit 1, as the enumeration bound
+does): the number of points n of --weights and --chamber, the degree
+3g - 3 + n of the volumes that volume, wallcross and eval compute, and the
+--precision digits of eval --numeric.  The library API has no such bounds.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .chambers import (
     classify,
     enumerate_chambers,
 )
-from .errors import WpvolError
+from .errors import BoundExceededError, WpvolError
 from .poly import Poly
 from .rationals import parse_weights
 from .verify import SUITES as VERIFY_SUITES, run as run_verify
@@ -32,6 +38,28 @@ from .volumes import chamber_volume, piecewise_volume, wall_crossing_poly
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
+
+# Each bound is set from cold times, one process each, on a 2-core x86_64
+# machine with Python 3.11.7.  MAX_POINTS: the volume of the all-light
+# chamber, which crosses every wall, takes 15.1 s for D_{1,7} and more than
+# 100 s for D_{1,8}.  MAX_DEGREE: that volume takes 12.8 s for D_{2,6}
+# (degree 9) and 168 s for D_{2,7} (degree 10).  MAX_DIGITS: eval --numeric
+# takes 0.44 s at 10 000 digits and 17.8 s at 100 000.
+MAX_POINTS = 7
+MAX_DEGREE = 9
+MAX_DIGITS = 10_000
+
+
+def _bounded_space(g: int, n: int, volumes: bool) -> StabilitySpace:
+    """D_{g,n} of a command line, within the bounds on n and, for a command
+    that computes volumes, on their degree."""
+    if n > MAX_POINTS:
+        raise BoundExceededError(f"n={n} exceeds the command-line bound MAX_POINTS={MAX_POINTS}")
+    if volumes and 3 * g - 3 + n > MAX_DEGREE:
+        raise BoundExceededError(
+            f"degree 3g-3+n={3 * g - 3 + n} exceeds the command-line bound MAX_DEGREE={MAX_DEGREE}"
+        )
+    return StabilitySpace(g, n)
 
 
 def _json(data: dict) -> str:
@@ -55,19 +83,19 @@ def _emit(data: dict, poly: Poly, fmt: str) -> str:
 
 
 def _parse_chamber(args) -> Chamber:
-    """The chamber named by exactly one of --weights and --chamber."""
+    """The chamber named by exactly one of --weights and --chamber, in a
+    space within the bounds of a volume command."""
     if args.weights is not None:
         a = parse_weights(args.weights)
-        space = StabilitySpace(args.g, len(a))
-        return classify(WeightVector(space, a))
-    data = json.loads(args.chamber)
-    return chamber_from_json_dict(data, g=args.g, n=args.n)
+        return classify(WeightVector(_bounded_space(args.g, len(a), True), a))
+    c = chamber_from_json_dict(json.loads(args.chamber), g=args.g, n=args.n)
+    _bounded_space(c.space.g, c.space.n, True)
+    return c
 
 
 def cmd_chamber_classify(args) -> int:
     a = parse_weights(args.weights)
-    space = StabilitySpace(args.g, len(a))
-    c = classify(WeightVector(space, a))
+    c = classify(WeightVector(_bounded_space(args.g, len(a), False), a))
     print(_json(c.to_json_dict()) if args.format == "json" else str(c))
     return EXIT_OK
 
@@ -100,9 +128,12 @@ def cmd_wallcross(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.numeric and args.precision > MAX_DIGITS:
+        raise BoundExceededError(
+            f"precision {args.precision} exceeds the command-line bound MAX_DIGITS={MAX_DIGITS}"
+        )
     a = parse_weights(args.weights)
-    space = StabilitySpace(args.g, len(a))
-    w = WeightVector(space, a)
+    w = WeightVector(_bounded_space(args.g, len(a), True), a)
     if args.numeric:
         c, vr, value = piecewise_volume(w, numeric=True, digits=args.precision)
         data = {"chamber": c.to_json_dict(), "value_numeric": str(value)}

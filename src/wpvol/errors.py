@@ -48,7 +48,9 @@ class UnstableError(WpvolError):
 
 
 class BoundExceededError(WpvolError):
-    """The space has more points than chambers.ENUMERATION_BOUND allows."""
+    """An input past a bound on its cost: a space with more points than
+    chambers.ENUMERATION_BOUND allows, or a command line past a bound of
+    wpvol.cli."""
 
 
 class NoFlatHullError(WpvolError):

@@ -512,8 +512,8 @@ def check_positivity(rep: Reporter, spaces: Iterable[StabilitySpace]) -> None:
             base = [x.numerator * (den // x.denominator) for x in point]
             step = slack.numerator * (den // scale)
             for _ in range(20):
-                a = tuple(Fraction(k - rng.randint(0, 999) * step, den) for k in base)
-                w = WeightVector(space, a)
+                nums = [k - rng.randint(0, 999) * step for k in base]
+                w = WeightVector._from_ints(space, nums, den)
                 if classify(w) != c:
                     bad += 1
                     continue

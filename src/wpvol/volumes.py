@@ -52,10 +52,12 @@ from .chambers import (
     _sorted_key,
     classify,
     crossing_path,
+    flat_hull,
     last_crossing,
+    light_hull,
     main_chamber,
 )
-from .errors import NoFlatHullError, NotRealizableError, UnstableError, WpvolError
+from .errors import NotRealizableError, UnstableError, WpvolError
 from .intersection import kappa_psi_intersection
 from .numeric import evaluate_pi_numerators
 from .poly import Poly, PolyRing, angle_ring, phi_form, pi_poly
@@ -249,7 +251,7 @@ def _realizable_chamber_volume(c: Chamber) -> VolumeResult:
     got = _volume_cache.get(c)
     if got is not None:
         return got
-    if not c.light_max:
+    if not c._masks:
         result = mirzakhani_volume(c.space.g, c.space.n)
     else:
         above, wall = last_crossing(main_chamber(c.space), c, _volume_cache)
@@ -467,41 +469,7 @@ def wc_derivative_check(c: Chamber, S: Iterable[int], j: int) -> tuple[Poly, Pol
     return lhs, rhs
 
 
-# -- hulls and generalized dilaton -----------------------------------------------------
-
-
-def flat_hull(c: Chamber, i: int) -> Chamber:
-    """The chamber below c reached by crossing only walls S+{i}, |S| >= 2,
-    that is flat in i.  Exists iff no light S >= 2 meets q(C)."""
-    q = c.q_set(i)
-    light = list(c.light_max)
-    for S in c.space.subsets():
-        if i in S or c.value(S) == 1:
-            continue
-        if c.value(S | {i}) == 1:
-            if q & S:
-                raise NoFlatHullError(
-                    f"no flat hull in coordinate {i}: light set {sorted(S)} meets q(C)"
-                )
-            light.append(tuple(sorted(S | {i})))
-    hull = Chamber(c.space, tuple(light))
-    if not hull.is_realizable():
-        raise NotRealizableError(f"flat hull of {c} in coordinate {i} is not realizable")
-    return hull
-
-
-def light_hull(c: Chamber, i: int) -> Chamber:
-    """The chamber light in i below c, crossing only walls containing i."""
-    light = list(c.light_max)
-    for S in c.space.subsets(min_size=1):
-        if i in S:
-            continue
-        if c.value(S) == 0 and c.value(S | {i}) == 1:
-            light.append(tuple(sorted(S | {i})))
-    hull = Chamber(c.space, tuple(light))
-    if not hull.is_realizable():
-        raise NotRealizableError(f"light hull of {c} in coordinate {i} is not realizable")
-    return hull
+# -- generalized dilaton -------------------------------------------------------------
 
 
 def incident_zero_check(c: Chamber, i: int) -> tuple[Poly, Poly, CrossingPath]:

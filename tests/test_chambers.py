@@ -148,6 +148,37 @@ def test_integer_validation_matches_fraction_rules_on_random_weights(case):
             WeightVector(space, tuple(a))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([S04, S05, S12, StabilitySpace(0, 3), StabilitySpace(2, 3)]).flatmap(
+        lambda space: st.tuples(
+            st.just(space),
+            st.lists(st.integers(-40, 200), min_size=space.n, max_size=space.n),
+            st.integers(1, 120),
+            st.integers(1, 3 * 2**64),
+        )
+    )
+)
+def test_weight_vector_from_ints_matches_constructor(case):
+    """``WeightVector._from_ints(space, nums, den)`` is ``WeightVector(space,
+    nums / den)``: the same weights, integer form, repr, equality and hash,
+    or the same error, whatever common factor the numerators and den share."""
+    space, nums, den, scale = case
+    nums, den = [k * scale for k in nums], den * scale
+    a = tuple(F(k, den) for k in nums)
+    try:
+        want = WeightVector(space, a)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            WeightVector._from_ints(space, nums, den)
+        assert str(got.value) == str(err)
+        return
+    w = WeightVector._from_ints(space, nums, den)
+    assert (w.a, w.den, w.nums) == (want.a, want.den, want.nums)
+    assert repr(w) == repr(want) and w == want and hash(w) == hash(want)
+    assert all(type(x) is F for x in w.a)
+
+
 def test_classify_examples():
     assert classify(WeightVector(S04, (F(9, 10),) * 4)) == main_chamber(S04)
     c = classify(WeightVector(S04, (F(1), F(2, 5), F(2, 5), F(2, 5))))
@@ -696,7 +727,7 @@ def test_orbit_search_matches_reference_orbit_search(empty_memos, g, n):
     assert {c for c in memo if c.space == space} == set(got_all)
     for c in memo.keys() - set(got_all):
         assert c.space == cls != space
-        assert memo[c] == memo[chambers._adopt(space, c.light_max)]
+        assert memo[c] == memo[chambers._adopt(space, c._masks)]
 
 
 def _reference_realize(c, memo, orbits):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wpvol.cli as cli
 from wpvol.cli import main
 from wpvol.volumes import clear_volume_cache
 
@@ -366,3 +367,98 @@ def test_cli_fuzz_exit_codes(argv):
     assert "Traceback" not in err
     if code == 2 and parsed:
         assert len(err.strip().splitlines()) == 1, (argv, err)
+
+
+# -- cost bounds ---------------------------------------------------------------------
+
+
+class Reached(Exception):
+    """Raised by a patched computation: the input got past the bounds."""
+
+
+def _reached(*args, **kwargs):
+    raise Reached
+
+
+def _patch_computations(monkeypatch):
+    """Every computation a command line can start now raises ``Reached``."""
+    for name in ("classify", "chamber_volume", "wall_crossing_poly", "piecewise_volume"):
+        monkeypatch.setattr(cli, name, _reached)
+
+
+def _assert_bound(argv, message):
+    code, out, err, parsed = call_main(argv)
+    assert (code, parsed, out) == (1, True, "")
+    assert err == f"error: {message}\n"
+
+
+def _nine_tenths(n):
+    return ",".join(["9/10"] * n)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["chamber", "classify", "--g", "1", "--weights"],
+        ["volume", "--g", "0", "--weights"],
+        ["wallcross", "--g", "0", "--wall", "1,2", "--weights"],
+        ["eval", "--g", "0", "--weights"],
+        ["volume", "--g", "0", "--n", "{n}", "--chamber"],
+        ["wallcross", "--g", "0", "--wall", "1,2", "--n", "{n}", "--chamber"],
+    ],
+    ids=["classify", "volume", "wallcross", "eval", "volume-chamber", "wallcross-chamber"],
+)
+def test_points_bound(monkeypatch, command):
+    """More than MAX_POINTS points is rejected before any computation, for
+    --weights and --chamber alike; MAX_POINTS points are not."""
+    _patch_computations(monkeypatch)
+    for n in (cli.MAX_POINTS + 1, 30, 10_000):
+        source = '{"light_max":[]}' if command[-1] == "--chamber" else _nine_tenths(n)
+        argv = [a.format(n=n) for a in command] + [source]
+        _assert_bound(argv, f"n={n} exceeds the command-line bound MAX_POINTS={cli.MAX_POINTS}")
+    n = cli.MAX_POINTS
+    source = '{"light_max":[]}' if command[-1] == "--chamber" else _nine_tenths(n)
+    with pytest.raises(Reached):
+        call_main([a.format(n=n) for a in command] + [source])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["volume", "--weights"],
+        ["wallcross", "--wall", "1,2", "--weights"],
+        ["eval", "--weights"],
+        ["eval", "--numeric", "--weights"],
+    ],
+    ids=["volume", "wallcross", "eval", "eval-numeric"],
+)
+def test_degree_bound(monkeypatch, command):
+    """A volume of degree 3g-3+n above MAX_DEGREE is rejected before any
+    computation; degree MAX_DEGREE is not, and classify has no degree."""
+    _patch_computations(monkeypatch)
+    for g, n in ((99_999, 1), (cli.MAX_DEGREE // 3 + 2, 1), (3, cli.MAX_DEGREE - 5)):
+        d = 3 * g - 3 + n
+        assert d > cli.MAX_DEGREE and n <= cli.MAX_POINTS
+        argv = [command[0], "--g", str(g), *command[1:], _nine_tenths(n)]
+        _assert_bound(argv, f"degree 3g-3+n={d} exceeds the command-line bound MAX_DEGREE={cli.MAX_DEGREE}")
+    g, n = 2, cli.MAX_DEGREE - 3
+    with pytest.raises(Reached):
+        call_main([command[0], "--g", str(g), *command[1:], _nine_tenths(n)])
+    with pytest.raises(Reached):
+        call_main(["chamber", "classify", "--g", "99999", "--weights", "1/2"])
+
+
+def test_precision_bound(monkeypatch):
+    """eval --numeric past MAX_DIGITS digits is rejected before any
+    computation; MAX_DIGITS digits, or any precision without --numeric, are
+    not."""
+    _patch_computations(monkeypatch)
+    argv = ["eval", "--g", "1", "--weights", "1/10,1/10"]
+    for digits in (cli.MAX_DIGITS + 1, 100_000_000):
+        _assert_bound(
+            argv + ["--numeric", "--precision", str(digits)],
+            f"precision {digits} exceeds the command-line bound MAX_DIGITS={cli.MAX_DIGITS}",
+        )
+    for extra in (["--numeric", "--precision", str(cli.MAX_DIGITS)], ["--precision", "100000000"]):
+        with pytest.raises(Reached):
+            call_main(argv + extra)
