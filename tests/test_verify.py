@@ -54,17 +54,64 @@ def _compose_lift(poly, S):
     return poly.compose(ext, [ext.pi()] + [rel if j == k else ext.var(j) for j in range(1, n + 1)])
 
 
+def _per_partial_continuity(wc, S):
+    """Reference: the former I01 test of one wall, k = min(S): wc and each
+    first partial d wc / d theta_j vanish after theta_k = 2 pi(|S|-1) -
+    sum_{j in S-k} theta_j is substituted."""
+    ring = wc.ring
+    k = min(S)
+    rel = ring.two_pi() - phi_form(ring, S - {k})
+    partials = [wc.diff(j) for j in range(1, ring.nvars)]
+    return all(p.subs(k, rel).is_zero() for p in [wc, *partials])
+
+
+def _lift_continuity(lifted):
+    """I01's verdict on a lifted crossing: no term of u-degree 0 or 1."""
+    u = lifted.ring.nvars - 1
+    return all(e[u] >= 2 for e in lifted.terms)
+
+
 @pytest.mark.parametrize("space, walls", [((0, 5), 3590), ((1, 4), 235)], ids=["D05", "D14"])
 def test_phi_lift_equals_the_compose_lift(space, walls):
     """I04's lift (relabel into the ring with u, then one ``subs``) equals
-    the ``compose`` lift it replaced, on every wall."""
+    the ``compose`` lift it replaced, on every wall, and I01's verdict on it
+    equals that of the per-partial form it replaced."""
     seen = 0
     for c in enumerate_chambers(StabilitySpace(*space)):
         for S, _ in verify._incident_walls(c):
             wc = volumes.wall_crossing_poly(c, S).poly
-            assert verify._phi_lift(wc, S) == _compose_lift(wc, S), (c, S)
+            lifted = verify._phi_lift(wc, S)
+            assert lifted == _compose_lift(wc, S), (c, S)
+            assert _lift_continuity(lifted) == _per_partial_continuity(wc, S), (c, S)
             seen += 1
     assert seen == walls
+
+
+@pytest.mark.parametrize("power, passes", [(1, False), (2, True)], ids=["phi", "phi^2"])
+def test_continuity_boundary_at_u_degree_two(monkeypatch, power, passes):
+    """One crossing of D_(1,4) plus phi_S^power * theta_j, j not in S: with
+    power 1 the lifted term has u-degree 1, and I01 (lift and per-partial
+    form) and I04 fail; with power 2 it has u-degree 2, and all pass."""
+    space = StabilitySpace(1, 4)
+    c = main_chamber(space)
+    S = frozenset({3, 4})
+    true_wc = verify.wall_crossing_poly
+    wc = true_wc(c, S)
+    ring = wc.poly.ring
+    bumped = replace(wc, poly=wc.poly + phi_form(ring, S) ** power * ring.var(1))
+
+    def patched(chamber, wall):
+        return bumped if (chamber, frozenset(wall)) == (c, S) else true_wc(chamber, wall)
+
+    monkeypatch.setattr(verify, "wall_crossing_poly", patched)
+    assert _per_partial_continuity(bumped.poly, S) is passes
+    assert _lift_continuity(verify._phi_lift(bumped.poly, S)) is passes
+    rep = Reporter()
+    verify.check_continuity(rep, [space])
+    verify.check_evenness(rep, [space])
+    assert [(r.id, r.passed) for r in rep.results] == [("I01.1.4", passes), ("I04", passes)]
+    if not passes:
+        assert rep.results[0].computed == "FAIL 1 walls nonvanishing"
 
 
 def test_unexpected_error_in_a_crossing_is_not_skipped(monkeypatch):
