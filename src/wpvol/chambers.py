@@ -289,12 +289,12 @@ class Chamber:
         """C = 0 on the label mask ``m``."""
         return not m & (m - 1) or any(m & a == m for a in self._masks)
 
-    def _wall_mask(self, S: Iterable[int], error: type[Exception], what: str) -> int:
+    def _wall_mask(self, S: Iterable[int], what: str) -> int:
         """The mask of a set S of two or more labels of the space; raises
-        ``error`` naming S otherwise."""
+        ValueError naming S otherwise."""
         S = set(S)
         if len(S) < 2 or not S <= _label_set(self.space.n):
-            raise error(f"invalid {what} set {sorted(S)}")
+            raise ValueError(f"invalid {what} set {sorted(S)}")
         return _mask(S)
 
     # -- the order-preserving function ----------------------------------------
@@ -317,7 +317,7 @@ class Chamber:
 
     def cross(self, S: Iterable[int]) -> "Chamber":
         """Simple wall-crossing from above W_S to the chamber below."""
-        s = self._wall_mask(S, NotIncidentError, "wall")
+        s = self._wall_mask(S, "wall")
         labels = _labels(s)
         if self._is_light(s):
             raise NotIncidentError(f"chamber is not above W_{list(labels)}")
@@ -373,7 +373,7 @@ class Chamber:
         maximal ones are the maximal sets of size >= 2 among M - S for the
         maximal light sets M of C.
         """
-        s = self._wall_mask(S, ValueError, "quotient")
+        s = self._wall_mask(S, "quotient")
         n2 = self.space.n - s.bit_count() + 1
         if 2 * self.space.g - 2 + n2 <= 0:
             raise UnstableError(f"quotient space D_({self.space.g},{n2}) unstable")
@@ -545,7 +545,7 @@ def realize(c: Chamber) -> Optional[Realization]:
         return got
     got = None
     if (orbit := _sorted_key(c)) is not None:
-        key, perm = orbit  # label j of c is label perm[j-1] + 1 of the key
+        key, perm, _ = orbit  # label j of c is label perm[j-1] + 1 of the key
         canon = _realize_key(c.space, key)
         got = canon and (tuple(canon[0][p] for p in perm), canon[1])
     _realize_cache[c] = got
@@ -945,13 +945,14 @@ def _desirability(light: int, n: int) -> Optional[tuple[int, ...]]:
 
 
 @functools.cache
-def _sorting_permutation(ranks: tuple[int, ...]) -> tuple[int, ...]:
-    """The permutation that sorts the labels by desirability rank, and ties
-    by label: label j goes to perm[j-1] + 1."""
+def _sorting_permutation(ranks: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(perm, order): the permutation that sorts the labels by desirability
+    rank, and ties by label (label j goes to perm[j-1] + 1), and its inverse."""
+    order = tuple(sorted(range(len(ranks)), key=ranks.__getitem__))
     perm = [0] * len(ranks)
-    for position, j in enumerate(sorted(range(len(ranks)), key=ranks.__getitem__)):
+    for position, j in enumerate(order):
         perm[j] = position
-    return tuple(perm)
+    return tuple(perm), order
 
 
 @functools.cache
@@ -966,13 +967,13 @@ def _mask_images(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 def _sorted_key(
     c: Chamber, merged_last: bool = False
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(key, perm): the light antichain of ``c`` relabeled by
-    ``_sorting_permutation`` as ascending masks, and that permutation; None
-    if the desirability relation of ``c`` is not total, so that ``c`` is not
-    realizable.  Two chambers of a space share the key iff they lie in one
-    S_n orbit (``_desirability``); it takes no n! relabel table, so it holds
-    at any n.
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """(key, perm, order): the light antichain of ``c`` relabeled by
+    ``_sorting_permutation`` as ascending masks, and that permutation and its
+    inverse; None if the desirability relation of ``c`` is not total, so
+    that ``c`` is not realizable.  Two chambers of a space share the key iff
+    they lie in one S_n orbit (``_desirability``); it takes no n! relabel
+    table, so it holds at any n.
 
     With ``merged_last`` the last label gets a rank of its own, above every
     other, so the permutation fixes it and the key is one per orbit of the
@@ -989,11 +990,11 @@ def _sorted_key(
 
 def _sorted_masks(
     masks: Iterable[int], ranks: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """``_sorted_key`` of the light antichain ``masks`` with desirability
     ranks ``ranks``."""
-    perm = _sorting_permutation(ranks)
-    return tuple(sorted(map(_mask_images(perm).__getitem__, masks))), perm
+    perm, order = _sorting_permutation(ranks)
+    return tuple(sorted(map(_mask_images(perm).__getitem__, masks))), perm, order
 
 
 @functools.cache
@@ -1110,7 +1111,7 @@ def _search(space: StabilitySpace) -> list[tuple[int, ...]]:
                 if ranks is None:
                     continue
                 below = [m for m in masks if m & ~S] + [S]
-                key, _ = _sorted_masks(below, ranks)
+                key = _sorted_masks(below, ranks)[0]
                 if key not in seen:
                     seen.add(key)
                     if _realize_key(space, key) is not None:

@@ -128,6 +128,8 @@ def cmd_wallcross(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.numeric and args.precision < 1:
+        raise ValueError("precision must be at least 1 digit")  # as wpvol.numeric
     if args.numeric and args.precision > MAX_DIGITS:
         raise BoundExceededError(
             f"precision {args.precision} exceeds the command-line bound MAX_DIGITS={MAX_DIGITS}"

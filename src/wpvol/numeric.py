@@ -66,6 +66,8 @@ def evaluate_pi_numerators(nums: Mapping[int, int], den: int, digits: int = DEFA
     ints, so the numerators need not be reduced: any fraction of one value
     gives the same digits.  This is the one numeric evaluation loop.
     """
+    if digits < 1:
+        raise ValueError("precision must be at least 1 digit")
     with localcontext() as ctx:
         ctx.prec = digits + _GUARD
         pi_val = pi_decimal(digits + _GUARD)

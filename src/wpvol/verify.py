@@ -437,13 +437,13 @@ def check_quotient_equivalence(rep: Reporter, space: StabilitySpace) -> None:
     bad = 0
     total = 0
     quotient_sets = [S for S in space.subsets() if space.n - len(S) + 1 >= 3]
-    for c1 in enumerate_chambers(space):
+    cs = enumerate_chambers(space)
+    quotients = {c: [c.quotient(S) for S in quotient_sets] for c in cs}  # once per chamber
+    for c1 in cs:
         for T, c2 in _incident_walls(c1):
-            for S in quotient_sets:
+            for S, q1, q2 in zip(quotient_sets, quotients[c1], quotients[c2]):
                 total += 1
-                lhs = bool(T & S)
-                rhs = c1.quotient(S) == c2.quotient(S)
-                if lhs != rhs:
+                if bool(T & S) != (q1 == q2):
                     bad += 1
     rep.record_bool(
         "I03",

@@ -21,11 +21,11 @@ strictly reduces n and bottoms out at one-chamber spaces.
 Volumes are memoized per chamber.  Crossings are memoized per (C/S, S) and,
 below that, per key orbit: relabeling the points that fix the merged one is a
 symmetry, and phi_S is symmetric in S, so wc depends only on the space of
-C/S, on s and on the orbit of C/S.  One integral is computed per key orbit
-and relabeled (``Poly.relabeled``) for every other key in it.  The orbit is
-keyed by ``chambers._sorted_key``, as are the realizability and evaluation
-orbit tables, so this holds at every n.  The identity checks integrate
-through ``_integrate_crossing``, which bypasses both tables.
+C/S, on s and on the orbit of C/S.  One integral is computed per key orbit,
+in the labels of its key, and relabeled (``Poly.relabeled``) for every key
+in it; keyed by ``chambers._sorted_key``, as are the realizability and
+evaluation orbit tables, so this holds at every n.  The identity checks
+integrate through ``_integrate_crossing``, which neither table calls.
 Point queries (``piecewise_volume``) evaluate every chamber of an S_n orbit
 through the volume of the first one queried, at the angles permuted, so one
 evaluation plan is built per orbit; each chamber's own volume is still the
@@ -206,26 +206,20 @@ def _crossing_poly(c: Chamber, S: frozenset[int]) -> Poly:
 
 
 def _orbit_crossing(c: Chamber, S: frozenset[int], quotient: Chamber) -> Poly:
-    """wc_{C,S} through the key-orbit table; ``quotient`` is C/S."""
-    form, perm = _sorted_key(quotient, merged_last=True)
-    # reference variable perm[j-1] + 1 is the j-th label of the complement,
-    # and the last |S| reference variables are S
-    comp = sorted(set(c.space.labels) - S)
-    positions = [0] * (c.space.n + 1)
-    for p, j in zip(perm, comp):
-        positions[p + 1] = j
-    positions[len(comp) + 1 :] = sorted(S)
+    """wc_{C,S} through the key-orbit table; ``quotient`` is C/S.  A miss
+    integrates in the reference labelling (label j of C/S is variable
+    perm[j-1] + 1, S the last |S|); hit and miss relabel it to ``c``."""
+    form, perm, order = _sorted_key(quotient, merged_last=True)
     ring = angle_ring(c.space.n)
     key = (quotient.space, len(S), form)
     ref = _crossing_orbits.get(key)
-    if ref is not None:
-        return ref.relabeled(ring, positions)
-    poly = _integrate_crossing(c, S)
-    back = [0] * len(positions)
-    for i, j in enumerate(positions):
-        back[j] = i
-    _crossing_orbits[key] = poly.relabeled(ring, back)
-    return poly
+    if ref is None:
+        vq = chamber_volume(quotient).poly
+        s_ref = range(len(perm), c.space.n + 1)
+        ref = _crossing_orbits[key] = _wc_integral(vq, s_ref, [p + 1 for p in perm[:-1]], ring)
+    # reference variable i <= n - |S| is label order[i-1] + 1 of C/S, comp[order[i-1]] of c
+    comp = sorted(set(c.space.labels) - S)
+    return ref.relabeled(ring, [0, *(comp[i] for i in order[:-1]), *sorted(S)])
 
 
 _volume_cache: dict[Chamber, VolumeResult] = {}
@@ -275,15 +269,12 @@ _evaluators: dict[Chamber, tuple[VolumeResult, Poly, tuple[int, ...]]] = {}
 def _evaluator(c: Chamber) -> tuple[VolumeResult, Poly, tuple[int, ...]]:
     """The ``_evaluators`` entry of a realizable chamber."""
     vr = _realizable_chamber_volume(c)
-    key, perm = _sorted_key(c)
+    key, perm, order = _sorted_key(c)
     poly, rep_perm = _evaluation_orbits.setdefault((c.space, key), (vr.poly, perm))
     # perm and rep_perm take c and the representative to the same key, so
-    # label j of the representative is label back[rep_perm[j]] of c, whose
-    # angle variable j of the representative's volume reads
-    back = [0] * len(perm)
-    for j, p in enumerate(perm):
-        back[p] = j
-    return vr, poly, tuple(back[p] for p in rep_perm)
+    # label j of the representative is label order[rep_perm[j-1]] + 1 of c,
+    # whose angle variable j of the representative's volume reads
+    return vr, poly, tuple(order[p] for p in rep_perm)
 
 
 def piecewise_volume(w: WeightVector, numeric: bool = False, digits: int = 50):

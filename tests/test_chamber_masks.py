@@ -10,7 +10,9 @@ realizability.  Every chamber operation must give the same chambers, values,
 sets, JSON, text and errors.
 """
 
+import copy
 import itertools
+import pickle
 from dataclasses import dataclass
 
 import pytest
@@ -77,7 +79,7 @@ class SetChamber:
     def cross(self, S):
         S = frozenset(S)
         if len(S) < 2 or not S <= set(self.space.labels):
-            raise NotIncidentError(f"invalid wall set {sorted(S)}")
+            raise ValueError(f"invalid wall set {sorted(S)}")
         if self.value(S) != 1:
             raise NotIncidentError(f"chamber is not above W_{sorted(S)}")
         for r in range(2, len(S)):
@@ -318,6 +320,21 @@ def test_cross_and_uncross_on_every_realizable_chamber(g, n):
             assert outcome(c.cross, S) == outcome(ref.cross, S)
         for S in ref.light_max:
             assert outcome(c.uncross, S) == outcome(ref.uncross, S)
+
+
+@pytest.mark.parametrize("closure", [False, True], ids=["lazy", "built"])
+def test_chamber_round_trips_through_pickle_and_copy(closure):
+    """``Chamber.__reduce__`` rebuilds an equal chamber, with the same hash,
+    masks and light sets, through pickle, ``copy`` and ``deepcopy``, whether
+    or not the light closure was built; the copy builds the same closure."""
+    space = StabilitySpace(1, 5)
+    for c in (Chamber(space, []), Chamber(space, [[1, 2, 3], [4, 5], [1, 4]])):
+        if closure:
+            c._closure()
+        for again in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+            assert type(again) is Chamber and again == c and hash(again) == hash(c)
+            assert again._masks == c._masks and again.light_max == c.light_max
+            assert again._closure() == c._closure()
 
 
 # -- large n ----------------------------------------------------------------------------

@@ -1001,7 +1001,7 @@ def test_orbit_tables_above_the_enumeration_bound(monkeypatch, empty_memos):
     perm = {1: 2, 2: 7, 3: 4, 4: 1, 5: 3, 6: 5, 7: 6}
     c, S = c.permuted(perm), frozenset(perm[j] for j in S)
     with monkeypatch.context() as patched:
-        integrated = _counting(patched, volumes, "_integrate_crossing")
+        integrated = _counting(patched, volumes, "_wc_integral")
         got = volumes.wall_crossing_poly(c, S).poly
     assert not integrated and set(volumes._crossing_orbits) == keys
     assert got == volumes._integrate_crossing(c, S)
@@ -1268,13 +1268,15 @@ def test_orbit_over_cosets_matches_full_scan(g, n):
     permutation reaching it (``_reference_orbit``) are those of the scan
     over all relabelings.  With the merged label last, the sorted key is one
     per orbit of the relabelings that fix the last label, as the scan over
-    those finds them, and its permutation fixes that label and reaches it."""
+    those finds them, and its permutation fixes that label and reaches it,
+    with ``order`` its inverse."""
     keys = {}  # the last-fixed form -> the merged-last sorted keys of its chambers
     for c in enumerate_chambers(StabilitySpace(g, n)):
         masks = [chambers._mask(s) for s in c.light_max]
         assert _reference_orbit(masks, n) == _full_scan_orbit(c, False)
-        key, perm = chambers._sorted_key(c, merged_last=True)
+        key, perm, order = chambers._sorted_key(c, merged_last=True)
         assert perm[-1] == n - 1 and key == _image(masks, perm)
+        assert [perm[j] for j in order] == list(range(n))
         keys.setdefault(_full_scan_orbit(c, True)[0], set()).add(key)
     assert all(len(k) == 1 for k in keys.values())
     assert len(set().union(*keys.values())) == len(keys)

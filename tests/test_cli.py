@@ -104,6 +104,16 @@ def test_wallcross_not_incident_is_domain_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("wall", ["1", "1,3"])
+def test_wallcross_invalid_wall_set_is_usage_error(wall):
+    """A --wall that names no wall of the space is a usage error, as a
+    malformed --chamber set is; a well-formed wall not incident stays a
+    domain error."""
+    argv = ["wallcross", "--g", "1", "--n", "2", "--chamber", '{"light_max":[]}', "--wall", wall]
+    labels = ", ".join(wall.split(","))
+    assert call_main(argv) == (2, "", f"usage error: invalid wall set [{labels}]\n", True)
+
+
 def test_chamber_enumerate(capsys):
     code, out, _ = run_cli(
         capsys, "chamber", "enumerate", "--g", "0", "--n", "4", "--up-to-symmetry"
@@ -462,3 +472,15 @@ def test_precision_bound(monkeypatch):
     for extra in (["--numeric", "--precision", str(cli.MAX_DIGITS)], ["--precision", "100000000"]):
         with pytest.raises(Reached):
             call_main(argv + extra)
+
+
+def test_precision_below_one_digit(monkeypatch):
+    """eval --numeric below 1 digit is a one-line usage error before any
+    computation; without --numeric the precision is not read."""
+    _patch_computations(monkeypatch)
+    argv = ["eval", "--g", "1", "--weights", "1/10,1/10", "--precision"]
+    for digits in ("0", "-3", "-20"):
+        got = call_main(argv + [digits, "--numeric"])
+        assert got == (2, "", "usage error: precision must be at least 1 digit\n", True)
+        with pytest.raises(Reached):
+            call_main(argv + [digits])

@@ -227,6 +227,15 @@ def test_numeric_evaluation():
     assert str(v).startswith("19.7392088")
 
 
+@pytest.mark.parametrize("digits", [0, -3, -20])
+def test_precision_below_one_digit_is_rejected(digits):
+    """Below 1 digit, ``evaluate_pi_numerators`` and ``pi_decimal`` raise one
+    message, not Decimal's own range error."""
+    for evaluate in (lambda: evaluate_pi_numerators({0: 1}, 1, digits), lambda: pi_decimal(digits)):
+        with pytest.raises(ValueError, match="^precision must be at least 1 digit$"):
+            evaluate()
+
+
 def former_evaluate_pi_poly(p, digits):
     """The former body of ``evaluate_pi_poly``: one reduced Fraction per
     term, in ``sorted_terms`` order."""
