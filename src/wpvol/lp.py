@@ -6,21 +6,31 @@ The callers arrange b >= 0, so the all-slack basis is feasible and no phase-1
 is needed.
 
 Inputs may be ints or Fractions.  Each row is cleared to integers up front by
-the lcm of its denominators, with no Fraction built.
+the lcm of its denominators, with no Fraction built; a row whose lcm is 1, as
+every row of the realizability LP is, passes through unscaled.
 
-The tableau is condensed (Tucker form): it stores the m basic rows and the
-objective row, each with one entry per nonbasic variable and the rhs, so a row
-has n+1 entries instead of the n+m+1 of the full tableau.  Variables are
-labelled 0..n-1 (the x_j) and n..n+m-1 (the slacks); ``cols`` holds the labels
-of the nonbasic columns and ``basis`` those of the rows.  Pivoting uses the
-fraction-free update x' = (piv*x - f*y) / d, where piv is the pivot, f the
-row's entry in the pivot column, y the pivot row's entry and d the previous
+The tableau is condensed (Tucker form): it stores one entry per basic row and
+the objective for each nonbasic variable and the rhs, so it has n+1 columns
+instead of the n+m+1 of the full tableau.  It is kept by columns: ``T[k]`` is
+the column of the k-th nonbasic variable (``T[n]`` the rhs), with its m basic
+rows first and the objective entry last.  Variables are labelled 0..n-1 (the
+x_j) and n..n+m-1 (the slacks); ``cols`` holds the labels of the nonbasic
+columns and ``basis`` those of the rows.  Pivoting uses the fraction-free
+update x' = (piv*x - f*y) / d, where piv is the pivot, f the entry of x's row
+in the pivot column, y the pivot row's entry in x's column and d the previous
 pivot.  The divisions are exact (Bareiss: every entry stays a minor of the
 original integer matrix) and the running tableau is d times the usual rational
 one, with d > 0, so sign tests and cross-multiplied ratio tests are unchanged.
 The pivot row itself is left as it is.  The pivot column then stands for the
 leaving variable, whose full-tableau column after the pivot is d in the pivot
 row and -f in every other row, the objective included; the two labels swap.
+
+A pivot rewrites only the columns it changes.  With piv == d (the pivot
+equals the previous one, the common case on the 0/+-1 rows of the
+realizability LP) a column whose pivot row entry y is 0 is skipped: each entry becomes (d*x - f*0) / d = x, so the
+column is exactly unchanged.  With piv == d and y != 0 an entry becomes
+x - f*y/d, where f*y is divisible by d because (d*x - f*y) / d is exact.  Any
+other pivot uses the full update.
 
 Every condensed entry equals an entry of the full tableau, whose basic columns
 are unit columns with objective 0.  So Bland's rule reads the same on labels:
@@ -38,8 +48,11 @@ from typing import Sequence
 
 
 def _int_row(xs) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, and that lcm."""
+    """The row times the lcm of its denominators, and that lcm; with lcm 1
+    the row's numerators, unscaled."""
     scale = lcm(*(x.denominator for x in xs))
+    if scale == 1:
+        return [x.numerator for x in xs], 1
     return [x.numerator * (scale // x.denominator) for x in xs], scale
 
 
@@ -58,9 +71,9 @@ def simplex_max(
     m = len(A)
     # The slack of a scaled row is a scaled slack variable, which leaves the
     # x-solution set unchanged.
-    M = [_int_row([*ai, bi])[0] for ai, bi in zip(A, b)]
+    rows = [_int_row([*ai, bi])[0] for ai, bi in zip(A, b)]
     obj, scale_obj = _int_row(c)
-    obj = [-x for x in obj] + [0]
+    T = [list(col) for col in zip(*rows, [-x for x in obj] + [0])]
     cols = list(range(n))
     basis = list(range(n, n + m))
     d = 1  # common positive scale of the tableau
@@ -68,43 +81,46 @@ def simplex_max(
     while True:
         enter = -1
         for k, label in enumerate(cols):
-            if obj[k] < 0 and (enter < 0 or label < cols[enter]):
+            if T[k][m] < 0 and (enter < 0 or label < cols[enter]):
                 enter = k
         if enter < 0:
             break
+        pcol, rhs = T[enter], T[n]
         leave = -1
         bn = bd = 0  # best ratio bn/bd, bd > 0
         for i in range(m):
-            a = M[i][enter]
+            a = pcol[i]
             if a > 0:
-                ri, rd = M[i][-1], a
-                if leave < 0 or ri * bd < bn * rd or (
-                    ri * bd == bn * rd and basis[i] < basis[leave]
+                ri = rhs[i]
+                if leave < 0 or ri * bd < bn * a or (
+                    ri * bd == bn * a and basis[i] < basis[leave]
                 ):
-                    bn, bd = ri, rd
+                    bn, bd = ri, a
                     leave = i
         if leave < 0:
             raise ValueError("objective is unbounded")
-        piv = M[leave][enter]
-        pivrow = M[leave]
-        for i in range(m):
-            if i != leave:
-                row = M[i]
-                f = row[enter]
-                if f:
-                    M[i] = [(piv * x - f * y) // d for x, y in zip(row, pivrow)]
-                else:
-                    M[i] = [(piv * x) // d for x in row]
-                M[i][enter] = -f
-        f = obj[enter]
-        obj = [(piv * x - f * y) // d for x, y in zip(obj, pivrow)]
-        obj[enter] = -f
-        pivrow[enter] = d
+        piv = pcol[leave]
+        for k, col in enumerate(T):
+            if k == enter:
+                continue
+            y = col[leave]
+            if piv == d:
+                if not y:
+                    continue
+                nv = [x - f * y // d for x, f in zip(col, pcol)]
+            else:
+                nv = [(piv * x - f * y) // d for x, f in zip(col, pcol)]
+            nv[leave] = y
+            T[k] = nv
+        nv = [-f for f in pcol]
+        nv[leave] = d
+        T[enter] = nv
         cols[enter], basis[leave] = basis[leave], cols[enter]
         d = piv
 
+    rhs = T[n]
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = Fraction(M[i][-1], d)
-    return Fraction(obj[-1], d * scale_obj), x
+            x[var] = Fraction(rhs[i], d)
+    return Fraction(rhs[m], d * scale_obj), x

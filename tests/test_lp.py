@@ -9,6 +9,7 @@ from math import lcm
 import pytest
 
 import wpvol.chambers as chambers
+import wpvol.lp as lp
 from wpvol.chambers import Chamber, StabilitySpace, WeightVector, classify, enumerate_chambers
 from wpvol.lp import simplex_max
 
@@ -231,3 +232,55 @@ def test_orbit_realize_matches_fresh_lp(realizability_lps, monkeypatch):
             assert got == want, c
             assert classify(WeightVector(c.space, got[0])) == c
     assert len(chambers._realize_orbits) < len(fresh) // 10
+
+
+def test_matches_full_tableau_on_d06_search_lps(monkeypatch):
+    """Every LP of the D_{0,6} representative search and of the witnesses of
+    its representatives, solved from empty memo tables, gives the reference's
+    (value, x)."""
+    for name in ("_realize_cache", "_realize_orbits", "_enum_cache"):
+        monkeypatch.setattr(chambers, name, {})
+    recorded = []
+
+    def recording(c, A, b):
+        recorded.append((c, A, b))
+        return simplex_max(c, A, b)
+
+    monkeypatch.setattr(chambers, "simplex_max", recording)
+    for c in enumerate_chambers(StabilitySpace(0, 6), up_to_symmetry=True):
+        chambers.realize(c)
+    assert len(recorded) == 511
+    for c, A, b in recorded:
+        assert simplex_max(c, A, b) == full_tableau_simplex_max(c, A, b)
+
+
+def test_int_rows_pass_through_unscaled():
+    """One LP given as ints, as Fractions of denominator 1 and with each row
+    divided by its own denominator: the same (value, x), all Fractions.  Rows
+    whose denominators are all 1 come out of ``_int_row`` as the same ints
+    with scale 1; an objective over 100 divides the value by 100."""
+    c = [75, -15000, 2, -600]
+    A = [[25, -6000, -4, 900], [50, -9000, -2, 300], [0, 0, 1, 0]]
+    b = [0, 0, 1]
+    as_fractions = ([F(x) for x in c], [[F(x) for x in row] for row in A], [F(x) for x in b])
+    scaled = (c, [[F(x, k) for x in row] for row, k in zip(A, [2, 3, 7])], [F(x, k) for x, k in zip(b, [2, 3, 7])])
+    want = simplex_max(c, A, b)
+    assert want == (F(5), [F(1, 25), F(0), F(1), F(0)])
+    for other in (as_fractions, scaled):
+        assert simplex_max(*other) == want
+    for value, x in (want, simplex_max(*as_fractions), simplex_max(*scaled)):
+        assert type(value) is F and all(type(xj) is F for xj in x)
+    for row in (A[0], as_fractions[1][0]):
+        got, scale = lp._int_row(row)
+        assert (got, scale) == (A[0], 1) and all(type(x) is int for x in got)
+    assert simplex_max([F(x, 100) for x in c], A, b)[0] == F(1, 20)
+
+
+def test_empty_shapes():
+    """No rows: a positive objective entry is unbounded, otherwise the optimum
+    is 0 at x = 0.  No variables: the optimum is 0 at the empty point."""
+    with pytest.raises(ValueError, match="objective is unbounded"):
+        simplex_max([F(0), F(1)], [], [])
+    assert simplex_max([F(-1), F(0)], [], []) == (0, [0, 0])
+    assert simplex_max([], [[], []], [F(1), F(2)]) == (0, [])
+    assert simplex_max([], [], []) == (0, [])

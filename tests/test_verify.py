@@ -73,14 +73,17 @@ def _lift_continuity(lifted):
 
 @pytest.mark.parametrize("space, walls", [((0, 5), 3590), ((1, 4), 235)], ids=["D05", "D14"])
 def test_phi_lift_equals_the_compose_lift(space, walls):
-    """I04's lift (relabel into the ring with u, then one ``subs``) equals
-    the ``compose`` lift it replaced, on every wall, and I01's verdict on it
-    equals that of the per-partial form it replaced."""
+    """I04's lift (relabel into the ring with u, then one ``subs``) leaves
+    no term with a theta_k exponent, k = min(S), so I04 need not test one;
+    it equals the ``compose`` lift it replaced, on every wall, and I01's
+    verdict on it equals that of the per-partial form it replaced."""
     seen = 0
     for c in enumerate_chambers(StabilitySpace(*space)):
         for S, _ in verify._incident_walls(c):
             wc = volumes.wall_crossing_poly(c, S).poly
             lifted = verify._phi_lift(wc, S)
+            k = min(S)
+            assert not any(e[k] for e in lifted.terms), (c, S)
             assert lifted == _compose_lift(wc, S), (c, S)
             assert _lift_continuity(lifted) == _per_partial_continuity(wc, S), (c, S)
             seen += 1
