@@ -6,8 +6,8 @@ The callers arrange b >= 0, so the all-slack basis is feasible and no phase-1
 is needed.
 
 Inputs may be ints or Fractions.  Each row is cleared to integers up front by
-the lcm of its denominators, with no Fraction built; a row whose lcm is 1, as
-every row of the realizability LP is, passes through unscaled.
+the lcm of its denominators, with no Fraction built; a row of ints, as every
+row of the realizability LP is, has lcm 1 and keeps its entries.
 
 The tableau is condensed (Tucker form): it stores one entry per basic row and
 the objective for each nonbasic variable and the rhs, so it has n+1 columns
@@ -25,12 +25,11 @@ The pivot row itself is left as it is.  The pivot column then stands for the
 leaving variable, whose full-tableau column after the pivot is d in the pivot
 row and -f in every other row, the objective included; the two labels swap.
 
-A pivot rewrites only the columns it changes.  With piv == d (the pivot
-equals the previous one, the common case on the 0/+-1 rows of the
-realizability LP) a column whose pivot row entry y is 0 is skipped: each entry becomes (d*x - f*0) / d = x, so the
-column is exactly unchanged.  With piv == d and y != 0 an entry becomes
-x - f*y/d, where f*y is divisible by d because (d*x - f*y) / d is exact.  Any
-other pivot uses the full update.
+A pivot rewrites only the columns it changes.  When the pivot equals the
+previous one (piv == d, the common case on the 0/+-1 rows of the
+realizability LP), a column whose pivot row entry y is 0 is skipped: each of
+its entries would become (d*x - f*0) / d = x, so the column is exactly
+unchanged.  Every other column takes the full update.
 
 Every condensed entry equals an entry of the full tableau, whose basic columns
 are unit columns with objective 0.  So Bland's rule reads the same on labels:
@@ -48,11 +47,8 @@ from typing import Sequence
 
 
 def _int_row(xs) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, and that lcm; with lcm 1
-    the row's numerators, unscaled."""
+    """The row times the lcm of its denominators, and that lcm."""
     scale = lcm(*(x.denominator for x in xs))
-    if scale == 1:
-        return [x.numerator for x in xs], 1
     return [x.numerator * (scale // x.denominator) for x in xs], scale
 
 
@@ -104,12 +100,9 @@ def simplex_max(
             if k == enter:
                 continue
             y = col[leave]
-            if piv == d:
-                if not y:
-                    continue
-                nv = [x - f * y // d for x, f in zip(col, pcol)]
-            else:
-                nv = [(piv * x - f * y) // d for x, f in zip(col, pcol)]
+            if piv == d and not y:
+                continue
+            nv = [(piv * x - f * y) // d for x, f in zip(col, pcol)]
             nv[leave] = y
             T[k] = nv
         nv = [-f for f in pcol]

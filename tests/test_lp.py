@@ -9,7 +9,6 @@ from math import lcm
 import pytest
 
 import wpvol.chambers as chambers
-import wpvol.lp as lp
 from wpvol.chambers import Chamber, StabilitySpace, WeightVector, classify, enumerate_chambers
 from wpvol.lp import simplex_max
 
@@ -77,9 +76,24 @@ def degenerate_instance():
 
 
 def test_degenerate_does_not_cycle():
-    # Bland's rule must terminate.
-    value, _ = simplex_max(*degenerate_instance())
-    assert value == F(1, 20)
+    # Bland's rule must terminate.  The instance times 100 is all ints; given
+    # as ints, as Fractions of denominator 1 and with its rows divided by 2, 3
+    # and 7, it has the same optimal x and 100 times the value.
+    c, A, b = degenerate_instance()
+    x = [F(1, 25), F(0), F(1), F(0)]
+    ci = [int(100 * v) for v in c]
+    Ai = [[int(100 * v) for v in row] for row in A]
+    bi = [int(100 * v) for v in b]
+    ks = (2, 3, 7)
+    for form, value in [
+        ((c, A, b), F(1, 20)),
+        ((ci, Ai, bi), 5),
+        (([F(v) for v in ci], [[F(v) for v in row] for row in Ai], [F(v) for v in bi]), 5),
+        ((ci, [[F(v, k) for v in row] for row, k in zip(Ai, ks)], [F(v, k) for v, k in zip(bi, ks)]), 5),
+    ]:
+        got = simplex_max(*form)
+        assert got == (value, x)
+        assert type(got[0]) is F and all(type(v) is F for v in got[1])
 
 
 def test_random_against_brute_force():
@@ -252,28 +266,6 @@ def test_matches_full_tableau_on_d06_search_lps(monkeypatch):
     assert len(recorded) == 511
     for c, A, b in recorded:
         assert simplex_max(c, A, b) == full_tableau_simplex_max(c, A, b)
-
-
-def test_int_rows_pass_through_unscaled():
-    """One LP given as ints, as Fractions of denominator 1 and with each row
-    divided by its own denominator: the same (value, x), all Fractions.  Rows
-    whose denominators are all 1 come out of ``_int_row`` as the same ints
-    with scale 1; an objective over 100 divides the value by 100."""
-    c = [75, -15000, 2, -600]
-    A = [[25, -6000, -4, 900], [50, -9000, -2, 300], [0, 0, 1, 0]]
-    b = [0, 0, 1]
-    as_fractions = ([F(x) for x in c], [[F(x) for x in row] for row in A], [F(x) for x in b])
-    scaled = (c, [[F(x, k) for x in row] for row, k in zip(A, [2, 3, 7])], [F(x, k) for x, k in zip(b, [2, 3, 7])])
-    want = simplex_max(c, A, b)
-    assert want == (F(5), [F(1, 25), F(0), F(1), F(0)])
-    for other in (as_fractions, scaled):
-        assert simplex_max(*other) == want
-    for value, x in (want, simplex_max(*as_fractions), simplex_max(*scaled)):
-        assert type(value) is F and all(type(xj) is F for xj in x)
-    for row in (A[0], as_fractions[1][0]):
-        got, scale = lp._int_row(row)
-        assert (got, scale) == (A[0], 1) and all(type(x) is int for x in got)
-    assert simplex_max([F(x, 100) for x in c], A, b)[0] == F(1, 20)
 
 
 def test_empty_shapes():
