@@ -564,11 +564,17 @@ def _realize_key(space: StabilitySpace, key: tuple[int, ...]) -> Optional[Realiz
 
 def _moved(point: tuple[Fraction, ...], perm: tuple[int, ...]) -> tuple[Fraction, ...]:
     """The weights of ``point`` relabeled by ``perm``: a_j moves to position
-    perm[j-1] + 1, as label j does."""
-    out = [Fraction(0)] * len(point)
-    for p, x in zip(perm, point):
-        out[p] = x
-    return tuple(out)
+    perm[j-1] + 1, as label j does; a gather through the inverse of ``perm``."""
+    return tuple(map(point.__getitem__, _inverse(perm)))
+
+
+@functools.cache
+def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse permutation of ``perm``."""
+    inverse = [0] * len(perm)
+    for j, p in enumerate(perm):
+        inverse[p] = j
+    return tuple(inverse)
 
 
 def _solve(c: Chamber) -> Optional[Realization]:

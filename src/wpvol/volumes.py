@@ -16,7 +16,20 @@ simple crossings; a wall-crossing across W_S is the exact integral
 with s = |S| and phi_S = sum_{j in S} theta_j - 2 pi (s-1).  The quotient
 volume is computed recursively by the same engine (the merged point is
 labelled last and bound to the integration variable), so the recursion
-strictly reduces n and bottoms out at one-chamber spaces.
+strictly reduces n and bottoms out at one-chamber spaces.  The integral is a
+Beta integral and is computed in closed form: with m = s - 2,
+
+    int_0^phi t^(k+1) (phi^2 - t^2)^m dt = m! 2^m phi^(k+2m+2) / prod_{i=0}^m (k+2+2i),
+
+because expanding (phi^2 - t^2)^m binomially leaves phi^(k+2m+2) times
+sum_i (-1)^i C(m,i) / (k+2+2i), and sum_i (-1)^i C(m,i) / (y+i) =
+m! / (y (y+1) ... (y+m)) at y = k/2 + 1.  The m! 2^m cancels the prefactor,
+so with c_k the coefficient of t^k in V_{g,C/S},
+
+    wc_{C,S} = sum_k c_k(pi, theta_{S^c}) phi_S^(k+2s-2) / prod_{i=0}^{s-2} (k+2+2i),
+
+an identity of polynomials; ``_wc_integral`` expands phi_S^(k+2s-2) once per
+crossing and forms no kernel product and no antiderivative.
 
 Volumes are memoized per chamber.  Crossings are memoized per (C/S, S) and,
 below that, per key orbit: relabeling the points that fix the merged one is a
@@ -41,7 +54,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from functools import cache
+from itertools import chain, repeat
+from math import comb, factorial, lcm
+from operator import add, itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .chambers import (
@@ -60,7 +76,7 @@ from .chambers import (
 from .errors import NotRealizableError, UnstableError, WpvolError
 from .intersection import kappa_psi_intersection
 from .numeric import evaluate_pi_numerators
-from .poly import Poly, PolyRing, angle_ring, phi_form, pi_poly
+from .poly import Poly, PolyRing, _vectors, angle_ring, phi_form, pi_poly
 
 PROV_MAIN = "main-chamber-intersection"
 PROV_PATH = "wall-crossing-path"
@@ -136,25 +152,91 @@ def mirzakhani_volume(g: int, n: int) -> VolumeResult:
 # -- wall crossing -----------------------------------------------------------------
 
 
+@cache
+def _multinomials(s: int, i: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The exponent tuples beta of length s and sum i, and the coefficients
+    i! / prod beta_j!: the terms of (x_1 + ... + x_s)^i, as C(i, b) times
+    the terms of (x_2 + ... + x_s)^(i-b) for each power b of x_1."""
+    if s == 1:
+        return ((i,),), (1,)
+    betas: list[tuple[int, ...]] = []
+    coeffs: list[int] = []
+    for b in range(i + 1):
+        rest, ms = _multinomials(s - 1, i - b)
+        betas.extend((b,) + r for r in rest)
+        coeffs.extend(comb(i, b) * m for m in ms)
+    return tuple(betas), tuple(coeffs)
+
+
+@cache
+def _phi_row(s: int, k: int) -> tuple[int, tuple[int, ...]]:
+    """(P, row) for t^k in the quotient volume: the divisor
+    P = prod_{i=0}^{s-2} (k + 2 + 2i) of phi_S^N, N = k + 2s - 2, and the
+    coefficients C(N, i) (-2(s-1))^(N-i) of sigma^i pi^(N-i) in phi_S^N."""
+    N = k + 2 * s - 2
+    P = 1
+    for i in range(s - 1):
+        P *= k + 2 + 2 * i
+    return P, tuple(comb(N, i) * (-2 * (s - 1)) ** (N - i) for i in range(N + 1))
+
+
 def _wc_integral(
     quotient_poly: Poly, S: Sequence[int], s_comp: Sequence[int], ring: PolyRing
 ) -> Poly:
-    """Kernel integral producing a wall-crossing polynomial in ``ring``.
+    """The wall-crossing polynomial in ``ring``, in closed form.
 
     ``quotient_poly`` is the volume of the quotient chamber (merged point
-    last) on 1 + len(s_comp) + 1 variables; ``S`` is the wall set, ``s_comp``
-    the labels carrying the other angles, both sorted.
+    last) on 1 + len(s_comp) + 1 variables; ``S`` holds the variables of the
+    wall set, ``s_comp`` those that carry the other angles, in the order of
+    the quotient's variables.  With m = s - 2 and c_k the coefficient of t^k
+    in the quotient volume (a polynomial in pi and theta_{S^c}),
+
+        int_0^phi t^(k+1) (phi^2 - t^2)^m dt = m! 2^m phi^(k+2m+2) / prod_{i=0}^m (k+2+2i),
+
+    since expanding (phi^2 - t^2)^m gives phi^(k+2m+2) sum_i (-1)^i C(m,i)
+    / (k+2+2i), and sum_i (-1)^i C(m,i) / (y+i) = m! / (y (y+1) ... (y+m))
+    at y = k/2 + 1.  The m! 2^m cancels the prefactor, so
+
+        wc = sum_k c_k phi_S^(k+2s-2) / prod_{i=0}^{s-2} (k+2+2i).
+
+    With phi_S = sigma - 2(s-1) pi, sigma = sum_{j in S} theta_j, a term
+    pi^a theta^alpha t^k sends pi^(a+k+2s-2-i) theta^alpha sigma^i to the
+    output with an integer weight (``_phi_row``) over the lcm L of the
+    divisors, so the terms are grouped by (alpha, a + k) and each group gives
+    one coefficient per i; sigma^i expands by multinomials over S
+    (``_multinomials``).  Every output monomial is then written exactly once.
     """
     s = len(S)
-    n = ring.nvars - 1
-    ext = angle_ring(n, extra="t")
-    ti = ext.nvars - 1
-    vq = quotient_poly.relabeled(ext, [0, *s_comp, ti])
-    phi = phi_form(ext, S)
-    t = ext.var(ti)
-    kernel = (phi * phi - t * t) ** (s - 2) * t / Fraction(factorial(s - 2) * 2 ** (s - 2))
-    wc = (vq * kernel).integrate_upper(ti, phi)
-    return wc.drop_last_var()
+    nvars = ring.nvars
+    keys, vals = quotient_poly._support()
+    rows = {k: _phi_row(s, k) for k in {e[-1] for e in keys}}
+    L = lcm(*(P for P, _ in rows.values()))
+    top = 2 * s - 2
+    groups: dict[tuple[int, ...], list[int]] = {}  # (a + k, *alpha) -> coefficients of sigma^i by i
+    for e, c in zip(keys, vals):
+        k = e[-1]
+        P, row = rows[k]
+        group = (e[0] + k,) + e[1:-1]
+        out = groups.get(group)
+        if out is None:  # k <= a + k, so sigma^i has i <= a + k + 2s - 2
+            out = groups[group] = [0] * (group[0] + top + 1)
+        out[: len(row)] = map(add, out, map(mul, row, repeat(c * (L // P))))
+    # each output exponent tuple is a gather from (0, pi exponent, *alpha, *beta)
+    source = [0] * nvars  # a variable in neither S nor s_comp reads the 0
+    source[0] = 1
+    for j, p in enumerate(chain(s_comp, S)):
+        source[p] = j + 2
+    place = itemgetter(*source)
+    out_keys: list[tuple[int, ...]] = []
+    out_vals: list[int] = []
+    for group, coeffs in groups.items():
+        r, alpha = group[0], group[1:]
+        for i, x in enumerate(coeffs):
+            if x:
+                betas, ms = _multinomials(s, i)
+                out_keys.extend(map(place, map(((0, r + top - i) + alpha).__add__, betas)))
+                out_vals.extend(map(mul, ms, repeat(x)))
+    return Poly._reduced(ring, _vectors(nvars, out_keys, out_vals), quotient_poly.den * L)
 
 
 def _integrate_crossing(c: Chamber, S: frozenset[int]) -> Poly:

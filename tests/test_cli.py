@@ -229,16 +229,25 @@ def test_verify_paper_suite_json():
 
 
 def test_verify_mutation_smoke(monkeypatch, fresh_volume_caches):
-    """An injected off-by-one in phi breaks the continuity check visibly."""
+    """An injected off-by-one in phi breaks the continuity check visibly.
+
+    The crossing reads phi_S = sigma - 2(s-1) pi through the expansion of
+    its powers (``volumes._phi_row``), so the pi coefficient is put off by
+    one there."""
+    from math import comb
+
     from wpvol import volumes
     from wpvol.chambers import StabilitySpace
-    from wpvol.poly import phi_form as true_phi
     from wpvol.verify import Reporter, check_continuity
 
-    def broken_phi(ring, wall):
-        return true_phi(ring, wall) + ring.one()
+    true_row = volumes._phi_row
 
-    monkeypatch.setattr(volumes, "phi_form", broken_phi)
+    def broken_row(s, k):
+        P, row = true_row(s, k)
+        N = len(row) - 1
+        return P, tuple(comb(N, i) * (1 - 2 * (s - 1)) ** (N - i) for i in range(N + 1))
+
+    monkeypatch.setattr(volumes, "_phi_row", broken_row)
     rep = Reporter()
     check_continuity(rep, [StabilitySpace(1, 2)])
     assert any(not r.passed for r in rep.results)

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wpvol.chambers as chambers
 import wpvol.poly as poly_module
@@ -19,7 +22,7 @@ from wpvol.chambers import (
 )
 from wpvol.errors import NotIncidentError, NotRealizableError, OnWallError, UnstableError
 from wpvol.numeric import evaluate_pi_poly
-from wpvol.poly import PI_RING, Poly, angle_ring
+from wpvol.poly import PI_RING, Poly, angle_ring, phi_form
 from wpvol.verify import _incident_walls
 from wpvol.volumes import (
     _integrate_crossing,
@@ -339,6 +342,74 @@ def test_orbit_keyed_crossings_match_fresh_integrals(empty_memos, monkeypatch):
     assert {q.space.n + len(S) - 1 for q, S in reached} == {3, 4, 5}
     for (q, S), c in reached.items():
         assert volumes._crossing_cache[(q, S)] == _integrate_crossing(c, S), (c, S)
+
+
+# -- the closed-form crossing integral against the kernel integral ------------------
+
+
+def _kernel_wc_integral(quotient_poly, S, s_comp, ring):
+    """Reference: wc as the kernel integral.  The quotient volume is relabeled
+    into the ring extended by t (merged point to t), multiplied by the kernel
+    (phi_S^2 - t^2)^(s-2) t / ((s-2)! 2^(s-2)), integrated in t from 0 to
+    phi_S (antiderivative, then the bound substituted) and projected back."""
+    s = len(S)
+    ext = angle_ring(ring.nvars - 1, extra="t")
+    ti = ext.nvars - 1
+    vq = quotient_poly.relabeled(ext, [0, *s_comp, ti])
+    phi = phi_form(ext, S)
+    t = ext.var(ti)
+    kernel = (phi * phi - t * t) ** (s - 2) * t / F(factorial(s - 2) * 2 ** (s - 2))
+    return (vq * kernel).integrate_upper(ti, phi).drop_last_var()
+
+
+def test_closed_form_crossings_match_kernel_integral(empty_memos, monkeypatch):
+    """Every integral that the crossing-orbit table computes for the chambers
+    of D_{0,5}, D_{1,4}, D_{1,5} and D_{2,4}, from empty memos, equals the
+    kernel integral of the same inputs."""
+    integrated = []
+    closed_form = volumes._wc_integral
+
+    def recording(*args):
+        wc = closed_form(*args)
+        integrated.append((args, wc))
+        return wc
+
+    monkeypatch.setattr(volumes, "_wc_integral", recording)
+    for g, n in [(0, 5), (1, 4), (1, 5), (2, 4)]:
+        for c in enumerate_chambers(StabilitySpace(g, n)):
+            chamber_volume(c)
+    assert len(integrated) == len(volumes._crossing_orbits)
+    assert {len(args[1]) for args, _ in integrated} == {2, 3, 4, 5}
+    for args, wc in integrated:
+        want = _kernel_wc_integral(*args)
+        assert wc == want and wc.to_json_dict() == want.to_json_dict(), args[1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_closed_form_matches_kernel_integral_on_random_quotients(data):
+    """Small random quotient polys, homogeneous or not and with or without
+    pi, with |S| = 2..4, the wall and the other angles on any variables, and
+    at times one variable of the ring left to neither (as the derivative
+    identity's crossing leaves the point it differentiates in)."""
+    s = data.draw(st.integers(2, 4), label="s")
+    m = data.draw(st.integers(0, 2), label="angles off the wall")
+    n = s + m + data.draw(st.integers(0, 1), label="unused variables")
+    labels = data.draw(st.permutations(range(1, n + 1)), label="labels")
+    s_comp, S = labels[:m], labels[m : m + s]
+    qring = angle_ring(m + 1)
+    exps = st.tuples(*[st.integers(0, 4)] * (m + 2))
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    items = data.draw(st.lists(st.tuples(exps, coeffs), max_size=6), label="terms")
+    vq = sum((qring.monomial(c, e) for e, c in items), qring.zero())
+    ring = angle_ring(n)
+    assert _wc_integral(vq, S, s_comp, ring) == _kernel_wc_integral(vq, S, s_comp, ring)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_closed_form_of_the_zero_quotient_is_zero(s):
+    ring, zero, S = angle_ring(s + 1), angle_ring(2).zero(), list(range(2, s + 2))
+    assert _wc_integral(zero, S, [1], ring) == ring.zero() == _kernel_wc_integral(zero, S, [1], ring)
 
 
 # -- point queries through one evaluation plan per chamber orbit --------------------
