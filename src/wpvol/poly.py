@@ -24,16 +24,16 @@ Sums and differences add the vectors of each degree position by position,
 one ``map(add)`` per degree.  ``relabeled`` and ``drop_last_var`` scatter the
 nonzero entries through the target table.  Every other operation reads the
 nonzero entries as (exponents, numerator) pairs, merges coefficients in one
-place, :func:`accumulate`, and interns its result.  Products (``*``, ``**``,
-``subs``) run on packed exponent codes (``_codec``): each exponent tuple
-becomes one int with a fixed-width digit per variable, wide enough for the
-largest exponent the result can reach, so a monomial product is one int
-addition, applied to a whole key list at once (``_mul_codes``), and keys are
-decoded to tuples once at the end.  ``subs`` runs Horner's rule over the
-parts of the poly by degree in the substituted variable, so the value's
-powers are never formed.  The trusted constructor :meth:`Poly.from_canonical`
-interns a numerator mapping and divides out the one common gcd;
-``Poly(ring, terms)`` puts rational ``terms`` over their lcm first.
+place, :func:`accumulate`, and interns its result.  Every product (``*``,
+``**``, the power tables and per-term expansion of ``compose``, and the
+Horner steps of ``subs`` and ``integrate_upper``) is one ``_mul_nums`` on
+exponent-tuple keys: each term pair adds its exponent tuples and multiplies
+its numerators, and ``accumulate`` merges the pairs that meet.  ``subs`` runs
+Horner's rule over the parts of the poly by degree in the substituted
+variable, so the value's powers are never formed.  The trusted constructor
+:meth:`Poly.from_canonical` interns a numerator mapping and divides out the
+one common gcd; ``Poly(ring, terms)`` puts rational ``terms`` over their lcm
+first.
 ``evaluate_angles`` takes each angle as q * pi^m (a rational, zero, or a
 one-term Poly in pi alone) and runs through the Poly's evaluation plan
 (``_Plan``), built on its first call and kept with it: each angle monomial is
@@ -50,7 +50,6 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd, lcm
@@ -63,7 +62,6 @@ from .rationals import format_rat, rat
 Scalar = Union[int, Fraction]
 Nums = dict[tuple[int, ...], int]
 Vectors = dict[int, tuple[int, ...]]
-Codec = tuple[Callable[[tuple[int, ...]], int], Callable[[int], tuple[int, ...]]]
 
 
 def accumulate(out: dict, pairs: Iterable[tuple[tuple[int, ...], Scalar]]) -> dict:
@@ -173,66 +171,13 @@ def _combine(u: tuple[int, ...], fu: int, v: tuple[int, ...], fv: int) -> tuple[
     return s
 
 
-def _top(keys: Iterable[tuple[int, ...]]) -> int:
-    """The largest exponent of any variable in ``keys``; 0 when empty."""
-    return max(map(max, keys), default=0)
-
-
-def _codec(n: int, bound: int) -> Codec:
-    """(encode, decode) between exponent tuples of length n and packed int
-    codes, one little-endian digit per variable.
-
-    A digit has as many bytes as an exponent up to ``bound`` needs, so adding
-    codes adds exponent tuples as long as no sum exceeds ``bound``: no carry
-    crosses a digit.
-    """
-    return _packing(n, max(1, (bound.bit_length() + 7) // 8))
-
-
-@cache
-def _packing(n: int, w: int) -> Codec:
-    """``_codec`` for digits of w bytes."""
-    if w == 1:  # the codes of the general form below, through bytes() directly
-        return (
-            lambda e: int.from_bytes(bytes(e), "little"),
-            lambda code: tuple(code.to_bytes(n, "little")),
-        )
-    size = n * w
-
-    def decode(code: int) -> tuple[int, ...]:
-        b = code.to_bytes(size, "little")
-        return tuple(int.from_bytes(b[i : i + w], "little") for i in range(0, size, w))
-
-    return (
-        lambda e: int.from_bytes(b"".join(x.to_bytes(w, "little") for x in e), "little"),
-        decode,
-    )
-
-
-def _mul_codes(keys: list[int], vals: list[int], rows: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """Product of two numerator polys keyed by packed codes, one given as
-    aligned ``keys`` and ``vals``, the other as (code, numerator) ``rows``:
-    each row adds its code to all the keys at once."""
-    out: dict[int, int] = {}
-    for code, c in rows:
-        row = zip(map(add, keys, repeat(code)), map(mul, vals, repeat(c)))
-        if out:
-            accumulate(out, row)
-        else:  # one row has distinct keys and nonzero products: nothing merges
-            out = dict(row)
-    return out
-
-
 def _mul_nums(a: Nums, b: Nums) -> Nums:
-    """Product of two numerator dicts, on packed codes, with the larger one
-    as the keys."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return {}
-    encode, decode = _codec(len(next(iter(a))), _top(a) + _top(b))
-    product = _mul_codes(list(map(encode, a)), list(a.values()), zip(map(encode, b), b.values()))
-    return dict(zip(map(decode, product), product.values()))
+    """Product of two numerator dicts keyed by exponent tuples: every term
+    pair adds its exponents and multiplies its numerators, and ``accumulate``
+    merges the products that meet at one key."""
+    return accumulate(
+        {}, ((tuple(map(add, ea, eb)), ca * cb) for eb, cb in b.items() for ea, ca in a.items())
+    )
 
 
 def _power_table(base: Nums, top: int, unit: tuple[int, ...]) -> list[Nums]:
@@ -649,11 +594,8 @@ class Poly:
         With value = N / d and K the degree in v, split this poly as
         sum_k P_k x_v^k, P_k free of x_v.  Horner's rule gives the numerator
         sum_k d^(K-k) * P_k * N^k over the common d^K: acc = P_K, then
-        acc = acc * N + d^(K-k) * P_k for k = K-1 down to 0.  The parts and N
-        are keyed by packed exponent codes (``_codec``) with digits wide
-        enough for every exponent of the result, so each product adds one
-        int per term pair; the keys are decoded once, at the end.  N may
-        involve x_v itself.
+        acc = acc * N + d^(K-k) * P_k for k = K-1 down to 0, each product
+        one ``_mul_nums``.  N may involve x_v itself.
         """
         if not 0 <= v < self.ring.nvars:
             raise VariableRangeError(f"variable index {v} out of range")
@@ -730,16 +672,11 @@ class Poly:
                 if padded:
                     for d, top, k in zip(dens, tops, e):
                         c *= d ** (top - k)
-                partial = [(unit, c)]
+                partial = {unit: c}
                 for table, k in zip(tables, e):
                     if k:
-                        factor = table[k].items()
-                        partial = [
-                            (tuple(map(add, pe, fe)), pc * fc)
-                            for pe, pc in partial
-                            for fe, fc in factor
-                        ]
-                yield from partial
+                        partial = _mul_nums(partial, table[k])
+                yield from partial.items()
 
         return Poly.from_canonical(target, accumulate({}, pairs()), den)
 
@@ -898,25 +835,19 @@ def _substitute(
     ring: PolyRing, keys: list[tuple[int, ...]], vals: list[int], den: int, v: int, value: Poly
 ) -> Poly:
     """``Poly.subs`` of the numerators ``vals`` at exponents ``keys`` over
-    ``den``, by Horner's rule on packed codes."""
-    n = ring.nvars
+    ``den``, by Horner's rule."""
     top = max((e[v] for e in keys), default=0)
-    value_keys, value_vals = value._support()
-    # the value is encoded even at degree 0, hence max(top, 1)
-    encode, decode = _codec(n, _top(keys) + max(top, 1) * _top(value_keys))
-    unit = encode(tuple(int(i == v) for i in range(n)))  # the code of x_v
-    parts: list[dict[int, int]] = [{} for _ in range(top + 1)]
+    parts: list[Nums] = [{} for _ in range(top + 1)]
     for e, c in zip(keys, vals):
-        k = e[v]
-        parts[k][encode(e) - k * unit] = c
-    value_codes = list(zip(map(encode, value_keys), value_vals))
+        parts[e[v]][e[:v] + (0,) + e[v + 1 :]] = c
+    value_nums = dict(zip(*value._support()))
     d = value.den
     acc, pad = parts[top], 1
     for part in reversed(parts[:top]):
         pad *= d
         scaled = ((e, c * pad) for e, c in part.items()) if pad != 1 else part.items()
-        acc = accumulate(_mul_codes(list(acc), list(acc.values()), value_codes), scaled)
-    return Poly._reduced(ring, _vectors(n, list(map(decode, acc)), acc.values()), den * d**top)
+        acc = accumulate(_mul_nums(acc, value_nums), scaled)
+    return Poly._reduced(ring, _vectors(ring.nvars, list(acc), acc.values()), den * d**top)
 
 
 def _from_pairs(ring: PolyRing, pairs: Iterable[tuple[tuple[int, ...], Scalar]]) -> Poly:

@@ -547,9 +547,9 @@ def test_integrate_upper_matches_reference(p, upper):
     )
 
 
-# -- packed exponent codes: digits past one byte and carries across them ----------
+# -- wide exponents: past 255, 65 535 and 2^63, and results past every input -------
 
-# exponents on each side of the one-, two- and more-byte digit boundaries
+# exponents on each side of 255, 65 535 and larger machine-word limits
 WIDE = [0, 1, 2, 127, 128, 254, 255, 256, 257, 300, 65535, 65536, 2**31, 2**40]
 
 
@@ -592,20 +592,21 @@ def test_integrate_upper_matches_reference_on_wide_exponents(p, upper):
 
 
 def test_subs_mul_and_integrate_across_digit_boundaries():
-    """Results whose exponents leave the digit width of every input: the
-    width is sized by the result's largest exponent, so no sum carries."""
+    """Results whose exponents leave the range of every input: a product,
+    power or substitution gives the exact exponent sums, with no bound taken
+    from the inputs."""
     r = PolyRing(("pi", "t1", "t2"))
     x, y = r.var(1), r.var(2)
 
     def m(c, *e):
         return r.monomial(c, e)
 
-    # 255 + 1 leaves one byte, 65535 + 1 two bytes, 2^63 + 2^63 eight
+    # 255 + 1 leaves one byte, 65535 + 1 two bytes, 2^63 + 2^63 = 2^64 64 bits
     assert m(1, 0, 255, 0) * x == m(1, 0, 256, 0)
     assert m(2, 65535, 0, 1) * m(3, 1, 0, 0) == m(6, 65536, 0, 1)
     assert m(1, 0, 2**63, 0) * m(1, 0, 2**63, 0) == m(1, 0, 2**64, 0)
     assert m(1, 0, 255, 1).subs(2, x) == m(1, 0, 256, 0)
-    # 200 + 2 * 100 = 400 in t1, beside a t2 digit that the parts zero
+    # 200 + 2 * 100 = 400 in t1, beside a t2 exponent that the parts zero
     p = m(F(1, 2), 3, 200, 2) + m(-1, 0, 255, 1) + y
     value = m(F(2, 3), 1, 100, 0) - m(F(1, 5), 0, 0, 1)
     assert terms_of(p.subs(2, value)) == ref_subs(terms_of(p), 2, terms_of(value), 3)

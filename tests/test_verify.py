@@ -117,6 +117,36 @@ def test_continuity_boundary_at_u_degree_two(monkeypatch, power, passes):
         assert rep.results[0].computed == "FAIL 1 walls nonvanishing"
 
 
+def test_lift_once_per_distinct_crossing(monkeypatch):
+    """I01 and I04 on D_(1,4) lift once per distinct (wc, S) they read, 17
+    for 235 walls, and report what lifting every wall reports."""
+    space = StabilitySpace(1, 4)
+    walls = [
+        (volumes.wall_crossing_poly(c, S).poly, S)
+        for c in enumerate_chambers(space)
+        for S, _ in verify._incident_walls(c)
+    ]
+    assert (len(walls), len(set(walls))) == (235, 17)
+    lifted = [verify._phi_lift(wc, S) for wc, S in walls]
+    nonvanishing = sum(not _lift_continuity(f) for f in lifted)
+    odd = sum(any(e[-1] % 2 or e[-1] < 2 for e in f.terms) for f in lifted)
+    assert (nonvanishing, odd) == (0, 0)
+
+    calls = []
+    lift = verify._phi_lift
+    monkeypatch.setattr(verify, "_phi_lift", lambda wc, S: calls.append((wc, S)) or lift(wc, S))
+    rep = Reporter()
+    verify.check_continuity(rep, [space])
+    assert (len(calls), len(set(calls))) == (17, 17)
+    calls.clear()
+    verify.check_evenness(rep, [space])
+    assert (len(calls), len(set(calls))) == (17, 17)
+    assert [(r.id, r.description, r.passed, r.computed) for r in rep.results] == [
+        ("I01.1.4", "wc and all partials vanish on their wall (235 walls of D_(1,4))", True, "pass"),
+        ("I04", "wall-crossings are even polynomials in phi of degree >= 2 (235 walls)", True, "pass"),
+    ]
+
+
 def test_unexpected_error_in_a_crossing_is_not_skipped(monkeypatch):
     """Only a chamber that is not incident to the wall is skipped; any other
     error propagates and fails the check."""
