@@ -80,11 +80,9 @@ class StabilitySpace:
     def labels(self) -> range:
         return range(1, self.n + 1)
 
-    def subsets(self, min_size: int = 2) -> list[frozenset[int]]:
-        out = []
-        for r in range(min_size, self.n + 1):
-            out.extend(frozenset(c) for c in itertools.combinations(self.labels, r))
-        return out
+    def subsets(self) -> list[frozenset[int]]:
+        """Every label set of at least 2 elements, by size, then lexicographic."""
+        return [frozenset(J) for r in range(2, self.n + 1) for J in itertools.combinations(self.labels, r)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -588,8 +586,8 @@ def _solve(c: Chamber) -> Optional[Realization]:
     g is (sum a >= ns >= s >= 2-2g+s), so the LP of the genus class
     (``_genus_class``) has the same positive optimum; taking it makes the
     witness one per class.  Every coefficient is 0 or +-1 and every
-    right-hand side an integer, so the rows are plain ints and the LP clears
-    no denominators.  The heavy rows come in the order of
+    right-hand side an integer, so the rows are the plain ints that
+    ``simplex_max`` takes.  The heavy rows come in the order of
     ``Chamber.heavy_min``.
     """
     n = c.space.n

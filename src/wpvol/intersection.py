@@ -22,9 +22,10 @@ mixed kappa_1 correlators reduce to pure psi ones one kappa at a time:
     <k1^m prod tau_d>_{g,n}
         = sum_{j=0}^{m-1} C(m-1,j) (-1)^j <k1^{m-1-j} tau_{j+2} prod tau_d>_{g,n+1}
 
-All computations are cached in memory.  Insertions are idempotent -- the
-same key always maps to the same value -- so concurrent writers are harmless
-and single-threaded use pays no synchronization cost.
+All computations are cached in memory, in the one table ``default_cache()``.
+Insertions are idempotent -- the same key always maps to the same value -- so
+concurrent writers are harmless and single-threaded use pays no
+synchronization cost.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import DimensionMismatchError, UnstableError
 
@@ -127,9 +128,7 @@ def default_cache() -> IntersectionCache:
 # -- pure psi correlators ------------------------------------------------------
 
 
-def psi_intersection(
-    g: int, d: Iterable[int], cache: Optional[IntersectionCache] = None
-) -> Fraction:
+def psi_intersection(g: int, d: Iterable[int]) -> Fraction:
     """<tau_{d_1}...tau_{d_n}>_g with the 1/24 orbifold convention.
 
     The dimension constraint sum(d) = 3g-3+n is a strict precondition: a
@@ -142,22 +141,22 @@ def psi_intersection(
         raise DimensionMismatchError(
             f"sum(d)={sum(idx.d)} != 3g-3+n={3 * idx.g - 3 + idx.n} for {idx}"
         )
-    return _psi(idx.g, idx.d, cache if cache is not None else _default_cache)
+    return _psi(idx.g, idx.d)
 
 
-def _psi_lenient(g: int, d: tuple[int, ...], cache: IntersectionCache) -> Fraction:
+def _psi_lenient(g: int, d: tuple[int, ...]) -> Fraction:
     """Internal: 0 for unstable or dimension-mismatched indices."""
     n = len(d)
     if g < 0 or n < 1 or 2 * g - 2 + n <= 0 or (g == 0 and n < 3):
         return Fraction(0)
     if sum(d) != 3 * g - 3 + n:
         return Fraction(0)
-    return _psi(g, tuple(sorted(d)), cache)
+    return _psi(g, tuple(sorted(d)))
 
 
-def _psi(g: int, d: tuple[int, ...], cache: IntersectionCache) -> Fraction:
+def _psi(g: int, d: tuple[int, ...]) -> Fraction:
     key = (g, 0, d)
-    got = cache.get(key)
+    got = _default_cache.get(key)
     if got is not None:
         return got
     n = len(d)
@@ -173,16 +172,16 @@ def _psi(g: int, d: tuple[int, ...], cache: IntersectionCache) -> Fraction:
         value = Fraction(0)
         for j, dj in enumerate(rest):
             if dj >= 1:
-                value += _psi(g, tuple(sorted(rest[:j] + (dj - 1,) + rest[j + 1 :])), cache)
+                value += _psi(g, tuple(sorted(rest[:j] + (dj - 1,) + rest[j + 1 :])))
     elif d[0] == 1:
         # dilaton equation
-        value = (2 * g - 2 + n - 1) * _psi(g, d[1:], cache)
+        value = (2 * g - 2 + n - 1) * _psi(g, d[1:])
     else:
-        value = _dvv(g, d, cache)
-    return cache.put(key, value)
+        value = _dvv(g, d)
+    return _default_cache.put(key, value)
 
 
-def _dvv(g: int, d: tuple[int, ...], cache: IntersectionCache) -> Fraction:
+def _dvv(g: int, d: tuple[int, ...]) -> Fraction:
     """Virasoro/KdV step on the largest index; requires all d_i >= 2."""
     k = d[-1]
     rest = d[:-1]
@@ -191,20 +190,20 @@ def _dvv(g: int, d: tuple[int, ...], cache: IntersectionCache) -> Fraction:
         merged = tuple(sorted(rest[:j] + rest[j + 1 :] + (k + dj - 1,)))
         total += Fraction(
             _odd_double_factorial(2 * (k + dj) - 1), _odd_double_factorial(2 * dj - 1)
-        ) * _psi(g, merged, cache)
+        ) * _psi(g, merged)
     nrest = len(rest)
     for a in range(k - 1):
         b = k - 2 - a
         w = Fraction(_df(a) * _df(b), 2)
-        total += w * _psi_lenient(g - 1, rest + (a, b), cache)
+        total += w * _psi_lenient(g - 1, rest + (a, b))
         for g1 in range(g + 1):
             g2 = g - g1
             for mask in range(1 << nrest):
                 part1 = tuple(rest[i] for i in range(nrest) if mask >> i & 1)
                 part2 = tuple(rest[i] for i in range(nrest) if not mask >> i & 1)
-                f1 = _psi_lenient(g1, (a,) + part1, cache)
+                f1 = _psi_lenient(g1, (a,) + part1)
                 if f1:
-                    f2 = _psi_lenient(g2, (b,) + part2, cache)
+                    f2 = _psi_lenient(g2, (b,) + part2)
                     if f2:
                         total += w * f1 * f2
     return total / _df(k)
@@ -213,11 +212,8 @@ def _dvv(g: int, d: tuple[int, ...], cache: IntersectionCache) -> Fraction:
 # -- mixed kappa_1 correlators -------------------------------------------------
 
 
-def kappa_psi_intersection(
-    g: int, m: int, d: Iterable[int], cache: Optional[IntersectionCache] = None
-) -> Fraction:
+def kappa_psi_intersection(g: int, m: int, d: Iterable[int]) -> Fraction:
     """<kappa_1^m tau_{d_1}...tau_{d_n}>_g via one-kappa-at-a-time reduction."""
-    cache = cache if cache is not None else _default_cache
     idx = KappaTauIndex(g, m, tuple(d))
     if 2 * idx.g - 2 + idx.n <= 0 or (idx.g == 0 and idx.n < 3) or idx.n < 1:
         raise UnstableError(f"unstable (g,n)=({idx.g},{idx.n})")
@@ -225,20 +221,18 @@ def kappa_psi_intersection(
         raise DimensionMismatchError(
             f"m+sum(d)={idx.m + sum(idx.d)} != 3g-3+n={3 * idx.g - 3 + idx.n} for {idx}"
         )
-    return _kappa_psi(idx.g, idx.m, idx.d, cache)
+    return _kappa_psi(idx.g, idx.m, idx.d)
 
 
-def _kappa_psi(g: int, m: int, d: tuple[int, ...], cache: IntersectionCache) -> Fraction:
+def _kappa_psi(g: int, m: int, d: tuple[int, ...]) -> Fraction:
     if m == 0:
-        return _psi(g, d, cache)
+        return _psi(g, d)
     key = (g, m, d)
-    got = cache.get(key)
+    got = _default_cache.get(key)
     if got is not None:
         return got
     total = Fraction(0)
     for j in range(m):
         sign = -1 if j % 2 else 1
-        total += sign * comb(m - 1, j) * _kappa_psi(
-            g, m - 1 - j, tuple(sorted(d + (j + 2,))), cache
-        )
-    return cache.put(key, total)
+        total += sign * comb(m - 1, j) * _kappa_psi(g, m - 1 - j, tuple(sorted(d + (j + 2,))))
+    return _default_cache.put(key, total)

@@ -1,13 +1,15 @@
-"""Exact rational linear programming (all-integer primal simplex).
+"""Exact linear programming over the integers (all-integer primal simplex).
 
 Solves   maximize c.x   subject to   A x <= b,  x >= 0
 exactly, for the small feasibility systems that decide chamber realizability.
 The callers arrange b >= 0, so the all-slack basis is feasible and no phase-1
 is needed.
 
-Inputs may be ints or Fractions.  Each row is cleared to integers up front by
-the lcm of its denominators, with no Fraction built; a row of ints, as every
-row of the realizability LP is, has lcm 1 and keeps its entries.
+Every entry of c, A and b is an int, as in the realizability LP (0/+-1 rows,
+integer bounds); a caller with rational data clears each row and the
+objective first.  Any other type is rejected: a Fraction would floor-divide
+inside the update below and give a wrong optimum without an error.  The value
+and the point are returned as Fractions.
 
 The tableau is condensed (Tucker form): it stores one entry per basic row and
 the objective for each nonbasic variable and the rhs, so it has n+1 columns
@@ -42,34 +44,27 @@ termination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
 from typing import Sequence
 
 
-def _int_row(xs) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, and that lcm."""
-    scale = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (scale // x.denominator) for x in xs], scale
-
-
 def simplex_max(
-    c: Sequence[Fraction],
-    A: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
+    c: Sequence[int],
+    A: Sequence[Sequence[int]],
+    b: Sequence[int],
 ) -> tuple[Fraction, list[Fraction]]:
     """Return (optimal value, an optimal x) for max c.x, A x <= b, x >= 0.
 
-    Requires b >= 0 and a bounded objective; raises ValueError otherwise.
+    Requires int entries (TypeError otherwise), b >= 0 and a bounded
+    objective (ValueError otherwise).
     """
+    if not set(map(type, chain(c, b, *A))) <= {int}:
+        raise TypeError("simplex_max takes int entries only")
     if any(bi < 0 for bi in b):
         raise ValueError("simplex_max requires b >= 0")
     n = len(c)
     m = len(A)
-    # The slack of a scaled row is a scaled slack variable, which leaves the
-    # x-solution set unchanged.
-    rows = [_int_row([*ai, bi])[0] for ai, bi in zip(A, b)]
-    obj, scale_obj = _int_row(c)
-    T = [list(col) for col in zip(*rows, [-x for x in obj] + [0])]
+    T = [list(col) for col in zip(*[[*ai, bi] for ai, bi in zip(A, b)], [-x for x in c] + [0])]
     cols = list(range(n))
     basis = list(range(n, n + m))
     d = 1  # common positive scale of the tableau
@@ -116,4 +111,4 @@ def simplex_max(
     for i, var in enumerate(basis):
         if var < n:
             x[var] = Fraction(rhs[i], d)
-    return Fraction(rhs[m], d * scale_obj), x
+    return Fraction(rhs[m], d), x

@@ -145,13 +145,20 @@ def test_index_canonicalization():
 
 
 def test_cache_cold_vs_warm_coherence():
-    warm = IntersectionCache()
+    """Each value read from the warm table equals its recomputation from an
+    empty table; the warm table is restored afterwards."""
+    table = default_cache().table
     values = {}
     for g, d in [(2, (2, 3)), (1, (0, 1, 2)), (0, (1, 1, 0, 0, 0))]:
-        values[(g, d)] = psi_intersection(g, d, cache=warm)
-    for (g, d), v in values.items():
-        cold = IntersectionCache()
-        assert psi_intersection(g, d, cache=cold) == v
+        values[(g, d)] = psi_intersection(g, d)
+    warm = dict(table)
+    try:
+        for (g, d), v in values.items():
+            table.clear()
+            assert psi_intersection(g, d) == v
+    finally:
+        table.clear()
+        table.update(warm)
 
 
 def test_cache_insert_idempotent_and_guarded():

@@ -45,22 +45,36 @@ def brute_force_max(c, A, b):
 
 
 def test_simple_cases():
-    value, x = simplex_max([F(1)], [[F(1)]], [F(2)])
+    value, x = simplex_max([1], [[1]], [2])
     assert value == 2 and x == [F(2)]
-    value, x = simplex_max([F(1), F(1)], [[F(1), F(0)], [F(0), F(1)]], [F(1), F(3)])
+    value, x = simplex_max([1, 1], [[1, 0], [0, 1]], [1, 3])
     assert value == 4
-    value, _ = simplex_max([F(0)], [[F(1)]], [F(5)])
+    value, _ = simplex_max([0], [[1]], [5])
     assert value == 0
 
 
 def test_unbounded_detected():
     with pytest.raises(ValueError):
-        simplex_max([F(1)], [[F(-1)]], [F(0)])
+        simplex_max([1], [[-1]], [0])
 
 
 def test_negative_rhs_rejected():
     with pytest.raises(ValueError):
-        simplex_max([F(1)], [[F(1)]], [F(-1)])
+        simplex_max([1], [[1]], [-1])
+
+
+def cleared(c, A, b):
+    """A rational LP as ``simplex_max`` takes it: each row [ai, bi] and the
+    objective times the lcm of its denominators, and the objective's lcm.
+    The x-set is unchanged and the optimum is that lcm times the original."""
+
+    def ints(xs):
+        k = lcm(*(x.denominator for x in xs))
+        return [int(x * k) for x in xs], k
+
+    rows = [ints([*ai, bi])[0] for ai, bi in zip(A, b)]
+    obj, scale = ints(c)
+    return (obj, [row[:-1] for row in rows], [row[-1] for row in rows]), scale
 
 
 def degenerate_instance():
@@ -77,23 +91,35 @@ def degenerate_instance():
 
 def test_degenerate_does_not_cycle():
     # Bland's rule must terminate.  The instance times 100 is all ints; given
-    # as ints, as Fractions of denominator 1 and with its rows divided by 2, 3
-    # and 7, it has the same optimal x and 100 times the value.
+    # as ints, and with its rows multiplied by 2, 3 and 7, it has the same
+    # optimal x and 100 times the value.
     c, A, b = degenerate_instance()
     x = [F(1, 25), F(0), F(1), F(0)]
     ci = [int(100 * v) for v in c]
     Ai = [[int(100 * v) for v in row] for row in A]
     bi = [int(100 * v) for v in b]
     ks = (2, 3, 7)
-    for form, value in [
-        ((c, A, b), F(1, 20)),
-        ((ci, Ai, bi), 5),
-        (([F(v) for v in ci], [[F(v) for v in row] for row in Ai], [F(v) for v in bi]), 5),
-        ((ci, [[F(v, k) for v in row] for row, k in zip(Ai, ks)], [F(v, k) for v, k in zip(bi, ks)]), 5),
-    ]:
+    for form in [(ci, Ai, bi), (ci, [[k * v for v in row] for row, k in zip(Ai, ks)], [k * v for v, k in zip(bi, ks)])]:
         got = simplex_max(*form)
-        assert got == (value, x)
+        assert got == (5, x)
         assert type(got[0]) is F and all(type(v) is F for v in got[1])
+
+
+def test_non_int_entry_rejected():
+    """A Fraction anywhere, even of denominator 1, is a TypeError: the
+    fraction-free update would floor-divide it and give a wrong optimum."""
+    c, A, b = degenerate_instance()
+    with pytest.raises(TypeError, match="int entries only"):
+        simplex_max(c, A, b)
+    ci, Ai, bi = cleared(c, A, b)[0]
+    for form in [
+        ([F(ci[0]), *ci[1:]], Ai, bi),
+        (ci, [Ai[0], [*Ai[1][:-1], F(Ai[1][-1])], Ai[2]], bi),
+        (ci, Ai, [*bi[:-1], F(bi[-1])]),
+        (ci, Ai, [*bi[:-1], 1.0]),
+    ]:
+        with pytest.raises(TypeError, match="int entries only"):
+            simplex_max(*form)
 
 
 def test_random_against_brute_force():
@@ -104,34 +130,32 @@ def test_random_against_brute_force():
         c = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
         A = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(m)]
         b = [F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(m)]
+        ints, scale = cleared(c, A, b)
         try:
-            got, x = simplex_max(c, A, b)
+            got, x = simplex_max(*ints)
         except ValueError as exc:
             assert "unbounded" in str(exc)
             continue
         want = brute_force_max(c, A, b)
-        assert want is not None and got == want
+        assert want is not None and got == scale * want
         # returned point must be feasible and achieve the value
         assert all(xj >= 0 for xj in x)
         assert all(sum(ai * xi for ai, xi in zip(row, x)) <= bi for row, bi in zip(A, b))
-        assert sum(ci * xi for ci, xi in zip(c, x)) == got
+        assert sum(ci * xi for ci, xi in zip(c, x)) == want
 
 
 def full_tableau_simplex_max(c, A, b):
-    """Reference: the full-tableau all-integer simplex (slack columns kept).
-
-    Rows are cleared to integers through Fraction; Bareiss update and Bland's
-    rule on column indices, as in ``simplex_max``.
+    """Reference: the full-tableau all-integer simplex (slack columns kept)
+    on int entries, with the Bareiss update and Bland's rule on column
+    indices, as in ``simplex_max``.
     """
-    if any(F(bi) < 0 for bi in b):
+    if any(bi < 0 for bi in b):
         raise ValueError("simplex_max requires b >= 0")
     n = len(c)
-    scale_obj = lcm(*(F(x).denominator for x in c)) if n else 1
-    obj = [-int(F(x) * scale_obj) for x in c]
+    obj = [-x for x in c]
     M = []
     for i, (ai, bi) in enumerate(zip(A, b)):
-        scale = lcm(*(F(x).denominator for x in list(ai) + [bi]))
-        M.append([int(F(x) * scale) for x in ai] + [0] * len(A) + [int(F(bi) * scale)])
+        M.append(list(ai) + [0] * len(A) + [bi])
         M[-1][n + i] = 1
     m = len(M)
     obj = obj + [0] * m + [0]
@@ -165,7 +189,7 @@ def full_tableau_simplex_max(c, A, b):
     for i, var in enumerate(basis):
         if var < n:
             x[var] = F(M[i][-1], d)
-    return F(obj[-1], d * scale_obj), x
+    return F(obj[-1], d), x
 
 
 def outcome(solver, c, A, b):
@@ -176,8 +200,9 @@ def outcome(solver, c, A, b):
 
 
 def test_matches_full_tableau_on_random_lps():
-    """Same (value, x), or the same error, on random rational LPs; b is mostly
-    0 and the coefficients small, so most instances are degenerate."""
+    """Same (value, x), or the same error, on random rational LPs cleared to
+    integer rows; b is mostly 0 and the coefficients small, so most instances
+    are degenerate."""
     rng = random.Random(20261018)
     instances = [degenerate_instance()]
     for _ in range(1500):
@@ -188,9 +213,10 @@ def test_matches_full_tableau_on_random_lps():
         b = [F(rng.choice([0, 0, 0, 1, 2]), rng.randint(1, 3)) for _ in range(m)]
         instances.append((c, A, b))
     solved = 0
-    for c, A, b in instances:
-        want = outcome(full_tableau_simplex_max, c, A, b)
-        assert outcome(simplex_max, c, A, b) == want
+    for lp in instances:
+        ints, _ = cleared(*lp)
+        want = outcome(full_tableau_simplex_max, *ints)
+        assert outcome(simplex_max, *ints) == want
         solved += not isinstance(want, str)
     assert solved > 800
 
@@ -223,10 +249,11 @@ def realizability_lps():
 def test_matches_full_tableau_on_realizability_lps(realizability_lps):
     """Every LP that realize solves on a memo miss (chambers._solve), for each
     chamber of D_{0,4}, D_{1,4} and D_{0,5} and for each chamber one simple
-    crossing below it, gives the reference's (value, x)."""
+    crossing below it, is all ints and gives the reference's (value, x)."""
     _, recorded = realizability_lps
     assert len(recorded) > 2500
     for c, A, b in recorded:
+        assert all(type(v) is int for v in itertools.chain(c, b, *A))
         assert simplex_max(c, A, b) == full_tableau_simplex_max(c, A, b)
 
 
@@ -250,8 +277,8 @@ def test_orbit_realize_matches_fresh_lp(realizability_lps, monkeypatch):
 
 def test_matches_full_tableau_on_d06_search_lps(monkeypatch):
     """Every LP of the D_{0,6} representative search and of the witnesses of
-    its representatives, solved from empty memo tables, gives the reference's
-    (value, x)."""
+    its representatives, solved from empty memo tables, is all ints and gives
+    the reference's (value, x)."""
     for name in ("_realize_cache", "_realize_orbits", "_enum_cache"):
         monkeypatch.setattr(chambers, name, {})
     recorded = []
@@ -265,6 +292,7 @@ def test_matches_full_tableau_on_d06_search_lps(monkeypatch):
         chambers.realize(c)
     assert len(recorded) == 511
     for c, A, b in recorded:
+        assert all(type(v) is int for v in itertools.chain(c, b, *A))
         assert simplex_max(c, A, b) == full_tableau_simplex_max(c, A, b)
 
 
@@ -272,7 +300,7 @@ def test_empty_shapes():
     """No rows: a positive objective entry is unbounded, otherwise the optimum
     is 0 at x = 0.  No variables: the optimum is 0 at the empty point."""
     with pytest.raises(ValueError, match="objective is unbounded"):
-        simplex_max([F(0), F(1)], [], [])
-    assert simplex_max([F(-1), F(0)], [], []) == (0, [0, 0])
-    assert simplex_max([], [[], []], [F(1), F(2)]) == (0, [])
+        simplex_max([0, 1], [], [])
+    assert simplex_max([-1, 0], [], []) == (0, [0, 0])
+    assert simplex_max([], [[], []], [1, 2]) == (0, [])
     assert simplex_max([], [], []) == (0, [])
