@@ -63,18 +63,49 @@ from .poly import Poly, PolyRing
 ENUMERATION_BOUND = 6
 
 
-@dataclass(frozen=True)
 class StabilitySpace:
-    """The space D_{g,n} of stability conditions."""
+    """The space D_{g,n} of stability conditions.
 
-    g: int
-    n: int
+    There is one instance per (g, n): the constructor validates a pair once
+    and returns the same object for it afterwards, unpickling included.
+    Equality and the hash, computed once, read (g, n), as for a value.
+    """
 
-    def __post_init__(self):
-        if self.g < 0 or self.n < 1:
-            raise UnstableError(f"bad (g,n)=({self.g},{self.n})")
-        if 2 * self.g - 2 + self.n <= 0:
-            raise UnstableError(f"unstable moduli problem (g,n)=({self.g},{self.n})")
+    __slots__ = ("g", "n", "_hash")
+
+    def __new__(cls, g: int, n: int) -> "StabilitySpace":
+        space = _spaces.get((g, n))
+        if space is None:
+            if g < 0 or n < 1:
+                raise UnstableError(f"bad (g,n)=({g},{n})")
+            if 2 * g - 2 + n <= 0:
+                raise UnstableError(f"unstable moduli problem (g,n)=({g},{n})")
+            space = object.__new__(cls)
+            for name, value in (("g", g), ("n", n), ("_hash", hash((g, n)))):
+                object.__setattr__(space, name, value)
+            space = _spaces.setdefault((g, n), space)  # the first of racing threads
+        return space
+
+    def __setattr__(self, *_):
+        raise AttributeError("StabilitySpace is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return StabilitySpace, (self.g, self.n)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not StabilitySpace:
+            return NotImplemented
+        return self.g == other.g and self.n == other.n
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"StabilitySpace(g={self.g!r}, n={self.n!r})"
 
     @property
     def labels(self) -> range:
@@ -83,6 +114,9 @@ class StabilitySpace:
     def subsets(self) -> list[frozenset[int]]:
         """Every label set of at least 2 elements, by size, then lexicographic."""
         return [frozenset(J) for r in range(2, self.n + 1) for J in itertools.combinations(self.labels, r)]
+
+
+_spaces: dict[tuple[int, int], StabilitySpace] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +137,8 @@ class WeightVector:
     nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = tuple(Fraction(x) for x in self.a)
+        # a weight given as a Fraction is kept as it is, not copied
+        a = tuple(x if x.__class__ is Fraction else Fraction(x) for x in self.a)
         object.__setattr__(self, "a", a)
         if len(a) != self.space.n:
             raise ValueError("weight count does not match n")
@@ -168,10 +203,6 @@ class Wall:
         object.__setattr__(self, "J", frozenset(self.J))
         if len(self.J) < 2 or not self.J <= set(self.space.labels):
             raise ValueError(f"invalid wall set {sorted(self.J)}")
-
-
-# One object per space, for the spaces that chamber operations reach.
-_space = functools.cache(StabilitySpace)
 
 
 @functools.cache
@@ -375,7 +406,7 @@ class Chamber:
         n2 = self.space.n - s.bit_count() + 1
         if 2 * self.space.g - 2 + n2 <= 0:
             raise UnstableError(f"quotient space D_({self.space.g},{n2}) unstable")
-        return _adopt(_space(self.space.g, n2), _maximal(_compressed(self._masks, s)))
+        return _adopt(StabilitySpace(self.space.g, n2), _maximal(_compressed(self._masks, s)))
 
     def restrict(self, T: Iterable[int]) -> "Chamber":
         """Forget the points outside T; result lives in D_{g,|T|}."""
@@ -385,7 +416,7 @@ class Chamber:
         if 2 * self.space.g - 2 + len(T) <= 0:
             raise UnstableError(f"restricted space D_({self.space.g},{len(T)}) unstable")
         drop = (1 << self.space.n) - 1 & ~_mask(T)
-        return _adopt(_space(self.space.g, len(T)), _maximal(_compressed(self._masks, drop)))
+        return _adopt(StabilitySpace(self.space.g, len(T)), _maximal(_compressed(self._masks, drop)))
 
     def permuted(self, perm: Mapping[int, int]) -> "Chamber":
         return Chamber(self.space, [[perm[j] for j in _labels(m)] for m in self._masks])
@@ -522,7 +553,7 @@ def _genus_class(space: StabilitySpace) -> StabilitySpace:
     """The space D_{min(g,1),n}, whose walls, chambers and realizability LPs
     are those of ``space``: for g >= 1, sum a > 2-2g follows from a_j > 0.
     D_{0,n} is its own class."""
-    return space if space.g <= 1 else _space(1, space.n)
+    return space if space.g <= 1 else StabilitySpace(1, space.n)
 
 
 def realize(c: Chamber) -> Optional[Realization]:
@@ -560,12 +591,6 @@ def _realize_key(space: StabilitySpace, key: tuple[int, ...]) -> Optional[Realiz
     return _realize_orbits[entry]
 
 
-def _moved(point: tuple[Fraction, ...], perm: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """The weights of ``point`` relabeled by ``perm``: a_j moves to position
-    perm[j-1] + 1, as label j does; a gather through the inverse of ``perm``."""
-    return tuple(map(point.__getitem__, _inverse(perm)))
-
-
 @functools.cache
 def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
     """The inverse permutation of ``perm``."""
@@ -587,34 +612,38 @@ def _solve(c: Chamber) -> Optional[Realization]:
     (``_genus_class``) has the same positive optimum; taking it makes the
     witness one per class.  Every coefficient is 0 or +-1 and every
     right-hand side an integer, so the rows are the plain ints that
-    ``simplex_max`` takes.  The heavy rows come in the order of
-    ``Chamber.heavy_min``.
+    ``simplex_max`` takes.  The rows are copies of those of ``_lp_rows``:
+    the bound rows, the light rows in ``light_max`` order and the heavy rows
+    in the order of ``Chamber.heavy_min``, then the sum row.
     """
     n = c.space.n
-    g = min(c.space.g, 1)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-
-    def row(avec: list[int], sigma: int, b: int) -> None:
-        rows.append(avec + [sigma])
-        rhs.append(b)
-
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        row(e, 0, 1)  # a_j <= 1
-        e = [0] * n
-        e[j] = -1
-        row(e, 1, 3)  # a_j >= s
-    for J in c.light_max:
-        row([1 if j + 1 in J else 0 for j in range(n)], 1, 4)  # sum_J a <= 1 - s
-    for m in c._heavy_masks():
-        row([-(m >> j & 1) for j in range(n)], 1, 2)  # sum_J a >= 1 + s
-    row([-1] * n, 1, 1 + 2 * g)  # sum a >= 2 - 2g + s
-    objective = [0] * n + [1]
-    value, x = simplex_max(objective, rows, rhs)
+    bounds, light, heavy = _lp_rows(n)
+    lights = sorted(c._masks, key=_lex_rank(n).__getitem__)  # light_max order
+    heavies = c._heavy_masks()
+    rows = [*map(list, bounds), *(list(light[m]) for m in lights), *(list(heavy[m]) for m in heavies)]
+    rows.append([-1] * n + [1])  # sum a >= 2 - 2g + s
+    rhs = [1, 3] * n + [4] * len(lights) + [2] * len(heavies) + [1 + 2 * min(c.space.g, 1)]
+    value, x = simplex_max([0] * n + [1], rows, rhs)
     slack = value - 3
     return (tuple(x[:n]), slack) if slack > 0 else None
+
+
+_Rows = tuple[tuple[int, ...], ...]
+
+
+@functools.cache
+def _lp_rows(n: int) -> tuple[_Rows, _Rows, _Rows]:
+    """(bound rows, light rows, heavy rows) of the realizability LP of
+    D_{g,n}, over (a_1..a_n, sigma), without the right-hand sides that
+    ``_solve`` supplies.  The bound rows are a_j <= 1 and -a_j + sigma <= 3
+    (a_j >= s) for each label j in turn.  Indexed by mask J, the light row
+    is sum_J a + sigma <= 4 (sum_J a <= 1 - s) and the heavy row
+    -sum_J a + sigma <= 2 (sum_J a >= 1 + s)."""
+    light = tuple(tuple(m >> j & 1 for j in range(n)) + (1,) for m in range(1 << n))
+    heavy = tuple(tuple(-x for x in row[:n]) + (1,) for row in light)
+    # a_j <= 1 is the light row of {j} without sigma, a_j >= s its heavy row
+    bounds = tuple(row for j in range(n) for row in (light[1 << j][:n] + (0,), heavy[1 << j]))
+    return bounds, light, heavy
 
 
 @functools.cache
@@ -840,24 +869,32 @@ class _Relabelings:
 
 
 @functools.cache
-def _relabelings(n: int) -> _Relabelings:
+def _lex_rank(n: int) -> tuple[int, ...]:
+    """The rank of each label mask of size >= 2 among those masks in sorted
+    label-tuple order, the order of ``light_max``; indexed by mask, and 0 for
+    the masks of size <= 1."""
     subsets = sorted(
         c for r in range(2, n + 1) for c in itertools.combinations(range(1, n + 1), r)
     )
-    masks = tuple(map(_mask, subsets))
     rank = [0] * (1 << n)
-    for r, m in enumerate(masks):
-        rank[m] = r
+    for r, J in enumerate(subsets):
+        rank[_mask(J)] = r
+    return tuple(rank)
+
+
+@functools.cache
+def _relabelings(n: int) -> _Relabelings:
+    rank = _lex_rank(n)
+    masks = tuple(sorted((m for m in range(1 << n) if m & (m - 1)), key=rank.__getitem__))
+    subsets = tuple(map(_labels, masks))
     perms = tuple(itertools.permutations(range(n)))
-    tables = tuple(
-        tuple(rank[sum(1 << p[j] for j in range(n) if m >> j & 1)] for m in range(1 << n))
-        for p in perms
-    )
+    # the rank of the image of each mask, gathered through the image table
+    tables = tuple(tuple(map(rank.__getitem__, _mask_images(p))) for p in perms)
     inversions = tuple(
         sum(1 << (i * n + j) for i, j in itertools.combinations(range(n), 2) if p[i] > p[j])
         for p in perms
     )
-    return _Relabelings(tuple(subsets), masks, perms, tables, inversions)
+    return _Relabelings(subsets, masks, perms, tables, inversions)
 
 
 # A family of label masks is held as a set of masks: an int whose bit m is set
@@ -1126,13 +1163,25 @@ def _search(space: StabilitySpace) -> list[tuple[int, ...]]:
 
 def _expand(space: StabilitySpace, reps: Iterable[Chamber]) -> _FullList:
     """The full list of ``space`` from its orbit representatives, as described
-    in ``enumerate_chambers``."""
-    sym = _relabelings(space.n)
+    in ``enumerate_chambers``.
+
+    The image of a representative under ``perms[k]`` is its masks gathered
+    through ``tables[k]``; its witness moves as the labels do, a_j to
+    position perms[k][j-1] + 1, a gather through the inverse permutation.
+    The images are already canonical, so their chambers need no validation.
+    """
+    n = space.n
+    sym = _relabelings(n)
+    tables, perms, masks_of = sym.tables, sym.perms, sym.masks.__getitem__
     witnesses = {}  # rank tuple -> (witness, slack)
     for rep in reps:
-        ks = _coset_relabelings(space.n, _desirability(rep._closure(), space.n))
+        masks = rep._masks
         point, slack = realize(rep)
-        for k, image in zip(ks, sym.relabeled(rep._masks, ks)):
-            witnesses[image] = (_moved(point, sym.perms[k]), slack)
-    keys = sorted(witnesses, key=lambda k: (len(k), k))
-    return tuple(sym.chamber(space, key) for key in keys), tuple(map(witnesses.__getitem__, keys))
+        weight = point.__getitem__
+        for k in _coset_relabelings(n, _desirability(rep._closure(), n)):
+            image = tuple(sorted(map(tables[k].__getitem__, masks)))
+            witnesses[image] = (tuple(map(weight, _inverse(perms[k]))), slack)
+    keys = sorted(witnesses)
+    keys.sort(key=len)  # stable: by (number of maximal light sets, light antichain)
+    chambers = tuple(_adopt(space, tuple(sorted(map(masks_of, key)))) for key in keys)
+    return chambers, tuple(map(witnesses.__getitem__, keys))

@@ -1,6 +1,8 @@
 """Chamber combinatorics, realizability LP, paths and enumeration."""
 
+import copy
 import itertools
+import pickle
 import random
 import re
 from fractions import Fraction as F
@@ -63,6 +65,52 @@ def test_space_validation():
     with pytest.raises(UnstableError):
         StabilitySpace(-1, 5)
     StabilitySpace(1, 1)
+
+
+def test_space_is_interned():
+    """One object per (g, n): the constructor, keyword construction, pickle,
+    ``copy`` and ``deepcopy`` return it.  It keeps the value semantics, hash
+    and repr of the former frozen dataclass, its errors and its
+    immutability."""
+    space = StabilitySpace(1, 4)
+    assert StabilitySpace(1, 4) is space and StabilitySpace(g=1, n=4) is space
+    for again in (pickle.loads(pickle.dumps(space)), copy.copy(space), copy.deepcopy(space)):
+        assert again is space
+    c = enumerate_chambers(space)[5]
+    assert pickle.loads(pickle.dumps(c)).space is space
+    assert hash(space) == hash((1, 4)) and space == space
+    assert space != StabilitySpace(4, 1) and space != StabilitySpace(1, 5)
+    assert space != (1, 4) and len({space, StabilitySpace(1, 4), StabilitySpace(2, 4)}) == 2
+    assert repr(space) == "StabilitySpace(g=1, n=4)" and repr(S04) == "StabilitySpace(g=0, n=4)"
+    assert (space.g, space.n, space.labels) == (1, 4, range(1, 5))
+    for g, n, message in [
+        (-1, 5, "bad (g,n)=(-1,5)"),
+        (1, 0, "bad (g,n)=(1,0)"),
+        (0, 2, "unstable moduli problem (g,n)=(0,2)"),
+        (0, 1, "unstable moduli problem (g,n)=(0,1)"),
+    ]:
+        for _ in range(2):  # a failed pair is not kept
+            with pytest.raises(UnstableError, match=re.escape(message) + "$"):
+                StabilitySpace(g, n)
+    with pytest.raises(AttributeError):
+        space.g = 2
+    with pytest.raises(AttributeError):
+        space.extra = 1
+    with pytest.raises(AttributeError):
+        del space.n
+    assert (space.g, space.n, hash(space)) == (1, 4, hash((1, 4)))
+
+
+def test_weight_vector_keeps_fraction_weights():
+    """Fraction weights are kept as given; other weights are converted, as
+    ``Fraction(x)`` converts them."""
+    a = (F(1, 3), F(1, 2), F(2, 3), F(3, 4))
+    w = WeightVector(S04, a)
+    assert all(x is y for x, y in zip(w.a, a))
+    mixed = WeightVector(S04, (1, "1/2", F(2, 3), 0.75))
+    assert mixed.a == (F(1), F(1, 2), F(2, 3), F(3, 4))
+    assert all(type(x) is F for x in mixed.a)
+    assert (mixed.den, mixed.nums) == (12, (12, 6, 8, 9))
 
 
 def test_weight_vector_validation():
@@ -620,6 +668,15 @@ def _reference_minimal_heavy(light_max, n):
     return out
 
 
+def _moved(point, perm):
+    """Reference: the weights of ``point`` relabeled by ``perm``, a_j moved
+    to position perm[j-1] + 1 as label j is; written as a scatter."""
+    out = [None] * len(point)
+    for j, p in enumerate(perm):
+        out[p] = point[j]
+    return tuple(out)
+
+
 def _reference_orbit(masks, n):
     """Reference: the former ``chambers._orbit`` of the chamber with light
     antichain ``masks``: (form, perm), its canonical form, the smallest rank
@@ -677,7 +734,7 @@ def _reference_orbit_search(space, orbits, canonical=None):
         point, slack = realize_form(key)
         for p, image in zip(sym.perms, sym.relabeled(sym.masks[r] for r in key)):
             if image not in witnesses:
-                witnesses[image] = (chambers._moved(point, p), slack)
+                witnesses[image] = (_moved(point, p), slack)
     every = sorted(witnesses, key=lambda k: (len(k), k))
     light_max = [tuple(sym.subsets[r] for r in k) for k in every]
     return light_max, [witnesses[k] for k in every], [chamber(k) for k in found]
@@ -743,7 +800,7 @@ def _reference_realize(c, memo, orbits):
             key = (chambers._genus_class(c.space), form)
             if key not in orbits:
                 got = chambers._solve(c)
-                orbits[key] = got and (chambers._moved(got[0], perm), got[1])
+                orbits[key] = got and (_moved(got[0], perm), got[1])
             canon = orbits[key]
             memo[c] = canon and (tuple(canon[0][p] for p in perm), canon[1])
     return memo[c]
@@ -1318,3 +1375,126 @@ def test_heavy_min_and_solve_rows_follow_subsets_order(monkeypatch, g, n):
         assert c.heavy_min() == want
         heavy = [row[:n] for row, rhs in zip(A, b) if rhs == 2]  # sum_J a >= 1 + s
         assert heavy == [[-1 if j in J else 0 for j in space.labels] for J in want]
+
+
+# -- fast paths against the code they replaced --------------------------------------
+
+
+def _former_relabelings(n):
+    """Reference: the former ``_relabelings`` tables, (subsets, masks, perms,
+    tables), each image mask built bit by bit from the permutation."""
+    subsets = sorted(c for r in range(2, n + 1) for c in itertools.combinations(range(1, n + 1), r))
+    masks = tuple(sum(1 << (j - 1) for j in J) for J in subsets)
+    rank = [0] * (1 << n)
+    for r, m in enumerate(masks):
+        rank[m] = r
+    perms = tuple(itertools.permutations(range(n)))
+    tables = tuple(
+        tuple(rank[sum(1 << p[j] for j in range(n) if m >> j & 1)] for m in range(1 << n))
+        for p in perms
+    )
+    return tuple(subsets), masks, perms, tables
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_relabel_tables_match_former_formula(n):
+    """The rank tables gathered through the mask images equal those of the
+    former bit-by-bit formula, entry for entry, as do the ranked subsets,
+    their masks and the permutations."""
+    sym = chambers._relabelings(n)
+    assert (sym.subsets, sym.masks, sym.perms, sym.tables) == _former_relabelings(n)
+
+
+def _former_lp(c):
+    """Reference: the former ``_solve`` rows, (objective, rows, rhs), built
+    entry by entry."""
+    n = c.space.n
+    g = min(c.space.g, 1)
+    rows, rhs = [], []
+
+    def row(avec, sigma, b):
+        rows.append(avec + [sigma])
+        rhs.append(b)
+
+    for j in range(n):
+        e = [0] * n
+        e[j] = 1
+        row(e, 0, 1)
+        e = [0] * n
+        e[j] = -1
+        row(e, 1, 3)
+    for J in c.light_max:
+        row([1 if j + 1 in J else 0 for j in range(n)], 1, 4)
+    for m in c._heavy_masks():
+        row([-(m >> j & 1) for j in range(n)], 1, 2)
+    row([-1] * n, 1, 1 + 2 * g)
+    return [0] * n + [1], rows, rhs
+
+
+@pytest.mark.parametrize("g,n", [(0, 5), (1, 5)], ids=["D05", "D15"])
+def test_solve_rows_match_former_row_builder(monkeypatch, g, n):
+    """On every chamber of the space and every candidate below a
+    representative, ``simplex_max`` receives from ``_solve`` the objective,
+    rows and right-hand sides of the former row builder, as lists of ints.
+    Each row is a fresh list: clearing the received rows leaves the next
+    LP unchanged."""
+    space = StabilitySpace(g, n)
+    every = enumerate_chambers(space) + list(_candidates(space))
+    seen = []
+
+    def record(c, A, b):
+        seen.append((c, [row[:] for row in A], b))
+        for row in A:
+            row.clear()  # a row shared with a cache would lose its entries
+        return 0, [0] * len(c)  # s = -3: not realizable
+
+    monkeypatch.setattr(chambers, "simplex_max", record)
+    for c in every:
+        seen.clear()
+        chambers._solve(c)
+        assert seen == [_former_lp(c)]
+
+
+def _former_expand(space, reps):
+    """Reference: the former ``_expand``: the images through ``relabeled``,
+    each witness moved by ``_moved`` and each chamber validated by
+    ``_Relabelings.chamber``."""
+    sym = chambers._relabelings(space.n)
+    witnesses = {}
+    for rep in reps:
+        ks = chambers._coset_relabelings(space.n, chambers._desirability(rep._closure(), space.n))
+        point, slack = realize(rep)
+        for k, image in zip(ks, sym.relabeled(rep._masks, ks)):
+            witnesses[image] = (_moved(point, sym.perms[k]), slack)
+    keys = sorted(witnesses, key=lambda k: (len(k), k))
+    return tuple(sym.chamber(space, key) for key in keys), tuple(map(witnesses.__getitem__, keys))
+
+
+@pytest.mark.parametrize("g,n", [(1, 4), (0, 5), (1, 5)], ids=["D14", "D05", "D15"])
+def test_expand_matches_former_expand(g, n):
+    """The full list built by gathers equals the former one: the same
+    chambers, with the same masks, in the same order, and the same
+    witnesses."""
+    space = StabilitySpace(g, n)
+    reps = enumerate_chambers(space, up_to_symmetry=True)
+    got = chambers._expand(space, reps)
+    want = _former_expand(space, reps)
+    assert got == want
+    assert [c._masks for c in got[0]] == [c._masks for c in want[0]]
+    assert all(c.space is space for c in got[0])
+
+
+def test_enumeration_lp_counts(monkeypatch, empty_memos):
+    """From empty memos, the searches of D_{1,3}, D_{1,4}, D_{0,5} and D_{1,5}
+    solve 4, 16, 41 and 91 LPs, one per realizability orbit key; each full
+    list then solves one more, the witness of the main chamber: 156 in all."""
+    solved = _counting(monkeypatch, chambers, "simplex_max")
+    counts = {}
+    for g, n in [(1, 3), (1, 4), (0, 5), (1, 5)]:
+        before = len(solved)
+        enumerate_chambers(StabilitySpace(g, n), up_to_symmetry=True)
+        searched = len(solved) - before
+        enumerate_chambers(StabilitySpace(g, n))
+        counts[(g, n)] = (searched, len(solved) - before - searched)
+    assert counts == {(1, 3): (4, 1), (1, 4): (16, 1), (0, 5): (41, 1), (1, 5): (91, 1)}
+    assert len(solved) == 156
