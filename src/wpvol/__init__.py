@@ -10,7 +10,6 @@ from .chambers import (
     Chamber,
     CrossingPath,
     StabilitySpace,
-    Wall,
     WeightVector,
     chamber_from_json_dict,
     classify,
@@ -34,9 +33,6 @@ from .errors import (
     WpvolError,
 )
 from .intersection import (
-    IntersectionCache,
-    KappaTauIndex,
-    TauIndex,
     default_cache,
     kappa_psi_intersection,
     psi_intersection,

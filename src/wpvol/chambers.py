@@ -192,19 +192,6 @@ class WeightVector:
         return WeightVector(self.space, tuple(b))
 
 
-@dataclass(frozen=True)
-class Wall:
-    """W_J = {a : sum_{j in J} a_j = 1} for |J| >= 2."""
-
-    space: StabilitySpace
-    J: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "J", frozenset(self.J))
-        if len(self.J) < 2 or not self.J <= set(self.space.labels):
-            raise ValueError(f"invalid wall set {sorted(self.J)}")
-
-
 @functools.cache
 def _label_set(n: int) -> frozenset[int]:
     return frozenset(range(1, n + 1))

@@ -22,15 +22,15 @@ mixed kappa_1 correlators reduce to pure psi ones one kappa at a time:
     <k1^m prod tau_d>_{g,n}
         = sum_{j=0}^{m-1} C(m-1,j) (-1)^j <k1^{m-1-j} tau_{j+2} prod tau_d>_{g,n+1}
 
-All computations are cached in memory, in the one table ``default_cache()``.
-Insertions are idempotent -- the same key always maps to the same value -- so
-concurrent writers are harmless and single-threaded use pays no
-synchronization cost.
+Every value is memoized in one module dict, ``default_cache()``, keyed by
+(g, m, sorted d), with m = 0 for pure psi correlators.  Inserts are guarded:
+a key is written once, and a second, different value under it raises
+``ValueError``, so the table cannot silently serve a wrong number.  Equal
+re-inserts are harmless, so concurrent writers need no lock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable
@@ -52,77 +52,41 @@ def _df(d: int) -> int:
     return _odd_double_factorial(2 * d + 1)
 
 
-@dataclass(frozen=True)
-class TauIndex:
-    """Canonical index of a pure psi correlator <tau_{d_1}...tau_{d_n}>_g."""
-
-    g: int
-    d: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", tuple(sorted(int(x) for x in self.d)))
-        if self.g < 0 or any(x < 0 for x in self.d):
-            raise ValueError("genus and psi exponents must be non-negative")
-        n = len(self.d)
-        if n < 1 or (self.g == 0 and n < 3):
-            raise UnstableError(f"(g,n)=({self.g},{n}) not allowed for TauIndex")
-
-    @property
-    def n(self) -> int:
-        return len(self.d)
-
-    def dimension_matched(self) -> bool:
-        return sum(self.d) == 3 * self.g - 3 + self.n
+_cache: dict[tuple[int, int, tuple[int, ...]], Fraction] = {}
 
 
-@dataclass(frozen=True)
-class KappaTauIndex:
-    """Canonical index of a mixed correlator <kappa_1^m tau_{d_1}...tau_{d_n}>_g."""
-
-    g: int
-    m: int
-    d: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", tuple(sorted(int(x) for x in self.d)))
-        if self.g < 0 or self.m < 0 or any(x < 0 for x in self.d):
-            raise ValueError("indices must be non-negative")
-
-    @property
-    def n(self) -> int:
-        return len(self.d)
-
-    def dimension_matched(self) -> bool:
-        return self.m + sum(self.d) == 3 * self.g - 3 + self.n
+def default_cache() -> dict[tuple[int, int, tuple[int, ...]], Fraction]:
+    """The memo table: (g, m, sorted d) -> <kappa_1^m prod tau_d>_g."""
+    return _cache
 
 
-@dataclass
-class IntersectionCache:
-    """In-memory memo table from (g, m, sorted d) to Fraction."""
-
-    table: dict[tuple[int, int, tuple[int, ...]], Fraction] = field(default_factory=dict)
-
-    def get(self, key):
-        return self.table.get(key)
-
-    def put(self, key, value: Fraction) -> Fraction:
-        old = self.table.get(key)
-        if old is not None:
-            if old != value:
-                raise ValueError(f"cache corruption at {key}: {old} != {value}")
-            return old
-        self.table[key] = value
-        return value
-
-    def __len__(self) -> int:
-        return len(self.table)
+def _put(key: tuple[int, int, tuple[int, ...]], value: Fraction) -> Fraction:
+    """The guarded insert: a second, different value under ``key`` raises."""
+    old = _cache.setdefault(key, value)
+    if old != value:
+        raise ValueError(f"cache corruption at {key}: {old} != {value}")
+    return old
 
 
-_default_cache = IntersectionCache()
+def _stable(g: int, n: int) -> bool:
+    return g >= 0 and n >= 1 and 2 * g - 2 + n > 0
 
 
-def default_cache() -> IntersectionCache:
-    return _default_cache
+def _checked(g: int, m: int, d: Iterable[int]) -> tuple[int, ...]:
+    """d sorted, once g, m and every d_i are non-negative ints, (g, n) is
+    stable and m + sum(d) = 3g-3+n; raises ValueError, UnstableError or
+    DimensionMismatchError otherwise."""
+    d = tuple(d)
+    if not all(isinstance(x, int) and x >= 0 for x in (g, m, *d)):
+        raise ValueError(f"indices must be non-negative ints: g={g!r}, m={m!r}, d={d!r}")
+    n = len(d)
+    if not _stable(g, n):
+        raise UnstableError(f"unstable (g,n)=({g},{n})")
+    if m + sum(d) != 3 * g - 3 + n:
+        raise DimensionMismatchError(
+            f"m+sum(d)={m + sum(d)} != 3g-3+n={3 * g - 3 + n} for g={g}, m={m}, d={d}"
+        )
+    return tuple(sorted(d))
 
 
 # -- pure psi correlators ------------------------------------------------------
@@ -134,29 +98,20 @@ def psi_intersection(g: int, d: Iterable[int]) -> Fraction:
     The dimension constraint sum(d) = 3g-3+n is a strict precondition: a
     mismatch is a caller bug, not a zero.
     """
-    idx = TauIndex(g, tuple(d))
-    if 2 * idx.g - 2 + idx.n <= 0:
-        raise UnstableError(f"unstable (g,n)=({idx.g},{idx.n})")
-    if not idx.dimension_matched():
-        raise DimensionMismatchError(
-            f"sum(d)={sum(idx.d)} != 3g-3+n={3 * idx.g - 3 + idx.n} for {idx}"
-        )
-    return _psi(idx.g, idx.d)
+    return _psi(g, _checked(g, 0, d))
 
 
 def _psi_lenient(g: int, d: tuple[int, ...]) -> Fraction:
     """Internal: 0 for unstable or dimension-mismatched indices."""
     n = len(d)
-    if g < 0 or n < 1 or 2 * g - 2 + n <= 0 or (g == 0 and n < 3):
-        return Fraction(0)
-    if sum(d) != 3 * g - 3 + n:
+    if not _stable(g, n) or sum(d) != 3 * g - 3 + n:
         return Fraction(0)
     return _psi(g, tuple(sorted(d)))
 
 
 def _psi(g: int, d: tuple[int, ...]) -> Fraction:
     key = (g, 0, d)
-    got = _default_cache.get(key)
+    got = _cache.get(key)
     if got is not None:
         return got
     n = len(d)
@@ -178,7 +133,7 @@ def _psi(g: int, d: tuple[int, ...]) -> Fraction:
         value = (2 * g - 2 + n - 1) * _psi(g, d[1:])
     else:
         value = _dvv(g, d)
-    return _default_cache.put(key, value)
+    return _put(key, value)
 
 
 def _dvv(g: int, d: tuple[int, ...]) -> Fraction:
@@ -214,25 +169,18 @@ def _dvv(g: int, d: tuple[int, ...]) -> Fraction:
 
 def kappa_psi_intersection(g: int, m: int, d: Iterable[int]) -> Fraction:
     """<kappa_1^m tau_{d_1}...tau_{d_n}>_g via one-kappa-at-a-time reduction."""
-    idx = KappaTauIndex(g, m, tuple(d))
-    if 2 * idx.g - 2 + idx.n <= 0 or (idx.g == 0 and idx.n < 3) or idx.n < 1:
-        raise UnstableError(f"unstable (g,n)=({idx.g},{idx.n})")
-    if not idx.dimension_matched():
-        raise DimensionMismatchError(
-            f"m+sum(d)={idx.m + sum(idx.d)} != 3g-3+n={3 * idx.g - 3 + idx.n} for {idx}"
-        )
-    return _kappa_psi(idx.g, idx.m, idx.d)
+    return _kappa_psi(g, m, _checked(g, m, d))
 
 
 def _kappa_psi(g: int, m: int, d: tuple[int, ...]) -> Fraction:
     if m == 0:
         return _psi(g, d)
     key = (g, m, d)
-    got = _default_cache.get(key)
+    got = _cache.get(key)
     if got is not None:
         return got
     total = Fraction(0)
     for j in range(m):
         sign = -1 if j % 2 else 1
         total += sign * comb(m - 1, j) * _kappa_psi(g, m - 1 - j, tuple(sorted(d + (j + 2,))))
-    return _default_cache.put(key, total)
+    return _put(key, total)

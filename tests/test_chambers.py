@@ -48,17 +48,6 @@ def chambers_04():
     return b0, b1, b2, b2.cross({1, 4}), b2.cross({2, 3})
 
 
-def test_wall_validation():
-    from wpvol.chambers import Wall
-
-    w = Wall(S04, {3, 4})
-    assert w.J == frozenset({3, 4})
-    with pytest.raises(ValueError):
-        Wall(S04, {4})
-    with pytest.raises(ValueError):
-        Wall(S04, {4, 5})
-
-
 def test_space_validation():
     with pytest.raises(UnstableError):
         StabilitySpace(0, 2)

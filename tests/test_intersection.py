@@ -1,21 +1,24 @@
 """Intersection-number backend: anchors, equations, cache behavior."""
 
+import hashlib
 import itertools
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 
+from wpvol import intersection
 from wpvol.errors import DimensionMismatchError, UnstableError
-from wpvol.intersection import (
-    IntersectionCache,
-    KappaTauIndex,
-    TauIndex,
-    default_cache,
-    kappa_psi_intersection,
-    psi_intersection,
-)
+from wpvol.intersection import default_cache, kappa_psi_intersection, psi_intersection
 from wpvol.reference import INTERSECTION_ANCHORS
+from wpvol.volumes import _compositions
+
+# The memo after every <kappa_1^m tau_alpha>_g that mirzakhani_volume(g, n)
+# reads for g <= 3 and n <= 6, computed from an empty table: its entry count
+# and the SHA-256 of one line "g m d_1 ... d_n p/q" per entry, in key order.
+# Recorded with the previous memo implementation.
+MEMO_ENTRIES = 3177
+MEMO_DIGEST = "c1bedd34cbeecb393d7ad15053147d94ae5246f061798963a0e002affa29cc5d"
 
 
 def test_anchors():
@@ -103,7 +106,7 @@ def test_string_dilaton_consistency_on_cache():
     psi_intersection(3, (4, 4))
     cache = default_cache()
     checked = 0
-    for (g, m, d), value in list(cache.table.items()):
+    for (g, m, d), value in list(cache.items()):
         if m != 0:
             continue
         n = len(d)
@@ -135,19 +138,34 @@ def test_unstable_inputs_rejected():
     with pytest.raises(UnstableError):
         psi_intersection(0, (0, 0))
     with pytest.raises(UnstableError):
-        TauIndex(0, (0, 0))
+        kappa_psi_intersection(0, 1, (0, 0))
+    with pytest.raises(UnstableError):
+        psi_intersection(2, ())
 
 
-def test_index_canonicalization():
-    assert TauIndex(1, (2, 0, 1)).d == (0, 1, 2)
-    assert KappaTauIndex(1, 2, (3, 1)).d == (1, 3)
-    assert TauIndex(1, (2, 0, 1)).dimension_matched()
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: psi_intersection(0, (0.9, 0, 0)),
+        lambda: psi_intersection(1, (1.5,)),
+        lambda: psi_intersection(1.0, (1,)),
+        lambda: kappa_psi_intersection(1, 1, (0.2,)),
+        lambda: psi_intersection(1, (F(1),)),
+        lambda: kappa_psi_intersection(1, F(1), (0,)),
+        lambda: psi_intersection(0, ("0", 0, 0)),
+        lambda: kappa_psi_intersection(0, "1", (0, 0, 0, 0)),
+    ],
+)
+def test_non_integer_indices_rejected(call):
+    """A float, Fraction or str index is refused, never truncated by int()."""
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_cache_cold_vs_warm_coherence():
     """Each value read from the warm table equals its recomputation from an
     empty table; the warm table is restored afterwards."""
-    table = default_cache().table
+    table = default_cache()
     values = {}
     for g, d in [(2, (2, 3)), (1, (0, 1, 2)), (0, (1, 1, 0, 0, 0))]:
         values[(g, d)] = psi_intersection(g, d)
@@ -162,8 +180,33 @@ def test_cache_cold_vs_warm_coherence():
 
 
 def test_cache_insert_idempotent_and_guarded():
-    cache = IntersectionCache()
-    cache.put((0, 0, (0, 0, 0)), F(1))
-    cache.put((0, 0, (0, 0, 0)), F(1))
+    key, value = (0, 0, (0, 0, 0)), psi_intersection(0, (0, 0, 0))
+    assert intersection._put(key, F(1)) == value
     with pytest.raises(ValueError):
-        cache.put((0, 0, (0, 0, 0)), F(2))
+        intersection._put(key, F(2))
+    assert default_cache()[key] == value
+
+
+def test_memo_digest_from_empty_table():
+    """The memo behind every main chamber with g <= 3 and n <= 6, rebuilt
+    from an empty table, matches the recorded count and digest; the warm
+    table is restored afterwards."""
+    table = default_cache()
+    warm = dict(table)
+    try:
+        table.clear()
+        for g in range(4):
+            for n in range(1, 7):
+                if 2 * g - 2 + n <= 0:
+                    continue
+                dim = 3 * g - 3 + n
+                for m in range(dim + 1):
+                    for alpha in _compositions(dim - m, n):
+                        kappa_psi_intersection(g, m, alpha)
+        h = hashlib.sha256()
+        for (g, m, d), v in sorted(table.items()):
+            h.update(f"{g} {m} {' '.join(map(str, d))} {v.numerator}/{v.denominator}\n".encode())
+        assert (len(table), h.hexdigest()) == (MEMO_ENTRIES, MEMO_DIGEST)
+    finally:
+        table.clear()
+        table.update(warm)
