@@ -67,13 +67,17 @@ class StabilitySpace:
     """The space D_{g,n} of stability conditions.
 
     There is one instance per (g, n): the constructor validates a pair once
-    and returns the same object for it afterwards, unpickling included.
+    and returns the same object for it afterwards, unpickling included.  A g
+    or n that is not an int (a bool included) raises ValueError on every
+    call, before the intern table is read.
     Equality and the hash, computed once, read (g, n), as for a value.
     """
 
     __slots__ = ("g", "n", "_hash")
 
     def __new__(cls, g: int, n: int) -> "StabilitySpace":
+        if type(g) is not int or type(n) is not int:  # bools too
+            raise ValueError(f"(g,n) must be ints, got ({g!r},{n!r})")
         space = _spaces.get((g, n))
         if space is None:
             if g < 0 or n < 1:
@@ -824,14 +828,14 @@ class _Relabelings:
     """The S_n action on the light sets of D_{g,n}, as tables of ranks.
 
     The subsets of size >= 2 are ranked in sorted-label-tuple order, so a
-    sorted tuple of ranks compares exactly as the light antichain it encodes.
-    ``tables[k][mask]``, for a mask of size >= 2, is the rank of its image
-    under the permutation ``perms[k]`` (label j goes to perms[k][j-1] + 1),
-    and ``inversions[k]`` has bit i*n + j set, for labels i+1 < j+1, when
-    ``perms[k]`` puts label i+1 after label j+1.
+    sorted tuple of ranks compares exactly as the light antichain it encodes;
+    ``masks[r]`` is the mask of rank r.  ``tables[k][mask]``, for a mask of
+    size >= 2, is the rank of its image under the permutation ``perms[k]``
+    (label j goes to perms[k][j-1] + 1), and ``inversions[k]`` has bit
+    i*n + j set, for labels i+1 < j+1, when ``perms[k]`` puts label i+1 after
+    label j+1.
     """
 
-    subsets: tuple[tuple[int, ...], ...]
     masks: tuple[int, ...]
     perms: tuple[tuple[int, ...], ...]
     tables: tuple[tuple[int, ...], ...]
@@ -846,13 +850,6 @@ class _Relabelings:
         masks = list(masks)
         tables = self.tables if ks is None else map(self.tables.__getitem__, ks)
         return [tuple(sorted(map(t.__getitem__, masks))) for t in tables]
-
-    def chamber(self, space: StabilitySpace, key: tuple[int, ...]) -> Chamber:
-        """The chamber of a sorted rank tuple, whose light antichain is then
-        already canonical."""
-        if list(key) != sorted(key):
-            raise ValueError(f"rank tuple {key} is not sorted")
-        return _adopt(space, tuple(sorted(map(self.masks.__getitem__, key))))
 
 
 @functools.cache
@@ -873,7 +870,6 @@ def _lex_rank(n: int) -> tuple[int, ...]:
 def _relabelings(n: int) -> _Relabelings:
     rank = _lex_rank(n)
     masks = tuple(sorted((m for m in range(1 << n) if m & (m - 1)), key=rank.__getitem__))
-    subsets = tuple(map(_labels, masks))
     perms = tuple(itertools.permutations(range(n)))
     # the rank of the image of each mask, gathered through the image table
     tables = tuple(tuple(map(rank.__getitem__, _mask_images(p))) for p in perms)
@@ -881,7 +877,7 @@ def _relabelings(n: int) -> _Relabelings:
         sum(1 << (i * n + j) for i, j in itertools.combinations(range(n), 2) if p[i] > p[j])
         for p in perms
     )
-    return _Relabelings(subsets, masks, perms, tables, inversions)
+    return _Relabelings(masks, perms, tables, inversions)
 
 
 # A family of label masks is held as a set of masks: an int whose bit m is set
@@ -1093,8 +1089,8 @@ def _representatives(space: StabilitySpace) -> tuple[Chamber, ...]:
     if got is None:
         cls = _genus_class(space)
         if space == cls:
-            sym = _relabelings(space.n)
-            reps = tuple(sym.chamber(space, key) for key in _search(space))
+            masks = _relabelings(space.n).masks
+            reps = tuple(_adopt(space, tuple(sorted(map(masks.__getitem__, key)))) for key in _search(space))
         else:
             reps = tuple(_adopt(space, c._masks) for c in _representatives(cls))
         got = _enum_cache[space] = (reps, None)

@@ -77,7 +77,7 @@ def _checked(g: int, m: int, d: Iterable[int]) -> tuple[int, ...]:
     stable and m + sum(d) = 3g-3+n; raises ValueError, UnstableError or
     DimensionMismatchError otherwise."""
     d = tuple(d)
-    if not all(isinstance(x, int) and x >= 0 for x in (g, m, *d)):
+    if not all(type(x) is int and x >= 0 for x in (g, m, *d)):  # bools are not indices
         raise ValueError(f"indices must be non-negative ints: g={g!r}, m={m!r}, d={d!r}")
     n = len(d)
     if not _stable(g, n):

@@ -8,17 +8,19 @@ and is never treated numerically here; numeric evaluation lives in
 A :class:`Poly` stores integer numerators over one common denominator
 ``den > 0`` as numerator vectors: for each total degree d it has (pi counted
 as a variable), one tuple of ints aligned to the shared monomial table of
-(number of variables, d) (``_Table``), entry i the numerator of the table's
-i-th exponent tuple and 0 where the poly has no such term.  A table interns
-the exponent tuples that polys actually reach, appends new ones and never
-moves one, so a vector stays valid as its table grows.  The form is
-canonical: ``gcd(den, *numerators) == 1``, no vector ends in 0 and no degree
-is all zero, so equal polys have equal vectors whatever order their
-monomials were interned in.  Polys are immutable values compared by ring,
-denominator and vectors, and instances can be shared freely.  All arithmetic
-runs on Python ints; ``Poly.nums`` and ``Poly.terms`` are read-only
-``Mapping`` views of the nonzero entries keyed by exponent tuples, and
-``terms`` builds each ``Fraction`` on demand.
+(number of variables, d), entry i the numerator of the table's i-th exponent
+tuple and 0 where the poly has no such term.  A table is a plain dict from
+exponent tuple to position: it interns the exponent tuples that polys
+actually reach, gives a new one the next position and never removes one, so
+its iteration order is its position order and a vector stays valid as its
+table grows.  The form is canonical: ``gcd(den, *numerators) == 1``, no
+vector ends in 0 and no degree is all zero, so equal polys have equal
+vectors whatever order their monomials were interned in.  Polys are
+immutable values compared by ring, denominator and vectors, and instances
+can be shared freely.  All arithmetic runs on Python ints; ``Poly.nums`` (the
+int numerators) and ``Poly.terms`` (the Fraction coefficients) are read-only
+mappings of the nonzero entries keyed by exponent tuples, built afresh on
+each read in table order.
 
 Sums and differences add the vectors of each degree position by position,
 one ``map(add)`` per degree.  ``relabeled`` and ``drop_last_var`` scatter the
@@ -54,6 +56,7 @@ from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, floordiv, itemgetter, mul, neg
+from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import RingMismatchError, VariableRangeError
@@ -76,36 +79,16 @@ def accumulate(out: dict, pairs: Iterable[tuple[tuple[int, ...], Scalar]]) -> di
     return out
 
 
-class _Table:
-    """The exponent tuples of one (number of variables, degree), in the
-    order they were interned; a position, once given, never changes."""
+Table = dict[tuple[int, ...], int]
 
-    __slots__ = ("keys", "index")
-
-    def __init__(self, keys: Iterable[tuple[int, ...]]):
-        self.keys = list(keys)
-        self.index = {e: i for i, e in enumerate(self.keys)}
-
-    def vector(self, keys: Sequence[tuple[int, ...]], vals: Iterable[int]) -> tuple[int, ...]:
-        """The vector holding vals[i] at the position of keys[i], for distinct
-        keys and nonzero vals, interning the keys not seen before."""
-        index = self.index
-        pos = list(map(index.get, keys))
-        if None in pos:
-            for i, p in enumerate(pos):
-                if p is None:
-                    pos[i] = index[keys[i]] = len(self.keys)
-                    self.keys.append(keys[i])
-        vec = [0] * (max(pos) + 1)
-        for i, c in zip(pos, vals):
-            vec[i] = c
-        return tuple(vec)
+# The monomial table of (number of variables, degree): each exponent tuple
+# interned so far, mapped to its position.  A new key gets len(table) and no
+# key is ever removed, so iteration order is position order and a position,
+# once given, never changes.
+_tables: dict[tuple[int, int], Table] = {}
 
 
-_tables: dict[tuple[int, int], _Table] = {}
-
-
-def _table(n: int, d: int) -> _Table:
+def _table(n: int, d: int) -> Table:
     """The monomial table of exponent tuples of length n and sum d.
 
     A table starts with the monomials it is certain to hold, in a fixed
@@ -114,16 +97,28 @@ def _table(n: int, d: int) -> _Table:
     """
     table = _tables.get((n, d))
     if table is None:
-        if n == 1:
-            first = [(d,)]
-        elif d == 0:
-            first = [(0,) * n]
-        elif d == 1:
+        if d == 1:
             first = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        elif n == 1 or d == 0:
+            first = [(d,) + (0,) * (n - 1)]
         else:
             first = []
-        table = _tables[n, d] = _Table(first)
+        table = _tables[n, d] = {e: i for i, e in enumerate(first)}
     return table
+
+
+def _vector(table: Table, keys: Sequence[tuple[int, ...]], vals: Iterable[int]) -> tuple[int, ...]:
+    """The vector holding vals[i] at the position of keys[i] in ``table``, for
+    distinct keys and nonzero vals, interning the keys not seen before."""
+    pos = list(map(table.get, keys))
+    if None in pos:
+        for i, p in enumerate(pos):
+            if p is None:
+                pos[i] = table[keys[i]] = len(table)
+    vec = [0] * (max(pos) + 1)
+    for i, c in zip(pos, vals):
+        vec[i] = c
+    return tuple(vec)
 
 
 def _vectors(n: int, keys: Sequence[tuple[int, ...]], vals: Iterable[int]) -> Vectors:
@@ -134,7 +129,7 @@ def _vectors(n: int, keys: Sequence[tuple[int, ...]], vals: Iterable[int]) -> Ve
     degrees = list(map(sum, keys))
     d = degrees[0]
     if degrees.count(d) == len(degrees):  # homogeneous: one vector
-        return {d: _table(n, d).vector(keys, vals)}
+        return {d: _vector(_table(n, d), keys, vals)}
     groups: dict[int, tuple[list, list]] = {}
     for d, e, c in zip(degrees, keys, vals):
         group = groups.get(d)
@@ -142,7 +137,7 @@ def _vectors(n: int, keys: Sequence[tuple[int, ...]], vals: Iterable[int]) -> Ve
             group = groups[d] = ([], [])
         group[0].append(e)
         group[1].append(c)
-    return {d: _table(n, d).vector(*group) for d, group in groups.items()}
+    return {d: _vector(_table(n, d), *group) for d, group in groups.items()}
 
 
 def _support(n: int, vecs: Vectors) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -150,7 +145,7 @@ def _support(n: int, vecs: Vectors) -> tuple[list[tuple[int, ...]], list[int]]:
     keys: list[tuple[int, ...]] = []
     vals: list[int] = []
     for d, vec in vecs.items():
-        keys.extend(compress(_tables[n, d].keys, vec))
+        keys.extend(compress(_tables[n, d], vec))
         vals.extend(filter(None, vec))
     return keys, vals
 
@@ -186,6 +181,15 @@ def _power_table(base: Nums, top: int, unit: tuple[int, ...]) -> list[Nums]:
     for _ in range(top):
         table.append(_mul_nums(table[-1], base))
     return table
+
+
+def _exponents(exps: Iterable) -> tuple[int, ...]:
+    """``exps`` as a tuple, once every entry is a non-negative int (not a
+    bool); raises ValueError otherwise, so nothing is truncated."""
+    e = tuple(exps)
+    if not all(type(x) is int and x >= 0 for x in e):
+        raise ValueError(f"exponents must be non-negative ints: {e!r}")
+    return e
 
 
 @dataclass(frozen=True)
@@ -242,12 +246,11 @@ class PolyRing:
     def monomial(self, c: Scalar, exps: Sequence[int]) -> "Poly":
         if len(exps) != self.nvars:
             raise VariableRangeError("exponent vector has wrong length")
-        if min(exps) < 0:
-            raise ValueError(f"negative exponent in {tuple(exps)}")
+        e = _exponents(exps)
         c = rat(c)
         if c == 0:
             return self.zero()
-        return Poly.from_canonical(self, {tuple(int(e) for e in exps): c.numerator}, c.denominator)
+        return Poly.from_canonical(self, {e: c.numerator}, c.denominator)
 
 
 def angle_ring(n: int, extra: str | None = None) -> PolyRing:
@@ -259,41 +262,6 @@ def angle_ring(n: int, extra: str | None = None) -> PolyRing:
 
 
 PI_RING = PolyRing(("pi",))
-
-
-class Terms(Mapping):
-    """Read-only view of the nonzero entries of a Poly, keyed by exponent
-    tuples: as Fractions numerator/den (``Poly.terms``), or as the integer
-    numerators (``Poly.nums``).  Values are built on demand and not stored,
-    so the view costs no memory per term."""
-
-    __slots__ = ("_poly", "_fractions")
-
-    def __init__(self, poly: "Poly", fractions: bool = True):
-        self._poly = poly
-        self._fractions = fractions
-
-    def _value(self, c: int):
-        return Fraction(c, self._poly.den) if self._fractions else c
-
-    def __getitem__(self, e: tuple[int, ...]):
-        c = self._poly._numerator(e)
-        if not c:
-            raise KeyError(e)
-        return self._value(c)
-
-    def __len__(self) -> int:
-        return sum(len(vec) - vec.count(0) for vec in self._poly._vecs.values())
-
-    def __iter__(self):
-        return iter(self._poly._support()[0])
-
-    def __contains__(self, e) -> bool:
-        return bool(self._poly._numerator(e))
-
-    def items(self) -> list:
-        keys, nums = self._poly._support()
-        return list(zip(keys, map(self._value, nums)))
 
 
 class _Plan(NamedTuple):
@@ -460,26 +428,20 @@ class Poly:
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
-    def _numerator(self, e: tuple[int, ...]) -> int:
-        """The numerator at exponents ``e``; 0 where there is no such term."""
-        d = sum(e)
-        vec = self._vecs.get(d)
-        if vec is None:
-            return 0
-        i = _tables[self.ring.nvars, d].index.get(e)
-        return vec[i] if i is not None and i < len(vec) else 0
-
     def _support(self) -> tuple[list[tuple[int, ...]], list[int]]:
         return _support(self.ring.nvars, self._vecs)
 
     @property
-    def nums(self) -> Terms:
-        """The integer numerators, read-only; each coefficient is nums[e] / den."""
-        return Terms(self, fractions=False)
+    def nums(self) -> MappingProxyType:
+        """The nonzero integer numerators by exponent tuple, read-only; each
+        coefficient is nums[e] / den."""
+        return MappingProxyType(dict(zip(*self._support())))
 
     @property
-    def terms(self) -> Terms:
-        return Terms(self)
+    def terms(self) -> MappingProxyType:
+        """The nonzero coefficients by exponent tuple, as Fractions, read-only."""
+        keys, vals = self._support()
+        return MappingProxyType(dict(zip(keys, map(Fraction, vals, repeat(self.den)))))
 
     # -- basic protocol ----------------------------------------------------
 
@@ -706,10 +668,10 @@ class Poly:
         pick = itemgetter(*source)
         vecs = {}
         for d, vec in self._vecs.items():
-            keys = compress(_tables[n, d].keys, vec)
+            keys = compress(_tables[n, d], vec)
             if m > n:
                 keys = map(add, keys, repeat((0,)))
-            vecs[d] = _table(m, d).vector(list(map(pick, keys)), filter(None, vec))
+            vecs[d] = _vector(_table(m, d), list(map(pick, keys)), filter(None, vec))
         return Poly._adopt(target, vecs, self.den)
 
     def drop_last_var(self) -> "Poly":
@@ -719,7 +681,7 @@ class Poly:
         n = self.ring.nvars
         ring = PolyRing(self.ring.names[:-1])
         vecs = {
-            d: _table(n - 1, d).vector([e[:-1] for e in compress(_tables[n, d].keys, vec)], filter(None, vec))
+            d: _vector(_table(n - 1, d), [e[:-1] for e in compress(_tables[n, d], vec)], filter(None, vec))
             for d, vec in self._vecs.items()
         }
         return Poly._adopt(ring, vecs, self.den)
@@ -886,12 +848,13 @@ def poly_from_text(ring: PolyRing, text: str) -> Poly:
 
 
 def poly_from_json_dict(data: Mapping) -> Poly:
-    """Inverse of ``Poly.to_json_dict``; rejects repeated and negative exponents."""
+    """Inverse of ``Poly.to_json_dict``; rejects repeated exponent vectors and
+    any exponent that is not a non-negative int."""
     ring = PolyRing(tuple(data["vars"]))
     terms: dict[tuple[int, ...], Fraction] = {}
     for item in data["terms"]:
-        e = tuple(int(x) for x in item["e"])
-        if len(e) != ring.nvars or min(e) < 0:
+        e = _exponents(item["e"])
+        if len(e) != ring.nvars:
             raise ValueError(f"exponent vector {e} does not fit vars {ring.names}")
         if e in terms:
             raise ValueError(f"exponent vector {e} appears twice")
@@ -915,7 +878,7 @@ def _pi_multiple(ring: PolyRing, x: Union[Poly, Scalar]) -> tuple[int, int, int]
             if len(vec) == 1:
                 return vec[0], x.den, m
         elif len(vec) - vec.count(0) == 1:
-            i = _tables[ring.nvars, m].index.get((m,) + (0,) * (ring.nvars - 1))
+            i = _tables[ring.nvars, m].get((m,) + (0,) * (ring.nvars - 1))
             if i == len(vec) - 1:
                 return vec[i], x.den, m
     raise VariableRangeError(f"angle value {x} is not a rational multiple of a power of pi")

@@ -14,14 +14,17 @@ from fractions import Fraction
 def rat(value: int | str | Fraction) -> Fraction:
     """Coerce ints, Fractions and "p/q" strings to Fraction.
 
-    Exponent notation is rejected: ``Fraction`` would expand "1e999999999"
-    digit by digit.
+    Anything else raises ValueError: a float or a bool is not a rational
+    input, whatever its value.  Exponent notation is rejected too:
+    ``Fraction`` would expand "1e999999999" digit by digit.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
-    text = str(value).strip()
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not an int, a Fraction or a p/q string")
+    text = value.strip()
     if "e" in text or "E" in text:
         raise ValueError(f"exponent notation in {value!r}; write rationals as p/q")
     try:

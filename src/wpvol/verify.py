@@ -381,7 +381,7 @@ def _lift_failures(
 def _nonvanishing(lifted: Poly, S: frozenset[int]) -> bool:
     """I01's verdict on one lifted crossing: a term of u-degree 0 or 1."""
     u = lifted.ring.nvars - 1
-    return any(e[u] < 2 for e in lifted.terms)
+    return any(e[u] < 2 for e in lifted.nums)
 
 
 def check_continuity(rep: Reporter, spaces: Iterable[StabilitySpace]) -> None:
@@ -488,8 +488,9 @@ def _evenness_failures(lifted: Poly, S: frozenset[int]) -> int:
     or below 2, one for a term with some theta_j, j in S other than min(S)."""
     u = lifted.ring.nvars - 1
     k = min(S)
-    odd = any(e[u] % 2 or e[u] < 2 for e in lifted.terms)
-    return odd + any(e[j] for e in lifted.terms for j in S if j != k)
+    keys = lifted.nums
+    odd = any(e[u] % 2 or e[u] < 2 for e in keys)
+    return odd + any(e[j] for e in keys for j in S if j != k)
 
 
 def check_evenness(rep: Reporter, spaces: Iterable[StabilitySpace]) -> None:

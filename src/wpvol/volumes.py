@@ -105,7 +105,11 @@ class WallCrossingPoly:
     chamber_above: Chamber
     wall: frozenset[int]
     poly: Poly
-    phi: Poly
+
+    @property
+    def phi(self) -> Poly:
+        """phi_S = sum_{j in S} theta_j - 2 pi (|S| - 1), built on each read."""
+        return phi_form(angle_ring(self.chamber_above.space.n), self.wall)
 
     def to_json_dict(self) -> dict:
         return {
@@ -270,7 +274,7 @@ def wall_crossing_poly(c: Chamber, S: Iterable[int]) -> WallCrossingPoly:
     """
     S = frozenset(S)
     c.cross(S)  # validates incidence and realizability below
-    return WallCrossingPoly(c, S, _crossing_poly(c, S), phi_form(angle_ring(c.space.n), S))
+    return WallCrossingPoly(c, S, _crossing_poly(c, S))
 
 
 def _crossing_poly(c: Chamber, S: frozenset[int]) -> Poly:

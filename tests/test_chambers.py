@@ -56,6 +56,22 @@ def test_space_validation():
     StabilitySpace(1, 1)
 
 
+@pytest.mark.parametrize(
+    "g,n", [(1.0, 2), (1, 2.0), (True, 3), (0, True), (0.5, 3), ("1", 2), (F(1), 2), (None, 2)]
+)
+def test_space_rejects_non_int_pairs(g, n):
+    """A g or n that is not an int, a bool included, raises ValueError on
+    every call and is never interned: (1, 2) stays the int pair, whose
+    chambers serialize and realize as before."""
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            StabilitySpace(g, n)
+    space = StabilitySpace(1, 2)
+    assert type(space.g) is int and type(space.n) is int
+    assert main_chamber(space).to_json_dict()["g"] == 1
+    assert realize(light_chamber(space)) is not None
+
+
 def test_space_is_interned():
     """One object per (g, n): the constructor, keyword construction, pickle,
     ``copy`` and ``deepcopy`` return it.  It keeps the value semantics, hash
@@ -695,7 +711,7 @@ def _reference_orbit_search(space, orbits, canonical=None):
     canonical = canonical or (lambda masks: min(sym.relabeled(masks)))
 
     def chamber(key):
-        return Chamber(space, tuple(sym.subsets[r] for r in key))
+        return Chamber(space, tuple(chambers._labels(sym.masks[r]) for r in key))
 
     def realize_form(form):
         if (cls, form) not in orbits:
@@ -725,7 +741,7 @@ def _reference_orbit_search(space, orbits, canonical=None):
             if image not in witnesses:
                 witnesses[image] = (_moved(point, p), slack)
     every = sorted(witnesses, key=lambda k: (len(k), k))
-    light_max = [tuple(sym.subsets[r] for r in k) for k in every]
+    light_max = [tuple(chambers._labels(sym.masks[r]) for r in k) for k in every]
     return light_max, [witnesses[k] for k in every], [chamber(k) for k in found]
 
 
@@ -964,9 +980,6 @@ def test_rank_tuple_chambers_equal_validated_chambers(g, n):
         checked = Chamber(space, c.light_max)
         assert checked == c and hash(checked) == hash(c)
         assert checked.light_max == c.light_max
-    sym = chambers._relabelings(n)
-    with pytest.raises(ValueError):
-        sym.chamber(space, (n, 0))
 
 
 @pytest.mark.parametrize(
@@ -1391,7 +1404,7 @@ def test_relabel_tables_match_former_formula(n):
     former bit-by-bit formula, entry for entry, as do the ranked subsets,
     their masks and the permutations."""
     sym = chambers._relabelings(n)
-    assert (sym.subsets, sym.masks, sym.perms, sym.tables) == _former_relabelings(n)
+    assert (tuple(map(chambers._labels, sym.masks)), sym.masks, sym.perms, sym.tables) == _former_relabelings(n)
 
 
 def _former_lp(c):
@@ -1447,7 +1460,7 @@ def test_solve_rows_match_former_row_builder(monkeypatch, g, n):
 def _former_expand(space, reps):
     """Reference: the former ``_expand``: the images through ``relabeled``,
     each witness moved by ``_moved`` and each chamber validated by
-    ``_Relabelings.chamber``."""
+    ``Chamber``."""
     sym = chambers._relabelings(space.n)
     witnesses = {}
     for rep in reps:
@@ -1456,7 +1469,8 @@ def _former_expand(space, reps):
         for k, image in zip(ks, sym.relabeled(rep._masks, ks)):
             witnesses[image] = (_moved(point, sym.perms[k]), slack)
     keys = sorted(witnesses, key=lambda k: (len(k), k))
-    return tuple(sym.chamber(space, key) for key in keys), tuple(map(witnesses.__getitem__, keys))
+    every = tuple(_key_chamber(space, map(sym.masks.__getitem__, key)) for key in keys)
+    return every, tuple(map(witnesses.__getitem__, keys))
 
 
 @pytest.mark.parametrize("g,n", [(1, 4), (0, 5), (1, 5)], ids=["D14", "D05", "D15"])

@@ -154,10 +154,15 @@ def test_unstable_inputs_rejected():
         lambda: kappa_psi_intersection(1, F(1), (0,)),
         lambda: psi_intersection(0, ("0", 0, 0)),
         lambda: kappa_psi_intersection(0, "1", (0, 0, 0, 0)),
+        lambda: psi_intersection(1, (True,)),
+        lambda: psi_intersection(True, (1,)),
+        lambda: kappa_psi_intersection(True, 0, (1,)),
+        lambda: kappa_psi_intersection(1, True, (0,)),
     ],
 )
 def test_non_integer_indices_rejected(call):
-    """A float, Fraction or str index is refused, never truncated by int()."""
+    """A float, Fraction, str or bool index is refused, never truncated by
+    int() or read as 0 or 1."""
     with pytest.raises(ValueError):
         call()
 

@@ -181,13 +181,19 @@ def test_json_round_trip_bit_exact():
 
 
 def test_rat_rejects_exponent_notation():
-    """Fraction would expand "1e1000000" into a million digits; rat refuses it."""
+    """Fraction would expand "1e1000000" into a million digits; rat refuses it.
+    A float or a bool is refused whatever its value: str() used to pass 0.5
+    and fail 1e-7, and True read as 1."""
+    from decimal import Decimal
+
     from wpvol.rationals import rat
 
-    for text in ("1e1000000", "2E3", "1/2e5", " 1e-9 "):
+    for value in ("1e1000000", "2E3", "1/2e5", " 1e-9 ", 0.5, 0.1, 1e-7, 2.0, True, False, Decimal("0.5"), None):
         with pytest.raises(ValueError):
-            rat(text)
-    assert rat(" 3/4 ") == F(3, 4) and rat("0.25") == F(1, 4)
+            rat(value)
+    assert rat(" 3/4 ") == F(3, 4) and rat("0.25") == F(1, 4) and rat(-3) == F(-3) and rat(F(2, 6)) == F(1, 3)
+    with pytest.raises(ValueError):
+        R2.const(0.5)
 
 
 def test_text_round_trip():
@@ -834,11 +840,16 @@ def test_json_and_monomial_reject_malformed_exponents():
     dup = {"vars": ["pi", "t1"], "terms": [{"c": "1/1", "e": [0, 1]}, {"c": "2/1", "e": [0, 1]}]}
     neg = {"vars": ["pi", "t1"], "terms": [{"c": "1/1", "e": [0, -1]}]}
     short = {"vars": ["pi", "t1"], "terms": [{"c": "1/1", "e": [1]}]}
-    for data in (dup, neg, short):
+    truncated = {"vars": ["pi", "t1"], "terms": [{"c": "1/1", "e": [0, 1.9]}]}
+    boolean = {"vars": ["pi", "t1"], "terms": [{"c": "1/1", "e": [0, True]}]}
+    text = {"vars": ["pi", "t1"], "terms": [{"c": "1/1", "e": [0, "2"]}]}
+    for data in (dup, neg, short, truncated, boolean, text):
         with pytest.raises(ValueError):
             wpvol.poly_from_json_dict(data)
-    with pytest.raises(ValueError):
-        R2.monomial(1, (0, -1, 0))
+    for exps in ((0, -1, 0), (0, 1.5, 0), (0, 1.0, 0), (True, 0, 0), (0, "1", 0), (0, F(1), 0)):
+        with pytest.raises(ValueError):
+            R2.monomial(1, exps)
+    assert R2.monomial(1, [0, 1, 0]) == R2.var(1)
     with pytest.raises(ValueError):
         poly_from_text(R2, "t1^-1")
 
@@ -881,24 +892,15 @@ def test_v36_and_its_dilaton_identity():
     print(f"[V_3,6 and its dilaton identity] {time.monotonic() - start:.1f}s")
 
 
-def test_terms_view_builds_fractions_only_for_values(monkeypatch):
-    """len, key iteration, membership, equality and arithmetic read the integer
-    numerators; only values and items make a Fraction."""
+def test_terms_and_nums_share_keys_in_table_order():
+    """``terms`` and ``nums`` hold the same exponent tuples, in the order of
+    the monomial tables, with each coefficient nums[e] / den."""
     import wpvol.poly as poly_module
 
     p = mirzakhani_volume(1, 3).poly
-    q = p * p + p
-    n = len(p.terms)
-
-    class NoFraction(F):
-        def __new__(cls, *args):
-            raise AssertionError("a Fraction was built")
-
-    monkeypatch.setattr(poly_module, "Fraction", NoFraction)
-    assert len(p.terms) == n and list(p.terms) == list(p.nums)
+    assert p.is_homogeneous(6) and len(p.terms) == len(p.nums) > 1
+    assert list(p.terms) == list(p.nums)
+    positions = [poly_module._tables[p.ring.nvars, 6][e] for e in p.nums]
+    assert positions == sorted(positions)
     assert all(e in p.terms for e in p.nums)
-    assert p * p + p == q and p.total_degree() == 6
-    with pytest.raises(AssertionError):
-        dict(p.terms.items())
-    monkeypatch.undo()
     assert dict(p.terms.items()) == {e: F(c, p.den) for e, c in p.nums.items()}

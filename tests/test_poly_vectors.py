@@ -178,7 +178,7 @@ def vectors_are_canonical(p):
     g = p.den
     for d, vec in p._vecs.items():
         assert vec and vec[-1], (d, vec)
-        assert len(vec) <= len(poly_module._tables[p.ring.nvars, d].keys)
+        assert len(vec) <= len(poly_module._tables[p.ring.nvars, d])
         g = gcd(g, *vec)
     assert g == 1 and p.den > 0
 
@@ -286,8 +286,8 @@ def test_intern_order_does_not_change_the_poly(monkeypatch):
     terms = {e: F(i + 1, 2) for i, e in enumerate(monomials)}
     forward = sum((RING.monomial(c, e) for e, c in terms.items()), RING.zero())
     backward = sum((EXT.monomial(c, e + (0,)) for e, c in reversed(terms.items())), EXT.zero())
-    assert poly_module._tables[3, 3].keys == monomials
-    assert poly_module._tables[4, 3].keys == [e + (0,) for e in reversed(monomials)]
+    assert list(poly_module._tables[3, 3]) == monomials
+    assert list(poly_module._tables[4, 3]) == [e + (0,) for e in reversed(monomials)]
     assert forward._vecs != backward._vecs
     down = backward.drop_last_var()
     up = forward.relabeled(EXT, [0, 1, 2])
@@ -305,13 +305,13 @@ def test_poly_built_before_its_table_grows():
     ring = angle_ring(3)
     p = ring.monomial(F(2, 3), (0, 9, 8, 0)) - ring.monomial(5, (17, 0, 0, 0))
     table = poly_module._tables[4, 17]
-    before, size = (p.den, dict(p.nums), dict(p.terms), hash(p), str(p)), len(table.keys)
+    before, size = (p.den, dict(p.nums), dict(p.terms), hash(p), str(p)), len(table)
     q = sum((ring.monomial(k + 1, (k, 0, 0, 17 - k)) for k in range(18)), ring.zero())
-    assert len(table.keys) > size
+    assert len(table) > size and list(table.values()) == list(range(len(table)))
     assert (p.den, dict(p.nums), dict(p.terms), hash(p), str(p)) == before
     back = (p + q) - q
     assert back == p and back._vecs == p._vecs and hash(back) == hash(p)
-    assert len(back._vecs[17]) < len(table.keys)  # trimmed, not padded to the table
+    assert len(back._vecs[17]) < len(table)  # trimmed, not padded to the table
     assert (p * 0).is_zero() and (p - p)._vecs == {} and (p - p).den == 1
 
 

@@ -5,15 +5,20 @@ from pathlib import Path
 
 import wpvol
 from wpvol.intersection import psi_intersection
+from wpvol.poly import PI_RING, angle_ring
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return _load("tracing")
 
 
 def test_tracing_targets_resolve():
@@ -48,3 +53,36 @@ def test_tracing_counts_intersection_entries(monkeypatch):
     finally:
         table.clear()
         table.update(warm)
+
+
+def test_tracing_poly_hooks_count_terms():
+    """The tracer's product and substitution hooks read len(p.terms) of the
+    Polys they are handed: term pairs of a product (a scalar factor counts
+    one term), and the terms of the poly substituted into."""
+    tracer = _tracing().Tracer()
+    ring = angle_ring(2)
+    a = ring.var(1) + ring.pi() / 3
+    b = a * a
+    v = wpvol.mirzakhani_volume(1, 2).poly
+    assert (len(a.nums), len(b.nums)) == (2, 3) and len(v.nums) > 3
+    for args in ((a, b), (a, 5), (v, v)):
+        tracer._on_mul(args, args[0] * args[1])
+    tracer._on_subs((v, 1, a), v.subs(1, a))
+    assert tracer.counts["poly.mul.term_pairs"] == 2 * 3 + 2 + len(v.nums) ** 2
+    assert tracer.counts["poly.subs.terms_in"] == len(v.nums)
+
+
+def test_point_query_checks_read_poly_terms():
+    """The point-query checks read a volume's ``terms`` (``values()`` for the
+    common denominator, ``items()`` for the integer form): on one query the
+    independent exact value equals the volume evaluated by ``Poly`` and the
+    checks find no problem."""
+    workloads = _load("workloads")
+    pq = workloads.PointQueries()
+    (w,) = workloads.weight_vectors(11, 1, ((1, 3),))
+    out = pq.run(w)
+    c, vr, value = out
+    assert pq.problems(w, out) == []
+    ring = vr.poly.ring
+    at_w = vr.poly.evaluate_angles(w.theta_values(ring))
+    assert at_w == pq._exact_value(w, vr) * PI_RING.pi() ** workloads.volume_degree(w.space)
