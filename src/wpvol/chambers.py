@@ -201,6 +201,23 @@ def _label_set(n: int) -> frozenset[int]:
     return frozenset(range(1, n + 1))
 
 
+def _label_mask(n: int, labels: Iterable[int], least: int, what: str) -> int:
+    """The mask of a set of at least ``least`` labels of a space of n points.
+
+    A label is an int in 1..n, a bool not one.  Raises ValueError: "invalid
+    <what>: label <j> is not an int", or "invalid <what> [<the set>]" for a
+    set too small or with a label outside 1..n.
+    """
+    labels = list(labels)
+    for j in labels:
+        if type(j) is not int:
+            raise ValueError(f"invalid {what}: label {j!r} is not an int")
+    S = set(labels)
+    if len(S) < least or not S <= _label_set(n):
+        raise ValueError(f"invalid {what} {sorted(S)}")
+    return _mask(S)
+
+
 def _mask(J: Iterable[int]) -> int:
     """The bitmask of a label set: label j is bit j-1."""
     m = 0
@@ -265,13 +282,7 @@ class Chamber:
     __slots__ = ("space", "_masks", "_hash", "_light")
 
     def __new__(cls, space: StabilitySpace, light_max: Iterable[Iterable[int]]):
-        masks = []
-        for s in light_max:
-            s = set(s)
-            if len(s) < 2 or not s <= _label_set(space.n):
-                raise ValueError(f"invalid light set {sorted(s)}")
-            masks.append(_mask(s))
-        return _adopt(space, _maximal(masks))
+        return _adopt(space, _maximal(_label_mask(space.n, s, 2, "light set") for s in light_max))
 
     def __setattr__(self, *_):
         raise AttributeError("Chamber is immutable")
@@ -309,19 +320,11 @@ class Chamber:
         """C = 0 on the label mask ``m``."""
         return not m & (m - 1) or any(m & a == m for a in self._masks)
 
-    def _wall_mask(self, S: Iterable[int], what: str) -> int:
-        """The mask of a set S of two or more labels of the space; raises
-        ValueError naming S otherwise."""
-        S = set(S)
-        if len(S) < 2 or not S <= _label_set(self.space.n):
-            raise ValueError(f"invalid {what} set {sorted(S)}")
-        return _mask(S)
-
     # -- the order-preserving function ----------------------------------------
 
     def value(self, J: Iterable[int]) -> int:
         """C(J): 0 if the points of J may collide, 1 otherwise."""
-        return 0 if self._is_light(_mask(J)) else 1
+        return 0 if self._is_light(_label_mask(self.space.n, J, 0, "label set")) else 1
 
     def heavy_min(self) -> list[frozenset[int]]:
         """Minimal heavy sets: heavy J whose proper subsets are all light, in
@@ -337,7 +340,7 @@ class Chamber:
 
     def cross(self, S: Iterable[int]) -> "Chamber":
         """Simple wall-crossing from above W_S to the chamber below."""
-        s = self._wall_mask(S, "wall")
+        s = _label_mask(self.space.n, S, 2, "wall set")
         labels = _labels(s)
         if self._is_light(s):
             raise NotIncidentError(f"chamber is not above W_{list(labels)}")
@@ -393,7 +396,7 @@ class Chamber:
         maximal ones are the maximal sets of size >= 2 among M - S for the
         maximal light sets M of C.
         """
-        s = self._wall_mask(S, "quotient")
+        s = _label_mask(self.space.n, S, 2, "quotient set")
         n2 = self.space.n - s.bit_count() + 1
         if 2 * self.space.g - 2 + n2 <= 0:
             raise UnstableError(f"quotient space D_({self.space.g},{n2}) unstable")
@@ -401,13 +404,12 @@ class Chamber:
 
     def restrict(self, T: Iterable[int]) -> "Chamber":
         """Forget the points outside T; result lives in D_{g,|T|}."""
-        T = sorted(set(T))
-        if not _label_set(self.space.n).issuperset(T):
-            raise ValueError(f"invalid restriction set {T}")
-        if 2 * self.space.g - 2 + len(T) <= 0:
-            raise UnstableError(f"restricted space D_({self.space.g},{len(T)}) unstable")
-        drop = (1 << self.space.n) - 1 & ~_mask(T)
-        return _adopt(StabilitySpace(self.space.g, len(T)), _maximal(_compressed(self._masks, drop)))
+        t = _label_mask(self.space.n, T, 0, "restriction set")
+        k = t.bit_count()
+        if 2 * self.space.g - 2 + k <= 0:
+            raise UnstableError(f"restricted space D_({self.space.g},{k}) unstable")
+        drop = (1 << self.space.n) - 1 & ~t
+        return _adopt(StabilitySpace(self.space.g, k), _maximal(_compressed(self._masks, drop)))
 
     def permuted(self, perm: Mapping[int, int]) -> "Chamber":
         return Chamber(self.space, [[perm[j] for j in _labels(m)] for m in self._masks])
@@ -419,9 +421,8 @@ class Chamber:
         return frozenset(_labels((1 << self.space.n) - 1 & ~self._partners(i)))
 
     def _partners(self, i: int) -> int:
-        """The mask of i and every j with {i, j} light."""
-        bit = 1 << (i - 1)
-        out = bit
+        """The mask of the label i and every j with {i, j} light."""
+        out = bit = _label_mask(self.space.n, (i,), 1, "coordinate")
         for a in self._masks:
             if a & bit:
                 out |= a
@@ -439,7 +440,7 @@ class Chamber:
         A maximal light set M without i is such an S with S + {i} heavy, and
         every light S lies in some M, so this holds iff every M contains i.
         """
-        bit = 1 << (i - 1)
+        bit = _label_mask(self.space.n, (i,), 1, "coordinate")
         return all(a & bit for a in self._masks)
 
     # -- serialization -----------------------------------------------------------
@@ -515,8 +516,7 @@ def minimal_chamber_0(space: StabilitySpace, j: int) -> Chamber:
     """The genus-0 minimal chamber C_j: C_j(J)=1 iff {j} strictly inside J or J={j}^c."""
     if space.g != 0:
         raise ValueError("minimal_chamber_0 is a genus-0 construction")
-    if j not in space.labels:
-        raise ValueError(f"label {j} out of range")
+    _label_mask(space.n, (j,), 1, "label")
     others = [x for x in space.labels if x != j]
     light = [
         tuple(sorted(c))
@@ -790,7 +790,7 @@ def flat_hull(c: Chamber, i: int) -> Chamber:
     light S meeting q(C) makes S + {i} heavy; the first in
     ``space.subsets()`` order is a pair.
     """
-    bit = 1 << (i - 1)
+    bit = _label_mask(c.space.n, (i,), 1, "coordinate")
     far = (1 << c.space.n) - 1 & ~c._partners(i)  # q(C)
     pairs = (
         T
@@ -812,7 +812,7 @@ def light_hull(c: Chamber, i: int) -> Chamber:
     """The chamber light in i below c, crossing only walls containing i: its
     maximal light sets are the maximal sets M + {i}, for M a maximal light
     set of c or a single label."""
-    bit = 1 << (i - 1)
+    bit = _label_mask(c.space.n, (i,), 1, "coordinate")
     singles = (1 << j for j in range(c.space.n))
     hull = _adopt(c.space, _maximal(a | bit for a in (*c._masks, *singles)))
     if not hull.is_realizable():

@@ -23,10 +23,10 @@ mappings of the nonzero entries keyed by exponent tuples, built afresh on
 each read in table order.
 
 Sums and differences add the vectors of each degree position by position,
-one ``map(add)`` per degree.  ``relabeled`` and ``drop_last_var`` scatter the
-nonzero entries through the target table.  Every other operation reads the
-nonzero entries as (exponents, numerator) pairs, merges coefficients in one
-place, :func:`accumulate`, and interns its result.  Every product (``*``,
+one ``map(add)`` per degree.  ``relabeled`` scatters the nonzero entries
+through the target table.  Every other operation reads the nonzero entries
+as (exponents, numerator) pairs, merges coefficients in one place,
+:func:`accumulate`, and interns its result.  Every product (``*``,
 ``**``, the power tables and per-term expansion of ``compose``, and the
 Horner steps of ``subs`` and ``integrate_upper``) is one ``_mul_nums`` on
 exponent-tuple keys: each term pair adds its exponent tuples and multiplies
@@ -446,9 +446,11 @@ class Poly:
     # -- basic protocol ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        """Equal to a Poly of the same ring, or to an int or Fraction as a
+        constant; anything else, a bool or a float included, is unequal."""
         if isinstance(other, Poly):
             return self.ring == other.ring and self.den == other.den and self._vecs == other._vecs
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):
             return self == self.ring.const(other)
         return NotImplemented
 
@@ -512,7 +514,7 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):  # a bool reaches _coerce
             if other == 0:
                 return self.ring.zero()
             q = other.numerator
@@ -534,7 +536,7 @@ class Poly:
         raise TypeError("Poly division is only defined by nonzero scalars")
 
     def __pow__(self, k: int) -> "Poly":
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = self.ring.one()
         for _ in range(k):
@@ -673,18 +675,6 @@ class Poly:
                 keys = map(add, keys, repeat((0,)))
             vecs[d] = _vector(_table(m, d), list(map(pick, keys)), filter(None, vec))
         return Poly._adopt(target, vecs, self.den)
-
-    def drop_last_var(self) -> "Poly":
-        """Project into the ring without the trailing variable (must be unused)."""
-        if self.degree_in(self.ring.nvars - 1) > 0:
-            raise VariableRangeError("polynomial still involves the last variable")
-        n = self.ring.nvars
-        ring = PolyRing(self.ring.names[:-1])
-        vecs = {
-            d: _vector(_table(n - 1, d), [e[:-1] for e in compress(_tables[n, d], vec)], filter(None, vec))
-            for d, vec in self._vecs.items()
-        }
-        return Poly._adopt(ring, vecs, self.den)
 
     def evaluate_angles(self, values: Sequence[Union["Poly", Scalar]]) -> "Poly":
         """Substitute every angle variable; result is univariate in pi.

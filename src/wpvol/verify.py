@@ -15,8 +15,10 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from math import comb, factorial, lcm
-from typing import Callable, Iterable
+from operator import ne
+from typing import Callable, Iterable, Iterator
 
 from . import reference as ref
 from .chambers import (
@@ -35,6 +37,7 @@ from .intersection import kappa_psi_intersection, psi_intersection
 from .numeric import evaluate_pi_numerators
 from .poly import Poly, PolyRing, angle_ring, phi_form
 from .volumes import (
+    _compositions,
     _integrate_crossing,
     _point_value,
     chamber_volume,
@@ -76,6 +79,22 @@ class Reporter:
         self.results.append(
             CheckResult(id, description, bool(ok), "pass", "pass" if ok else f"FAIL {detail}")
         )
+
+    def record_cases(
+        self, id: str, describe: Callable[[int], str], failures: Iterable[int], what: str
+    ) -> None:
+        """Record a check over cases: ``failures`` yields the failure count
+        of each case, ``describe`` makes the description from the number of
+        cases, and the check passes iff it met a case and no failure."""
+        total = bad = 0
+        for failed in failures:
+            total += 1
+            bad += failed
+        self.record_bool(id, describe(total), bad == 0 and total > 0, f"{bad} {what}")
+
+
+def _name(space: StabilitySpace) -> str:
+    return f"D_({space.g},{space.n})"
 
 
 # -- paper-fixture suite -------------------------------------------------------------
@@ -128,23 +147,20 @@ def check_12(rep: Reporter) -> None:
 
 
 def check_05_s3(rep: Reporter) -> None:
-    s05 = StabilitySpace(0, 5)
     expected = ref.wall_crossing_05_s3()
-    bad = 0
-    count = 0
-    for c in enumerate_chambers(s05):
-        try:
-            got = wall_crossing_poly(c, {3, 4, 5}).poly
-        except (NotIncidentError, NotRealizableError):
-            continue
-        count += 1
-        if got != expected:
-            bad += 1
-    rep.record_bool(
+
+    def failures():
+        for c in enumerate_chambers(StabilitySpace(0, 5)):
+            try:
+                yield wall_crossing_poly(c, {3, 4, 5}).poly != expected
+            except (NotIncidentError, NotRealizableError):
+                continue
+
+    rep.record_cases(
         "P05",
-        f"(0,5) |S|=3 crossing equals closed form from all {count} chambers above",
-        bad == 0 and count > 0,
-        f"{bad} mismatches",
+        lambda total: f"(0,5) |S|=3 crossing equals closed form from all {total} chambers above",
+        failures(),
+        "mismatches",
     )
 
 
@@ -177,37 +193,23 @@ def check_intersections(rep: Reporter) -> None:
             psi_intersection(g, d) if m == 0 else kappa_psi_intersection(g, m, d)
         )
         rep.record(f"P07.anchor.g{g}m{m}d{''.join(map(str, d))}", "intersection anchor", want, got)
-    bad = 0
-    total = 0
-    for n in range(3, 9):
-        for d in _partitions_of(n - 3, n):
-            total += 1
-            closed = Fraction(factorial(n - 3))
-            for x in d:
-                closed /= factorial(x)
-            if psi_intersection(0, d) != closed or _psi0_by_string(d) != closed:
-                bad += 1
-    rep.record_bool(
+
+    def failures():
+        for n in range(3, 9):
+            for d in _compositions(n - 3, n):
+                if list(d) != sorted(d):
+                    continue  # each multiset of indices once, ascending
+                closed = Fraction(factorial(n - 3))
+                for x in d:
+                    closed /= factorial(x)
+                yield psi_intersection(0, d) != closed or _psi0_by_string(d) != closed
+
+    rep.record_cases(
         "P07.genus0",
-        f"genus-0 closed form vs string-only derivation on {total} indices (n<=8)",
-        bad == 0,
-        f"{bad} mismatches",
+        lambda total: f"genus-0 closed form vs string-only derivation on {total} indices (n<=8)",
+        failures(),
+        "mismatches",
     )
-
-
-def _partitions_of(total: int, parts: int):
-    """Sorted exponent tuples d (len=parts) with sum(d)=total."""
-    def gen(remaining, slots, minimum):
-        if slots == 1:
-            if remaining >= minimum:
-                yield (remaining,)
-            return
-        for first in range(minimum, remaining + 1):
-            for rest in gen(remaining - first, slots - 1, first):
-                yield (first,) + rest
-
-    # descending would double count; generate ascending multisets
-    yield from gen(total, parts, 0)
 
 
 def check_closed_forms(rep: Reporter) -> None:
@@ -252,20 +254,16 @@ def check_cayley(rep: Reporter) -> None:
 
 def check_limits(rep: Reporter, spaces: Iterable[StabilitySpace]) -> None:
     for space in spaces:
-        bad = 0
-        total = 0
-        for c in enumerate_chambers(space):
-            vr = chamber_volume(c)
-            for i in space.labels:
-                if c.is_light(i):
-                    total += 1
-                    if not eval_at_2pi(vr, i).is_zero():
-                        bad += 1
-        rep.record_bool(
+        rep.record_cases(
             f"P12.light.{space.g}.{space.n}",
-            f"2pi limit vanishes at all {total} light coordinates of D_({space.g},{space.n})",
-            bad == 0,
-            f"{bad} nonzero",
+            lambda total: f"2pi limit vanishes at all {total} light coordinates of {_name(space)}",
+            (
+                not eval_at_2pi(chamber_volume(c), i).is_zero()
+                for c in enumerate_chambers(space)
+                for i in space.labels
+                if c.is_light(i)
+            ),
+            "nonzero",
         )
 
 
@@ -301,42 +299,35 @@ def check_limits_12(rep: Reporter) -> None:
 
 def check_dilaton(rep: Reporter, spaces: Iterable[StabilitySpace]) -> None:
     for space in spaces:
-        bad = 0
-        total = 0
-        for c in enumerate_chambers(space):
-            for i in space.labels:
-                if c.is_flat(i):
-                    total += 1
-                    lhs, rhs = dilaton_check(c, i)
-                    if lhs != rhs:
-                        bad += 1
-        rep.record_bool(
+        rep.record_cases(
             f"P13.{space.g}.{space.n}",
-            f"dilaton identity at all {total} flat coordinates of D_({space.g},{space.n})",
-            bad == 0,
-            f"{bad} mismatches",
+            lambda total: f"dilaton identity at all {total} flat coordinates of {_name(space)}",
+            (
+                ne(*dilaton_check(c, i))
+                for c in enumerate_chambers(space)
+                for i in space.labels
+                if c.is_flat(i)
+            ),
+            "mismatches",
         )
 
 
 def check_general_dilaton(rep: Reporter, space: StabilitySpace) -> None:
-    bad = 0
-    total = 0
-    for c in enumerate_chambers(space):
-        for i in space.labels:
-            if c.is_flat(i):
-                continue
-            try:
-                lhs, rhs = general_dilaton_check(c, i)
-            except (NoFlatHullError, NotRealizableError):
-                continue
-            total += 1
-            if lhs != rhs:
-                bad += 1
-    rep.record_bool(
+    def failures():
+        for c in enumerate_chambers(space):
+            for i in space.labels:
+                if c.is_flat(i):
+                    continue
+                try:
+                    yield ne(*general_dilaton_check(c, i))
+                except (NoFlatHullError, NotRealizableError):
+                    continue
+
+    rep.record_cases(
         "P14",
-        f"general dilaton identity on {total} non-flat coordinates of D_({space.g},{space.n})",
-        bad == 0 and total > 0,
-        f"{bad} mismatches",
+        lambda total: f"general dilaton identity on {total} non-flat coordinates of {_name(space)}",
+        failures(),
+        "mismatches",
     )
 
 
@@ -357,25 +348,22 @@ def _incident_walls(c: Chamber):
 
 def _lift_failures(
     space: StabilitySpace, failures: Callable[[Poly, frozenset[int]], int]
-) -> tuple[int, int]:
-    """(walls, failures) over every incident wall of every chamber of
-    ``space``, a wall with crossing wc counting ``failures(_phi_lift(wc, S), S)``.
+) -> Iterator[int]:
+    """The failures of every incident wall of every chamber of ``space``, a
+    wall with crossing wc counting ``failures(_phi_lift(wc, S), S)``.
 
     Chambers with equal quotients C/S read one memoized wc, so the count is
     taken once per distinct (wc, S) read.  The key is the polynomial read,
     not C/S, so a crossing that differs from its quotient's is judged on
     its own."""
     seen: dict[tuple[Poly, frozenset[int]], int] = {}
-    total = bad = 0
     for c in enumerate_chambers(space):
         for S, _ in _incident_walls(c):
             key = (wall_crossing_poly(c, S).poly, S)
             verdict = seen.get(key)
             if verdict is None:
                 verdict = seen[key] = failures(_phi_lift(*key), S)
-            total += 1
-            bad += verdict
-    return total, bad
+            yield verdict
 
 
 def _nonvanishing(lifted: Poly, S: frozenset[int]) -> bool:
@@ -394,12 +382,11 @@ def check_continuity(rep: Reporter, spaces: Iterable[StabilitySpace]) -> None:
     f(y, 0) is the u^0 part of f and df/du(y, 0) its u^1 part, and the
     y-partials vanish with f(y, 0).  So the two agree for every polynomial."""
     for space in spaces:
-        total, bad = _lift_failures(space, _nonvanishing)
-        rep.record_bool(
+        rep.record_cases(
             f"I01.{space.g}.{space.n}",
-            f"wc and all partials vanish on their wall ({total} walls of D_({space.g},{space.n}))",
-            bad == 0,
-            f"{bad} walls nonvanishing",
+            lambda total: f"wc and all partials vanish on their wall ({total} walls of {_name(space)})",
+            _lift_failures(space, _nonvanishing),
+            "walls nonvanishing",
         )
 
 
@@ -411,19 +398,15 @@ def check_path_independence(rep: Reporter, spaces: Iterable[StabilitySpace]) -> 
     integrated afresh, so the check never compares the memo with itself.
     """
     for space in spaces:
-        bad = 0
-        total = 0
-        for c in enumerate_chambers(space):
-            volume = chamber_volume(c).poly
-            for S, below in _incident_walls(c):
-                total += 1
-                if volume + _integrate_crossing(c, S) != chamber_volume(below).poly:
-                    bad += 1
-        rep.record_bool(
+        rep.record_cases(
             f"I02.{space.g}.{space.n}",
-            f"path independence on {total} walls of D_({space.g},{space.n})",
-            bad == 0 and total > 0,
-            f"{bad} mismatches",
+            lambda total: f"path independence on {total} walls of {_name(space)}",
+            (
+                chamber_volume(c).poly + _integrate_crossing(c, S) != chamber_volume(below).poly
+                for c in enumerate_chambers(space)
+                for S, below in _incident_walls(c)
+            ),
+            "mismatches",
         )
 
 
@@ -445,7 +428,7 @@ def check_quotient_crossing_equality(rep: Reporter, space: StabilitySpace) -> No
     rep.record_bool(
         "I06",
         f"equal quotients give equal crossings: {len(groups)} (wall, quotient) classes, "
-        f"{nontrivial} with several chambers above, on D_({space.g},{space.n})",
+        f"{nontrivial} with several chambers above, on {_name(space)}",
         bad == 0 and nontrivial > 0,
         f"{bad} classes disagree",
     )
@@ -453,22 +436,19 @@ def check_quotient_crossing_equality(rep: Reporter, space: StabilitySpace) -> No
 
 def check_quotient_equivalence(rep: Reporter, space: StabilitySpace) -> None:
     """Prop: for chambers separated by W_T, (T meets S) iff equal quotients by S."""
-    bad = 0
-    total = 0
     quotient_sets = [S for S in space.subsets() if space.n - len(S) + 1 >= 3]
     cs = enumerate_chambers(space)
     quotients = {c: [c.quotient(S) for S in quotient_sets] for c in cs}  # once per chamber
-    for c1 in cs:
-        for T, c2 in _incident_walls(c1):
-            for S, q1, q2 in zip(quotient_sets, quotients[c1], quotients[c2]):
-                total += 1
-                if bool(T & S) != (q1 == q2):
-                    bad += 1
-    rep.record_bool(
+    rep.record_cases(
         "I03",
-        f"quotient-equivalence criterion on {total} (pair, S) cases of D_({space.g},{space.n})",
-        bad == 0,
-        f"{bad} failures",
+        lambda total: f"quotient-equivalence criterion on {total} (pair, S) cases of {_name(space)}",
+        (
+            bool(T & S) != (q1 == q2)
+            for c1 in cs
+            for T, c2 in _incident_walls(c1)
+            for S, q1, q2 in zip(quotient_sets, quotients[c1], quotients[c2])
+        ),
+        "failures",
     )
 
 
@@ -500,16 +480,11 @@ def check_evenness(rep: Reporter, spaces: Iterable[StabilitySpace]) -> None:
     only the other theta_j of S can appear in a lifted term.  The verdict is
     taken once per distinct crossing (``_lift_failures``), and counted on
     every wall."""
-    bad = total = 0
-    for space in spaces:
-        walls, failures = _lift_failures(space, _evenness_failures)
-        total += walls
-        bad += failures
-    rep.record_bool(
+    rep.record_cases(
         "I04",
-        f"wall-crossings are even polynomials in phi of degree >= 2 ({total} walls)",
-        bad == 0,
-        f"{bad} failures",
+        lambda total: f"wall-crossings are even polynomials in phi of degree >= 2 ({total} walls)",
+        chain.from_iterable(_lift_failures(space, _evenness_failures) for space in spaces),
+        "failures",
     )
 
 
@@ -520,11 +495,11 @@ def check_positivity(rep: Reporter, spaces: Iterable[StabilitySpace]) -> None:
     The points a_j - r_j / 1000 * slack / (2n), r_j in 0..999, around the
     chamber's LP witness are built as ints over one denominator, and each
     is evaluated on the chamber's own volume in integers (``_point_value``).
+    A point that ``classify`` puts in another chamber fails.
     """
     rng = random.Random(20260808)
-    for space in spaces:
-        bad = 0
-        total = 0
+
+    def failures(space: StabilitySpace):
         n = space.n
         for c in enumerate_chambers(space):
             point, slack = realize(c)
@@ -537,17 +512,16 @@ def check_positivity(rep: Reporter, spaces: Iterable[StabilitySpace]) -> None:
                 nums = [k - rng.randint(0, 999) * step for k in base]
                 w = WeightVector._from_ints(space, nums, den)
                 if classify(w) != c:
-                    bad += 1
-                    continue
-                value = evaluate_pi_numerators(*_point_value(poly, w, range(n)), 50)
-                total += 1
-                if not value > 0:
-                    bad += 1
-        rep.record_bool(
+                    yield True
+                else:
+                    yield not evaluate_pi_numerators(*_point_value(poly, w, range(n)), 50) > 0
+
+    for space in spaces:
+        rep.record_cases(
             f"I05.{space.g}.{space.n}",
-            f"positivity at {total} random interior points of D_({space.g},{space.n})",
-            bad == 0,
-            f"{bad} failures",
+            lambda total: f"positivity at {total} random interior points of {_name(space)}",
+            failures(space),
+            "failures",
         )
 
 

@@ -65,6 +65,7 @@ from .chambers import (
     CrossingPath,
     StabilitySpace,
     WeightVector,
+    _label_mask,
     _sorted_key,
     classify,
     crossing_path,
@@ -480,16 +481,24 @@ def cp1n_volume(n: int) -> Poly:
 
 def eval_at_2pi(vr: VolumeResult, i: int) -> Poly:
     """Substitute theta_i = 2 pi; the zero polynomial iff light in i (Lemma)."""
-    ring = vr.poly.ring
-    if not 1 <= i <= vr.chamber.space.n:
-        raise ValueError(f"coordinate {i} out of range")
-    return vr.poly.subs(i, ring.two_pi())
+    _label_mask(vr.chamber.space.n, (i,), 1, "coordinate")
+    return _at_2pi(vr.poly, i)
 
 
-def _restricted_volume_in(ring: PolyRing, c: Chamber, keep: Sequence[int]) -> Poly:
-    """Volume of c.restrict(keep), re-expressed in the big ring's variables."""
-    sub = chamber_volume(c.restrict(keep)).poly
-    return sub.relabeled(ring, [0, *sorted(keep)])
+def _at_2pi(p: Poly, i: int, partial: bool = False) -> Poly:
+    """``p``, or with ``partial`` its theta_i-partial, at theta_i = 2 pi."""
+    if partial:
+        p = p.diff(i)
+    return p.subs(i, p.ring.two_pi())
+
+
+def _crossings_at_2pi(
+    ring: PolyRing, steps: Iterable[tuple[Chamber, frozenset[int]]], i: int, partial: bool = False
+) -> Poly:
+    """The sum of ``_at_2pi`` over the crossings wc of the (chamber above,
+    wall) ``steps``, in ``ring``."""
+    wcs = (wall_crossing_poly(above, wall).poly for above, wall in steps)
+    return sum((_at_2pi(wc, i, partial) for wc in wcs), ring.zero())
 
 
 def dilaton_rhs(c: Chamber, i: int) -> Poly:
@@ -504,7 +513,7 @@ def dilaton_rhs(c: Chamber, i: int) -> Poly:
     q = c.q_set(i)
     coeff = ring.const(-(2 * space.g - 2 + len(keep))) * ring.two_pi()
     coeff = sum((ring.var(j) for j in keep if j not in q), coeff)
-    return coeff * _restricted_volume_in(ring, c, keep)
+    return coeff * chamber_volume(c.restrict(keep)).poly.relabeled(ring, [0, *keep])
 
 
 def dilaton_check(c: Chamber, i: int) -> tuple[Poly, Poly]:
@@ -515,9 +524,7 @@ def dilaton_check(c: Chamber, i: int) -> tuple[Poly, Poly]:
     """
     if not c.is_flat(i):
         raise WpvolError(f"chamber is not flat in coordinate {i}")
-    v = chamber_volume(c).poly
-    lhs = v.diff(i).subs(i, v.ring.two_pi())
-    return lhs, dilaton_rhs(c, i)
+    return _at_2pi(chamber_volume(c).poly, i, partial=True), dilaton_rhs(c, i)
 
 
 def wc_derivative_check(c: Chamber, S: Iterable[int], j: int) -> tuple[Poly, Poly]:
@@ -533,7 +540,7 @@ def wc_derivative_check(c: Chamber, S: Iterable[int], j: int) -> tuple[Poly, Pol
         raise ValueError(f"{j} is not in the wall set {sorted(S)}")
     wcp = wall_crossing_poly(c, S)
     ring = wcp.poly.ring
-    lhs = wcp.poly.diff(j).subs(j, ring.two_pi())
+    lhs = _at_2pi(wcp.poly, j, partial=True)
     quotient = c.quotient(S)
     vq = chamber_volume(quotient).poly
     comp = sorted(set(c.space.labels) - S)
@@ -556,13 +563,9 @@ def incident_zero_check(c: Chamber, i: int) -> tuple[Poly, Poly, CrossingPath]:
     evaluating the vanishing identity of the light chamber gives
     lhs = V_C at theta_i = 2 pi, rhs = - sum_j wc_j at theta_i = 2 pi.
     """
-    hull = light_hull(c, i)
-    path = crossing_path(c, hull)
-    ring = angle_ring(c.space.n)
-    crossings = (wall_crossing_poly(above, wall).poly for above, wall in path.steps)
-    rhs = -sum((wc.subs(i, ring.two_pi()) for wc in crossings), ring.zero())
-    lhs = eval_at_2pi(chamber_volume(c), i)
-    return lhs, rhs, path
+    path = crossing_path(c, light_hull(c, i))
+    rhs = -_crossings_at_2pi(angle_ring(c.space.n), path.steps, i)
+    return eval_at_2pi(chamber_volume(c), i), rhs, path
 
 
 def general_dilaton_check(
@@ -582,18 +585,10 @@ def general_dilaton_check(
     TheoremRHS(F) + sum d wc/d theta_i|_{2 pi}.
     """
     ring = angle_ring(c.space.n)
-    two_pi = ring.two_pi()
-    v = chamber_volume(c).poly
-    lhs = v.diff(i).subs(i, two_pi)
-
-    def dwc_sum(steps) -> Poly:
-        """The sum of d wc/d theta_i at theta_i = 2 pi over (chamber above, wall) steps."""
-        dwcs = (wall_crossing_poly(above, wall).poly.diff(i) for above, wall in steps)
-        return sum((dwc.subs(i, two_pi) for dwc in dwcs), ring.zero())
-
+    lhs = _at_2pi(chamber_volume(c).poly, i, partial=True)
     if up_walls is None:
         hull = flat_hull(c, i)
-        return lhs, dilaton_rhs(hull, i) - dwc_sum(crossing_path(c, hull).steps)
+        return lhs, dilaton_rhs(hull, i) - _crossings_at_2pi(ring, crossing_path(c, hull).steps, i, True)
 
     walls = [frozenset(w) for w in up_walls]
     chain = [c]
@@ -603,7 +598,7 @@ def general_dilaton_check(
     if not flat_top.is_flat(i):
         raise WpvolError("the chamber above the given walls is not flat in i")
     # chain[1:] reversed lists the chambers crossed downward, in order
-    return lhs, dilaton_rhs(flat_top, i) + dwc_sum(zip(reversed(chain[1:]), walls))
+    return lhs, dilaton_rhs(flat_top, i) + _crossings_at_2pi(ring, zip(reversed(chain[1:]), walls), i, True)
 
 
 def clear_volume_cache() -> None:

@@ -2,7 +2,9 @@
 
 Criteria 1-8 are the rows of ``wpvol.verify.CRITERIA``, the table the CLI
 ``verify`` suites also run; ``tests/verify_ids.json`` pins the check IDs each
-of them produces.  Every comparison is an exact polynomial identity (rational
+of them produces, and ``tests/verify_digests.json`` the SHA-256 of its result
+records (``results_digest``), so a change to any description, verdict or
+printed polynomial fails here.  Every comparison is an exact polynomial identity (rational
 coefficients, pi formal); the only numeric assertions are the positivity spot
 checks, which use 50-digit decimal evaluation in the quarantined output layer.
 
@@ -10,6 +12,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.
 """
 
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -28,6 +31,14 @@ from wpvol.volumes import (
 )
 
 VERIFY_IDS = json.loads((Path(__file__).parent / "verify_ids.json").read_text())
+VERIFY_DIGESTS = json.loads((Path(__file__).parent / "verify_digests.json").read_text())
+
+
+def results_digest(results) -> str:
+    """The SHA-256 of the JSON list of sorted [id, description, passed,
+    expected, computed] records."""
+    records = sorted((r.id, r.description, r.passed, r.expected, r.computed) for r in results)
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
 
 
 @contextmanager
@@ -46,7 +57,7 @@ def budget(criterion: str, seconds: float):
 @pytest.mark.parametrize("criterion", CRITERIA, ids=lambda c: str(c.number))
 def test_criterion(criterion):
     """Every check of the criterion passes, within its budget, and produces
-    exactly the criterion's pinned check IDs."""
+    exactly the criterion's pinned check IDs and result records."""
     with budget(str(criterion.number), criterion.budget):
         rep = Reporter()
         criterion.run(rep)
@@ -55,6 +66,7 @@ def test_criterion(criterion):
             f"{r.id}: expected {r.expected}, computed {r.computed}" for r in failures
         )
         assert sorted(r.id for r in rep.results) == VERIFY_IDS[str(criterion.number)]
+        assert results_digest(rep.results) == VERIFY_DIGESTS[str(criterion.number)]
 
 
 def test_criterion_9_d22_stress():
@@ -83,5 +95,6 @@ def test_criterion_9_d22_stress():
         ext = angle_ring(2, extra="t")
         v21 = mirzakhani_volume(2, 1).poly.compose(ext, [ext.pi(), ext.var(3)])
         phi = ext.var(1) + ext.var(2) - ext.two_pi()
-        wc_expected = (v21 * ext.var(3)).integrate_upper(3, phi).drop_last_var()
+        back = [r2.pi(), r2.var(1), r2.var(2), r2.zero()]
+        wc_expected = (v21 * ext.var(3)).integrate_upper(3, phi).compose(r2, back)
         assert vr.poly == mirzakhani_volume(2, 2).poly + wc_expected

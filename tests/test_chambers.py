@@ -248,6 +248,51 @@ def test_chamber_value_and_canonical_form():
     assert c.value({3}) == 0 and c.value(()) == 0
 
 
+M05 = main_chamber(S05)
+
+
+@pytest.mark.parametrize(
+    "call, label",
+    [
+        (lambda: M05.is_flat(99), "99"),
+        (lambda: M05.is_flat(0), "0"),
+        (lambda: M05.is_flat(True), "True"),
+        (lambda: M05.q_set(99), "99"),
+        (lambda: M05.q_set(2.0), "2.0"),
+        (lambda: M05.is_light(6), "6"),
+        (lambda: M05.value({1, 9}), "9"),
+        (lambda: M05.value({True, 2}), "True"),
+        (lambda: M05.value(["1", 2]), "'1'"),
+        (lambda: chambers.flat_hull(M05, 9), "9"),
+        (lambda: chambers.light_hull(M05, 9), "9"),
+        (lambda: chambers.light_hull(M05, False), "False"),
+        (lambda: minimal_chamber_0(S05, 1.0), "1.0"),
+        (lambda: minimal_chamber_0(S05, 6), "6"),
+        (lambda: M05.cross({1, 2.0}), "2.0"),
+        (lambda: M05.quotient({True, 3}), "True"),
+        (lambda: M05.restrict([1, 2, 3.0]), "3.0"),
+        (lambda: M05.restrict([1, 2, 6]), "[1, 2, 6]"),
+        (lambda: Chamber(S05, [(1, 2.5)]), "2.5"),
+    ],
+)
+def test_chamber_label_arguments_are_checked(call, label):
+    """A label that is not an int in 1..n, a bool included, raises a
+    ValueError naming it: none is read as a mask bit, or as 1."""
+    with pytest.raises(ValueError, match=re.escape(label)):
+        call()
+    assert M05.is_flat(1) and M05.value({1, 2}) == 1 and M05.q_set(5) == {1, 2, 3, 4}
+
+
+def test_eval_at_2pi_checks_its_coordinate():
+    from wpvol.volumes import chamber_volume, eval_at_2pi
+
+    vr = chamber_volume(M05)
+    for i, named in ((True, "True"), (1.0, "1.0"), (0, "[0]"), (6, "[6]")):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            eval_at_2pi(vr, i)
+    assert not eval_at_2pi(vr, 5).is_zero()
+
+
 def test_special_chambers():
     assert main_chamber(S04).light_max == ()
     assert light_chamber(S12).value({1, 2}) == 0

@@ -144,8 +144,7 @@ def test_limitdil1_main_chamber_12():
     rhs = -(
         (v11 * ext.var(2))
         .integrate_upper(2, ext.var(1))
-        .drop_last_var()
-        .compose(r2, [r2.pi(), r2.var(1)])
+        .compose(r2, [r2.pi(), r2.var(1), r2.zero()])
     )
     assert lhs == rhs
 
@@ -170,8 +169,7 @@ def test_incident_zero_g2():
     integral = (
         (v21 * ext.var(2))
         .integrate_upper(2, ext.var(1))
-        .drop_last_var()
-        .compose(r2, [r2.pi(), r2.var(1)])
+        .compose(r2, [r2.pi(), r2.var(1), r2.zero()])
     )
     assert lhs == -integral
 

@@ -196,6 +196,30 @@ def test_rat_rejects_exponent_notation():
         R2.const(0.5)
 
 
+def test_bool_is_not_a_scalar():
+    """Every operator refuses a bool, as ``rat`` does, where it takes an int
+    or a Fraction: nothing reads True as 1.  ``==`` never raises, so a bool
+    or a float is only unequal."""
+    t1 = R2.var(1)
+    for op in (
+        lambda: t1 + True,
+        lambda: True + t1,
+        lambda: t1 - True,
+        lambda: True - t1,
+        lambda: t1 * True,
+        lambda: False * t1,
+        lambda: t1 / True,
+        lambda: t1**True,
+        lambda: t1**1.0,
+    ):
+        with pytest.raises(ValueError):
+            op()
+    assert (t1 == True) is False and (True == t1) is False and (t1 == 0.5) is False
+    assert t1 != True and R2.one() != True and R2.zero() != False
+    assert R2.one() == 1 and R2.zero() == 0 and R2.const(F(1, 2)) == F(1, 2)
+    assert t1 * 1 == t1 and t1**1 == t1 and t1 + 0 == t1 and t1 / 1 == t1
+
+
 def test_text_round_trip():
     candidates = [
         R2.zero(),

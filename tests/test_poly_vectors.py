@@ -241,7 +241,8 @@ def test_ring_moves_match_dict_kernel(a, b, perm):
     big = angle_ring(4)
     positions = [0, perm[0], perm[1]]
     same(p.relabeled(big, positions), rp.relabeled(big, positions))
-    same(p.relabeled(EXT, [0, 2, 1]).drop_last_var(), rp.relabeled(EXT, [0, 2, 1]).drop_last_var())
+    down = [RING.pi(), RING.var(1), RING.var(2), RING.zero()]  # u sent to 0
+    same(p.relabeled(EXT, [0, 2, 1]).compose(RING, down), rp.relabeled(EXT, [0, 2, 1]).drop_last_var())
     x, rx = pair(b, big)
     images, rimages = [big.pi(), x, big.var(perm[2])], [DictPoly.of_terms(big, {(1, 0, 0, 0, 0): 1}), rx]
     rimages.append(DictPoly.of_terms(big, {tuple(int(i == perm[2]) for i in range(5)): 1}))
@@ -289,7 +290,7 @@ def test_intern_order_does_not_change_the_poly(monkeypatch):
     assert list(poly_module._tables[3, 3]) == monomials
     assert list(poly_module._tables[4, 3]) == [e + (0,) for e in reversed(monomials)]
     assert forward._vecs != backward._vecs
-    down = backward.drop_last_var()
+    down = backward.compose(RING, [RING.pi(), RING.var(1), RING.var(2), RING.zero()])
     up = forward.relabeled(EXT, [0, 1, 2])
     assert down == forward and hash(down) == hash(forward) and down._vecs == forward._vecs
     assert up == backward and hash(up) == hash(backward) and up._vecs == backward._vecs

@@ -1,4 +1,4 @@
-"""The check table of ``wpvol.verify``: pinned IDs and wall iteration."""
+"""The check table of ``wpvol.verify``: pinned IDs, wall iteration and the case tally."""
 
 import json
 from dataclasses import replace
@@ -227,3 +227,51 @@ def test_perturbed_crossing_orbit_fails_path_independence(fresh_volume_caches, m
     volumes._volume_cache.clear()
     volumes._crossing_cache.clear()
     assert not _path_independence_04().passed
+
+
+def test_record_cases_owns_the_pass_rule():
+    """A tallied check passes iff it met a case and no failure; its
+    description reads the number of cases and its detail the failures."""
+    rep = Reporter()
+    for id, failures in (("none", []), ("clean", [0, False, 0]), ("bad", [0, 1, True, 2])):
+        rep.record_cases(id, lambda total: f"{total} cases", iter(failures), "misses")
+    assert [(r.id, r.description, r.passed, r.computed) for r in rep.results] == [
+        ("none", "0 cases", False, "FAIL 0 misses"),
+        ("clean", "3 cases", True, "pass"),
+        ("bad", "4 cases", False, "FAIL 4 misses"),
+    ]
+
+
+def test_tallied_checks_that_meet_no_case_fail(monkeypatch):
+    """With no chamber to iterate, every tallied check of a space meets no
+    case, and each fails rather than passing vacuously."""
+    monkeypatch.setattr(verify, "enumerate_chambers", lambda space: [])
+    space = StabilitySpace(0, 4)
+    rep = Reporter()
+    verify.check_05_s3(rep)
+    verify.check_limits(rep, [space])
+    verify.check_dilaton(rep, [space])
+    verify.check_general_dilaton(rep, space)
+    verify.check_continuity(rep, [space])
+    verify.check_path_independence(rep, [space])
+    verify.check_quotient_equivalence(rep, space)
+    verify.check_evenness(rep, [space])
+    verify.check_positivity(rep, [space])
+    ids = ["P05", "P12.light.0.4", "P13.0.4", "P14", "I01.0.4", "I02.0.4", "I03", "I04", "I05.0.4"]
+    assert [r.id for r in rep.results] == ids
+    assert not any(r.passed for r in rep.results)
+    assert all(r.computed.startswith("FAIL 0 ") for r in rep.results)
+
+
+def test_positivity_counts_a_point_of_another_chamber_as_failed(monkeypatch):
+    """I05 takes 20 points per chamber; a point that ``classify`` puts in
+    another chamber is a failed case, not a skipped one."""
+    space = StabilitySpace(1, 2)
+    chambers = enumerate_chambers(space)
+    monkeypatch.setattr(verify, "classify", lambda w: None)
+    rep = Reporter()
+    verify.check_positivity(rep, [space])
+    (result,) = rep.results
+    total = 20 * len(chambers)
+    assert result.description == f"positivity at {total} random interior points of D_(1,2)"
+    assert (result.passed, result.computed) == (False, f"FAIL {total} failures")

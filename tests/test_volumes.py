@@ -106,7 +106,9 @@ def test_wall_crossing_g2():
     ext = angle_ring(2, extra="t")
     v21 = mirzakhani_volume(2, 1).poly.compose(ext, [ext.pi(), ext.var(3)])
     phi = ext.var(1) + ext.var(2) - ext.two_pi()
-    expected = (v21 * ext.var(3)).integrate_upper(3, phi).drop_last_var()
+    r2 = angle_ring(2)
+    back = [r2.pi(), r2.var(1), r2.var(2), r2.zero()]
+    expected = (v21 * ext.var(3)).integrate_upper(3, phi).compose(r2, back)
     assert wcp.poly == expected
 
 
@@ -351,7 +353,8 @@ def _kernel_wc_integral(quotient_poly, S, s_comp, ring):
     """Reference: wc as the kernel integral.  The quotient volume is relabeled
     into the ring extended by t (merged point to t), multiplied by the kernel
     (phi_S^2 - t^2)^(s-2) t / ((s-2)! 2^(s-2)), integrated in t from 0 to
-    phi_S (antiderivative, then the bound substituted) and projected back."""
+    phi_S (antiderivative, then the bound substituted) and projected back
+    (t sent to 0)."""
     s = len(S)
     ext = angle_ring(ring.nvars - 1, extra="t")
     ti = ext.nvars - 1
@@ -359,7 +362,8 @@ def _kernel_wc_integral(quotient_poly, S, s_comp, ring):
     phi = phi_form(ext, S)
     t = ext.var(ti)
     kernel = (phi * phi - t * t) ** (s - 2) * t / F(factorial(s - 2) * 2 ** (s - 2))
-    return (vq * kernel).integrate_upper(ti, phi).drop_last_var()
+    back = [ring.pi(), *map(ring.var, range(1, ring.nvars)), ring.zero()]
+    return (vq * kernel).integrate_upper(ti, phi).compose(ring, back)
 
 
 def test_closed_form_crossings_match_kernel_integral(empty_memos, monkeypatch):
