@@ -588,7 +588,8 @@ def general_dilaton_check(
     lhs = _at_2pi(chamber_volume(c).poly, i, partial=True)
     if up_walls is None:
         hull = flat_hull(c, i)
-        return lhs, dilaton_rhs(hull, i) - _crossings_at_2pi(ring, crossing_path(c, hull).steps, i, True)
+        dwc = _crossings_at_2pi(ring, crossing_path(c, hull).steps, i, partial=True)
+        return lhs, dilaton_rhs(hull, i) - dwc
 
     walls = [frozenset(w) for w in up_walls]
     chain = [c]
@@ -598,7 +599,8 @@ def general_dilaton_check(
     if not flat_top.is_flat(i):
         raise WpvolError("the chamber above the given walls is not flat in i")
     # chain[1:] reversed lists the chambers crossed downward, in order
-    return lhs, dilaton_rhs(flat_top, i) + _crossings_at_2pi(ring, zip(reversed(chain[1:]), walls), i, True)
+    dwc = _crossings_at_2pi(ring, zip(reversed(chain[1:]), walls), i, partial=True)
+    return lhs, dilaton_rhs(flat_top, i) + dwc
 
 
 def clear_volume_cache() -> None:
