@@ -52,6 +52,7 @@ from .errors import (
 )
 from .lp import simplex_max
 from .poly import Poly, PolyRing
+from .rationals import check_int
 
 # Bounds enumeration alone: realizability and the orbit tables hold at any n.
 # n = 7 stays off.  With the bound raised to 7, the orbit search
@@ -479,21 +480,14 @@ def _adopt(space: StabilitySpace, masks: tuple[int, ...]) -> Chamber:
     return c
 
 
-def _is_int(x) -> bool:
-    """A JSON integer; JSON booleans parse to bool, a subclass of int."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def chamber_from_json_dict(data: Mapping, g: Optional[int] = None, n: Optional[int] = None) -> Chamber:
     light = data.get("light_max") if isinstance(data, Mapping) else None
-    if not isinstance(light, list) or not all(
-        isinstance(s, list) and all(_is_int(j) for j in s) for s in light
-    ):
+    if not isinstance(light, list) or not all(isinstance(s, list) for s in light):
         raise ValueError('chamber JSON must be an object whose "light_max" is a list of label lists')
-    genus = data.get("g", g)
-    points = data.get("n", n)
-    if not _is_int(genus) or not _is_int(points):
-        raise ValueError("chamber JSON needs integer g and n (inline or from flags)")
+    for j in itertools.chain.from_iterable(light):
+        check_int(j, "a light_max label")
+    genus = check_int(data.get("g", g), "the chamber JSON's g (inline or from flags)")
+    points = check_int(data.get("n", n), "the chamber JSON's n (inline or from flags)")
     for name, value, flag in (("g", genus, g), ("n", points, n)):
         if flag is not None and value != flag:
             raise ValueError(f"chamber JSON has {name}={value}, but the flag gives {name}={flag}")

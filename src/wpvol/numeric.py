@@ -15,6 +15,7 @@ from collections.abc import Mapping
 from decimal import Decimal, localcontext
 
 from .poly import Poly
+from .rationals import check_int
 
 DEFAULT_DIGITS = 50
 _GUARD = 12
@@ -27,7 +28,7 @@ def pi_decimal(digits: int = DEFAULT_DIGITS) -> Decimal:
 
     Machin's formula pi = 16*atan(1/5) - 4*atan(1/239) with guard digits.
     """
-    if digits < 1:
+    if check_int(digits, "precision") < 1:
         raise ValueError("precision must be at least 1 digit")
     cached = _pi_cache.get(digits)
     if cached is not None:
@@ -66,7 +67,7 @@ def evaluate_pi_numerators(nums: Mapping[int, int], den: int, digits: int = DEFA
     ints, so the numerators need not be reduced: any fraction of one value
     gives the same digits.  This is the one numeric evaluation loop.
     """
-    if digits < 1:
+    if check_int(digits, "precision") < 1:
         raise ValueError("precision must be at least 1 digit")
     with localcontext() as ctx:
         ctx.prec = digits + _GUARD

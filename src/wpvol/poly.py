@@ -40,7 +40,15 @@ first.
 one-term Poly in pi alone) and runs through the Poly's evaluation plan
 (``_Plan``), built on its first call and kept with it: each angle monomial is
 one angle times a monomial of the layer below, and the terms of one degree
-and pi power are summed at once.  The plan's one entry point,
+and pi power are summed at once.  Plans are built from one shared index of
+angle monomials per number of angles (``_Index``): each monomial a plan has
+met gets an int id, with its parent's id, its angle and its degree, and
+beside each monomial table a list gives the id of the angle part of each
+table position, so a build reads its terms as ids and walks their parent
+chains on ints.  The index and the lists only grow, as the tables do: a
+list holds at most one entry per position of a table of a ring where a plan
+was built, and the index the angle parts of those positions with their
+parent chains.  The plan's one entry point,
 ``_Plan.evaluate``, works on integers alone (angle numerators A_j over one
 B, and their pi powers) and returns {pi power: numerator}; ``pi_poly`` makes
 that the canonical Poly, and point queries that want a number hand it to
@@ -53,14 +61,14 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from math import gcd, lcm
 from operator import add, floordiv, itemgetter, mul, neg
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import RingMismatchError, VariableRangeError
-from .rationals import format_rat, rat
+from .rationals import check_int, format_rat, rat
 
 Scalar = Union[int, Fraction]
 Nums = dict[tuple[int, ...], int]
@@ -184,11 +192,12 @@ def _power_table(base: Nums, top: int, unit: tuple[int, ...]) -> list[Nums]:
 
 
 def _exponents(exps: Iterable) -> tuple[int, ...]:
-    """``exps`` as a tuple, once every entry is a non-negative int (not a
-    bool); raises ValueError otherwise, so nothing is truncated."""
+    """``exps`` as a tuple, once every entry is a non-negative int
+    (``check_int``); raises ValueError otherwise, so nothing is truncated."""
     e = tuple(exps)
-    if not all(type(x) is int and x >= 0 for x in e):
-        raise ValueError(f"exponents must be non-negative ints: {e!r}")
+    for x in e:
+        if check_int(x, "an exponent") < 0:
+            raise ValueError(f"exponents must be non-negative ints: {e!r}")
     return e
 
 
@@ -223,7 +232,7 @@ class PolyRing:
         return self.const(1)
 
     def var(self, i: int) -> "Poly":
-        if not 0 <= i < self.nvars:
+        if not 0 <= check_int(i, "a variable index") < self.nvars:
             raise VariableRangeError(f"variable index {i} out of range")
         _table(self.nvars, 1)  # variable i is position i of the degree-1 table
         return Poly._adopt(self, {1: (0,) * i + (1,)}, 1)
@@ -255,6 +264,7 @@ class PolyRing:
 
 def angle_ring(n: int, extra: str | None = None) -> PolyRing:
     """Ring (pi, t1, ..., tn) with an optional trailing variable."""
+    check_int(n, "the number of angles")
     names = ("pi",) + tuple(f"t{i}" for i in range(1, n + 1))
     if extra is not None:
         names = names + (extra,)
@@ -279,7 +289,10 @@ class _Plan(NamedTuple):
     and pi exponent e0 of the terms, the numerators aligned to layer s (0
     where a monomial has no such term).  Each term adds at most its angle
     degree monomials, so the plan holds at most terms x degree of them
-    besides 1, whatever the number of monomials of that degree.
+    besides 1, whatever the number of monomials of that degree.  ``_plan``
+    builds it from the shared angle-monomial index (``_Index``), whose
+    parent links are the ones above; the plan itself holds positions within
+    its own layers, not index ids, so it stays valid as the index grows.
     """
 
     parents: array
@@ -333,51 +346,121 @@ class _Plan(NamedTuple):
         return accumulate({}, pairs)
 
 
+class _Index(NamedTuple):
+    """The angle monomials in n angles that plan builds have met, by int id.
+
+    ``ids`` maps each angle exponent tuple to its id; for each id,
+    ``parents`` holds the id of its parent (one unit of its last nonzero
+    angle removed), ``angles`` the index of that angle (0 for t1) and
+    ``degrees`` its degree.  Id 0 is the monomial 1, its own parent, so a
+    parent's id is always smaller than its child's.
+    """
+
+    ids: dict[tuple[int, ...], int]
+    parents: list[int]
+    angles: list[int]
+    degrees: list[int]
+
+
+# The angle-monomial index of each number of angles n.  It only grows, as
+# the tables do, and an id enters ``ids`` only after its entries in the
+# three lists exist.
+_indexes: dict[int, _Index] = {}
+# Beside the monomial table (n + 1, d): the index id of the angle part of
+# each table position, as far as plan builds have read the table.  Table
+# positions never change, so the list is only extended, never rewritten.
+_table_ids: dict[tuple[int, int], list[int]] = {}
+
+
+def _intern(index: _Index, k: tuple[int, ...]) -> int:
+    """The id of the angle monomial k, interning it and the part of its
+    parent chain not in the index yet."""
+    ids = index.ids
+    i = ids.get(k)
+    chain = []
+    while i is None:
+        j = len(k) - 1
+        while not k[j]:
+            j -= 1
+        chain.append((k, j))
+        k = k[:j] + (k[j] - 1,) + k[j + 1 :]
+        i = ids.get(k)
+    for k, j in reversed(chain):
+        parent, i = i, len(index.parents)
+        index.parents.append(parent)
+        index.angles.append(j)
+        index.degrees.append(index.degrees[parent] + 1)
+        ids[k] = i
+    return i
+
+
+def _angle_ids(index: _Index, n: int, d: int, size: int) -> list[int]:
+    """The ids in ``index`` of the angle parts of the table (n + 1, d),
+    extended to cover at least its first ``size`` positions."""
+    ids = _table_ids.setdefault((n + 1, d), [])
+    if len(ids) < size:
+        ids.extend(_intern(index, e[1:]) for e in islice(_tables[n + 1, d], len(ids), size))
+    return ids
+
+
 def _plan(vecs: Vectors, n: int) -> _Plan:
     """The evaluation plan of the numerator vectors ``vecs`` in n angles.
 
-    Each term's parent chain is walked down until it meets a monomial already
-    placed, and the new monomials are placed on the way back up, so each
-    monomial is visited once and nothing is sorted.
+    The terms are read as ids of the shared angle-monomial index
+    (``_angle_ids`` beside each table, compressed by the vector), so no
+    exponent tuple is sliced or hashed here.  Each term's parent chain is
+    walked down on ids until it meets a monomial already placed, and the new
+    monomials are placed on the way back up, so each monomial is visited
+    once and nothing is sorted.
     """
-    keys, vals = _support(n + 1, vecs)
-    where = {(0,) * n: 0}  # monomial -> position in its layer
+    index = _indexes.get(n)
+    if index is None:
+        index = _indexes[n] = _Index({(0,) * n: 0}, [0], [0], [0])
+    parent_of, angle_of, degree_of = index.parents, index.angles, index.degrees
+    # (d, the ids of the terms of degree d, its vector); reading the ids
+    # extends the index first, so ``where`` can cover every id
+    support = [
+        (d, list(compress(_angle_ids(index, n, d, len(vec)), vec)), vec) for d, vec in vecs.items()
+    ]
+    where = [-1] * len(parent_of)  # id -> position in its layer, -1 if not placed
+    where[0] = 0
     parents: list[list[int]] = [[0]]  # layer 0: the monomial 1, whose entry is unused
     angles: list[list[int]] = [[0]]
-    for e in keys:
-        k = e[1:]
-        chain = []
-        while k not in where:
-            j = n - 1
-            while not k[j]:
-                j -= 1
-            chain.append((k, j))
-            k = k[:j] + (k[j] - 1,) + k[j + 1 :]
-        if chain:
-            s, pos = sum(k), where[k]
-            for k, j in reversed(chain):
-                s += 1
+    for _, ids, _ in support:
+        for i in ids:
+            if where[i] >= 0:
+                continue
+            chain = [i]
+            i = parent_of[i]
+            while where[i] < 0:
+                chain.append(i)
+                i = parent_of[i]
+            pos = where[i]
+            for i in reversed(chain):
+                s = degree_of[i]
                 if s == len(parents):
                     parents.append([])
                     angles.append([])
-                parents[s].append(pos)
-                angles[s].append(j)
-                pos = where[k] = len(parents[s]) - 1
-    rows: dict[tuple[int, int], list[int]] = {}
-    for e, c in zip(keys, vals):
-        k = e[1:]
-        s = sum(k)
-        row = rows.get((s, e[0]))
-        if row is None:
-            row = rows[s, e[0]] = [0] * len(parents[s])
-        row[where[k]] = c
+                layer = parents[s]
+                layer.append(pos)
+                angles[s].append(angle_of[i])
+                pos = where[i] = len(layer) - 1
+    groups = []
+    for d, ids, vec in support:
+        rows: dict[int, list[int]] = {}  # angle degree s -> the row of pi power d - s
+        for i, c in zip(ids, filter(None, vec)):
+            s = degree_of[i]
+            row = rows.get(s)
+            if row is None:
+                row = rows[s] = [0] * len(parents[s])
+            row[where[i]] = c
+        groups.extend((s, d - s, tuple(row)) for s, row in rows.items())
     flat_parents, flat_angles, ends = array("I"), array("I"), []
     for layer, js in zip(parents[1:], angles[1:]):
         flat_parents.extend(layer)
         flat_angles.extend(js)
         ends.append(len(flat_parents))
-    groups = tuple((s, e0, tuple(row)) for (s, e0), row in rows.items())
-    return _Plan(flat_parents, flat_angles, tuple(ends), groups)
+    return _Plan(flat_parents, flat_angles, tuple(ends), tuple(groups))
 
 
 _set = object.__setattr__
@@ -547,7 +630,7 @@ class Poly:
 
     def diff(self, v: int) -> "Poly":
         """Formal partial derivative with respect to variable v (not pi)."""
-        if not 1 <= v < self.ring.nvars:
+        if not 1 <= check_int(v, "a variable index") < self.ring.nvars:
             raise VariableRangeError(f"cannot differentiate in variable index {v}")
         nums = {e[:v] + (e[v] - 1,) + e[v + 1 :]: c * e[v] for e, c in zip(*self._support()) if e[v]}
         return Poly.from_canonical(self.ring, nums, self.den)
@@ -561,7 +644,7 @@ class Poly:
         acc = acc * N + d^(K-k) * P_k for k = K-1 down to 0, each product
         one ``_mul_nums``.  N may involve x_v itself.
         """
-        if not 0 <= v < self.ring.nvars:
+        if not 0 <= check_int(v, "a variable index") < self.ring.nvars:
             raise VariableRangeError(f"variable index {v} out of range")
         if not isinstance(value, Poly):
             value = self.ring.const(value)
@@ -576,7 +659,7 @@ class Poly:
         the upper bound.  The bound must not involve t, except for the bound
         being exactly the variable t itself (symbolic upper limit).
         """
-        if not 1 <= t < self.ring.nvars:
+        if not 1 <= check_int(t, "a variable index") < self.ring.nvars:
             raise VariableRangeError(f"cannot integrate in variable index {t}")
         if not isinstance(upper, Poly):
             upper = self.ring.const(upper)
@@ -884,5 +967,5 @@ def pi_poly(powers: Mapping[int, int], den: int) -> Poly:
 
 def phi_form(ring: PolyRing, wall: Iterable[int]) -> Poly:
     """The linear form phi_S = sum_{j in S} theta_j - 2*pi*(|S|-1)."""
-    wall = sorted(wall)
+    wall = sorted(check_int(j, "a wall label") for j in wall)
     return sum((ring.var(j) for j in wall), ring.zero()) - (len(wall) - 1) * ring.two_pi()

@@ -2,8 +2,9 @@
 
 The scalar type of the whole package is ``fractions.Fraction``: arbitrary
 precision, always reduced to lowest terms, positive denominator.  This module
-only adds the string forms used by the CLI and the serialization layer, where
-rationals are written "p/q" and never as floats.
+adds the string forms used by the CLI and the serialization layer, where
+rationals are written "p/q" and never as floats, and the one check of an
+integer input (``check_int``): a count, index, label or digit count.
 """
 
 from __future__ import annotations
@@ -31,6 +32,18 @@ def rat(value: int | str | Fraction) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+
+
+def check_int(value, what: str) -> int:
+    """``value`` if it is an int, else a one-line ValueError naming ``what``.
+
+    A bool is refused although it is an int subclass (JSON's true parses to
+    one), and a float, Fraction or str is never truncated or parsed into an
+    int.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, not {value!r}")
+    return value
 
 
 def format_rat(q: Fraction) -> str:

@@ -78,6 +78,7 @@ from .errors import NotRealizableError, UnstableError, WpvolError
 from .intersection import kappa_psi_intersection
 from .numeric import evaluate_pi_numerators
 from .poly import Poly, PolyRing, _vectors, angle_ring, phi_form, pi_poly
+from .rationals import check_int
 
 PROV_MAIN = "main-chamber-intersection"
 PROV_PATH = "wall-crossing-path"
@@ -411,7 +412,8 @@ def minimal_chamber_volume_closed(n: int, j: int = 1) -> VolumeResult:
     V_{0,C_j} = (2 pi^2)^{n-3}/(n-3)! (-2+sum a)^{n-3} (-a_j+sum_{k!=j} a_k)^{n-3}
     with a = 1 - theta/(2 pi); both factors carry the same exponent n-3.
     """
-    if n < 3:
+    check_int(j, "the label j")
+    if check_int(n, "the number of points") < 3:
         raise UnstableError("need n >= 3")
     from .chambers import minimal_chamber_0
 
@@ -443,7 +445,7 @@ def losev_manin_volume(n: int) -> Poly:
     recovered by substituting theta_j -> 2 pi (1 - e_j) and theta at the two
     heavy points -> 0.
     """
-    if n < 2:
+    if check_int(n, "the number of light points") < 2:
         raise UnstableError("the closed form needs n >= 2")
     ring = PolyRing(("pi",) + tuple(f"e{i}" for i in range(1, n + 1)))
     poly = ring.const(Fraction(4) ** (n - 1)) * ring.pi() ** (2 * (n - 1))
@@ -466,7 +468,7 @@ def cp1n_volume(n: int) -> Poly:
 
     Closed form (2 pi)^{2n} prod e_j (-2 + sum e_j + sum b_k)^n.
     """
-    if n < 1:
+    if check_int(n, "the number of light points") < 1:
         raise UnstableError("need n >= 1")
     names = ("pi",) + tuple(f"e{i}" for i in range(1, n + 1)) + ("b1", "b2", "b3")
     ring = PolyRing(names)

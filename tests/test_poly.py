@@ -3,9 +3,12 @@
 import json
 import random
 import time
+from array import array
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from itertools import product
 from math import factorial, gcd, lcm
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -13,8 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wpvol
+from wpvol import poly as poly_module
 from wpvol import reference as ref
-from wpvol.chambers import StabilitySpace, enumerate_chambers, light_chamber, main_chamber
+from wpvol.chambers import (
+    StabilitySpace,
+    chamber_from_json_dict,
+    enumerate_chambers,
+    light_chamber,
+    main_chamber,
+)
 from wpvol.errors import RingMismatchError, VariableRangeError
 from wpvol.intersection import kappa_psi_intersection
 from wpvol.numeric import _GUARD, evaluate_pi_numerators, evaluate_pi_poly, pi_decimal
@@ -23,6 +33,7 @@ from wpvol.poly import (
     Poly,
     PolyRing,
     _pi_multiple,
+    _Plan,
     accumulate,
     angle_ring,
     phi_form,
@@ -30,7 +41,15 @@ from wpvol.poly import (
     poly_from_json_dict,
     poly_from_text,
 )
-from wpvol.volumes import _compositions, chamber_volume, dilaton_check, mirzakhani_volume
+from wpvol.volumes import (
+    _compositions,
+    chamber_volume,
+    cp1n_volume,
+    dilaton_check,
+    losev_manin_volume,
+    minimal_chamber_volume_closed,
+    mirzakhani_volume,
+)
 
 R2 = angle_ring(2)
 R4 = angle_ring(4)
@@ -794,6 +813,119 @@ def test_plan_evaluate_matches_per_term_loop(p, A, B, shifts):
     assert p.evaluate_angles(values) == want
 
 
+def former_plan(vecs, n):
+    """The plan builder before the shared angle-monomial index: it slices the
+    angle part of each term's exponent tuple and walks the parent chain down
+    on tuples, building the parents on the way."""
+    keys, vals = poly_module._support(n + 1, vecs)
+    where = {(0,) * n: 0}  # monomial -> position in its layer
+    parents = [[0]]
+    angles = [[0]]
+    for e in keys:
+        k = e[1:]
+        chain = []
+        while k not in where:
+            j = n - 1
+            while not k[j]:
+                j -= 1
+            chain.append((k, j))
+            k = k[:j] + (k[j] - 1,) + k[j + 1 :]
+        if chain:
+            s, pos = sum(k), where[k]
+            for k, j in reversed(chain):
+                s += 1
+                if s == len(parents):
+                    parents.append([])
+                    angles.append([])
+                parents[s].append(pos)
+                angles[s].append(j)
+                pos = where[k] = len(parents[s]) - 1
+    rows = {}
+    for e, c in zip(keys, vals):
+        k = e[1:]
+        s = sum(k)
+        row = rows.get((s, e[0]))
+        if row is None:
+            row = rows[s, e[0]] = [0] * len(parents[s])
+        row[where[k]] = c
+    flat_parents, flat_angles, ends = array("I"), array("I"), []
+    for layer, js in zip(parents[1:], angles[1:]):
+        flat_parents.extend(layer)
+        flat_angles.extend(js)
+        ends.append(len(flat_parents))
+    groups = tuple((s, e0, tuple(row)) for (s, e0), row in rows.items())
+    return _Plan(flat_parents, flat_angles, tuple(ends), groups)
+
+
+def plan_monomials(plan, n):
+    """The angle exponent tuples of each layer of ``plan``, one set per layer."""
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    layers = plan.layers((0,) * n, units, lambda k, u: tuple(map(add, k, u)))
+    return [set(layer) for layer in layers]
+
+
+def assert_plan_matches_former(p, rng):
+    """``_plan`` of ``p`` holds the monomials of the former builder, layer by
+    layer, and evaluates alike at seeded angles: all nonzero with one pi
+    power, with a zero angle and unequal pi powers, and at random."""
+    n = p.ring.nvars - 1
+    got, want = poly_module._plan(p._vecs, n), former_plan(p._vecs, n)
+    assert plan_monomials(got, n) == plan_monomials(want, n)
+    assert len(got.parents) == len(want.parents)
+    for trial in range(3):
+        A = [rng.choice([-1, 1]) * rng.randint(1, 10**6) for _ in range(n)]
+        shifts = [1] * n if trial == 0 else [rng.randint(0, 3) for _ in range(n)]
+        if trial == 1 and n:
+            A[rng.randrange(n)] = 0
+            shifts = [j % 3 for j in range(n)]
+        B = rng.choice([1, 7, 1000])
+        assert got.evaluate(A, B, shifts) == want.evaluate(A, B, shifts)
+
+
+@pytest.mark.parametrize("g,n", [(0, 5), (1, 4), (2, 3), (1, 3)], ids=["D05", "D14", "D23", "D13"])
+def test_plan_matches_former_builder_on_chamber_volumes(g, n):
+    rng = random.Random(32 + 10 * g + n)
+    for c in enumerate_chambers(StabilitySpace(g, n)):
+        assert_plan_matches_former(chamber_volume(c).poly, rng)
+
+
+def test_plan_matches_former_builder_on_other_rings():
+    """A non-homogeneous poly, polys in pi alone (no angle) and a poly of a
+    ring with a trailing integration variable."""
+    rng = random.Random(32)
+    t1, t2, pi = R2.var(1), R2.var(2), R2.pi()
+    ext = angle_ring(3, "x")
+    x = ext.var(4)
+    for p in (
+        3 * t1**3 * pi - t2 / 5 + 7 + t1 * t2**2 + pi**4 * t2,
+        PI_RING.const(5),
+        3 * PI_RING.pi() ** 2 - PI_RING.pi() + 1,
+        (x + ext.var(1) - ext.two_pi()) ** 3 * ext.var(2) - x**2 * ext.pi() / 3,
+    ):
+        assert_plan_matches_former(p, rng)
+
+
+def test_plan_index_extends_as_the_table_grows():
+    """A plan built after the monomial table of its degree grew past the ids
+    the index holds for it extends the id list, and still matches the former
+    builder; the plan built before it is unchanged."""
+    rng = random.Random(33)
+    ring = angle_ring(3, "x")
+    d = 13
+    first = (ring.var(1) + 2 * ring.var(4) - ring.pi()) ** d
+    assert_plan_matches_former(first, rng)
+    kept = poly_module._plan(first._vecs, 4)
+    ids = poly_module._table_ids[ring.nvars, d]
+    table = poly_module._tables[ring.nvars, d]
+    new = next(e for e in product(range(d + 1), repeat=ring.nvars) if sum(e) == d and e not in table)
+    grown = first + ring.monomial(F(1, 3), new) + ring.monomial(1, (0, 0, d, 0, 0))
+    assert len(grown._vecs[d]) > len(ids)  # the build must extend the list
+    assert_plan_matches_former(grown, rng)
+    assert len(ids) >= len(grown._vecs[d])
+    assert poly_module._plan(first._vecs, 4) == kept
+    assert fresh(grown).evaluate_angles([ring.pi()] * 4) == per_term_evaluate_angles(grown, [ring.pi()] * 4)
+
+
 def test_evaluate_angles_rejects_angle_valued_inputs():
     r = angle_ring(2)
     t1, t2, pi = r.var(1), r.var(2), r.pi()
@@ -858,6 +990,47 @@ def test_terms_are_read_only_and_the_memo_survives():
         vr.poly.terms.clear()
     assert chamber_volume(c).poly.to_json_dict() == before
     assert chamber_volume(c).poly == ref.v_light_12()
+
+
+not_ints = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 9).map(float),
+    st.text(max_size=3),
+    st.integers(-3, 9).map(str),
+    st.fractions(max_denominator=3),
+)
+int_taking_calls = {
+    "PolyRing.var": lambda x: R2.var(x),
+    "Poly.diff": lambda x: R2.var(1).diff(x),
+    "Poly.subs": lambda x: R2.var(1).subs(x, 0),
+    "Poly.integrate_upper": lambda x: R2.var(1).integrate_upper(x, 1),
+    "PolyRing.monomial": lambda x: R2.monomial(1, (0, x, 0)),
+    "phi_form first label": lambda x: phi_form(R4, [x, 2]),
+    "phi_form second label": lambda x: phi_form(R4, [1, x]),
+    "angle_ring": lambda x: angle_ring(x),
+    "angle_ring with a trailing variable": lambda x: angle_ring(x, "x"),
+    "pi_decimal": lambda x: pi_decimal(x),
+    "evaluate_pi_numerators": lambda x: evaluate_pi_numerators({1: 1}, 1, x),
+    "minimal_chamber_volume_closed n": lambda x: minimal_chamber_volume_closed(x),
+    "minimal_chamber_volume_closed j": lambda x: minimal_chamber_volume_closed(5, x),
+    "losev_manin_volume": lambda x: losev_manin_volume(x),
+    "cp1n_volume": lambda x: cp1n_volume(x),
+    "chamber JSON label": lambda x: chamber_from_json_dict({"light_max": [[1, x]]}, 0, 4),
+    "chamber JSON g": lambda x: chamber_from_json_dict({"light_max": [], "g": x}, None, 4),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(int_taking_calls)), not_ints)
+def test_int_inputs_reject_bools_floats_and_strings(name, x):
+    """Where an entry point takes an int (a variable index, a count, a
+    label or a digit count), a bool, float, str or Fraction raises one
+    one-line ValueError: never read as 0 or 1, truncated or parsed, and
+    never a TypeError from deep inside."""
+    with pytest.raises(ValueError) as err:
+        int_taking_calls[name](x)
+    assert "\n" not in str(err.value)
 
 
 def test_json_and_monomial_reject_malformed_exponents():
