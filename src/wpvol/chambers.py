@@ -39,7 +39,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Container, Iterable, Mapping, Optional
+from typing import Callable, Container, Iterable, Mapping, Optional
 
 from .errors import (
     BoundExceededError,
@@ -68,10 +68,12 @@ class StabilitySpace:
     """The space D_{g,n} of stability conditions.
 
     There is one instance per (g, n): the constructor validates a pair once
-    and returns the same object for it afterwards, unpickling included.  A g
-    or n that is not an int (a bool included) raises ValueError on every
-    call, before the intern table is read.
-    Equality and the hash, computed once, read (g, n), as for a value.
+    and returns the same object for it afterwards, unpickling and ``copy``
+    included.  A g or n that is not an int (a bool included) raises
+    ValueError on every call, before the intern table is read.
+    Equality is therefore identity of the interned object.  The hash,
+    computed once, reads (g, n), so that set orders repeat under one
+    ``PYTHONHASHSEED``.
     """
 
     __slots__ = ("g", "n", "_hash")
@@ -99,13 +101,6 @@ class StabilitySpace:
     def __reduce__(self):
         return StabilitySpace, (self.g, self.n)
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not StabilitySpace:
-            return NotImplemented
-        return self.g == other.g and self.n == other.n
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -128,12 +123,12 @@ _spaces: dict[tuple[int, int], StabilitySpace] = {}
 class WeightVector:
     """a in (0,1]^n with sum a_j > 2-2g; dual angles theta_j = 2 pi (1 - a_j).
 
-    The integer form is computed once, at construction: ``den`` is the lcm
-    of the weight denominators and ``nums`` the numerators over it, a_j =
-    nums[j] / den.  Validation runs on it, and ``classify`` and point
-    queries read it; equality, hashing and repr see ``space`` and ``a`` only.
-    Slots, and numerators shared with ``a`` where a weight is already over
-    ``den``, keep the integer form cheap in memory.
+    The integer form is computed once, at construction: ``den`` is the least
+    common denominator of the weights and ``nums`` the numerators over it,
+    a_j = nums[j] / den.  Validation runs on it (``_set_ints``), and
+    ``classify`` and point queries read it; equality, hashing and repr see
+    ``space`` and ``a`` only.  Slots, and numerators shared with ``a`` where
+    a weight is already over ``den``, keep the integer form cheap in memory.
     """
 
     space: StabilitySpace
@@ -145,43 +140,38 @@ class WeightVector:
         # a weight given as a Fraction is kept as it is, not copied
         a = tuple(x if x.__class__ is Fraction else Fraction(x) for x in self.a)
         object.__setattr__(self, "a", a)
-        if len(a) != self.space.n:
-            raise ValueError("weight count does not match n")
         den = lcm(*(x.denominator for x in a))
         # a numerator already over den is the Fraction's own int, not a copy
-        nums = tuple(
-            x.numerator if x.denominator == den else x.numerator * (den // x.denominator) for x in a
-        )
-        self._check(nums, den)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
+        nums = (x.numerator if x.denominator == den else x.numerator * (den // x.denominator) for x in a)
+        self._set_ints(nums, den)
 
-    def _check(self, nums: tuple[int, ...], den: int) -> None:
-        """Validation on the integer form: 0 < a_j <= 1 and sum a_j > 2-2g."""
+    def _set_ints(self, nums: Iterable[int], den: int) -> None:
+        """Validate the integer form a_j = nums[j] / den, for den > 0 (n
+        weights, 0 < a_j <= 1 and sum a_j > 2-2g), and store it over the
+        least denominator."""
+        nums = tuple(nums)
+        if len(nums) != self.space.n:
+            raise ValueError("weight count does not match n")
         for k in nums:
             if not 0 < k <= den:
                 raise ValueError(f"weight {Fraction(k, den)} outside (0,1]")
         if sum(nums) <= (2 - 2 * self.space.g) * den:
             raise ValueError("total weight violates sum a_j > 2-2g")
-
-    @classmethod
-    def _from_ints(cls, space: StabilitySpace, nums: Iterable[int], den: int) -> "WeightVector":
-        """The weight vector a_j = nums[j] / den, for den > 0: validated as
-        by the constructor, then put over the least denominator, so ``den``,
-        ``nums`` and ``a`` are those of ``WeightVector(space, a)``."""
-        nums = tuple(nums)
-        w = object.__new__(cls)
-        object.__setattr__(w, "space", space)
-        if len(nums) != space.n:
-            raise ValueError("weight count does not match n")
-        w._check(nums, den)
         g = gcd(den, *nums)
         if g != 1:
             den //= g
             nums = tuple(k // g for k in nums)
-        object.__setattr__(w, "a", tuple(Fraction(k, den) for k in nums))
-        object.__setattr__(w, "den", den)
-        object.__setattr__(w, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+
+    @classmethod
+    def _from_ints(cls, space: StabilitySpace, nums: Iterable[int], den: int) -> "WeightVector":
+        """The weight vector a_j = nums[j] / den, for den > 0, with the
+        ``den``, ``nums`` and ``a`` of ``WeightVector(space, a)``."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "space", space)
+        w._set_ints(nums, den)
+        object.__setattr__(w, "a", tuple(Fraction(k, w.den) for k in w.nums))
         return w
 
     def theta_values(self, ring: PolyRing) -> list[Poly]:
@@ -255,6 +245,20 @@ def _maximal(masks: Iterable[int]) -> tuple[int, ...]:
             out.append(a)
     out.reverse()
     return tuple(out)
+
+
+def _first_offending(masks: Iterable[int], offends: Callable[[int], bool]) -> Optional[list[int]]:
+    """The first label set of size >= 2 inside one of ``masks`` whose mask
+    ``offends``, in ``StabilitySpace.subsets()`` order, as a label list; None
+    if there is none.  The sizes are tried in ascending order, so the search
+    stops at the least size that has one and builds no 2^n table.
+    """
+    masks = list(masks)
+    for r in range(2, max(map(int.bit_count, masks), default=0) + 1):
+        found = [T for a in masks for T in itertools.combinations(_labels(a), r) if offends(_mask(T))]
+        if found:
+            return list(min(found))
+    return None
 
 
 def _compressed(masks: Iterable[int], drop: int) -> Iterable[int]:
@@ -346,14 +350,9 @@ class Chamber:
         if self._is_light(s):
             raise NotIncidentError(f"chamber is not above W_{list(labels)}")
         if not all(self._is_light(s & ~(1 << (j - 1))) for j in labels):
-            heavy = next(
-                T
-                for r in range(2, len(labels))
-                for T in itertools.combinations(labels, r)
-                if not self._is_light(_mask(T))
-            )
+            heavy = _first_offending([s], lambda t: t != s and not self._is_light(t))
             raise NotIncidentError(
-                f"chamber is not incident to W_{list(labels)}: heavy proper subset {list(heavy)}"
+                f"chamber is not incident to W_{list(labels)}: heavy proper subset {heavy}"
             )
         below = _adopt(self.space, tuple(sorted([a for a in self._masks if a & ~s] + [s])))
         if not below.is_realizable():
@@ -362,12 +361,12 @@ class Chamber:
 
     def uncross(self, S: Iterable[int]) -> "Chamber":
         """Inverse of ``cross``: the chamber above W_S, for S a maximal light set."""
-        S = tuple(sorted(set(S)))
-        if S not in map(_labels, self._masks):
-            raise NotIncidentError(f"{list(S)} is not a maximal light set of {self}")
-        above = self._above(_mask(S))
+        s = _label_mask(self.space.n, S, 2, "wall set")
+        if s not in self._masks:
+            raise NotIncidentError(f"{list(_labels(s))} is not a maximal light set of {self}")
+        above = self._above(s)
         if not above.is_realizable():
-            raise NotRealizableError(f"no weight vector above W_{list(S)} from {self}")
+            raise NotRealizableError(f"no weight vector above W_{list(_labels(s))} from {self}")
         return above
 
     def _above(self, s: int) -> "Chamber":
@@ -398,19 +397,21 @@ class Chamber:
         maximal light sets M of C.
         """
         s = _label_mask(self.space.n, S, 2, "quotient set")
-        n2 = self.space.n - s.bit_count() + 1
-        if 2 * self.space.g - 2 + n2 <= 0:
-            raise UnstableError(f"quotient space D_({self.space.g},{n2}) unstable")
-        return _adopt(StabilitySpace(self.space.g, n2), _maximal(_compressed(self._masks, s)))
+        return self._forget(s, self.space.n - s.bit_count() + 1, "quotient")
 
     def restrict(self, T: Iterable[int]) -> "Chamber":
         """Forget the points outside T; result lives in D_{g,|T|}."""
         t = _label_mask(self.space.n, T, 0, "restriction set")
-        k = t.bit_count()
-        if 2 * self.space.g - 2 + k <= 0:
-            raise UnstableError(f"restricted space D_({self.space.g},{k}) unstable")
-        drop = (1 << self.space.n) - 1 & ~t
-        return _adopt(StabilitySpace(self.space.g, k), _maximal(_compressed(self._masks, drop)))
+        return self._forget((1 << self.space.n) - 1 & ~t, t.bit_count(), "restricted")
+
+    def _forget(self, drop: int, n: int, what: str) -> "Chamber":
+        """The chamber of D_{g,n} whose light sets are those of this chamber
+        with the labels of the mask ``drop`` removed and the labels left
+        renumbered in order; UnstableError "<what> space D_(g,n) unstable"
+        if D_{g,n} is."""
+        if 2 * self.space.g - 2 + n <= 0:
+            raise UnstableError(f"{what} space D_({self.space.g},{n}) unstable")
+        return _adopt(StabilitySpace(self.space.g, n), _maximal(_compressed(self._masks, drop)))
 
     def permuted(self, perm: Mapping[int, int]) -> "Chamber":
         return Chamber(self.space, [[perm[j] for j in _labels(m)] for m in self._masks])
@@ -507,18 +508,15 @@ def light_chamber(space: StabilitySpace) -> Chamber:
 
 
 def minimal_chamber_0(space: StabilitySpace, j: int) -> Chamber:
-    """The genus-0 minimal chamber C_j: C_j(J)=1 iff {j} strictly inside J or J={j}^c."""
+    """The genus-0 minimal chamber C_j: C_j(J)=1 iff {j} strictly inside J or J={j}^c.
+
+    Its maximal light sets are {j}^c - x for x != j, none at n = 3, where
+    they have one label.
+    """
     if space.g != 0:
         raise ValueError("minimal_chamber_0 is a genus-0 construction")
-    _label_mask(space.n, (j,), 1, "label")
-    others = [x for x in space.labels if x != j]
-    light = [
-        tuple(sorted(c))
-        for c in itertools.combinations(others, space.n - 2)
-    ]
-    if space.n == 3:
-        light = []
-    return Chamber(space, tuple(light))
+    rest = (1 << space.n) - 1 & ~_label_mask(space.n, (j,), 1, "label")
+    return _adopt(space, _maximal(rest & ~(1 << x) for x in range(space.n) if rest >> x & 1))
 
 
 # -- realizability LP -------------------------------------------------------------
@@ -755,13 +753,9 @@ def crossing_path(src: Chamber, dst: Chamber) -> CrossingPath:
     # src lies above dst iff its light sets are light in dst; if not, the
     # first set in ``space.subsets()`` order that is not lies in one of ``bad``
     bad = [a for a in src._masks if not dst._is_light(a)]
-    for r in range(2, src.space.n + 1) if bad else ():
-        subsets = (T for a in bad for T in itertools.combinations(_labels(a), r))
-        found = [T for T in subsets if not dst._is_light(_mask(T))]
-        if found:
-            raise NotComparableError(
-                f"{list(min(found))} is light above but heavy below; chambers incomparable"
-            )
+    if bad:
+        light_above = _first_offending(bad, lambda t: not dst._is_light(t))
+        raise NotComparableError(f"{light_above} is light above but heavy below; chambers incomparable")
     if not (src.is_realizable() and dst.is_realizable()):
         raise NotRealizableError("both endpoints must be realizable")
     steps = []
@@ -786,31 +780,27 @@ def flat_hull(c: Chamber, i: int) -> Chamber:
     """
     bit = _label_mask(c.space.n, (i,), 1, "coordinate")
     far = (1 << c.space.n) - 1 & ~c._partners(i)  # q(C)
-    pairs = (
-        T
-        for a in c._masks
-        if a & far
-        for T in itertools.combinations(_labels(a & ~bit), 2)
-        if _mask(T) & far
-    )
-    S = min(pairs, default=None)
+    S = _first_offending((a & ~bit for a in c._masks if a & far), far.__and__)
     if S is not None:
-        raise NoFlatHullError(f"no flat hull in coordinate {i}: light set {list(S)} meets q(C)")
-    hull = _adopt(c.space, _maximal(a | bit for a in c._masks))
-    if not hull.is_realizable():
-        raise NotRealizableError(f"flat hull of {c} in coordinate {i} is not realizable")
-    return hull
+        raise NoFlatHullError(f"no flat hull in coordinate {i}: light set {S} meets q(C)")
+    return _hull(c, i, c._masks, "flat")
 
 
 def light_hull(c: Chamber, i: int) -> Chamber:
     """The chamber light in i below c, crossing only walls containing i: its
     maximal light sets are the maximal sets M + {i}, for M a maximal light
     set of c or a single label."""
-    bit = _label_mask(c.space.n, (i,), 1, "coordinate")
-    singles = (1 << j for j in range(c.space.n))
-    hull = _adopt(c.space, _maximal(a | bit for a in (*c._masks, *singles)))
+    _label_mask(c.space.n, (i,), 1, "coordinate")
+    return _hull(c, i, (*c._masks, *(1 << j for j in range(c.space.n))), "light")
+
+
+def _hull(c: Chamber, i: int, masks: Iterable[int], kind: str) -> Chamber:
+    """The chamber below c whose maximal light sets are the maximal sets
+    M + {i}, for M in ``masks``: the ``kind`` hull of c in coordinate i,
+    which must be realizable."""
+    hull = _adopt(c.space, _maximal(m | 1 << i - 1 for m in masks))
     if not hull.is_realizable():
-        raise NotRealizableError(f"light hull of {c} in coordinate {i} is not realizable")
+        raise NotRealizableError(f"{kind} hull of {c} in coordinate {i} is not realizable")
     return hull
 
 

@@ -683,6 +683,8 @@ class Poly:
         return max(self._vecs, default=-1)
 
     def degree_in(self, v: int) -> int:
+        if not 0 <= check_int(v, "a variable index") < self.ring.nvars:
+            raise VariableRangeError(f"variable index {v} out of range")
         return max(map(itemgetter(v), self._support()[0]), default=-1)
 
     def is_homogeneous(self, d: int) -> bool:

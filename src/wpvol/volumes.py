@@ -73,6 +73,7 @@ from .chambers import (
     last_crossing,
     light_hull,
     main_chamber,
+    minimal_chamber_0,
 )
 from .errors import NotRealizableError, UnstableError, WpvolError
 from .intersection import kappa_psi_intersection
@@ -415,23 +416,19 @@ def minimal_chamber_volume_closed(n: int, j: int = 1) -> VolumeResult:
     check_int(j, "the label j")
     if check_int(n, "the number of points") < 3:
         raise UnstableError("need n >= 3")
-    from .chambers import minimal_chamber_0
-
-    space = StabilitySpace(0, n)
+    chamber = minimal_chamber_0(StabilitySpace(0, n), j)  # j in 1..n, before any poly is built
     ring = angle_ring(n)
     two_pi = ring.two_pi()
     sum_all = sum((ring.var(k) for k in range(1, n + 1)), ring.zero())
     f1 = (n - 2) * two_pi - sum_all
     f2 = (n - 2) * two_pi + 2 * ring.var(j) - sum_all
     poly = f1 ** (n - 3) * f2 ** (n - 3) / Fraction(2 ** (n - 3) * factorial(n - 3))
-    return VolumeResult(
-        minimal_chamber_0(space, j), poly, f"closed-form(minimal-chamber j={j})"
-    )
+    return VolumeResult(chamber, poly, f"closed-form(minimal-chamber j={j})")
 
 
 def losev_manin_chamber(n: int) -> Chamber:
     """L_n in D_{0,n+2}: light iff the set avoids the two weight-1 points."""
-    if n < 1:
+    if check_int(n, "the number of light points") < 1:
         raise UnstableError("need n >= 1")
     space = StabilitySpace(0, n + 2)
     light = [tuple(range(1, n + 1))] if n >= 2 else []
@@ -456,7 +453,7 @@ def losev_manin_volume(n: int) -> Poly:
 
 def cp1n_chamber(n: int) -> Chamber:
     """A_n in D_{0,n+3}: light iff the set meets at most one heavy point."""
-    if n < 1:
+    if check_int(n, "the number of light points") < 1:
         raise UnstableError("need n >= 1")
     space = StabilitySpace(0, n + 3)
     light = [tuple(range(1, n + 1)) + (h,) for h in (n + 1, n + 2, n + 3)]

@@ -269,6 +269,11 @@ M05 = main_chamber(S05)
         (lambda: minimal_chamber_0(S05, 1.0), "1.0"),
         (lambda: minimal_chamber_0(S05, 6), "6"),
         (lambda: M05.cross({1, 2.0}), "2.0"),
+        (lambda: M05.uncross([True, 2]), "True"),
+        (lambda: M05.uncross([1.0, 2]), "1.0"),
+        (lambda: M05.uncross(["1", 2]), "'1'"),
+        (lambda: M05.uncross({1, 9}), "[1, 9]"),
+        (lambda: M05.uncross({2}), "[2]"),
         (lambda: M05.quotient({True, 3}), "True"),
         (lambda: M05.restrict([1, 2, 3.0]), "3.0"),
         (lambda: M05.restrict([1, 2, 6]), "[1, 2, 6]"),
@@ -281,6 +286,18 @@ def test_chamber_label_arguments_are_checked(call, label):
     with pytest.raises(ValueError, match=re.escape(label)):
         call()
     assert M05.is_flat(1) and M05.value({1, 2}) == 1 and M05.q_set(5) == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("S", [[True, 2], [1.0, 2], ["1", 2], [0, 1], [1, 6], [2], [], [3, 3]])
+def test_uncross_rejects_a_bad_wall_set_as_cross_does(S):
+    """``uncross`` checks its wall set as ``cross`` does: the same
+    ValueError, whatever the chamber."""
+    for c in (M05, minimal_chamber_0(S05, 1)):
+        with pytest.raises(ValueError) as crossed:
+            c.cross(S)
+        with pytest.raises(ValueError) as uncrossed:
+            c.uncross(S)
+        assert str(uncrossed.value) == str(crossed.value)
 
 
 def test_eval_at_2pi_checks_its_coordinate():

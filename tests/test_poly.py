@@ -44,8 +44,10 @@ from wpvol.poly import (
 from wpvol.volumes import (
     _compositions,
     chamber_volume,
+    cp1n_chamber,
     cp1n_volume,
     dilaton_check,
+    losev_manin_chamber,
     losev_manin_volume,
     minimal_chamber_volume_closed,
     mirzakhani_volume,
@@ -1005,6 +1007,7 @@ int_taking_calls = {
     "Poly.diff": lambda x: R2.var(1).diff(x),
     "Poly.subs": lambda x: R2.var(1).subs(x, 0),
     "Poly.integrate_upper": lambda x: R2.var(1).integrate_upper(x, 1),
+    "Poly.degree_in": lambda x: R2.var(1).degree_in(x),
     "PolyRing.monomial": lambda x: R2.monomial(1, (0, x, 0)),
     "phi_form first label": lambda x: phi_form(R4, [x, 2]),
     "phi_form second label": lambda x: phi_form(R4, [1, x]),
@@ -1015,7 +1018,10 @@ int_taking_calls = {
     "minimal_chamber_volume_closed n": lambda x: minimal_chamber_volume_closed(x),
     "minimal_chamber_volume_closed j": lambda x: minimal_chamber_volume_closed(5, x),
     "losev_manin_volume": lambda x: losev_manin_volume(x),
+    "losev_manin_chamber": lambda x: losev_manin_chamber(x),
     "cp1n_volume": lambda x: cp1n_volume(x),
+    "cp1n_chamber": lambda x: cp1n_chamber(x),
+    "Chamber.uncross": lambda x: light_chamber(StabilitySpace(1, 4)).uncross([1, 2, 3, x]),
     "chamber JSON label": lambda x: chamber_from_json_dict({"light_max": [[1, x]]}, 0, 4),
     "chamber JSON g": lambda x: chamber_from_json_dict({"light_max": [], "g": x}, None, 4),
 }
@@ -1031,6 +1037,28 @@ def test_int_inputs_reject_bools_floats_and_strings(name, x):
     with pytest.raises(ValueError) as err:
         int_taking_calls[name](x)
     assert "\n" not in str(err.value)
+
+
+def test_int_inputs_out_of_range_raise_before_any_work(monkeypatch):
+    """An int index outside its range gets the error of its argument: a
+    variable index outside the ring a VariableRangeError (never the last
+    variable for -1), a label of the closed form outside 1..n the ValueError
+    of every bad label, before any poly is built."""
+    p = R2.var(1) * R2.var(2) ** 3
+    assert [p.degree_in(v) for v in range(3)] == [0, 1, 3]
+    for v in (-1, 3, 9):
+        with pytest.raises(VariableRangeError, match=f"variable index {v} out of range"):
+            p.degree_in(v)
+    light = minimal_chamber_volume_closed(5, 5).chamber.light_max
+    assert light == ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
+
+    def no_ring(n):
+        raise AssertionError("built a poly ring")
+
+    monkeypatch.setattr("wpvol.volumes.angle_ring", no_ring)
+    for j in (-1, 0, 6, 9):
+        with pytest.raises(ValueError, match=rf"^invalid label \[{j}\]$"):
+            minimal_chamber_volume_closed(5, j)
 
 
 def test_json_and_monomial_reject_malformed_exponents():

@@ -1,17 +1,23 @@
-"""The benchmark tooling against the package it measures."""
+"""The benchmark tooling against the package it measures, and the code-line
+counter."""
 
 import importlib.util
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import wpvol
 from wpvol.intersection import psi_intersection
 from wpvol.poly import PI_RING, angle_ring
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+TOOLS = ROOT / "tools"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+def _load(name, folder=PERFBENCH):
+    spec = importlib.util.spec_from_file_location(f"{folder.name}_{name}", folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -86,3 +92,45 @@ def test_point_query_checks_read_poly_terms():
     ring = vr.poly.ring
     at_w = vr.poly.evaluate_angles(w.theta_values(ring))
     assert at_w == pq._exact_value(w, vr) * PI_RING.pi() ** workloads.volume_degree(w.space)
+
+
+COUNTED = textwrap.dedent(
+    '''
+    """Module docstring,
+    over two lines."""
+
+    # a comment line
+    import os  # a trailing comment
+
+
+    class A:
+        """Class docstring."""
+
+        x = """a string that is not a docstring,
+        over two lines"""
+
+        def f(self, y):
+            \'\'\'Function docstring.
+
+            More of it.
+            \'\'\'
+            "a later string statement"
+            return (y +
+                    1)
+    '''
+)
+
+
+def test_code_lines_skip_comments_blanks_and_docstrings(tmp_path):
+    """The counter counts 8 code lines in ``COUNTED``: the import, the class,
+    both lines of the assigned string, the def, the later string statement
+    and both lines of the return; and prints the count of each file and the
+    total."""
+    code_lines = _load("code_lines", TOOLS)
+    assert code_lines.code_lines(COUNTED) == 8
+    assert code_lines.code_lines("") == 0
+    (tmp_path / "a.py").write_text(COUNTED)
+    (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
+    command = [sys.executable, str(TOOLS / "code_lines.py"), "a.py", "b.py"]
+    out = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["8", "a.py", "1", "b.py", "9", "total"]
