@@ -180,11 +180,12 @@ class WeightVector:
         return [ring.pi_multiple(2 * (self.den - k), self.den) for k in self.nums]
 
     def permuted(self, perm: Mapping[int, int]) -> "WeightVector":
-        """Relabel points: new weight at position perm[j] is a_j."""
-        b = [Fraction(0)] * self.space.n
-        for j, aj in enumerate(self.a, start=1):
-            b[perm[j] - 1] = aj
-        return WeightVector(self.space, tuple(b))
+        """Relabel points: new weight at position perm[j] is a_j; ``perm``
+        must be a relabeling (``_relabeling``)."""
+        b = [0] * self.space.n
+        for k, p in zip(self.nums, _relabeling(self.space.n, perm)):
+            b[p - 1] = k
+        return WeightVector._from_ints(self.space, b, self.den)
 
 
 @functools.cache
@@ -207,6 +208,20 @@ def _label_mask(n: int, labels: Iterable[int], least: int, what: str) -> int:
     if len(S) < least or not S <= _label_set(n):
         raise ValueError(f"invalid {what} {sorted(S)}")
     return _mask(S)
+
+
+def _relabeling(n: int, perm: Mapping[int, int]) -> tuple[int, ...]:
+    """The images perm[1], ..., perm[n] of a relabeling of n points: a map
+    whose keys are exactly the labels 1..n and whose values are a
+    permutation of them, every key and value an int and not a bool.  Raises
+    ValueError "invalid relabeling <perm> ..." for anything else."""
+    if isinstance(perm, Mapping):
+        labels = list(perm.items())
+        if all(type(j) is int and type(p) is int for j, p in labels):
+            images = dict(labels)
+            if sorted(images) == sorted(images.values()) == list(range(1, n + 1)):
+                return tuple(images[j] for j in range(1, n + 1))
+    raise ValueError(f"invalid relabeling {perm!r}: need a map of the labels 1..{n} onto themselves")
 
 
 def _mask(J: Iterable[int]) -> int:
@@ -414,7 +429,10 @@ class Chamber:
         return _adopt(StabilitySpace(self.space.g, n), _maximal(_compressed(self._masks, drop)))
 
     def permuted(self, perm: Mapping[int, int]) -> "Chamber":
-        return Chamber(self.space, [[perm[j] for j in _labels(m)] for m in self._masks])
+        """Relabel points: label j becomes perm[j]; ``perm`` must be a
+        relabeling (``_relabeling``)."""
+        images = _relabeling(self.space.n, perm)
+        return Chamber(self.space, [[images[j - 1] for j in _labels(m)] for m in self._masks])
 
     # -- flat / light coordinates ----------------------------------------------
 
@@ -645,8 +663,24 @@ def witness(c: Chamber) -> WeightVector:
     got = realize(c)
     if got is None:
         raise NotRealizableError(f"{c} is not realizable")
-    den = lcm(*(x.denominator for x in got[0]))
-    return WeightVector._from_ints(c.space, (x.numerator * (den // x.denominator) for x in got[0]), den)
+    return WeightVector._from_ints(c.space, *_as_point(got[0]))
+
+
+# A point a_j = nums[j] / den of a chamber, as ints: (nums, den).
+Point = tuple[tuple[int, ...], int]
+
+
+def _as_point(a: tuple[Fraction, ...]) -> Point:
+    """The weights ``a`` as a point over their least common denominator."""
+    den = lcm(*(x.denominator for x in a))
+    return tuple(x.numerator * (den // x.denominator) for x in a), den
+
+
+def _cached_point(c: Chamber) -> Optional[Point]:
+    """The witness of ``c`` in the realizability memo as a point, or None if
+    the memo holds none; solves no LP."""
+    got = _realize_cache.get(c)
+    return got and _as_point(got[0])
 
 
 # -- classification ---------------------------------------------------------------
@@ -712,7 +746,7 @@ class CrossingPath:
 
 
 def last_crossing(
-    src: Chamber, dst: Chamber, known: Container[Chamber] = ()
+    src: Chamber, dst: Chamber, known: Container[Chamber] = (), point: Optional[Point] = None
 ) -> tuple[Chamber, frozenset[int]]:
     """The last simple crossing of a path from ``src`` down to ``dst``.
 
@@ -725,6 +759,24 @@ def last_crossing(
     tried first and need no LP; when every realizable chamber is known (after
     ``enumerate_chambers``), S is the first realizable candidate in
     ``light_max`` order.
+
+    Next, with ``point`` (nums, den) a point a = nums / den whose segment to
+    (1, ..., 1) runs through ``dst`` (a point of ``dst``, or one of a chamber
+    below it whose segment has reached ``dst``), S is the light set of ``dst``
+    that the segment crosses first, if it is a candidate and no other set
+    ties with it: no LP.  Along a + t (1 - a) every weight grows, so the sum
+    over a light set S reaches 1 at
+
+        t_S = (den - sigma_S) / (|S| den - sigma_S),   sigma_S = sum_S nums,
+
+    and heavy sets stay heavy.  A light set inside a larger one M reaches 1
+    after M does, as the weights are positive, so the first set crossed is a
+    maximal light set; when it is the only one at the least t_S, the
+    segment passes from ``dst`` into the chamber above W_S alone, so that
+    chamber holds points of the segment and is realizable.  The t_S are
+    compared by integer cross-multiplication.  A tie, a first set that is
+    light in ``src``, or no point leaves the candidates to the LP, in
+    ``light_max`` order.
     """
     unknown = []
     for s in sorted(dst._masks, key=_labels):  # light_max order
@@ -733,10 +785,29 @@ def last_crossing(
             if above in known or _realize_cache.get(above) is not None:
                 return above, frozenset(_labels(s))
             unknown.append((above, s))
+    if point is not None:
+        s = _first_crossed(dst._masks, point)
+        if s is not None and not src._is_light(s):
+            return dst._above(s), frozenset(_labels(s))
     for above, s in unknown:
         if above.is_realizable():
             return above, frozenset(_labels(s))
     raise NotComparableError(f"{src} does not lie strictly above {dst}")
+
+
+def _first_crossed(masks: Iterable[int], point: Point) -> Optional[int]:
+    """The mask among ``masks``, light at ``point``, with the least t_S of
+    ``last_crossing``, or None if two tie for it."""
+    nums, den = point
+    best, tied = None, False
+    for s in masks:
+        sigma = sum(nums[j - 1] for j in _labels(s))
+        num, dnm = den - sigma, s.bit_count() * den - sigma  # t_S = num / dnm, dnm > 0
+        if best is None or num * best_dnm < best_num * dnm:
+            best, best_num, best_dnm, tied = s, num, dnm, False
+        elif num * best_dnm == best_num * dnm:
+            tied = True
+    return None if tied else best
 
 
 def crossing_path(src: Chamber, dst: Chamber) -> CrossingPath:

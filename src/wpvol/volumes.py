@@ -31,6 +31,21 @@ so with c_k the coefficient of t^k in V_{g,C/S},
 an identity of polynomials; ``_wc_integral`` expands phi_S^(k+2s-2) once per
 crossing and forms no kernel product and no antiderivative.
 
+The path is built from the chamber upward, one uncrossing at a time
+(``chambers.last_crossing``), and the recursion carries a point a = nums / den
+of the chamber.  An uncrossing already known to be realizable comes first.
+Otherwise the wall is the one that the segment from a to (1, ..., 1), a point
+of the main chamber, crosses first.  The chambers are the open cells that the
+hyperplanes sum_S a = 1 cut out of the weight space, so the cells that the
+segment passes through are realizable, by points of the segment, with no LP.
+Every weight grows along the segment, so heavy sets stay heavy and a light
+set inside a larger one turns heavy after it: the first set crossed, at the
+least t_S = (den - sigma_S) / (|S| den - sigma_S), is a maximal light set.
+Only a tie for the least t_S leaves the choice to the realizability LP.  The
+point is kept up the segment; a chamber picked off it climbs on from its
+memoized witness.  Point queries start from their weight vector,
+``chamber_volume`` from the witness of the chamber's realizability LP.
+
 Volumes are memoized per chamber.  Crossings are memoized per (C/S, S) and,
 below that, per key orbit: relabeling the points that fix the merged one is a
 symmetry, and phi_S is symmetric in S, so wc depends only on the space of
@@ -63,8 +78,10 @@ from typing import Iterable, Optional, Sequence
 from .chambers import (
     Chamber,
     CrossingPath,
+    Point,
     StabilitySpace,
     WeightVector,
+    _cached_point,
     _label_mask,
     _sorted_key,
     classify,
@@ -320,25 +337,41 @@ def chamber_volume(c: Chamber) -> VolumeResult:
     A non-main chamber is the volume of the chamber above one of its maximal
     light sets S (``last_crossing``) plus the crossing of W_S.  Results are
     memoized per chamber; by path independence the polynomial does not depend
-    on which S is uncrossed (covered by tests).
+    on which S is uncrossed (covered by tests).  The path starts from the
+    witness of the realizability LP of ``c`` (``_realizable_chamber_volume``).
     """
     if c not in _volume_cache and not c.is_realizable():
         raise NotRealizableError(f"{c} is not realizable")
-    return _realizable_chamber_volume(c)
+    return _realizable_chamber_volume(c, _cached_point(c))
 
 
-def _realizable_chamber_volume(c: Chamber) -> VolumeResult:
-    """``chamber_volume`` of a chamber known to be realizable, so no LP is
+def _realizable_chamber_volume(c: Chamber, point: Optional[Point]) -> VolumeResult:
+    """``chamber_volume`` of a chamber known to be realizable, given a point
+    (nums, den) of it (None only if its volume is memoized), so no LP is
     solved for ``c`` itself: ``last_crossing`` returns a realizable chamber
-    above it and a wall it crosses down to ``c``."""
+    above it and a wall it crosses down to ``c``.
+
+    The point steers that choice where no candidate is known to be
+    realizable: the wall is the first that the segment from the point to
+    (1, ..., 1), a point of the main chamber, crosses, unless two tie.  The
+    chambers the segment passes through are cells of the wall arrangement
+    holding points of the segment, so they are realizable with no LP, and
+    the point stays the same up the path.  A chamber picked off the segment
+    (known to the realizability memo, or decided by the LP on a tie) is
+    climbed from its memoized witness instead.
+    """
     got = _volume_cache.get(c)
     if got is not None:
         return got
     if not c._masks:
         result = mirzakhani_volume(c.space.g, c.space.n)
     else:
-        above, wall = last_crossing(main_chamber(c.space), c, _volume_cache)
-        poly = _realizable_chamber_volume(above).poly + _crossing_poly(above, wall)
+        above, wall = last_crossing(main_chamber(c.space), c, _volume_cache, point)
+        # memoized candidates come first, so a pick off the segment is in the
+        # realizability memo and a segment pick is not: its witness, if any,
+        # is a point of the chamber picked
+        point = _cached_point(above) or point
+        poly = _realizable_chamber_volume(above, point).poly + _crossing_poly(above, wall)
         result = VolumeResult(c, poly, PROV_PATH)
     _volume_cache[c] = result
     return result
@@ -355,9 +388,9 @@ _evaluation_orbits: dict[tuple[StabilitySpace, tuple[int, ...]], tuple[Poly, tup
 _evaluators: dict[Chamber, tuple[VolumeResult, Poly, tuple[int, ...]]] = {}
 
 
-def _evaluator(c: Chamber) -> tuple[VolumeResult, Poly, tuple[int, ...]]:
-    """The ``_evaluators`` entry of a realizable chamber."""
-    vr = _realizable_chamber_volume(c)
+def _evaluator(c: Chamber, point: Point) -> tuple[VolumeResult, Poly, tuple[int, ...]]:
+    """The ``_evaluators`` entry of a realizable chamber, given a point of it."""
+    vr = _realizable_chamber_volume(c, point)
     key, perm, order = _sorted_key(c)
     poly, rep_perm = _evaluation_orbits.setdefault((c.space, key), (vr.poly, perm))
     # perm and rep_perm take c and the representative to the same key, so
@@ -382,7 +415,7 @@ def piecewise_volume(w: WeightVector, numeric: bool = False, digits: int = 50):
     c = classify(w)
     got = _evaluators.get(c)
     if got is None:
-        got = _evaluators[c] = _evaluator(c)  # w lies in c, so c is realizable
+        got = _evaluators[c] = _evaluator(c, (w.nums, w.den))  # w lies in c
     vr, poly, reads = got
     powers, den = _point_value(poly, w, reads)
     if numeric:

@@ -288,6 +288,40 @@ def test_chamber_label_arguments_are_checked(call, label):
     assert M05.is_flat(1) and M05.value({1, 2}) == 1 and M05.q_set(5) == {1, 2, 3, 4}
 
 
+@pytest.mark.parametrize(
+    "perm",
+    [
+        pytest.param({1: 2, 2: True, 3: 3, 4: 4}, id="bool-value"),
+        pytest.param({True: 2, 2: 1, 3: 3, 4: 4}, id="bool-key"),
+        pytest.param({1: 2.0, 2: 1, 3: 3, 4: 4}, id="float-value"),
+        pytest.param({1.0: 2, 2: 1, 3: 3, 4: 4}, id="float-key"),
+        pytest.param({1: "2", 2: 1, 3: 3, 4: 4}, id="str-value"),
+        pytest.param({1: 2.0}, id="one-label"),
+        pytest.param({1: 2, 2: 1, 3: 3}, id="missing-label"),
+        pytest.param({1: 2, 2: 1, 3: 3, 4: 4, 5: 5}, id="extra-label"),
+        pytest.param({1: 2, 2: 2, 3: 3, 4: 4}, id="not-bijective"),
+        pytest.param({1: 2, 2: 5, 3: 3, 4: 4}, id="value-out-of-range"),
+        pytest.param([2, 1, 3, 4], id="not-a-map"),
+    ],
+)
+def test_permuted_rejects_a_map_that_is_no_relabeling(perm):
+    """Both ``permuted`` methods take only a map of the labels 1..n onto
+    themselves, ints and not bools, and raise the same one-line ValueError
+    for anything else; a valid map still relabels."""
+    w = WeightVector(S04, (F(1, 2), F(3, 4), F(1, 3), F(1, 2)))
+    c = main_chamber(S04).cross({3, 4})
+    with pytest.raises(ValueError) as moved_w:
+        w.permuted(perm)
+    with pytest.raises(ValueError) as moved_c:
+        c.permuted(perm)
+    assert str(moved_w.value) == str(moved_c.value) == (
+        f"invalid relabeling {perm!r}: need a map of the labels 1..4 onto themselves"
+    )
+    swap = {1: 3, 2: 2, 3: 1, 4: 4}
+    assert w.permuted(swap).a == (F(1, 3), F(3, 4), F(1, 2), F(1, 2))
+    assert c.permuted(swap).light_max == ((1, 4),)
+
+
 @pytest.mark.parametrize("S", [[True, 2], [1.0, 2], ["1", 2], [0, 1], [1, 6], [2], [], [3, 3]])
 def test_uncross_rejects_a_bad_wall_set_as_cross_does(S):
     """``uncross`` checks its wall set as ``cross`` does: the same

@@ -216,7 +216,10 @@ def test_piecewise_volume_examples():
 def test_cold_piecewise_volume_solves_no_lp_for_its_chamber(monkeypatch):
     """The query's weight vector lies in its chamber, so no LP is solved to
     prove that chamber realizable, and the vector is not stored as its
-    witness; the value matches the public chamber_volume."""
+    witness; the value matches the public chamber_volume.  The first two
+    points repeat a weight, so their climbs meet ties and solve LPs for
+    chambers above theirs; the third climbs its segment with no LP in its
+    space."""
     points = [
         WeightVector(S05, (F(9, 10), F(9, 10), F(2, 25), F(9, 10), F(3, 20))),
         WeightVector(S05, (F(1), F(2, 5), F(2, 5), F(2, 5), F(3, 10))),
@@ -239,8 +242,8 @@ def test_cold_piecewise_volume_solves_no_lp_for_its_chamber(monkeypatch):
 
         monkeypatch.setattr(chambers, "realize", recording)
         _, vr, value = piecewise_volume(w)
-        assert c.light_max and solved  # the chambers above c still need LPs
-        assert c not in solved and c not in chambers._realize_cache
+        assert c.light_max and c not in solved and c not in chambers._realize_cache
+        assert any(s.space == c.space for s in solved) == (w is not points[2])
         monkeypatch.undo()
         assert vr == chamber_volume(c)
         assert value == vr.poly.evaluate_angles(w.theta_values(vr.poly.ring))
