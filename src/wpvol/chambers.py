@@ -746,7 +746,10 @@ class CrossingPath:
 
 
 def last_crossing(
-    src: Chamber, dst: Chamber, known: Container[Chamber] = (), point: Optional[Point] = None
+    src: Chamber,
+    dst: Chamber,
+    known: Container[Chamber] = (),
+    point: Optional[Callable[[], Point]] = None,
 ) -> tuple[Chamber, frozenset[int]]:
     """The last simple crossing of a path from ``src`` down to ``dst``.
 
@@ -760,12 +763,14 @@ def last_crossing(
     ``enumerate_chambers``), S is the first realizable candidate in
     ``light_max`` order.
 
-    Next, with ``point`` (nums, den) a point a = nums / den whose segment to
-    (1, ..., 1) runs through ``dst`` (a point of ``dst``, or one of a chamber
-    below it whose segment has reached ``dst``), S is the light set of ``dst``
-    that the segment crosses first, if it is a candidate and no other set
-    ties with it: no LP.  Along a + t (1 - a) every weight grows, so the sum
-    over a light set S reaches 1 at
+    Next, with ``point``, a function that gives a point (nums, den), or
+    a = nums / den, whose segment to (1, ..., 1) runs through ``dst`` (a point
+    of ``dst``, or one of a chamber below it whose segment has reached
+    ``dst``), S is the light set of ``dst`` that the segment crosses first, if
+    it is a candidate and no other set ties with it: no LP.  ``point`` is
+    called only here, so no point is built when a candidate is known.  Along
+    a + t (1 - a) every weight grows, so the sum over a light set S reaches 1
+    at
 
         t_S = (den - sigma_S) / (|S| den - sigma_S),   sigma_S = sum_S nums,
 
@@ -786,7 +791,7 @@ def last_crossing(
                 return above, frozenset(_labels(s))
             unknown.append((above, s))
     if point is not None:
-        s = _first_crossed(dst._masks, point)
+        s = _first_crossed(dst._masks, point())
         if s is not None and not src._is_light(s):
             return dst._above(s), frozenset(_labels(s))
     for above, s in unknown:

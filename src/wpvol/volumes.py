@@ -342,23 +342,26 @@ def chamber_volume(c: Chamber) -> VolumeResult:
     """
     if c not in _volume_cache and not c.is_realizable():
         raise NotRealizableError(f"{c} is not realizable")
-    return _realizable_chamber_volume(c, _cached_point(c))
+    return _realizable_chamber_volume(c, None)
 
 
 def _realizable_chamber_volume(c: Chamber, point: Optional[Point]) -> VolumeResult:
     """``chamber_volume`` of a chamber known to be realizable, given a point
-    (nums, den) of it (None only if its volume is memoized), so no LP is
-    solved for ``c`` itself: ``last_crossing`` returns a realizable chamber
-    above it and a wall it crosses down to ``c``.
+    (nums, den) of it or of a chamber below whose segment reaches it, or None
+    (for a chamber with a memoized witness), so no LP is solved for ``c``
+    itself: ``last_crossing`` returns a realizable chamber above it and a
+    wall it crosses down to ``c``.
 
     The point steers that choice where no candidate is known to be
     realizable: the wall is the first that the segment from the point to
     (1, ..., 1), a point of the main chamber, crosses, unless two tie.  The
     chambers the segment passes through are cells of the wall arrangement
     holding points of the segment, so they are realizable with no LP, and
-    the point stays the same up the path.  A chamber picked off the segment
-    (known to the realizability memo, or decided by the LP on a tie) is
-    climbed from its memoized witness instead.
+    the point stays the same up the path.  A chamber with a memoized witness
+    climbs from that witness instead: the candidates known to be realizable
+    come first, so those are exactly the chambers picked off the segment (or
+    by the LP on a tie), and the ones ``chamber_volume`` is asked for.  The
+    witness is turned into a point only when the segment is consulted.
     """
     got = _volume_cache.get(c)
     if got is not None:
@@ -366,11 +369,13 @@ def _realizable_chamber_volume(c: Chamber, point: Optional[Point]) -> VolumeResu
     if not c._masks:
         result = mirzakhani_volume(c.space.g, c.space.n)
     else:
-        above, wall = last_crossing(main_chamber(c.space), c, _volume_cache, point)
-        # memoized candidates come first, so a pick off the segment is in the
-        # realizability memo and a segment pick is not: its witness, if any,
-        # is a point of the chamber picked
-        point = _cached_point(above) or point
+
+        def start() -> Point:
+            nonlocal point
+            point = _cached_point(c) or point
+            return point
+
+        above, wall = last_crossing(main_chamber(c.space), c, _volume_cache, start)
         poly = _realizable_chamber_volume(above, point).poly + _crossing_poly(above, wall)
         result = VolumeResult(c, poly, PROV_PATH)
     _volume_cache[c] = result

@@ -115,19 +115,38 @@ def lp_counter(monkeypatch):
 
 
 def pick_recorder(monkeypatch):
-    """Wrap the engine's ``last_crossing``; the returned list holds, per
+    """Wrap the engine's ``last_crossing``.  The returned lists hold, per
     call, whether its pick was in the realizability memo but had no volume
-    yet (a pick off the segment that the climb goes on from)."""
-    picks = []
+    yet (a pick off the segment that the climb goes on from), and, per
+    point it asked for, the chamber and the point."""
+    picks, points = [], []
     climb = volumes.last_crossing
 
     def recording(src, dst, known, point):
-        above, S = climb(src, dst, known, point)
+        def asked():
+            points.append((dst, point()))
+            return points[-1][1]
+
+        above, S = climb(src, dst, known, asked)
         picks.append(above not in known and chambers._realize_cache.get(above) is not None)
         return above, S
 
     monkeypatch.setattr(volumes, "last_crossing", recording)
-    return picks
+    return picks, points
+
+
+def segment_meets(c, point):
+    """Whether the segment from the point (nums, den) to (1, ..., 1) passes
+    through the chamber c: the minimal heavy sets of c are all heavy before
+    any of its maximal light sets turns heavy."""
+    nums, den = point
+    a = [F(k, den) for k in nums]
+
+    def reached(J):  # when the sum over J reaches 1, or 0 if it is past 1
+        sigma = sum(a[j - 1] for j in J)
+        return F(0) if sigma > 1 else (1 - sigma) / (len(J) - sigma)
+
+    return max(map(reached, c.heavy_min()), default=F(0)) < min(map(reached, c.light_max))
 
 
 def segment_pick_counter(monkeypatch):
@@ -166,12 +185,15 @@ def crossing_time(w, s):
 def test_volumes_from_witness_points_match_lp_reference(space, reference, empty_memos, monkeypatch):
     """From empty memos, ``chamber_volume`` of every chamber, in a seeded
     order, climbs from the LP witness of the chamber and gives the reference
-    volume."""
+    volume; every segment consulted passes through its chamber."""
     found, want = reference[space]
+    _, points = pick_recorder(monkeypatch)
     segment = segment_pick_counter(monkeypatch)
     for c in random.Random(34).sample(found, len(found)):
         assert chamber_volume(c).poly == want[c], c
     assert segment["first"] > 0
+    for c, point in points:
+        assert segment_meets(c, point), (c, point)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
@@ -179,12 +201,13 @@ def test_volumes_from_random_points_match_lp_reference(space, reference, empty_m
     """From empty memos with a seeded fifth of the chambers realized first,
     ``piecewise_volume`` at seeded k/1000 points gives the reference volume
     of the chamber classified.  Some climbs go on from a realize-cached pick
-    off the segment, and some take the first set the segment crosses."""
+    off the segment, and some take the first set the segment crosses; every
+    segment consulted passes through the chamber it is consulted for."""
     found, want = reference[space]
     rng = random.Random(space.n * 10 + space.g)
     for c in rng.sample(found, len(found) // 5):
         chambers.realize(c)
-    picks = pick_recorder(monkeypatch)
+    picks, points = pick_recorder(monkeypatch)
     segment = segment_pick_counter(monkeypatch)
     queried = 0
     for _ in range(600):
@@ -195,6 +218,8 @@ def test_volumes_from_random_points_match_lp_reference(space, reference, empty_m
         assert vr.poly == want[c], w
         queried += 1
     assert queried > 200 and any(picks) and segment["first"] > 0
+    for c, point in points:
+        assert segment_meets(c, point), (c, point)
 
 
 # (0.25, 0.35, 0.25, 0.35, 0.95) in D_{0,5}: its maximal light sets are the
@@ -264,7 +289,7 @@ def test_the_segment_runs_through_the_chamber_above_its_first_wall(space, empty_
         s = chambers._first_crossed(c._masks, (w.nums, w.den))
         if s is None:
             continue
-        above, S = chambers.last_crossing(main_chamber(space), c, (), (w.nums, w.den))
+        above, S = chambers.last_crossing(main_chamber(space), c, (), lambda: (w.nums, w.den))
         assert S == frozenset(chambers._labels(s)) and above == c._above(s)
         later = [crossing_time(w, m) for m in above._masks]
         t = (crossing_time(w, s) + min(later, default=F(1))) / 2
