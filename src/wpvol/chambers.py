@@ -28,6 +28,25 @@ No floating point is involved anywhere.  For g >= 1 the sum condition holds
 on the whole cube, so every D_{g,n} with g >= 1 has the walls, chambers and
 witnesses of D_{1,n} (``_genus_class``); only the volumes depend on g.
 
+Crossing paths need no LP past their ends: they follow the straight segment
+from a point p of the lower chamber D to a point q of the upper chamber C
+(``_crossing_order``; q = (1, ..., 1) for the main chamber).
+
+* Each subset sum is linear along the segment, so only the walls of sets
+  light in D and heavy in C are crossed, each once.
+* The weights stay positive, so a light set inside a larger one is crossed
+  strictly later: the first set crossed is a maximal light set.
+* Two walls may be met at one point.  With p moved by (eta, eta^2, ...,
+  eta^n) for eta -> 0+, no two are: in the parameter u = t / (1 - t) of
+  p + t (q - p), the crossing time of S drops by sum_{j in S} eta^j / h_S,
+  h_S = sum_S q - 1 > 0, and the vectors ([j in S] / h_S)_j differ for
+  distinct S.  So the cells between consecutive crossings hold points of
+  the moved segment and are realizable (a weight moved past 1 can be put
+  back to 1: every set of two or more labels holding it stays heavy).
+* One perturbation holds for the whole climb, so a climb that goes on from
+  the chamber it has crossed into keeps the order; a step picked off the
+  segment starts a new segment from a point of its chamber.
+
 All types are immutable values; module-level memo tables are idempotent, so
 sharing between threads is safe.
 """
@@ -746,81 +765,73 @@ class CrossingPath:
 
 
 def last_crossing(
-    src: Chamber,
-    dst: Chamber,
-    known: Container[Chamber] = (),
-    point: Optional[Callable[[], Point]] = None,
+    dst: Chamber, known: Container[Chamber], point: Callable[[], Point]
 ) -> tuple[Chamber, frozenset[int]]:
-    """The last simple crossing of a path from ``src`` down to ``dst``.
+    """The last simple crossing of a path from the main chamber down to
+    ``dst``, a realizable chamber other than the main one.
 
-    Returns (above, S) with ``above.cross(S) == dst`` and ``above`` still
-    below ``src``: S is a maximal light set of ``dst``, heavy in ``src``,
-    whose uncrossing is realizable.  One exists whenever ``src`` lies
-    strictly above ``dst``: the last wall a generic segment from ``src`` to
-    ``dst`` crosses is such a set.  Candidates already known to be
-    realizable, by the realizability memo or by membership in ``known``, are
-    tried first and need no LP; when every realizable chamber is known (after
+    Returns (above, S) with ``above.cross(S) == dst``: S is a maximal light
+    set of ``dst`` whose uncrossing is realizable.  Candidates already known
+    to be realizable, by the realizability memo or by membership in
+    ``known``, are tried first; when every realizable chamber is known (after
     ``enumerate_chambers``), S is the first realizable candidate in
-    ``light_max`` order.
-
-    Next, with ``point``, a function that gives a point (nums, den), or
-    a = nums / den, whose segment to (1, ..., 1) runs through ``dst`` (a point
-    of ``dst``, or one of a chamber below it whose segment has reached
-    ``dst``), S is the light set of ``dst`` that the segment crosses first, if
-    it is a candidate and no other set ties with it: no LP.  ``point`` is
-    called only here, so no point is built when a candidate is known.  Along
-    a + t (1 - a) every weight grows, so the sum over a light set S reaches 1
-    at
-
-        t_S = (den - sigma_S) / (|S| den - sigma_S),   sigma_S = sum_S nums,
-
-    and heavy sets stay heavy.  A light set inside a larger one M reaches 1
-    after M does, as the weights are positive, so the first set crossed is a
-    maximal light set; when it is the only one at the least t_S, the
-    segment passes from ``dst`` into the chamber above W_S alone, so that
-    chamber holds points of the segment and is realizable.  The t_S are
-    compared by integer cross-multiplication.  A tie, a first set that is
-    light in ``src``, or no point leaves the candidates to the LP, in
-    ``light_max`` order.
+    ``light_max`` order.  Otherwise S is the first wall of ``dst`` crossed by
+    the segment from ``point()``, a point (nums, den) of ``dst`` or of a
+    chamber below it whose segment has reached ``dst``, to (1, ..., 1)
+    (``_crossing_order``), and no LP is solved.  ``point`` is called only
+    there, so no point is built when a candidate is known.
     """
-    unknown = []
     for s in sorted(dst._masks, key=_labels):  # light_max order
-        if not src._is_light(s):
-            above = dst._above(s)
-            if above in known or _realize_cache.get(above) is not None:
-                return above, frozenset(_labels(s))
-            unknown.append((above, s))
-    if point is not None:
-        s = _first_crossed(dst._masks, point())
-        if s is not None and not src._is_light(s):
-            return dst._above(s), frozenset(_labels(s))
-    for above, s in unknown:
-        if above.is_realizable():
+        above = dst._above(s)
+        if above in known or _realize_cache.get(above) is not None:
             return above, frozenset(_labels(s))
-    raise NotComparableError(f"{src} does not lie strictly above {dst}")
+    s = _crossing_order(dst._masks, point(), ((1,) * dst.space.n, 1))[0]
+    return dst._above(s), frozenset(_labels(s))
 
 
-def _first_crossed(masks: Iterable[int], point: Point) -> Optional[int]:
-    """The mask among ``masks``, light at ``point``, with the least t_S of
-    ``last_crossing``, or None if two tie for it."""
-    nums, den = point
-    best, tied = None, False
+def _crossing_order(masks: Iterable[int], p: Point, q: Point) -> list[int]:
+    """The masks of walls light at the point p and heavy at the point q, in
+    the order in which the segment from p to q crosses them, with p moved by
+    (eta, eta^2, ..., eta^n) for eta -> 0+ (module docstring): a strict
+    order, with no ties.
+
+    With sigma_S(p) the sum of the numerators of p over S, the wall S is
+    crossed at u_S = d_S / h_S, d_S = den_p - sigma_S(p) and h_S =
+    sigma_S(q) - den_q, in the parameter u = t / (1 - t) of p + t (q - p) up
+    to a factor common to every S; the u_S are compared by integer
+    cross-multiplication.  The perturbation lowers u_S by sum_{j in S} eta^j
+    / h_S, so at equal u_S the wall S comes first when ([j in S] / h_S)_j is
+    lexicographically larger: at the least label of S and R, by the smaller
+    h if both hold it, otherwise (or at equal h) by the least label in one of
+    them only.
+    """
+    (a, den_p), (b, den_q) = p, q
+    times = {}
     for s in masks:
-        sigma = sum(nums[j - 1] for j in _labels(s))
-        num, dnm = den - sigma, s.bit_count() * den - sigma  # t_S = num / dnm, dnm > 0
-        if best is None or num * best_dnm < best_num * dnm:
-            best, best_num, best_dnm, tied = s, num, dnm, False
-        elif num * best_dnm == best_num * dnm:
-            tied = True
-    return None if tied else best
+        labels = _labels(s)
+        times[s] = den_p - sum(a[j - 1] for j in labels), sum(b[j - 1] for j in labels) - den_q
+
+    def later(s: int, r: int) -> int:  # < 0 if S is crossed before R
+        (d, h), (e, k) = times[s], times[r]
+        if d * k != e * h:
+            return d * k - e * h
+        if (s | r) & -(s | r) & s & r and h != k:
+            return h - k
+        diff = s ^ r
+        return -1 if diff & -diff & s else 1
+
+    return sorted(times, key=functools.cmp_to_key(later))
 
 
 def crossing_path(src: Chamber, dst: Chamber) -> CrossingPath:
     """A path of simple crossings from ``src`` down to ``dst``.
 
-    Built from ``dst`` upward by ``last_crossing`` until ``src`` is reached,
-    then reversed; each wall where the chambers differ is crossed exactly once
-    and downward, and every intermediate chamber is realizable.
+    Its walls are the sets light in ``dst`` and heavy in ``src``, each
+    crossed once and downward: the reverse of the order in which the segment
+    from the witness of ``dst`` to that of ``src`` crosses them
+    (``_crossing_order``), so every intermediate chamber holds points of the
+    segment and is realizable.  No LP is solved beyond ``realize`` of the
+    two ends.
     """
     if src.space != dst.space:
         raise NotComparableError("chambers live in different spaces")
@@ -834,11 +845,11 @@ def crossing_path(src: Chamber, dst: Chamber) -> CrossingPath:
         raise NotComparableError(f"{light_above} is light above but heavy below; chambers incomparable")
     if not (src.is_realizable() and dst.is_realizable()):
         raise NotRealizableError("both endpoints must be realizable")
-    steps = []
-    cur = dst
-    while cur != src:
-        cur, S = last_crossing(src, cur)
-        steps.append((cur, S))
+    walls = _members(dst._closure() & ~src._closure())  # light in dst, heavy in src
+    steps, cur = [], dst
+    for s in _crossing_order(walls, _cached_point(dst), _cached_point(src)):
+        cur = cur._above(s)
+        steps.append((cur, frozenset(_labels(s))))
     return CrossingPath(tuple(reversed(steps)), dst)
 
 
@@ -988,11 +999,16 @@ def _minimal_heavy(light: int, n: int) -> list[int]:
     minimal = heavy
     for j, with_j in enumerate(has):
         minimal &= ~((heavy & ~with_j) << (1 << j))  # a heavy set plus label j
+    return _members(minimal)
+
+
+def _members(family: int) -> list[int]:
+    """The masks of a set of masks, ascending."""
     out = []
-    while minimal:
-        low = minimal & -minimal
+    while family:
+        low = family & -family
         out.append(low.bit_length() - 1)
-        minimal ^= low
+        family ^= low
     return out
 
 

@@ -35,16 +35,14 @@ The path is built from the chamber upward, one uncrossing at a time
 (``chambers.last_crossing``), and the recursion carries a point a = nums / den
 of the chamber.  An uncrossing already known to be realizable comes first.
 Otherwise the wall is the one that the segment from a to (1, ..., 1), a point
-of the main chamber, crosses first.  The chambers are the open cells that the
-hyperplanes sum_S a = 1 cut out of the weight space, so the cells that the
-segment passes through are realizable, by points of the segment, with no LP.
-Every weight grows along the segment, so heavy sets stay heavy and a light
-set inside a larger one turns heavy after it: the first set crossed, at the
-least t_S = (den - sigma_S) / (|S| den - sigma_S), is a maximal light set.
-Only a tie for the least t_S leaves the choice to the realizability LP.  The
-point is kept up the segment; a chamber picked off it climbs on from its
-memoized witness.  Point queries start from their weight vector,
-``chamber_volume`` from the witness of the chamber's realizability LP.
+of the main chamber, crosses first, a tie broken exactly by a perturbation of
+a (``chambers._crossing_order``); the chambers the segment passes through are
+realizable, by points of the segment, so no LP is solved on the way (the
+proof is in the ``chambers`` module docstring).  The point is kept up the
+segment; a chamber picked off it climbs on from its memoized witness.  Point
+queries start from their weight vector, ``chamber_volume`` from the witness
+of the chamber's realizability LP, which a main chamber, holding (1, ..., 1),
+does not need.
 
 Volumes are memoized per chamber.  Crossings are memoized per (C/S, S) and,
 below that, per key orbit: relabeling the points that fix the merged one is a
@@ -338,9 +336,10 @@ def chamber_volume(c: Chamber) -> VolumeResult:
     light sets S (``last_crossing``) plus the crossing of W_S.  Results are
     memoized per chamber; by path independence the polynomial does not depend
     on which S is uncrossed (covered by tests).  The path starts from the
-    witness of the realizability LP of ``c`` (``_realizable_chamber_volume``).
+    witness of the realizability LP of ``c`` (``_realizable_chamber_volume``);
+    a main chamber, which holds (1, ..., 1), is realizable with no LP.
     """
-    if c not in _volume_cache and not c.is_realizable():
+    if c._masks and c not in _volume_cache and not c.is_realizable():
         raise NotRealizableError(f"{c} is not realizable")
     return _realizable_chamber_volume(c, None)
 
@@ -348,20 +347,20 @@ def chamber_volume(c: Chamber) -> VolumeResult:
 def _realizable_chamber_volume(c: Chamber, point: Optional[Point]) -> VolumeResult:
     """``chamber_volume`` of a chamber known to be realizable, given a point
     (nums, den) of it or of a chamber below whose segment reaches it, or None
-    (for a chamber with a memoized witness), so no LP is solved for ``c``
-    itself: ``last_crossing`` returns a realizable chamber above it and a
-    wall it crosses down to ``c``.
+    (for a chamber with a memoized witness, or a main chamber), so no LP is
+    solved for ``c`` itself: ``last_crossing`` returns a realizable chamber
+    above it and a wall it crosses down to ``c``.
 
     The point steers that choice where no candidate is known to be
     realizable: the wall is the first that the segment from the point to
-    (1, ..., 1), a point of the main chamber, crosses, unless two tie.  The
-    chambers the segment passes through are cells of the wall arrangement
-    holding points of the segment, so they are realizable with no LP, and
-    the point stays the same up the path.  A chamber with a memoized witness
-    climbs from that witness instead: the candidates known to be realizable
-    come first, so those are exactly the chambers picked off the segment (or
-    by the LP on a tie), and the ones ``chamber_volume`` is asked for.  The
-    witness is turned into a point only when the segment is consulted.
+    (1, ..., 1), a point of the main chamber, crosses, in the exact order of
+    ``chambers._crossing_order``, which has no ties.  The chambers the
+    segment passes through hold points of it, so they are realizable with no
+    LP, and the point stays the same up the path.  A chamber with a memoized
+    witness climbs from that witness instead: the candidates known to be
+    realizable come first, so those are exactly the chambers picked off the
+    segment and the ones ``chamber_volume`` is asked for.  The witness is
+    turned into a point only when the segment is consulted.
     """
     got = _volume_cache.get(c)
     if got is not None:
@@ -375,7 +374,7 @@ def _realizable_chamber_volume(c: Chamber, point: Optional[Point]) -> VolumeResu
             point = _cached_point(c) or point
             return point
 
-        above, wall = last_crossing(main_chamber(c.space), c, _volume_cache, start)
+        above, wall = last_crossing(c, _volume_cache, start)
         poly = _realizable_chamber_volume(above, point).poly + _crossing_poly(above, wall)
         result = VolumeResult(c, poly, PROV_PATH)
     _volume_cache[c] = result

@@ -1315,11 +1315,11 @@ def test_classify_matches_fraction_subset_sums_at_n9():
 
 def test_last_crossing_after_enumeration_solves_no_lp(monkeypatch):
     """After enumeration every realizable chamber is known, so last_crossing
-    solves no LP and returns the first realizable candidate in light_max
-    order, as it did before known candidates were tried first."""
+    solves no LP, asks for no point and returns the first realizable
+    candidate in light_max order, as it did before known candidates were
+    tried first."""
     for space in (S05, StabilitySpace(1, 4)):
         known = set(enumerate_chambers(space))
-        top = main_chamber(space)
         expected = {
             c: next((c.uncross(S), frozenset(S)) for S in c.light_max if _uncrossable(c, S))
             for c in known
@@ -1331,7 +1331,7 @@ def test_last_crossing_after_enumeration_solves_no_lp(monkeypatch):
 
         monkeypatch.setattr(chambers, "simplex_max", no_lp)
         for c, want in expected.items():
-            above, S = chambers.last_crossing(top, c)
+            above, S = chambers.last_crossing(c, (), _no_point)
             assert (above, S) == want
             assert above in known and above.cross(S) == c
         monkeypatch.undo()
@@ -1351,16 +1351,19 @@ def _no_lp(*args, **kwargs):
     raise AssertionError("simplex_max called although a known candidate exists")
 
 
+def _no_point():
+    raise AssertionError("a point asked for although a known candidate exists")
+
+
 def test_last_crossing_tries_known_realizable_first(monkeypatch):
     """With only the last realizable candidate known, last_crossing returns it
-    without solving an LP for the unknown candidates before it."""
-    top = main_chamber(S05)
+    without solving an LP or asking for a point."""
     checked = 0
     for c, above, S in _late_uncrossings(S05):
         monkeypatch.setattr(chambers, "_realize_cache", {above: chambers.realize(above)})
         monkeypatch.setattr(chambers, "_realize_orbits", {})
         monkeypatch.setattr(chambers, "simplex_max", _no_lp)
-        assert chambers.last_crossing(top, c) == (above, S)
+        assert chambers.last_crossing(c, (), _no_point) == (above, S)
         monkeypatch.undo()
         checked += 1
     assert checked > 100
@@ -1368,13 +1371,12 @@ def test_last_crossing_tries_known_realizable_first(monkeypatch):
 
 def test_last_crossing_takes_known_chambers_as_realizable(monkeypatch, empty_memos):
     """A chamber in ``known`` (the volume engine passes its volume memo) is
-    taken as realizable and tried first, with no LP for it or before it."""
-    top = main_chamber(S05)
+    taken as realizable and tried first, with no LP and no point."""
     checked = 0
     for c, above, S in _late_uncrossings(S05):
         empty_memos()
         monkeypatch.setattr(chambers, "simplex_max", _no_lp)
-        assert chambers.last_crossing(top, c, {above}) == (above, S)
+        assert chambers.last_crossing(c, {above}, _no_point) == (above, S)
         monkeypatch.undo()
         checked += 1
     assert checked > 100

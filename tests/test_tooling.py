@@ -125,7 +125,7 @@ def test_code_lines_skip_comments_blanks_and_docstrings(tmp_path):
     """The counter counts 8 code lines in ``COUNTED``: the import, the class,
     both lines of the assigned string, the def, the later string statement
     and both lines of the return; and prints the count of each file and the
-    total."""
+    total, a directory standing for its *.py files in sorted order."""
     code_lines = _load("code_lines", TOOLS)
     assert code_lines.code_lines(COUNTED) == 8
     assert code_lines.code_lines("") == 0
@@ -134,3 +134,11 @@ def test_code_lines_skip_comments_blanks_and_docstrings(tmp_path):
     command = [sys.executable, str(TOOLS / "code_lines.py"), "a.py", "b.py"]
     out = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, check=True).stdout
     assert out.split() == ["8", "a.py", "1", "b.py", "9", "total"]
+    # a directory counts every *.py under it, in sorted order
+    (tmp_path / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "pkg" / "sub" / "c.py").write_text(COUNTED)
+    (tmp_path / "pkg" / "b.py").write_text("y = 2\n")
+    (tmp_path / "pkg" / "notes.txt").write_text("not python\n")
+    command = [sys.executable, str(TOOLS / "code_lines.py"), "pkg", "b.py"]
+    out = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["1", "pkg/b.py", "8", "pkg/sub/c.py", "1", "b.py", "10", "total"]

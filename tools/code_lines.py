@@ -4,9 +4,11 @@ A code line holds a token other than a comment, and is not part of a
 docstring (of a module, class or function); blank lines hold none.  A
 statement or string that spans several lines counts each of them.
 
-    python3 tools/code_lines.py FILE...
+    python3 tools/code_lines.py PATH...
 
-prints the count of each file and, for more than one file, the total.
+prints the count of each file and, for more than one file, the total.  A
+directory PATH stands for every ``*.py`` file under it, in sorted order, so
+``python3 tools/code_lines.py src tests`` counts the package and its tests.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import ast
 import io
 import sys
 import tokenize
+from pathlib import Path
 
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER
@@ -42,7 +45,17 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
+def _files(paths: list[str]) -> list[str]:
+    """The files named by ``paths``: a directory gives its ``*.py`` files,
+    recursively, in sorted order."""
+    out = []
+    for path in paths:
+        out += sorted(map(str, Path(path).rglob("*.py"))) if Path(path).is_dir() else [path]
+    return out
+
+
 def main(paths: list[str]) -> None:
+    paths = _files(paths)
     total = 0
     for path in paths:
         with open(path, encoding="utf-8") as f:
