@@ -293,14 +293,17 @@ def light_walls(point, q):
     ]
 
 
-@pytest.mark.parametrize("w", [TIED, SIZES_TIED], ids=["TIED", "sizes"])
-def test_crossing_order_breaks_constructed_ties_as_the_perturbed_segment(w):
-    """At a point where two walls tie, ``_crossing_order`` of every light set
-    is the order of the exact crossing times at the point moved by either
-    eta; the sets of different sizes are ordered by their h = |S| - 1."""
+@pytest.mark.parametrize(
+    "w, first, second", [(TIED, (1, 2, 4), (2, 3, 4)), (SIZES_TIED, (1, 3), (1, 2, 4))], ids=["TIED", "sizes"]
+)
+def test_crossing_order_breaks_constructed_ties_as_the_perturbed_segment(w, first, second):
+    """At a point where the walls ``first`` and ``second`` tie,
+    ``_crossing_order`` of every light set is the order of the exact
+    crossing times at the point moved by either eta, and ``first`` comes
+    first; at ``SIZES_TIED`` the rule reads h = |S| - 1, which differs."""
     p, q = (w.nums, w.den), ones(w.space.n)
     walls = light_walls(p, q)
-    first, second = (chambers._mask(J) for J in ([(1, 2, 4), (2, 3, 4)], [(1, 3), (1, 2, 4)])[w is SIZES_TIED])
+    first, second = chambers._mask(first), chambers._mask(second)
     a, b = as_fractions(p), as_fractions(q)
     assert crossing_time(a, b, first) == crossing_time(a, b, second)
     want = [perturbed_order(walls, p, q, eta) for eta in ETAS]
