@@ -21,6 +21,9 @@ DEFAULT_DIGITS = 50
 _GUARD = 12
 
 _pi_cache: dict[int, Decimal] = {}
+# Per working precision: pi^0, pi^1, ... as far as evaluations have asked,
+# each the power of pi_decimal at that precision taken at that precision.
+_pi_powers: dict[int, list[Decimal]] = {}
 
 
 def pi_decimal(digits: int = DEFAULT_DIGITS) -> Decimal:
@@ -65,17 +68,23 @@ def evaluate_pi_numerators(nums: Mapping[int, int], den: int, digits: int = DEFA
 
     Each nums[k] / den is one correctly rounded Decimal division of exact
     ints, so the numerators need not be reduced: any fraction of one value
-    gives the same digits.  This is the one numeric evaluation loop.
+    gives the same digits.  This is the one numeric evaluation loop; it
+    reads pi^k from ``_pi_powers``, each power taken once per working
+    precision as it was taken here on every call before.
     """
     if check_int(digits, "precision") < 1:
         raise ValueError("precision must be at least 1 digit")
     with localcontext() as ctx:
-        ctx.prec = digits + _GUARD
-        pi_val = pi_decimal(digits + _GUARD)
+        ctx.prec = prec = digits + _GUARD
+        powers = _pi_powers.setdefault(prec, [])
+        top = max(nums, default=-1)
+        if len(powers) <= top:
+            pi_val = pi_decimal(prec)
+            powers.extend(pi_val**k for k in range(len(powers), top + 1))
         total = Decimal(0)
         d = Decimal(den)
         for k, c in sorted(nums.items()):
-            total += Decimal(c) / d * pi_val**k
+            total += Decimal(c) / d * powers[k]
     with localcontext() as ctx:
         ctx.prec = digits
         total = +total

@@ -39,8 +39,9 @@ first.
 ``evaluate_angles`` takes each angle as q * pi^m (a rational, zero, or a
 one-term Poly in pi alone) and runs through the Poly's evaluation plan
 (``_Plan``), built on its first call and kept with it: each angle monomial is
-one angle times a monomial of the layer below, and the terms of one degree
-and pi power are summed at once.  Plans are built from one shared index of
+one angle times a monomial of the layer below, a layer is one C-level pass
+(an itemgetter of its parents and one of its angles, built once per plan),
+and the terms of one degree and pi power are summed at once.  Plans are built from one shared index of
 angle monomials per number of angles (``_Index``): each monomial a plan has
 met gets an int id, with its parent's id, its angle and its degree, and
 beside each monomial table a list gives the id of the angle part of each
@@ -52,20 +53,24 @@ parent chains.  The plan's one entry point,
 ``_Plan.evaluate``, works on integers alone (angle numerators A_j over one
 B, and their pi powers) and returns {pi power: numerator}; ``pi_poly`` makes
 that the canonical Poly, and point queries that want a number hand it to
-:mod:`wpvol.numeric` without building a Poly.
+:mod:`wpvol.numeric` without building a Poly.  ``_joined`` sets the plans of
+several polys side by side in one plan, each reading its angles through a
+map from the joined angle list, over one denominator; point queries
+(``wpvol.volumes.piecewise_volume``) evaluate Mirzakhani's polynomial and
+the wall-crossing kernels of a chamber's path so, in one pass.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress, islice, repeat
 from math import gcd, lcm
-from operator import add, floordiv, itemgetter, mul, neg
+from operator import add, floordiv, itemgetter, mul, neg, sub
 from types import MappingProxyType
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import RingMismatchError, VariableRangeError
 from .rationals import check_int, format_rat, rat
@@ -274,9 +279,18 @@ def angle_ring(n: int, extra: str | None = None) -> PolyRing:
 PI_RING = PolyRing(("pi",))
 
 
-class _Plan(NamedTuple):
-    """How ``Poly.evaluate_angles`` evaluates one Poly; it depends on the
-    Poly alone, which keeps it.
+def _gather(positions: Sequence[int]) -> Callable:
+    """An itemgetter of ``positions`` that returns a sequence even for one."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
+
+
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    """How ``_Plan.evaluate`` turns angle values into a polynomial's value:
+    the plan of one Poly (``_plan``), which keeps it, or of several side by
+    side (``_joined``), as point queries use.
 
     The angle monomials evaluation needs are the downward closure of the
     poly's angle-exponent support under "remove one unit of the last nonzero
@@ -289,27 +303,36 @@ class _Plan(NamedTuple):
     and pi exponent e0 of the terms, the numerators aligned to layer s (0
     where a monomial has no such term).  Each term adds at most its angle
     degree monomials, so the plan holds at most terms x degree of them
-    besides 1, whatever the number of monomials of that degree.  ``_plan``
-    builds it from the shared angle-monomial index (``_Index``), whose
-    parent links are the ones above; the plan itself holds positions within
-    its own layers, not index ids, so it stays valid as the index grows.
+    besides 1, whatever the number of monomials of that degree.
+
+    ``gathers`` holds, per layer, an itemgetter of its parents' positions
+    and one of its angles, built on first use (``_gathers``), so a layer is
+    one C-level pass; they are derived from the fields above, so they take
+    no part in equality.
     """
 
     parents: array
     angles: array
     ends: tuple[int, ...]
     groups: tuple[tuple[int, int, tuple[int, ...]], ...]
+    gathers: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+
+    def _gathers(self) -> tuple[tuple[Callable, Callable], ...]:
+        """Per layer, (gather of its parents from the layer below, gather of
+        its angles from the factors), built on the first call and kept."""
+        gathers = self.gathers
+        if gathers is None:
+            spans = zip((0, *self.ends), self.ends)
+            gathers = tuple((_gather(self.parents[a:b]), _gather(self.angles[a:b])) for a, b in spans)
+            _set(self, "gathers", gathers)
+        return gathers
 
     def layers(self, first, factors: Sequence, op: Callable) -> list[list]:
         """A value per monomial, layer by layer: ``first`` for 1, and
         op(the parent's value, factors[the angle]) for every other."""
         out = [[first]]
-        parents, angles = memoryview(self.parents), memoryview(self.angles)
-        start = 0
-        for end in self.ends:
-            below = map(out[-1].__getitem__, parents[start:end])
-            out.append(list(map(op, below, map(factors.__getitem__, angles[start:end]))))
-            start = end
+        for below, angle in self._gathers():
+            out.append(list(map(op, below(out[-1]), angle(factors))))
         return out
 
     def evaluate(self, A: Sequence[int], B: int, shifts: Sequence[int]) -> dict[int, int]:
@@ -411,7 +434,9 @@ def _plan(vecs: Vectors, n: int) -> _Plan:
     exponent tuple is sliced or hashed here.  Each term's parent chain is
     walked down on ids until it meets a monomial already placed, and the new
     monomials are placed on the way back up, so each monomial is visited
-    once and nothing is sorted.
+    once and nothing is sorted.  The index's parent links are the plan's;
+    the plan holds positions within its own layers, not index ids, so it
+    stays valid as the index grows.
     """
     index = _indexes.get(n)
     if index is None:
@@ -461,6 +486,55 @@ def _plan(vecs: Vectors, n: int) -> _Plan:
         flat_angles.extend(js)
         ends.append(len(flat_parents))
     return _Plan(flat_parents, flat_angles, tuple(ends), tuple(groups))
+
+
+def _joined(parts: Sequence[tuple[_Plan, int, Sequence[int]]]) -> tuple[_Plan, int]:
+    """(plan, den): one plan whose value at the angles A, over den * B^top,
+    is the sum of the parts' values, each over its den * B^(its top).  Each
+    part is (plan, its den, reads), its angle j read at position reads[j]
+    of A.
+
+    Layer s holds the parts' layers s side by side, so the parts share only
+    the monomial 1: a part's parents are a slice of its own, moved by the
+    offset of its layer s - 1 in one ``map(add)``, and its angles are its
+    own angle gather (``_Plan._gathers``) applied to ``reads``.  Its rows
+    fill the columns of its layer s, scaled to den, the lcm of the parts'
+    dens; those columns are the part's own but for the monomial 1, whose
+    numerators add.  A term of angle degree s carries B^(top - s), so a
+    part with fewer layers reads over den * B^top as over its own
+    den * B^(its top).
+    """
+    den = lcm(*(d for _, d, _ in parts))
+    spans = [list(zip((0, *plan.ends), plan.ends, plan._gathers())) for plan, _, _ in parts]
+    parents: list[int] = []
+    angles: list[int] = []
+    ends = []
+    starts = [[0] for _ in parts]  # per part, where each of its layers starts in the joined one
+    for s in range(max(map(len, spans))):
+        first = len(parents)
+        for (plan, _, reads), span, at in zip(parts, spans, starts):
+            if s < len(span):
+                a, b, (_, angle) = span[s]
+                at.append(len(parents) - first)
+                parents += map(add, plan.parents[a:b], repeat(at[-2]))
+                angles += angle(reads)
+        ends.append(len(parents))
+    sizes = [1, *map(sub, ends, (0, *ends))]
+    rows: dict[tuple[int, int], list[int]] = {}
+    for (plan, d, _), at in zip(parts, starts):
+        scale = den // d
+        for s, e0, coeffs in plan.groups:
+            if scale > 1:
+                coeffs = list(map(mul, coeffs, repeat(scale)))
+            row = rows.get((s, e0))
+            if row is None:
+                row = rows[s, e0] = [0] * sizes[s]
+            if s:
+                row[at[s] : at[s] + len(coeffs)] = coeffs
+            else:
+                row[0] += coeffs[0]
+    groups = tuple((s, e0, tuple(row)) for (s, e0), row in rows.items())
+    return _Plan(array("I", parents), array("I", angles), tuple(ends), groups), den
 
 
 _set = object.__setattr__

@@ -52,10 +52,20 @@ in the labels of its key, and relabeled (``Poly.relabeled``) for every key
 in it; keyed by ``chambers._sorted_key``, as are the realizability and
 evaluation orbit tables, so this holds at every n.  The identity checks
 integrate through ``_integrate_crossing``, which neither table calls.
-Point queries (``piecewise_volume``) evaluate every chamber of an S_n orbit
-through the volume of the first one queried, at the angles permuted, so one
-evaluation plan is built per orbit; each chamber's own volume is still the
-one computed and returned.
+Point queries (``piecewise_volume``) evaluate no chamber volume but its path
+terms.  The climb records the step each volume was built from
+(``_steps``), so a volume is Mirzakhani's polynomial plus the crossings of
+the steps up to the main chamber.  By the closed form a crossing at a point
+is its kernel K_S / L_S (``_wc_kernel``) at t = phi_S, the other angles read
+from theta_{S^c}: the quotient volume with each t^k scaled by L_S / P_k and
+raised by t^(2s-2), P_k = prod_{i=0}^{s-2} (k+2+2i) and L_S their lcm, a
+poly the size of the quotient volume rather than of the expanded crossing.
+One kernel is built per crossing key orbit, from the quotient whose volume
+that orbit's integral came from, when a query first needs it.  Mirzakhani's
+plan and the kernels' plans, each phi_S an extra angle, are joined into one
+plan per S_n orbit of chambers (``poly._joined``) and evaluated at the
+angles permuted.  The value is that of the sum the memoized volume was
+built as, term for term, and that volume is still the one returned.
 
 Also here: closed-form chamber volumes (genus-0 minimal chamber, Losev-Manin,
 (CP^1)^n), the 2 pi limit (light coordinates), and the dilaton-type derivative
@@ -71,7 +81,7 @@ from functools import cache
 from itertools import chain, repeat
 from math import comb, factorial, lcm
 from operator import add, itemgetter, mul
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .chambers import (
     Chamber,
@@ -93,7 +103,7 @@ from .chambers import (
 from .errors import NotRealizableError, UnstableError, WpvolError
 from .intersection import kappa_psi_intersection
 from .numeric import evaluate_pi_numerators
-from .poly import Poly, PolyRing, _vectors, angle_ring, phi_form, pi_poly
+from .poly import Poly, PolyRing, _joined, _Plan, _vectors, angle_ring, phi_form, pi_poly
 from .rationals import check_int
 
 PROV_MAIN = "main-chamber-intersection"
@@ -283,6 +293,27 @@ _crossing_cache: dict[tuple[Chamber, frozenset[int]], Poly] = {}
 # wc in the reference labelling: the complement of S in the order of that
 # key, then S.
 _crossing_orbits: dict[tuple[StabilitySpace, int, tuple[int, ...]], Poly] = {}
+# Per key orbit: the quotient its integral was computed from, and that
+# quotient's sorting permutation; kernels are built in its labels.
+_orbit_sources: dict[tuple[StabilitySpace, int, tuple[int, ...]], tuple[Chamber, tuple[int, ...]]] = {}
+
+
+class _Term(NamedTuple):
+    """wc_{C,S} as a path term of a point query: the kernel of ``source``
+    (``_kernel``), a quotient in the key orbit of C/S, its angle variable
+    j < last reading the angle of C at position reads[j - 1] and its last
+    variable phi_S, S given by the positions ``wall`` (0 for label 1)."""
+
+    source: Chamber
+    reads: tuple[int, ...]
+    wall: tuple[int, ...]
+
+
+# Per (C/S, S), beside ``_crossing_cache``: the crossing as a path term.
+_crossing_terms: dict[tuple[Chamber, frozenset[int]], _Term] = {}
+# Per (quotient, |S|): the kernel K_S / L_S of ``_wc_kernel``, built when a
+# path plan first needs it.
+_kernels: dict[tuple[Chamber, int], Poly] = {}
 
 
 def wall_crossing_poly(c: Chamber, S: Iterable[int]) -> WallCrossingPoly:
@@ -292,27 +323,30 @@ def wall_crossing_poly(c: Chamber, S: Iterable[int]) -> WallCrossingPoly:
     """
     S = frozenset(S)
     c.cross(S)  # validates incidence and realizability below
-    return WallCrossingPoly(c, S, _crossing_poly(c, S))
+    return WallCrossingPoly(c, S, _crossing(c, S)[0])
 
 
-def _crossing_poly(c: Chamber, S: frozenset[int]) -> Poly:
-    """The memoized wc_{C,S}, for c known to be incident to and above W_S.
+def _crossing(c: Chamber, S: frozenset[int]) -> tuple[Poly, _Term]:
+    """The memoized wc_{C,S} and its path term, for c known to be incident
+    to and above W_S.
 
-    Read from the exact (C/S, S) table; on its miss, relabeled from the
+    Read from the exact (C/S, S) tables; on a miss, relabeled from the
     key-orbit table, and integrated once per key orbit.
     """
     quotient = c.quotient(S)
     key = (quotient, S)
-    poly = _crossing_cache.get(key)
-    if poly is None:
-        poly = _crossing_cache[key] = _orbit_crossing(c, S, quotient)
-    return poly
+    poly, term = _crossing_cache.get(key), _crossing_terms.get(key)
+    if poly is None or term is None:
+        poly, term = _orbit_crossing(c, S, quotient)
+        _crossing_cache[key], _crossing_terms[key] = poly, term
+    return poly, term
 
 
-def _orbit_crossing(c: Chamber, S: frozenset[int], quotient: Chamber) -> Poly:
-    """wc_{C,S} through the key-orbit table; ``quotient`` is C/S.  A miss
-    integrates in the reference labelling (label j of C/S is variable
-    perm[j-1] + 1, S the last |S|); hit and miss relabel it to ``c``."""
+def _orbit_crossing(c: Chamber, S: frozenset[int], quotient: Chamber) -> tuple[Poly, _Term]:
+    """wc_{C,S} through the key-orbit table, and its path term; ``quotient``
+    is C/S.  A miss integrates in the reference labelling (label j of C/S is
+    variable perm[j-1] + 1, S the last |S|); hit and miss relabel it to
+    ``c``."""
     form, perm, order = _sorted_key(quotient, merged_last=True)
     ring = angle_ring(c.space.n)
     key = (quotient.space, len(S), form)
@@ -321,12 +355,48 @@ def _orbit_crossing(c: Chamber, S: frozenset[int], quotient: Chamber) -> Poly:
         vq = chamber_volume(quotient).poly
         s_ref = range(len(perm), c.space.n + 1)
         ref = _crossing_orbits[key] = _wc_integral(vq, s_ref, [p + 1 for p in perm[:-1]], ring)
-    # reference variable i <= n - |S| is label order[i-1] + 1 of C/S, comp[order[i-1]] of c
+        _orbit_sources[key] = quotient, perm
+    source, source_perm = _orbit_sources[key]
+    # reference variable i <= n - |S| is label order[i-1] + 1 of C/S, comp[order[i-1]] of c;
+    # label j of the source is reference variable source_perm[j-1] + 1
     comp = sorted(set(c.space.labels) - S)
-    return ref.relabeled(ring, [0, *(comp[i] for i in order[:-1]), *sorted(S)])
+    wall = sorted(S)
+    poly = ref.relabeled(ring, [0, *(comp[i] for i in order[:-1]), *wall])
+    reads = tuple(comp[order[p]] - 1 for p in source_perm[:-1])
+    return poly, _Term(source, reads, tuple(j - 1 for j in wall))
+
+
+def _kernel(source: Chamber, s: int) -> Poly:
+    """The memoized ``_wc_kernel`` of the volume of the quotient ``source``."""
+    kernel = _kernels.get((source, s))
+    if kernel is None:
+        kernel = _kernels[source, s] = _wc_kernel(chamber_volume(source).poly, s)
+    return kernel
+
+
+def _wc_kernel(quotient_poly: Poly, s: int) -> Poly:
+    """K_S / L_S: the quotient volume with each t^k (t its last variable)
+    sent to L_S / P_k * t^(k + 2s - 2), over L_S, P_k = prod_{i=0}^{s-2}
+    (k + 2 + 2i) and L_S their lcm.  By the closed form (module docstring)
+    wc_{C,S} is this poly with t set to phi_S and the other angles read from
+    theta_{S^c}, so at a point it needs only this poly, which is the size of
+    the quotient volume, and no expanded phi_S power.
+    """
+    keys, vals = quotient_poly._support()
+    divisors = {k: _phi_row(s, k)[0] for k in {e[-1] for e in keys}}
+    L = lcm(*divisors.values())
+    shift = 2 * s - 2
+    out_keys = [e[:-1] + (e[-1] + shift,) for e in keys]
+    out_vals = [c * (L // divisors[e[-1]]) for e, c in zip(keys, vals)]
+    ring = quotient_poly.ring
+    return Poly._reduced(ring, _vectors(ring.nvars, out_keys, out_vals), quotient_poly.den * L)
 
 
 _volume_cache: dict[Chamber, VolumeResult] = {}
+# Per non-main chamber in ``_volume_cache``: the step its volume was built
+# from, the chamber above and the crossing's path term, so its volume is
+# Mirzakhani's plus the crossings of the steps up to the main chamber.
+_steps: dict[Chamber, tuple[Chamber, _Term]] = {}
 
 
 def chamber_volume(c: Chamber) -> VolumeResult:
@@ -375,32 +445,66 @@ def _realizable_chamber_volume(c: Chamber, point: Optional[Point]) -> VolumeResu
             return point
 
         above, wall = last_crossing(c, _volume_cache, start)
-        poly = _realizable_chamber_volume(above, point).poly + _crossing_poly(above, wall)
-        result = VolumeResult(c, poly, PROV_PATH)
+        poly = _realizable_chamber_volume(above, point).poly
+        wc, term = _crossing(above, wall)
+        result = VolumeResult(c, poly + wc, PROV_PATH)
+        _steps[c] = above, term
     _volume_cache[c] = result
     return result
 
 
-# Relabeling the points maps a chamber's volume to the relabeled volume, so
-# point queries evaluate every chamber of an S_n orbit through the volume of
-# the first one queried, whose evaluation plan is then the only one built.
-# Keyed by (space, ``chambers._sorted_key``): that volume and its sorting
-# permutation.
-_evaluation_orbits: dict[tuple[StabilitySpace, tuple[int, ...]], tuple[Poly, tuple[int, ...]]] = {}
-# Per chamber: its own volume, the volume it is evaluated through, and for
-# each variable of that volume the index of the angle it reads.
-_evaluators: dict[Chamber, tuple[VolumeResult, Poly, tuple[int, ...]]] = {}
+# Relabeling the points maps a chamber's path terms to the relabeled terms,
+# so point queries evaluate every chamber of an S_n orbit through the joined
+# plan of the path terms of the first one queried (``_path_plan``).  Keyed by
+# (space, ``chambers._sorted_key``): that plan, its den, its phi_S reads
+# and that chamber's sorting permutation.
+_Walls = tuple[tuple[Callable, int], ...]
+_evaluation_orbits: dict[
+    tuple[StabilitySpace, tuple[int, ...]], tuple[_Plan, int, _Walls, tuple[int, ...]]
+] = {}
+# Per chamber: its own volume, its orbit's joined plan, den and phi_S reads,
+# and for each angle variable of that plan's chamber the index of the angle
+# of w it reads.
+_evaluators: dict[Chamber, tuple[VolumeResult, _Plan, int, _Walls, tuple[int, ...]]] = {}
 
 
-def _evaluator(c: Chamber, point: Point) -> tuple[VolumeResult, Poly, tuple[int, ...]]:
+def _evaluator(c: Chamber, point: Point) -> tuple[VolumeResult, _Plan, int, _Walls, tuple[int, ...]]:
     """The ``_evaluators`` entry of a realizable chamber, given a point of it."""
     vr = _realizable_chamber_volume(c, point)
     key, perm, order = _sorted_key(c)
-    poly, rep_perm = _evaluation_orbits.setdefault((c.space, key), (vr.poly, perm))
+    entry = _evaluation_orbits.get((c.space, key))
+    if entry is None:
+        entry = _evaluation_orbits[c.space, key] = (*_path_plan(c), perm)
+    plan, den, walls, rep_perm = entry
     # perm and rep_perm take c and the representative to the same key, so
     # label j of the representative is label order[rep_perm[j-1]] + 1 of c,
-    # whose angle variable j of the representative's volume reads
-    return vr, poly, tuple(order[p] for p in rep_perm)
+    # whose angle variable j of the representative's plan reads
+    return vr, plan, den, walls, tuple(order[p] for p in rep_perm)
+
+
+def _path_plan(c: Chamber) -> tuple[_Plan, int, _Walls]:
+    """(plan, den, walls) for a chamber with a memoized volume: the joined
+    plan (``poly._joined``) of Mirzakhani's polynomial and the kernel of
+    each step up from c (``_steps``, ``_kernel``), and per step
+    (itemgetter of its wall, 2(s - 1)).
+
+    The plan reads the n angles of c and then phi_S of each step, in step
+    order; at theta_j = A_j / B * pi, phi_S = (sum_{j in S} A_j - 2(s - 1) B)
+    / B * pi.  By the closed form each kernel at phi_S is the step's
+    crossing, so the plan's value is that of the sum of the polynomials the
+    volume of c was built from, term for term.
+    """
+    n = c.space.n
+    parts: list[tuple[_Plan, int, Sequence[int]]] = []
+    walls = []
+    while c._masks:
+        c, (source, reads, wall) = _steps[c]
+        kernel = _kernel(source, len(wall))
+        parts.append((kernel._evaluation_plan(), kernel.den, (*reads, n + len(walls))))
+        walls.append((itemgetter(*wall), 2 * len(wall) - 2))
+    main = _realizable_chamber_volume(c, None).poly
+    plan, den = _joined([(main._evaluation_plan(), main.den, range(n)), *parts])
+    return plan, den, tuple(walls)
 
 
 def piecewise_volume(w: WeightVector, numeric: bool = False, digits: int = 50):
@@ -408,37 +512,50 @@ def piecewise_volume(w: WeightVector, numeric: bool = False, digits: int = 50):
 
     Returns (chamber, VolumeResult, value) where value is a univariate-in-pi
     Poly, or a Decimal in numeric mode.  The VolumeResult is the chamber's
-    own memoized volume; the value comes from the volume of the first chamber
-    of its S_n orbit that was queried, at the angles relabeled
-    (``_evaluation_orbits``).  The query runs in integers from w's integer
-    form to the exact value (``_point_value``), the angles read in the order
-    of that volume's variables.  Only ``numeric=False`` makes the value a
-    Poly, the canonical one, so it is the value of the chamber's own volume;
-    in numeric mode the numerators go straight to ``evaluate_pi_numerators``.
+    own memoized volume.  The value is that of its path terms, Mirzakhani's
+    polynomial and one kernel per crossing of the path its volume was built
+    along, through the joined plan of the first chamber of its S_n orbit
+    that was queried, at the angles relabeled (``_evaluation_orbits``,
+    ``_path_plan``); no plan of a chamber volume is built.  The query runs
+    in integers from w's integer form to the exact value (``_path_value``).
+    Only ``numeric=False`` makes the value a Poly, the canonical one, so it
+    is the value of the chamber's own volume; in numeric mode the numerators
+    go straight to ``evaluate_pi_numerators``.
     """
     c = classify(w)
     got = _evaluators.get(c)
     if got is None:
         got = _evaluators[c] = _evaluator(c, (w.nums, w.den))  # w lies in c
-    vr, poly, reads = got
-    powers, den = _point_value(poly, w, reads)
+    vr, plan, den, walls, reads = got
+    powers, den = _path_value(plan, den, walls, w, reads)
     if numeric:
         return c, vr, evaluate_pi_numerators(powers, den, digits)
     return c, vr, pi_poly(powers, den)
 
 
-def _point_value(poly: Poly, w: WeightVector, reads: Sequence[int]) -> tuple[dict[int, int], int]:
-    """``poly`` at theta(w), its angle variable j set to the angle of w at
-    position reads[j - 1]: ({pi power: numerator}, denominator).
+def _path_value(
+    plan: _Plan, den: int, walls: _Walls, w: WeightVector, reads: Sequence[int]
+) -> tuple[dict[int, int], int]:
+    """A ``_path_plan`` at theta(w), its angle j set to the angle of w at
+    position reads[j], then phi_S of each wall: ({pi power: numerator},
+    denominator).
 
-    With B = w.den, that angle is A / B * pi for A = 2 (B - w.nums[reads[j - 1]]),
-    and the poly's evaluation plan (``_Plan.evaluate``) gives the value
-    over poly.den * B^top; no Fraction or Poly is built.
+    With B = w.den, angle j is A_j / B * pi for A_j = 2 (B - w.nums[reads[j]]),
+    and phi_S is (sum_{j in S} A_j - 2(s - 1) B) / B * pi.
     """
     B, nums = w.den, w.nums
-    plan = poly._evaluation_plan()
-    powers = plan.evaluate([2 * (B - nums[i]) for i in reads], B, (1,) * len(reads))
-    return powers, poly.den * B ** len(plan.ends)
+    A = [2 * (B - nums[i]) for i in reads]
+    A += [sum(get(A)) - k * B for get, k in walls]
+    powers = plan.evaluate(A, B, (1,) * len(A))
+    return powers, den * B ** len(plan.ends)
+
+
+def _point_value(poly: Poly, w: WeightVector, reads: Sequence[int]) -> tuple[dict[int, int], int]:
+    """``poly`` at theta(w), its angle variable j set to the angle of w at
+    position reads[j - 1]: ({pi power: numerator}, denominator), through the
+    poly's own plan; the reference that path values are tested against.
+    """
+    return _path_value(poly._evaluation_plan(), poly.den, (), w, reads)
 
 
 # -- closed forms ------------------------------------------------------------------
@@ -641,7 +758,11 @@ def general_dilaton_check(
 
 def clear_volume_cache() -> None:
     _volume_cache.clear()
+    _steps.clear()
     _crossing_cache.clear()
     _crossing_orbits.clear()
+    _orbit_sources.clear()
+    _crossing_terms.clear()
+    _kernels.clear()
     _evaluation_orbits.clear()
     _evaluators.clear()

@@ -1146,9 +1146,15 @@ def test_orbit_tables_above_the_enumeration_bound(monkeypatch, empty_memos):
         patched.setattr(chambers, "simplex_max", _no_lp)
         assert realize(Chamber(d27, c.light_max)) == realize(Chamber(d17, c.light_max))
 
-    monkeypatch.setattr(volumes, "_volume_cache", {})
-    monkeypatch.setattr(volumes, "_crossing_cache", {})
-    monkeypatch.setattr(volumes, "_crossing_orbits", {})
+    for name in (
+        "_volume_cache",
+        "_steps",
+        "_crossing_cache",
+        "_crossing_terms",
+        "_crossing_orbits",
+        "_orbit_sources",
+    ):
+        monkeypatch.setattr(volumes, name, {})
     c, S = Chamber(d07, ((1, 3, 7),)), frozenset({1, 2})
     assert c.quotient(S).light_max == ((1, 5),)
     volumes.wall_crossing_poly(c, S)

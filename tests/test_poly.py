@@ -815,6 +815,52 @@ def test_plan_evaluate_matches_per_term_loop(p, A, B, shifts):
     assert p.evaluate_angles(values) == want
 
 
+def seeded_poly(n, rng):
+    """A seeded poly in pi and n angles: up to six terms of exponents up to
+    3, over a den drawn from a few, possibly zero or constant."""
+    ring = angle_ring(n)
+    p = ring.zero()
+    for _ in range(rng.randint(0, 6)):
+        e = tuple(rng.randint(0, 3) for _ in range(n + 1))
+        p += ring.monomial(F(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 12, 35])), e)
+    return p
+
+
+def test_joined_plan_is_the_sum_of_its_parts():
+    """``_joined`` of seeded plans, of unequal depth and den, each reading
+    its angles through its own map (repeats and unread positions included),
+    evaluates over den * B^top to the sum of the parts' own evaluations,
+    each over its den * B^(its top): at zero angles and unequal pi shifts
+    too.  A joined plan whose gathers are built equals a fresh join."""
+    rng = random.Random(202610221)
+    zeros = unequal = 0
+    for _ in range(300):
+        width = rng.randint(1, 5)
+        polys = [seeded_poly(rng.randint(1, 3), rng) for _ in range(rng.randint(1, 4))]
+        parts = [
+            (fresh(p)._evaluation_plan(), p.den, [rng.randrange(width) for _ in range(p.ring.nvars - 1)])
+            for p in polys
+        ]
+        plan, den = poly_module._joined(parts)
+        assert den == lcm(*(p.den for p in polys))
+        for _ in range(3):
+            A = [rng.choice([0, rng.randint(-50, 50), rng.randint(-(2**70), 2**70)]) for _ in range(width)]
+            B = rng.choice([1, 7, 1000, 2**65 + 3])
+            shifts = [rng.randint(0, 2) for _ in range(width)]
+            zeros += 0 in A
+            unequal += len({m for a, m in zip(A, shifts) if a}) > 1
+            want: dict[int, F] = {}
+            for part_plan, d, reads in parts:
+                got = part_plan.evaluate([A[r] for r in reads], B, [shifts[r] for r in reads])
+                for m, c in got.items():
+                    want[m] = want.get(m, 0) + F(c, d * B ** len(part_plan.ends))
+            powers = plan.evaluate(A, B, shifts)
+            over = den * B ** len(plan.ends)
+            assert {m: F(c, over) for m, c in powers.items()} == {m: v for m, v in want.items() if v}
+        assert plan.gathers is not None and poly_module._joined(parts) == (plan, den)
+    assert zeros > 100 and unequal > 100
+
+
 def former_plan(vecs, n):
     """The plan builder before the shared angle-monomial index: it slices the
     angle part of each term's exponent tuple and walks the parent chain down

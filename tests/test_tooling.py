@@ -7,6 +7,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import wpvol
 from wpvol.intersection import psi_intersection
 from wpvol.poly import PI_RING, angle_ring
@@ -142,3 +144,42 @@ def test_code_lines_skip_comments_blanks_and_docstrings(tmp_path):
     command = [sys.executable, str(TOOLS / "code_lines.py"), "pkg", "b.py"]
     out = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, check=True).stdout
     assert out.split() == ["1", "pkg/b.py", "8", "pkg/sub/c.py", "1", "b.py", "10", "total"]
+
+
+def _bench_result(values, failed=0):
+    """A result line of ``perfbench/run.py`` with the given metric values."""
+    return {
+        "correct": not failed,
+        "attempted": 100,
+        "failed": failed,
+        "metrics": {name: {"value": v, "unit": "ms"} for name, v in values.items()},
+    }
+
+
+def test_bench_pairs_statistics_and_summary():
+    """``tools/bench_pairs.py`` on synthetic runs, with no process started:
+    per side the runs, median, inclusive quartiles and IQR of each metric
+    and the summed op counts; per metric the pairs in which the change read
+    lower, a tie not counted; and one summary line per metric."""
+    bench_pairs = _load("bench_pairs", TOOLS)
+    parent = [_bench_result({"op_p50_ms": v, "peak_rss_mb": 20.0}) for v in (0.10, 0.12, 0.11, 0.13, 0.09)]
+    change = [
+        _bench_result({"op_p50_ms": v, "peak_rss_mb": r}, failed=f)
+        for v, r, f in ((0.06, 20.0, 0), (0.13, 21.0, 2), (0.07, 19.0, 0), (0.08, 20.5, 0), (0.05, 20.0, 0))
+    ]
+    p, c = bench_pairs.side_stats(parent), bench_pairs.side_stats(change)
+    assert (p["correct"], p["failed"], p["attempted"]) == (True, 0, 500)
+    assert (c["correct"], c["failed"], c["attempted"]) == (False, 2, 500)
+    p50 = p["metrics"]["op_p50_ms"]
+    assert p50["runs"] == [0.10, 0.12, 0.11, 0.13, 0.09]
+    assert (p50["median"], p50["q1"], p50["q3"]) == pytest.approx((0.11, 0.10, 0.12))
+    assert p50["iqr"] == pytest.approx(0.02)
+    assert c["metrics"]["op_p50_ms"]["median"] == pytest.approx(0.07)
+    assert bench_pairs.pairs_lower(p, c) == {"op_p50_ms": 4, "peak_rss_mb": 1}
+    lines = bench_pairs.summary_lines(p, c, {"op_p50_ms": 0.25, "peak_rss_mb": 0.1})
+    assert set(lines) == {"op_p50_ms", "peak_rss_mb"}
+    assert lines["op_p50_ms"] == (
+        "0.11 -> 0.07 (-36.4 %), change lower in 4/5 pairs, median gap 0.04 "
+        "against a parent IQR of 0.02; bound 0.25"
+    )
+    assert lines["peak_rss_mb"].startswith("20 -> 20 (+0.0 %), change lower in 1/5 pairs")

@@ -34,8 +34,12 @@ MEMOS = [
     (chambers, "_realize_orbits"),
     (chambers, "_enum_cache"),
     (volumes, "_volume_cache"),
+    (volumes, "_steps"),
     (volumes, "_crossing_cache"),
+    (volumes, "_crossing_terms"),
     (volumes, "_crossing_orbits"),
+    (volumes, "_orbit_sources"),
+    (volumes, "_kernels"),
     (volumes, "_evaluation_orbits"),
     (volumes, "_evaluators"),
 ]

@@ -22,8 +22,8 @@ from wpvol.chambers import (
     main_chamber,
 )
 from wpvol.errors import NotIncidentError, NotRealizableError, OnWallError, UnstableError
-from wpvol.numeric import evaluate_pi_poly
-from wpvol.poly import PI_RING, Poly, angle_ring, phi_form
+from wpvol.numeric import evaluate_pi_numerators, evaluate_pi_poly
+from wpvol.poly import PI_RING, Poly, angle_ring, phi_form, pi_poly
 from wpvol.verify import _incident_walls
 from wpvol.volumes import (
     _integrate_crossing,
@@ -230,6 +230,7 @@ def test_cold_piecewise_volume_solves_no_lp_for_its_chamber(monkeypatch):
         monkeypatch.setattr(chambers, "_realize_cache", {})
         monkeypatch.setattr(chambers, "_realize_orbits", {})
         monkeypatch.setattr(volumes, "_volume_cache", {})
+        monkeypatch.setattr(volumes, "_steps", {})
         monkeypatch.setattr(volumes, "_evaluation_orbits", {})
         monkeypatch.setattr(volumes, "_evaluators", {})
         solved = []
@@ -289,8 +290,12 @@ def empty_memos(monkeypatch):
         (chambers, "_realize_orbits"),
         (chambers, "_enum_cache"),
         (volumes, "_volume_cache"),
+        (volumes, "_steps"),
         (volumes, "_crossing_cache"),
+        (volumes, "_crossing_terms"),
         (volumes, "_crossing_orbits"),
+        (volumes, "_orbit_sources"),
+        (volumes, "_kernels"),
         (volumes, "_evaluation_orbits"),
         (volumes, "_evaluators"),
     ]:
@@ -398,7 +403,7 @@ def test_closed_form_of_the_zero_quotient_is_zero(s):
     assert _wc_integral(zero, S, [1], ring) == ring.zero() == _kernel_wc_integral(zero, S, [1], ring)
 
 
-# -- point queries through one evaluation plan per chamber orbit --------------------
+# -- point queries through one joined plan of path terms per chamber orbit ----------
 
 
 def _fresh(poly):
@@ -430,7 +435,7 @@ def test_orbit_evaluation_matches_own_volume(empty_memos, monkeypatch):
     """Queried in shuffled chamber order from empty memos, every chamber of
     D_{0,5}, D_{1,4}, D_{2,3} and D_{1,3} gives, formally and numerically,
     the value of its own volume at the query's angles, zero angles included,
-    and one evaluation plan is built per chamber orbit."""
+    and one joined plan is built per chamber orbit."""
     spaces = [S05, StabilitySpace(1, 4), StabilitySpace(2, 3), StabilitySpace(1, 3)]
     rng = random.Random(20261018)
     chambers_all = [c for space in spaces for c in enumerate_chambers(space)]
@@ -438,17 +443,17 @@ def test_orbit_evaluation_matches_own_volume(empty_memos, monkeypatch):
     rng.shuffle(chambers_all)
     queries = [(c, w) for c in chambers_all for w in _query_points(c, rng)]
     assert sum(F(1) in w.a for _, w in queries) > 100  # zero angles are exercised
-    built = []
-    build = poly_module._plan
+    joined = []
+    join = volumes._joined
 
-    def recording(nums, n):
-        built.append(id(nums))
-        return build(nums, n)
+    def recording(parts):
+        joined.append(parts)
+        return join(parts)
 
-    monkeypatch.setattr(poly_module, "_plan", recording)
+    monkeypatch.setattr(volumes, "_joined", recording)
     answers = [(c, w, piecewise_volume(w), piecewise_volume(w, numeric=True)) for c, w in queries]
-    monkeypatch.setattr(poly_module, "_plan", build)
-    assert len(built) == len(set(built)) == len(volumes._evaluation_orbits) == orbits
+    monkeypatch.setattr(volumes, "_joined", join)
+    assert len(joined) == len(volumes._evaluation_orbits) == orbits
     for c, w, (got_c, vr, formal), (_, _, numeric) in answers:
         assert got_c == c and vr is volumes._volume_cache[c]
         want = _fresh(vr.poly).evaluate_angles(w.theta_values(vr.poly.ring))
@@ -478,8 +483,77 @@ def test_clear_volume_cache_drops_every_evaluator(fresh_volume_caches):
     w = WeightVector(S05, (F(9, 10), F(9, 10), F(2, 25), F(9, 10), F(3, 20)))
     c, before, value = piecewise_volume(w)
     assert c in volumes._evaluators and volumes._evaluation_orbits
+    tables = (
+        volumes._volume_cache,
+        volumes._steps,
+        volumes._crossing_cache,
+        volumes._crossing_terms,
+        volumes._crossing_orbits,
+        volumes._orbit_sources,
+        volumes._kernels,
+        volumes._evaluation_orbits,
+        volumes._evaluators,
+    )
+    assert all(tables)
     clear_volume_cache()
-    assert not volumes._evaluators and not volumes._evaluation_orbits
+    assert not any(tables)
     _, after, again = piecewise_volume(w)
     assert after is volumes._volume_cache[c] and after is not before
     assert again == value
+
+
+PATH_SPACES = [S05, StabilitySpace(1, 4), StabilitySpace(2, 3), StabilitySpace(1, 3), StabilitySpace(1, 5)]
+
+
+def test_path_values_equal_own_volume_values(empty_memos):
+    """Every chamber of D_{0,5}, D_{1,4}, D_{2,3}, D_{1,3} and D_{1,5}, at a
+    seeded interior point and at one with a weight raised to 1 (a zero
+    angle) where one lies in it, gives formally and numerically exactly the
+    value of its own memoized volume (``_point_value`` on that poly).  Half
+    the chambers, drawn at random, are warmed first by ``chamber_volume``,
+    whose climbs start from LP witnesses; the queries, in shuffled order,
+    climb the others from memos that hold only what came before them."""
+    rng = random.Random(20261022)
+    queries = []
+    for space in PATH_SPACES:
+        for c in enumerate_chambers(space):
+            first, *others = _query_points(c, rng)
+            queries.append((c, first))
+            queries.extend((c, w) for w in others[:1] if F(1) in w.a)
+    assert sum(F(1) in w.a for _, w in queries) > 800  # zero angles are exercised
+    warm = rng.sample(queries, len(queries) // 2)
+    for c, _ in warm:
+        chamber_volume(c)
+    rng.shuffle(queries)
+    for c, w in queries:
+        got_c, vr, formal = piecewise_volume(w)
+        _, _, numeric = piecewise_volume(w, numeric=True)
+        assert got_c == c and vr is volumes._volume_cache[c]
+        powers, den = volumes._point_value(vr.poly, w, range(c.space.n))
+        assert formal == pi_poly(powers, den), (c, w)
+        assert numeric == evaluate_pi_numerators(powers, den, 50), (c, w)
+
+
+def test_point_queries_plan_no_chamber_volume(empty_memos, monkeypatch):
+    """Point queries on every chamber of D_{0,5}, D_{1,4}, D_{2,3} and D_{1,3}
+    run ``_plan`` on Mirzakhani's polynomials and the crossing kernels
+    alone, never on the volume of a non-main chamber, and the joined plans
+    hold the main chamber's plan and one kernel per step."""
+    spaces = [S05, StabilitySpace(1, 4), StabilitySpace(2, 3), StabilitySpace(1, 3)]
+    rng = random.Random(20261023)
+    points = [_query_points(c, rng)[0] for space in spaces for c in enumerate_chambers(space)]
+    planned = []
+    build = poly_module._plan
+
+    def recording(vecs, n):
+        planned.append(vecs)
+        return build(vecs, n)
+
+    monkeypatch.setattr(poly_module, "_plan", recording)
+    for w in points:
+        piecewise_volume(w, numeric=True)
+    monkeypatch.setattr(poly_module, "_plan", build)
+    kernels = list(volumes._kernels.values())
+    mains = [volumes._volume_cache[main_chamber(space)].poly for space in spaces]
+    assert kernels and sorted(map(id, planned)) == sorted(id(p._vecs) for p in kernels + mains)
+    assert not any(vr.poly._plan for c, vr in volumes._volume_cache.items() if c._masks)
