@@ -39,13 +39,15 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
-# Each bound is set from cold times, one process each (start-up included), on
-# a 2-core x86_64 machine with 7 GB and Python 3.11.7.  MAX_POINTS: the
-# volume of the all-light chamber, which crosses every wall, takes 10.1-14.7 s
-# at 598 MB for D_{1,7} (three runs) and 143.5 s at 6 980 MB for D_{1,8}.
-# MAX_DEGREE: that volume takes 6.7-7.2 s at 423 MB for D_{2,6} (degree 9,
-# three runs) and 94.7 s at 4 955 MB for D_{2,7} (degree 10).  MAX_DIGITS:
-# eval --numeric takes 0.44 s at 10 000 digits and 17.8 s at 100 000.
+# Each bound is set from cold times, one process each (start-up included,
+# no bytecode cache), on a 2-core x86_64 machine with 7 GB and Python 3.11.7.
+# MAX_POINTS: the volume of the all-light chamber, which crosses every wall,
+# takes 7.2-8.4 s at 764 MB for D_{1,7} (three runs), and eval at its point
+# (3/77, ..., 9/77) 8.9-9.3 s at 852 MB; the volume took 143.5 s at 6 980 MB
+# for D_{1,8}.  MAX_DEGREE: that volume takes 5.8-6.0 s at 533 MB for D_{2,6}
+# (degree 9, three runs), and eval at (3/67, ..., 8/67) 5.8-6.2 s at 535 MB;
+# it took 94.7 s at 4 955 MB for D_{2,7} (degree 10).  MAX_DIGITS: eval
+# --numeric takes 0.44 s at 10 000 digits and 17.8 s at 100 000.
 MAX_POINTS = 7
 MAX_DEGREE = 9
 MAX_DIGITS = 10_000
