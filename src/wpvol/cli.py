@@ -43,9 +43,9 @@ EXIT_USAGE = 2
 # no bytecode cache), on a 2-core x86_64 machine with 7 GB and Python 3.11.7.
 # MAX_POINTS: the volume of the all-light chamber, which crosses every wall,
 # takes 7.2-8.4 s at 764 MB for D_{1,7} (three runs), and eval at its point
-# (3/77, ..., 9/77) 8.9-9.3 s at 852 MB; the volume took 143.5 s at 6 980 MB
+# (3/77, ..., 9/77) 9.9-11.3 s at 825 MB; the volume took 143.5 s at 6 980 MB
 # for D_{1,8}.  MAX_DEGREE: that volume takes 5.8-6.0 s at 533 MB for D_{2,6}
-# (degree 9, three runs), and eval at (3/67, ..., 8/67) 5.8-6.2 s at 535 MB;
+# (degree 9, three runs), and eval at (3/67, ..., 8/67) 5.6-7.4 s at 519 MB;
 # it took 94.7 s at 4 955 MB for D_{2,7} (degree 10).  MAX_DIGITS: eval
 # --numeric takes 0.44 s at 10 000 digits and 17.8 s at 100 000.
 MAX_POINTS = 7

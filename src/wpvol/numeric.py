@@ -11,8 +11,8 @@ hand it over, as int numerators by pi power over one denominator
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from decimal import Decimal, localcontext
+from collections.abc import Callable, Mapping
+from decimal import Context, Decimal, localcontext
 
 from .poly import Poly
 from .rationals import check_int
@@ -21,9 +21,11 @@ DEFAULT_DIGITS = 50
 _GUARD = 12
 
 _pi_cache: dict[int, Decimal] = {}
-# Per working precision: pi^0, pi^1, ... as far as evaluations have asked,
-# each the power of pi_decimal at that precision taken at that precision.
-_pi_powers: dict[int, list[Decimal]] = {}
+# Per number of digits: pi^0, pi^1, ... at the working precision of digits +
+# guard as far as evaluations have asked, each the power of pi_decimal taken
+# at that precision, the working context and the plus of the context of
+# digits, so an evaluation switches no thread context.
+_evaluations: dict[int, tuple[list[Decimal], Context, Callable]] = {}
 
 
 def pi_decimal(digits: int = DEFAULT_DIGITS) -> Decimal:
@@ -68,27 +70,27 @@ def evaluate_pi_numerators(nums: Mapping[int, int], den: int, digits: int = DEFA
 
     Each nums[k] / den is one correctly rounded Decimal division of exact
     ints, so the numerators need not be reduced: any fraction of one value
-    gives the same digits.  This is the one numeric evaluation loop; it
-    reads pi^k from ``_pi_powers``, each power taken once per working
-    precision as it was taken here on every call before.
+    gives the same digits.  This is the one numeric evaluation loop.  It
+    sums at ``digits`` + guard digits and rounds to ``digits`` through the
+    methods of contexts kept per ``digits`` (``_evaluations``), and reads
+    pi^k from the powers kept with them, each taken once.
     """
     if check_int(digits, "precision") < 1:
         raise ValueError("precision must be at least 1 digit")
-    with localcontext() as ctx:
-        ctx.prec = prec = digits + _GUARD
-        powers = _pi_powers.setdefault(prec, [])
-        top = max(nums, default=-1)
-        if len(powers) <= top:
-            pi_val = pi_decimal(prec)
-            powers.extend(pi_val**k for k in range(len(powers), top + 1))
-        total = Decimal(0)
-        d = Decimal(den)
-        for k, c in sorted(nums.items()):
-            total += Decimal(c) / d * powers[k]
-    with localcontext() as ctx:
-        ctx.prec = digits
-        total = +total
-    return total
+    kept = _evaluations.get(digits)
+    if kept is None:  # a fresh Context takes the default settings, as a localcontext of them does
+        kept = _evaluations[digits] = ([], Context(prec=digits + _GUARD), Context(prec=digits).plus)
+    powers, work, plus = kept
+    top = max(nums, default=-1)
+    if len(powers) <= top:
+        pi_val = pi_decimal(work.prec)
+        powers.extend(work.power(pi_val, k) for k in range(len(powers), top + 1))
+    add, multiply, divide = work.add, work.multiply, work.divide
+    total = Decimal(0)
+    d = Decimal(den)
+    for k, c in sorted(nums.items()):
+        total = add(total, multiply(divide(Decimal(c), d), powers[k]))
+    return plus(total)
 
 
 def evaluate_pi_poly(p: Poly, digits: int = DEFAULT_DIGITS) -> Decimal:

@@ -39,23 +39,26 @@ first.
 ``evaluate_angles`` takes each angle as q * pi^m (a rational, zero, or a
 one-term Poly in pi alone) and runs through the Poly's evaluation plan
 (``_Plan``), built on its first call and kept with it: each angle monomial is
-one angle times a monomial of the layer below, a layer is one C-level pass
-(an itemgetter of its parents and one of its angles, built once per plan),
-and the terms of one degree and pi power are summed at once.  Plans are built from one shared index of
-angle monomials per number of angles (``_Index``): each monomial a plan has
-met gets an int id, with its parent's id, its angle and its degree, and
+its parent, the monomial with its last nonzero angle set to 0, times one
+power of that angle from a power table built once per evaluation; layer r
+holds the monomials with r nonzero angles and is one C-level pass (an
+itemgetter of its parents and one of its powers, built once per plan), and
+the terms of one angle degree and pi power are one gather and one sum.
+Plans are built from one shared index of angle monomials per number of
+angles (``_Index``): each monomial a plan has met gets an int id, with its
+parent's id, its power's table position, its layer and its degree, and
 beside each monomial table a list gives the id of the angle part of each
 table position, so a build reads its terms as ids and walks their parent
 chains on ints.  The index and the lists only grow, as the tables do: a
 list holds at most one entry per position of a table of a ring where a plan
 was built, and the index the angle parts of those positions with their
-parent chains.  The plan's one entry point,
-``_Plan.evaluate``, works on integers alone (angle numerators A_j over one
-B, and their pi powers) and returns {pi power: numerator}; ``pi_poly`` makes
-that the canonical Poly, and point queries that want a number hand it to
-:mod:`wpvol.numeric` without building a Poly.  ``_joined`` sets the plans of
-several polys side by side in one plan, each reading its angles through a
-map from the joined angle list, over one denominator; point queries
+parent chains.  The plan's one entry point, ``_Plan.evaluate``, works on
+integers alone (angle numerators A_j over one B, and their pi powers) and
+returns {pi power: numerator}; ``pi_poly`` makes that the canonical Poly,
+and point queries that want a number hand it to :mod:`wpvol.numeric`
+without building a Poly.  ``_joined`` sets the plans of several polys side
+by side in one plan, each reading its angles through a map from the joined
+angle list, over one denominator; point queries
 (``wpvol.volumes.piecewise_volume``) evaluate Mirzakhani's polynomial and
 the wall-crossing kernels of a chamber's path so, in one pass.
 """
@@ -66,9 +69,10 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate as scan
 from itertools import chain, compress, islice, repeat
 from math import gcd, lcm
-from operator import add, floordiv, itemgetter, mul, neg, sub
+from operator import add, floordiv, itemgetter, mul, neg
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -292,78 +296,105 @@ class _Plan:
     the plan of one Poly (``_plan``), which keeps it, or of several side by
     side (``_joined``), as point queries use.
 
-    The angle monomials evaluation needs are the downward closure of the
-    poly's angle-exponent support under "remove one unit of the last nonzero
-    variable", so each monomial but 1 is its parent times one angle.  Layer s
-    holds the monomials of degree s, layer 0 the monomial 1 alone.  Layers 1
-    to top, the largest angle degree, follow each other in ``parents`` and
-    ``angles``, layer s ending at ``ends[s - 1]``: for each monomial, the
-    position of its parent in the layer below and the index of its angle (0
-    for t1).  ``groups`` holds (s, e0, numerators) for each angle degree s
-    and pi exponent e0 of the terms, the numerators aligned to layer s (0
-    where a monomial has no such term).  Each term adds at most its angle
-    degree monomials, so the plan holds at most terms x degree of them
-    besides 1, whatever the number of monomials of that degree.
+    The angle monomials evaluation needs are the terms' angle parts and
+    their parents, a monomial's parent being the monomial with its last
+    nonzero angle set to 0; so each monomial but 1 is its parent times one
+    power of one angle.  Layer r holds the monomials with r nonzero angles,
+    layer 0 the monomial 1 alone, and the monomials are numbered in layer
+    order from 0 for 1.  Layers 1 to the last follow each other in
+    ``parents`` and ``factors``, layer r ending at ``ends[r - 1]``: for each
+    monomial, the number of its parent and the position of its power in the
+    power table of an evaluation (``values``): power p of angle j sits at
+    (p - 1) * width + j, for the ``width`` angles and p up to ``powers``,
+    the largest power of any angle.  ``top`` is the largest angle degree of a
+    term, and ``groups`` holds (s, e0, monomials, numerators) for each angle
+    degree s and pi exponent e0 of the terms: the numbers of their
+    monomials and their numerators, aligned.  Each term adds at most one
+    monomial per nonzero angle, so the plan holds at most terms x angles of
+    them besides 1, whatever their degree.
 
-    ``gathers`` holds, per layer, an itemgetter of its parents' positions
-    and one of its angles, built on first use (``_gathers``), so a layer is
-    one C-level pass; they are derived from the fields above, so they take
-    no part in equality.
+    ``gathers`` holds, per layer, an itemgetter of its parents' numbers and
+    one of its powers' positions, and per group one of its monomials'
+    numbers, built on first use (``_gathers``), so a layer and a group are
+    one C-level pass each; they are derived from the fields above, so they
+    take no part in equality.
     """
 
     parents: array
-    angles: array
+    factors: array
     ends: tuple[int, ...]
-    groups: tuple[tuple[int, int, tuple[int, ...]], ...]
+    width: int
+    powers: int
+    top: int
+    groups: tuple[tuple[int, int, array, tuple[int, ...]], ...]
     gathers: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
-    def _gathers(self) -> tuple[tuple[Callable, Callable], ...]:
-        """Per layer, (gather of its parents from the layer below, gather of
-        its angles from the factors), built on the first call and kept."""
+    def _gathers(self) -> tuple[tuple[tuple[Callable, Callable], ...], tuple[Callable, ...]]:
+        """(per layer, the gathers of its parents and of its powers; per
+        group, the gather of its monomials), built on the first call and
+        kept."""
         gathers = self.gathers
         if gathers is None:
             spans = zip((0, *self.ends), self.ends)
-            gathers = tuple((_gather(self.parents[a:b]), _gather(self.angles[a:b])) for a, b in spans)
+            gathers = (
+                tuple((_gather(self.parents[a:b]), _gather(self.factors[a:b])) for a, b in spans),
+                tuple(_gather(monomials) for _, _, monomials, _ in self.groups),
+            )
             _set(self, "gathers", gathers)
         return gathers
 
-    def layers(self, first, factors: Sequence, op: Callable) -> list[list]:
-        """A value per monomial, layer by layer: ``first`` for 1, and
-        op(the parent's value, factors[the angle]) for every other."""
-        out = [[first]]
-        for below, angle in self._gathers():
-            out.append(list(map(op, below(out[-1]), angle(factors))))
+    def values(self, first, angles: Sequence, op: Callable) -> list:
+        """A value per monomial, in number order: ``first``, the identity
+        of op, for 1, and op(the parent's value, its power) for every other,
+        power p of angle j being angles[j] folded p times by op (A_j^p for
+        ``mul``).
+
+        The powers come first, into the power table: row p, the powers p of
+        the ``width`` angles, is op(row p - 1, angles), one C-level pass per
+        power, so power p of angle j sits at (p - 1) * width + j.  Layer 1,
+        whose parent is 1, is read from the table as it stands."""
+        row = angles[: self.width]
+        table = list(row)
+        for _ in range(1, self.powers):
+            row = list(map(op, row, angles))
+            table += row
+        layers = self._gathers()[0]
+        out = [first, *layers[0][1](table)] if layers else [first]
+        for below, power in layers[1:]:
+            out += map(op, below(out), power(table))
         return out
 
     def evaluate(self, A: Sequence[int], B: int, shifts: Sequence[int]) -> dict[int, int]:
         """The poly at theta_j = A_j / B * pi^shifts[j], for ints A_j and
         B > 0, as {pi power: numerator} with no zero numerator, over
-        den * B^top (den the poly's, top the largest angle degree).
+        den * B^top (den the poly's).
 
         A term c * pi^e0 * prod theta_j^k_j of angle degree s gives the
         numerator c * prod A_j^k_j * B^(top - s) at pi^(e0 + sum shifts[j] k_j).
-        The products prod A_j^k_j come layer by layer (``layers``); the
-        terms of one (s, e0) are summed at once.  When the nonzero angles
-        have unequal pi powers, the pi power of each monomial is built the
-        same way and the group's terms merge by it.
+        The products prod A_j^k_j come layer by layer (``values``) from the
+        power table of the A_j; the terms of one (s, e0) are summed at once.
+        When the nonzero angles have unequal pi powers, the pi power of each
+        monomial is built the same way from the table of multiples of the
+        shifts, and the group's terms merge by it.
         """
-        vals = self.layers(1, A, mul)
-        top = len(self.ends)
+        vals = self.values(1, A, mul)
+        groups = zip(self.groups, self._gathers()[1])
+        top = self.top
         moved = {m for a, m in zip(A, shifts) if a}  # the pi power of a zero angle is moot
         if len(moved) <= 1:
             m = moved.pop() if moved else 0
             pairs = (
-                (e0 + m * s, sum(map(mul, coeffs, vals[s])) * B ** (top - s))
-                for s, e0, coeffs in self.groups
+                (e0 + m * s, sum(map(mul, coeffs, gather(vals))) * B ** (top - s))
+                for (s, e0, _, coeffs), gather in groups
             )
         else:
-            powers = self.layers(0, shifts, add)
+            pis = self.values(0, shifts, add)
             pairs = (
                 pair
-                for s, e0, coeffs in self.groups
+                for (s, e0, _, coeffs), gather in groups
                 for pair in zip(
-                    map(e0.__add__, powers[s]),
-                    map(mul, map(mul, coeffs, vals[s]), repeat(B ** (top - s))),
+                    map(e0.__add__, gather(pis)),
+                    map(mul, map(mul, coeffs, gather(vals)), repeat(B ** (top - s))),
                 )
             )
         return accumulate({}, pairs)
@@ -373,21 +404,23 @@ class _Index(NamedTuple):
     """The angle monomials in n angles that plan builds have met, by int id.
 
     ``ids`` maps each angle exponent tuple to its id; for each id,
-    ``parents`` holds the id of its parent (one unit of its last nonzero
-    angle removed), ``angles`` the index of that angle (0 for t1) and
-    ``degrees`` its degree.  Id 0 is the monomial 1, its own parent, so a
-    parent's id is always smaller than its child's.
+    ``parents`` holds the id of its parent (its last nonzero angle j set to
+    0), ``factors`` the position (p - 1) * n + j of that angle's power p in
+    a power table (``_Plan.values``), ``layers`` the number of nonzero angles
+    and ``degrees`` the degree.  Id 0 is the monomial 1, its own parent, so
+    a parent's id is always smaller than its child's.
     """
 
     ids: dict[tuple[int, ...], int]
     parents: list[int]
-    angles: list[int]
+    factors: list[int]
+    layers: list[int]
     degrees: list[int]
 
 
 # The angle-monomial index of each number of angles n.  It only grows, as
 # the tables do, and an id enters ``ids`` only after its entries in the
-# three lists exist.
+# lists exist.
 _indexes: dict[int, _Index] = {}
 # Beside the monomial table (n + 1, d): the index id of the angle part of
 # each table position, as far as plan builds have read the table.  Table
@@ -406,13 +439,14 @@ def _intern(index: _Index, k: tuple[int, ...]) -> int:
         while not k[j]:
             j -= 1
         chain.append((k, j))
-        k = k[:j] + (k[j] - 1,) + k[j + 1 :]
+        k = k[:j] + (0,) * (len(k) - j)
         i = ids.get(k)
     for k, j in reversed(chain):
         parent, i = i, len(index.parents)
         index.parents.append(parent)
-        index.angles.append(j)
-        index.degrees.append(index.degrees[parent] + 1)
+        index.factors.append((k[j] - 1) * len(k) + j)
+        index.layers.append(index.layers[parent] + 1)
+        index.degrees.append(index.degrees[parent] + k[j])
         ids[k] = i
     return i
 
@@ -432,60 +466,52 @@ def _plan(vecs: Vectors, n: int) -> _Plan:
     The terms are read as ids of the shared angle-monomial index
     (``_angle_ids`` beside each table, compressed by the vector), so no
     exponent tuple is sliced or hashed here.  Each term's parent chain is
-    walked down on ids until it meets a monomial already placed, and the new
-    monomials are placed on the way back up, so each monomial is visited
-    once and nothing is sorted.  The index's parent links are the plan's;
-    the plan holds positions within its own layers, not index ids, so it
-    stays valid as the index grows.
+    walked down on ids until it meets a monomial already met, each new one
+    put in its layer, so each monomial is visited once and nothing is
+    sorted.  The monomials are then numbered in layer order, and their
+    parents and powers read from the index in C-level passes.  The plan
+    holds numbers within itself, not index ids, so it stays valid as the
+    index grows.
     """
     index = _indexes.get(n)
     if index is None:
-        index = _indexes[n] = _Index({(0,) * n: 0}, [0], [0], [0])
-    parent_of, angle_of, degree_of = index.parents, index.angles, index.degrees
+        index = _indexes[n] = _Index({(0,) * n: 0}, [0], [0], [0], [0])
+    _, parent_of, factor_of, layer_of, degree_of = index
     # (d, the ids of the terms of degree d, its vector); reading the ids
     # extends the index first, so ``where`` can cover every id
     support = [
         (d, list(compress(_angle_ids(index, n, d, len(vec)), vec)), vec) for d, vec in vecs.items()
     ]
-    where = [-1] * len(parent_of)  # id -> position in its layer, -1 if not placed
+    where = [-1] * len(parent_of)  # id -> its number, -1 if not met
     where[0] = 0
-    parents: list[list[int]] = [[0]]  # layer 0: the monomial 1, whose entry is unused
-    angles: list[list[int]] = [[0]]
+    layers: list[list[int]] = [[0], *([] for _ in range(n))]  # the ids of each layer
     for _, ids, _ in support:
         for i in ids:
-            if where[i] >= 0:
-                continue
-            chain = [i]
-            i = parent_of[i]
             while where[i] < 0:
-                chain.append(i)
+                where[i] = 0
+                layers[layer_of[i]].append(i)
                 i = parent_of[i]
-            pos = where[i]
-            for i in reversed(chain):
-                s = degree_of[i]
-                if s == len(parents):
-                    parents.append([])
-                    angles.append([])
-                layer = parents[s]
-                layer.append(pos)
-                angles[s].append(angle_of[i])
-                pos = where[i] = len(layer) - 1
+    order = list(chain.from_iterable(layers))
+    for number, i in enumerate(order):
+        where[i] = number
+    pick = _gather(order)  # the monomial 1 first, its entries dropped below
+    parents = array("I", _gather(pick(parent_of))(where))[1:]
+    factors = array("I", pick(factor_of))[1:]
+    ends = tuple(scan(filter(None, map(len, layers[1:]))))
     groups = []
     for d, ids, vec in support:
-        rows: dict[int, list[int]] = {}  # angle degree s -> the row of pi power d - s
+        terms: dict[int, tuple[list[int], list[int]]] = {}  # angle degree s -> (monomials, numerators)
         for i, c in zip(ids, filter(None, vec)):
             s = degree_of[i]
-            row = rows.get(s)
-            if row is None:
-                row = rows[s] = [0] * len(parents[s])
-            row[where[i]] = c
-        groups.extend((s, d - s, tuple(row)) for s, row in rows.items())
-    flat_parents, flat_angles, ends = array("I"), array("I"), []
-    for layer, js in zip(parents[1:], angles[1:]):
-        flat_parents.extend(layer)
-        flat_angles.extend(js)
-        ends.append(len(flat_parents))
-    return _Plan(flat_parents, flat_angles, tuple(ends), tuple(groups))
+            group = terms.get(s)
+            if group is None:
+                group = terms[s] = ([], [])
+            group[0].append(where[i])
+            group[1].append(c)
+        groups.extend((s, d - s, array("I", got), tuple(cs)) for s, (got, cs) in terms.items())
+    top = max((s for s, _, _, _ in groups), default=0)
+    powers = max(factors) // n + 1 if factors else 0
+    return _Plan(parents, factors, ends, n, powers, top, tuple(groups))
 
 
 def _joined(parts: Sequence[tuple[_Plan, int, Sequence[int]]]) -> tuple[_Plan, int]:
@@ -494,47 +520,42 @@ def _joined(parts: Sequence[tuple[_Plan, int, Sequence[int]]]) -> tuple[_Plan, i
     part is (plan, its den, reads), its angle j read at position reads[j]
     of A.
 
-    Layer s holds the parts' layers s side by side, so the parts share only
-    the monomial 1: a part's parents are a slice of its own, moved by the
-    offset of its layer s - 1 in one ``map(add)``, and its angles are its
-    own angle gather (``_Plan._gathers``) applied to ``reads``.  Its rows
-    fill the columns of its layer s, scaled to den, the lcm of the parts'
-    dens; those columns are the part's own but for the monomial 1, whose
-    numerators add.  A term of angle degree s carries B^(top - s), so a
-    part with fewer layers reads over den * B^top as over its own
-    den * B^(its top).
+    Layer r holds the parts' layers r side by side, so the parts share only
+    the monomial 1.  Each part maps its monomials' numbers to the joined
+    ones in a list (``at``) and its power-table positions to those of the
+    joined table in another (``moves``); its own gathers (``_Plan._gathers``)
+    applied to these lists give its parents, powers and groups in the
+    joined plan.  The groups of one (s, e0) concatenate the parts' monomials
+    and numerators, scaled to den, the lcm of the parts' dens; the monomial
+    1 may appear more than once, and its terms add.  A term of angle degree
+    s carries B^(top - s), so a part with a smaller top reads over
+    den * B^top as over its own den * B^(its top).
     """
     den = lcm(*(d for _, d, _ in parts))
-    spans = [list(zip((0, *plan.ends), plan.ends, plan._gathers())) for plan, _, _ in parts]
-    parents: list[int] = []
-    angles: list[int] = []
-    ends = []
-    starts = [[0] for _ in parts]  # per part, where each of its layers starts in the joined one
-    for s in range(max(map(len, spans))):
-        first = len(parents)
-        for (plan, _, reads), span, at in zip(parts, spans, starts):
-            if s < len(span):
-                a, b, (_, angle) = span[s]
-                at.append(len(parents) - first)
-                parents += map(add, plan.parents[a:b], repeat(at[-2]))
-                angles += angle(reads)
+    width = max(chain.from_iterable(reads for _, _, reads in parts), default=-1) + 1
+    moves = [[p * width + j for p in range(plan.powers) for j in reads] for plan, _, reads in parts]
+    layered = [plan._gathers()[0] for plan, _, _ in parts]
+    ats = [[0] for _ in parts]
+    parents, factors, ends = [], [], []
+    for r in range(max(map(len, layered))):
+        for layers, at, move in zip(layered, ats, moves):
+            if r < len(layers):
+                below, power = layers[r]
+                got = below(at)
+                at += range(len(parents) + 1, len(parents) + 1 + len(got))
+                parents += got
+                factors += power(move)
         ends.append(len(parents))
-    sizes = [1, *map(sub, ends, (0, *ends))]
-    rows: dict[tuple[int, int], list[int]] = {}
-    for (plan, d, _), at in zip(parts, starts):
-        scale = den // d
-        for s, e0, coeffs in plan.groups:
-            if scale > 1:
-                coeffs = list(map(mul, coeffs, repeat(scale)))
-            row = rows.get((s, e0))
-            if row is None:
-                row = rows[s, e0] = [0] * sizes[s]
-            if s:
-                row[at[s] : at[s] + len(coeffs)] = coeffs
-            else:
-                row[0] += coeffs[0]
-    groups = tuple((s, e0, tuple(row)) for (s, e0), row in rows.items())
-    return _Plan(array("I", parents), array("I", angles), tuple(ends), groups), den
+    groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    for (plan, d, _), at in zip(parts, ats):
+        for (s, e0, _, coeffs), gather in zip(plan.groups, plan._gathers()[1]):
+            group = groups.setdefault((s, e0), ([], []))
+            group[0].extend(gather(at))
+            group[1].extend(coeffs if d == den else map(mul, coeffs, repeat(den // d)))
+    powers = max(plan.powers for plan, _, _ in parts)
+    top = max(plan.top for plan, _, _ in parts)
+    out = tuple((s, e0, array("I", got), tuple(cs)) for (s, e0), (got, cs) in groups.items())
+    return _Plan(array("I", parents), array("I", factors), tuple(ends), width, powers, top, out), den
 
 
 _set = object.__setattr__
@@ -854,7 +875,7 @@ class Poly:
         B = lcm(*(b for _, b, _ in angles))
         plan = self._evaluation_plan()
         powers = plan.evaluate([a * (B // b) for a, b, _ in angles], B, [m for _, _, m in angles])
-        return pi_poly(powers, self.den * B ** len(plan.ends))
+        return pi_poly(powers, self.den * B ** plan.top)
 
     def _evaluation_plan(self) -> _Plan:
         """The evaluation plan of this Poly in its angle variables, built on

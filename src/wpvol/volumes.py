@@ -285,7 +285,8 @@ def _integrate_crossing(c: Chamber, S: frozenset[int]) -> Poly:
 
 # wc_{C,S} depends on C only through the quotient C/S (the paper's corollary),
 # so one integral serves every chamber above W_S with the same quotient.
-_crossing_cache: dict[tuple[Chamber, frozenset[int]], Poly] = {}
+# Per (C/S, S): the crossing and its path term (``_Term``), one lookup.
+_crossing_cache: dict[tuple[Chamber, frozenset[int]], tuple[Poly, _Term]] = {}
 # Relabeling the points that fix the merged one maps C/S to another quotient
 # and wc to the relabeled wc, and phi_S is symmetric in S, so wc depends only
 # on (space of C/S, |S|, orbit of C/S).  Keyed so, by the sorted key of C/S
@@ -309,8 +310,6 @@ class _Term(NamedTuple):
     wall: tuple[int, ...]
 
 
-# Per (C/S, S), beside ``_crossing_cache``: the crossing as a path term.
-_crossing_terms: dict[tuple[Chamber, frozenset[int]], _Term] = {}
 # Per (quotient, |S|): the kernel K_S / L_S of ``_wc_kernel``, built when a
 # path plan first needs it.
 _kernels: dict[tuple[Chamber, int], Poly] = {}
@@ -330,16 +329,15 @@ def _crossing(c: Chamber, S: frozenset[int]) -> tuple[Poly, _Term]:
     """The memoized wc_{C,S} and its path term, for c known to be incident
     to and above W_S.
 
-    Read from the exact (C/S, S) tables; on a miss, relabeled from the
+    Read from the exact (C/S, S) table; on a miss, relabeled from the
     key-orbit table, and integrated once per key orbit.
     """
     quotient = c.quotient(S)
     key = (quotient, S)
-    poly, term = _crossing_cache.get(key), _crossing_terms.get(key)
-    if poly is None or term is None:
-        poly, term = _orbit_crossing(c, S, quotient)
-        _crossing_cache[key], _crossing_terms[key] = poly, term
-    return poly, term
+    got = _crossing_cache.get(key)
+    if got is None:
+        got = _crossing_cache[key] = _orbit_crossing(c, S, quotient)
+    return got
 
 
 def _orbit_crossing(c: Chamber, S: frozenset[int], quotient: Chamber) -> tuple[Poly, _Term]:
@@ -547,7 +545,7 @@ def _path_value(
     A = [2 * (B - nums[i]) for i in reads]
     A += [sum(get(A)) - k * B for get, k in walls]
     powers = plan.evaluate(A, B, (1,) * len(A))
-    return powers, den * B ** len(plan.ends)
+    return powers, den * B ** plan.top
 
 
 def _point_value(poly: Poly, w: WeightVector, reads: Sequence[int]) -> tuple[dict[int, int], int]:
@@ -762,7 +760,6 @@ def clear_volume_cache() -> None:
     _crossing_cache.clear()
     _crossing_orbits.clear()
     _orbit_sources.clear()
-    _crossing_terms.clear()
     _kernels.clear()
     _evaluation_orbits.clear()
     _evaluators.clear()

@@ -1150,7 +1150,6 @@ def test_orbit_tables_above_the_enumeration_bound(monkeypatch, empty_memos):
         "_volume_cache",
         "_steps",
         "_crossing_cache",
-        "_crossing_terms",
         "_crossing_orbits",
         "_orbit_sources",
     ):

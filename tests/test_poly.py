@@ -3,13 +3,13 @@
 import json
 import random
 import time
-from array import array
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from itertools import product
 from math import factorial, gcd, lcm
-from operator import add
+from operator import add, mul
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +33,6 @@ from wpvol.poly import (
     Poly,
     PolyRing,
     _pi_multiple,
-    _Plan,
     accumulate,
     angle_ring,
     phi_form,
@@ -318,6 +317,37 @@ def test_numerators_over_any_denominator_give_the_reduced_digits(nums, den, scal
     got = evaluate_pi_numerators({k: c * scale for k, c in nums.items()}, den * scale, digits)
     assert got.as_tuple() == want.as_tuple()
     assert evaluate_pi_poly(p, digits).as_tuple() == want.as_tuple()
+
+
+def switching_evaluate_pi_numerators(nums, den, digits):
+    """The loop of ``evaluate_pi_numerators`` before its kept contexts: the
+    sum under a ``localcontext`` of the working precision, rounded under
+    another of ``digits``."""
+    with localcontext() as ctx:
+        ctx.prec = prec = digits + _GUARD
+        pi_val = pi_decimal(prec)
+        total = Decimal(0)
+        d = Decimal(den)
+        for k, c in sorted(nums.items()):
+            total += Decimal(c) / d * pi_val**k
+    with localcontext() as ctx:
+        ctx.prec = digits
+        total = +total
+    return total
+
+
+@pytest.mark.parametrize("digits", [50, 1000])
+def test_kept_contexts_give_the_digits_of_context_switching(digits):
+    """Seeded numerators at one pi power and at several, over seeded dens,
+    give the Decimal of the context-switching loop bit for bit."""
+    rng = random.Random(digits)
+    for trial in range(60):
+        count = 1 if trial % 2 else rng.randint(2, 9)
+        powers = rng.sample(range(16), count)
+        nums = {k: rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(1, 90)) for k in powers}
+        den = rng.randint(1, 10 ** rng.randint(1, 60))
+        want = switching_evaluate_pi_numerators(nums, den, digits)
+        assert evaluate_pi_numerators(nums, den, digits).as_tuple() == want.as_tuple()
 
 
 # -- property tests --------------------------------------------------------------
@@ -776,18 +806,19 @@ def test_evaluate_angles_matches_per_term_loop_on_v36():
 
 
 def test_evaluation_plan_is_bounded_by_the_support():
-    """The plan holds at most terms x degree monomials besides 1, never every
-    monomial of degree <= K in n angles (C(n + K, n) of them): one chain of
-    120 for t1^60 * t5^60, and about twice the 18 564 terms of V_{3,6},
-    not C(30, 6) = 593 775."""
+    """The plan holds at most terms x angles monomials besides 1, the terms'
+    angle parts and their parents, never every monomial of degree <= K in n
+    angles (C(n + K, n) of them) nor terms x degree: t1^60 and t1^60 * t5^60
+    for t1^60 * t5^60, and at most six per term of the 18 564 terms of
+    V_{3,6}, not C(30, 6) = 593 775."""
     r5 = angle_ring(5)
     p = r5.monomial(1, (0, 60, 0, 0, 0, 60))
     values = seeded_angles(r5, random.Random(5))
     assert p.evaluate_angles(values) == per_term_evaluate_angles(p, values)
-    assert plan_size(p) == 120
+    assert plan_size(p) == 2
     v = fresh(mirzakhani_volume(3, 6).poly)
     v.evaluate_angles([0] * 6)
-    assert plan_size(v) <= len(v.nums) * 24
+    assert plan_size(v) <= len(v.nums) * 6
 
 
 angle_numerators = st.one_of(st.just(0), st.integers(-(2**70), 2**70), st.integers(-3, 3))
@@ -807,7 +838,7 @@ def test_plan_evaluate_matches_per_term_loop(p, A, B, shifts):
     plan = fresh(p)._evaluation_plan()
     powers = plan.evaluate(A, B, shifts)
     assert all(isinstance(c, int) and c for c in powers.values())
-    over = p.den * B ** len(plan.ends)
+    over = p.den * B ** plan.top
     values = [p.ring.monomial(F(a, B), (m, 0, 0)) for a, m in zip(A, shifts)]
     want = per_term_evaluate_angles(p, values)
     assert {(m,): F(c, over) for m, c in powers.items()} == dict(want.terms)
@@ -826,12 +857,18 @@ def seeded_poly(n, rng):
     return p
 
 
+def group_terms(plan):
+    """The terms the groups of ``plan`` hold."""
+    return sum(len(coeffs) for *_, coeffs in plan.groups)
+
+
 def test_joined_plan_is_the_sum_of_its_parts():
     """``_joined`` of seeded plans, of unequal depth and den, each reading
     its angles through its own map (repeats and unread positions included),
     evaluates over den * B^top to the sum of the parts' own evaluations,
     each over its den * B^(its top): at zero angles and unequal pi shifts
-    too.  A joined plan whose gathers are built equals a fresh join."""
+    too.  It holds the parts' monomials and terms and no more, and once its
+    gathers are built it equals a fresh join."""
     rng = random.Random(202610221)
     zeros = unequal = 0
     for _ in range(300):
@@ -843,6 +880,9 @@ def test_joined_plan_is_the_sum_of_its_parts():
         ]
         plan, den = poly_module._joined(parts)
         assert den == lcm(*(p.den for p in polys))
+        # the parts side by side, nothing padded: their monomials and terms add up
+        assert len(plan.parents) == sum(len(part.parents) for part, _, _ in parts)
+        assert group_terms(plan) == sum(group_terms(part) for part, _, _ in parts)
         for _ in range(3):
             A = [rng.choice([0, rng.randint(-50, 50), rng.randint(-(2**70), 2**70)]) for _ in range(width)]
             B = rng.choice([1, 7, 1000, 2**65 + 3])
@@ -853,18 +893,55 @@ def test_joined_plan_is_the_sum_of_its_parts():
             for part_plan, d, reads in parts:
                 got = part_plan.evaluate([A[r] for r in reads], B, [shifts[r] for r in reads])
                 for m, c in got.items():
-                    want[m] = want.get(m, 0) + F(c, d * B ** len(part_plan.ends))
+                    want[m] = want.get(m, 0) + F(c, d * B ** part_plan.top)
             powers = plan.evaluate(A, B, shifts)
-            over = den * B ** len(plan.ends)
+            over = den * B ** plan.top
             assert {m: F(c, over) for m, c in powers.items()} == {m: v for m, v in want.items() if v}
         assert plan.gathers is not None and poly_module._joined(parts) == (plan, den)
     assert zeros > 100 and unequal > 100
 
 
+class FormerPlan(NamedTuple):
+    """The plan of the unit-step builder: each monomial its parent times
+    one angle, layer s the monomials of angle degree s, and per (s, e0) the
+    numerators aligned to layer s (0 where a monomial has no such term)."""
+
+    parents: list[list[int]]
+    angles: list[list[int]]
+    groups: tuple[tuple[int, int, tuple[int, ...]], ...]
+
+    def layers(self, first, factors, op):
+        out = [[first]]
+        for below, js in zip(self.parents[1:], self.angles[1:]):
+            out.append([op(out[-1][i], factors[j]) for i, j in zip(below, js)])
+        return out
+
+    def evaluate(self, A, B, shifts):
+        """The former ``_Plan.evaluate``: over den * B^top, top the number of
+        layers past 0."""
+        vals = self.layers(1, A, mul)
+        top = len(self.parents) - 1
+        moved = {m for a, m in zip(A, shifts) if a}
+        if len(moved) <= 1:
+            m = moved.pop() if moved else 0
+            pairs = (
+                (e0 + m * s, sum(map(mul, coeffs, vals[s])) * B ** (top - s)) for s, e0, coeffs in self.groups
+            )
+        else:
+            powers = self.layers(0, shifts, add)
+            pairs = (
+                (e0 + q, c * v * B ** (top - s))
+                for s, e0, coeffs in self.groups
+                for q, c, v in zip(powers[s], coeffs, vals[s])
+            )
+        return accumulate({}, pairs)
+
+
 def former_plan(vecs, n):
-    """The plan builder before the shared angle-monomial index: it slices the
-    angle part of each term's exponent tuple and walks the parent chain down
-    on tuples, building the parents on the way."""
+    """The unit-step plan builder before the prefix-power plans: it slices
+    the angle part of each term's exponent tuple and walks the parent chain
+    (one unit of the last nonzero angle removed) down on tuples, building the
+    parents on the way."""
     keys, vals = poly_module._support(n + 1, vecs)
     where = {(0,) * n: 0}  # monomial -> position in its layer
     parents = [[0]]
@@ -896,30 +973,65 @@ def former_plan(vecs, n):
         if row is None:
             row = rows[s, e[0]] = [0] * len(parents[s])
         row[where[k]] = c
-    flat_parents, flat_angles, ends = array("I"), array("I"), []
-    for layer, js in zip(parents[1:], angles[1:]):
-        flat_parents.extend(layer)
-        flat_angles.extend(js)
-        ends.append(len(flat_parents))
-    groups = tuple((s, e0, tuple(row)) for (s, e0), row in rows.items())
-    return _Plan(flat_parents, flat_angles, tuple(ends), groups)
+    return FormerPlan(parents, angles, tuple((s, e0, tuple(row)) for (s, e0), row in rows.items()))
 
 
 def plan_monomials(plan, n):
-    """The angle exponent tuples of each layer of ``plan``, one set per layer."""
+    """The angle exponent tuple of each monomial of ``plan``, in number
+    order, from the unit exponent tuples as angles."""
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    layers = plan.layers((0,) * n, units, lambda k, u: tuple(map(add, k, u)))
-    return [set(layer) for layer in layers]
+    return plan.values((0,) * n, units, lambda k, u: tuple(map(add, k, u)))
+
+
+def assert_prefix_plan(p):
+    """The plan of ``p`` is built of prefix powers: a monomial of layer r
+    has r nonzero angles and is its parent, in layer r - 1, times one power
+    p of its last nonzero angle j, read at (p - 1) * n + j in the power
+    table; the monomials are distinct and are the terms' angle parts and
+    their parents; the table reaches the largest power of any angle, top is
+    the largest angle degree, and the groups give back the terms."""
+    n = p.ring.nvars - 1
+    plan = poly_module._plan(p._vecs, n)
+    assert plan.width == n
+    monomials = plan_monomials(plan, n)
+    assert len(set(monomials)) == len(monomials)
+    starts = [0, 1, *(end + 1 for end in plan.ends)]
+    for r in range(1, len(starts) - 1):
+        for i in range(starts[r], starts[r + 1]):
+            k = monomials[i]
+            j = max(j for j in range(n) if k[j])
+            assert sum(map(bool, k)) == r
+            parent = plan.parents[i - 1]
+            assert starts[r - 1] <= parent < starts[r]
+            assert monomials[parent] == k[:j] + (0,) * (n - j)
+            assert plan.factors[i - 1] == (k[j] - 1) * n + j
+    closure = {(0,) * n}
+    for e in p.nums:
+        k = e[1:]
+        while k not in closure:
+            closure.add(k)
+            j = max(j for j in range(n) if k[j])
+            k = k[:j] + (0,) * (n - j)
+    assert set(monomials) == closure
+    assert plan.powers == max((x for k in closure for x in k), default=0)
+    terms = {}
+    for s, e0, positions, coeffs in plan.groups:
+        for i, c in zip(positions, coeffs):
+            assert sum(monomials[i]) == s
+            terms[(e0, *monomials[i])] = c
+    assert terms == dict(p.nums)
+    assert plan.top == max((s for s, _, _, _ in plan.groups), default=0)
 
 
 def assert_plan_matches_former(p, rng):
-    """``_plan`` of ``p`` holds the monomials of the former builder, layer by
-    layer, and evaluates alike at seeded angles: all nonzero with one pi
-    power, with a zero angle and unequal pi powers, and at random."""
+    """``_plan`` of ``p`` is built of prefix powers (``assert_prefix_plan``)
+    and evaluates as the former builder's plan, to the same numerators over
+    the same den * B^top, at seeded angles: all nonzero with one pi power,
+    with a zero angle and unequal pi powers, and at random."""
     n = p.ring.nvars - 1
+    assert_prefix_plan(p)
     got, want = poly_module._plan(p._vecs, n), former_plan(p._vecs, n)
-    assert plan_monomials(got, n) == plan_monomials(want, n)
-    assert len(got.parents) == len(want.parents)
+    assert got.top == len(want.parents) - 1
     for trial in range(3):
         A = [rng.choice([-1, 1]) * rng.randint(1, 10**6) for _ in range(n)]
         shifts = [1] * n if trial == 0 else [rng.randint(0, 3) for _ in range(n)]
@@ -928,6 +1040,16 @@ def assert_plan_matches_former(p, rng):
             shifts = [j % 3 for j in range(n)]
         B = rng.choice([1, 7, 1000])
         assert got.evaluate(A, B, shifts) == want.evaluate(A, B, shifts)
+
+
+def test_plan_monomials_are_prefix_powers():
+    """Seeded polys in one to five angles, zero and constant ones included,
+    t1^60 * t5^60 and V_{3,6} are planned from prefix powers."""
+    rng = random.Random(37)
+    for _ in range(200):
+        assert_prefix_plan(seeded_poly(rng.randint(1, 5), rng))
+    assert_prefix_plan(angle_ring(5).monomial(1, (0, 60, 0, 0, 0, 60)))
+    assert_prefix_plan(mirzakhani_volume(3, 6).poly)
 
 
 @pytest.mark.parametrize("g,n", [(0, 5), (1, 4), (2, 3), (1, 3)], ids=["D05", "D14", "D23", "D13"])

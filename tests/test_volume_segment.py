@@ -36,7 +36,6 @@ MEMOS = [
     (volumes, "_volume_cache"),
     (volumes, "_steps"),
     (volumes, "_crossing_cache"),
-    (volumes, "_crossing_terms"),
     (volumes, "_crossing_orbits"),
     (volumes, "_orbit_sources"),
     (volumes, "_kernels"),

@@ -292,7 +292,6 @@ def empty_memos(monkeypatch):
         (volumes, "_volume_cache"),
         (volumes, "_steps"),
         (volumes, "_crossing_cache"),
-        (volumes, "_crossing_terms"),
         (volumes, "_crossing_orbits"),
         (volumes, "_orbit_sources"),
         (volumes, "_kernels"),
@@ -330,7 +329,7 @@ def test_orbit_keyed_crossings_match_fresh_integrals(empty_memos, monkeypatch):
         chamber_volume(c)
     assert {q.space.n + len(S) - 1 for q, S in reached} == {3, 4, 5}
     for (q, S), c in reached.items():
-        assert volumes._crossing_cache[(q, S)] == _integrate_crossing(c, S), (c, S)
+        assert volumes._crossing_cache[(q, S)][0] == _integrate_crossing(c, S), (c, S)
 
 
 # -- the closed-form crossing integral against the kernel integral ------------------
@@ -487,7 +486,6 @@ def test_clear_volume_cache_drops_every_evaluator(fresh_volume_caches):
         volumes._volume_cache,
         volumes._steps,
         volumes._crossing_cache,
-        volumes._crossing_terms,
         volumes._crossing_orbits,
         volumes._orbit_sources,
         volumes._kernels,
